@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import re
 import sys
@@ -222,12 +223,12 @@ def cmd_ablate(args) -> int:
     axes = [(axis, list(grid[axis])) for axis in _GRID_AXES if axis in grid]
     if not axes:
         raise InputError("config has no 'grid' section to ablate over")
+    total_runs = math.prod(len(values) for _, values in axes) * len(config.policies) * len(seeds)
+    if total_runs > 1000:
+        raise BudgetError(f"ablation grid expands to {total_runs} runs (limit 1000)")
     cells = [[]]
     for axis, values in axes:
         cells = [cell + [(axis, value)] for cell in cells for value in values]
-    total_runs = len(cells) * len(config.policies) * len(seeds)
-    if total_runs > 1000:
-        raise BudgetError(f"ablation grid expands to {total_runs} runs (limit 1000)")
     rows = []
     for cell in cells:
         overrides = dict(cell)

@@ -136,6 +136,8 @@ class NoiseModel:
         return float(self.default)
 
     def vector(self, ids: Sequence[int]) -> np.ndarray:
+        if self.per_index is None:
+            return np.full(len(ids), float(self.default))
         return np.array([self.variance_at(i) for i in ids], dtype=np.float64)
 
 

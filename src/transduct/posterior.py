@@ -1,11 +1,10 @@
 """Joint Gaussian posterior over a finite domain, and its information metrics.
 
-The conditional covariance is maintained in full and updated per observation
-with the rank-one formula
-
-    K <- K - K[:, j] K[j, :] / (K[j, j] + rho^2(x_j)),
-
-which matches batch conditioning from the prior for any observation order.
+The conditional covariance is kept in full. A batch of observations
+conditions it in factor form (GPML Alg. 2.1): the observation at j adds the
+column w = (K[:, j] - W W[j, :]^T) / sqrt(K[j, j] - |W[j, :]|^2 + rho^2(x_j))
+to an N x b factor W, and K - W W^T is formed once per batch. This matches
+batch conditioning from the prior for any observation order.
 On top of the state the module computes marginal variances, joint entropies,
 the information gain I(f_A; y_x | D) in its forward (determinant ratio over
 the target block) and backward (scalar variance ratio at the candidate)
@@ -134,25 +133,32 @@ class PosteriorState:
 
 def condition(state: PosteriorState, obs: Observation) -> PosteriorState:
     """Condition the posterior on one observation (rank-one update)."""
-    j = state.position(obs.index)
-    col = state.cov[:, j]
-    denom = float(state.cov[j, j]) + obs.noise_var
-    if not denom > 0:
-        raise NumericError("non-positive predictive variance at the observed index")
-    mean = state.mean + col * ((obs.value - state.mean[j]) / denom)
-    cov = state.cov - np.outer(col, col) / denom
+    return condition_all(state, [obs])
+
+
+def condition_all(state: PosteriorState, observations: Iterable[Observation]) -> PosteriorState:
+    """Condition the posterior on a batch of observations, in order."""
+    observations = tuple(observations)
+    if not observations:
+        return state
+    pos = state.positions(obs.index for obs in observations)
+    factor = np.empty((state.cov.shape[0], len(pos)))
+    mean = state.mean.copy()
+    for i, (obs, j) in enumerate(zip(observations, pos)):
+        col = state.cov[:, j] - factor[:, :i] @ factor[j, :i]
+        denom = max(float(col[j]), 0.0) + obs.noise_var
+        if not denom > 0:
+            raise NumericError("non-positive predictive variance at the observed index")
+        mean += col * ((obs.value - mean[j]) / denom)
+        factor[:, i] = col / math.sqrt(denom)
+    cov = factor @ factor.T
+    np.subtract(state.cov, cov, out=cov)
     diag = np.diag(cov)
     if np.min(diag) < 0.0:
         np.fill_diagonal(cov, np.maximum(diag, 0.0))
     if not (np.all(np.isfinite(cov)) and np.all(np.isfinite(mean))):
         raise NumericError("conditioning produced non-finite values")
-    return replace(state, cov=cov, mean=mean, history=state.history + (obs,))
-
-
-def condition_all(state: PosteriorState, observations: Iterable[Observation]) -> PosteriorState:
-    for obs in observations:
-        state = condition(state, obs)
-    return state
+    return replace(state, cov=cov, mean=mean, history=state.history + observations)
 
 
 def observe(state: PosteriorState, index: int, value: float) -> PosteriorState:
@@ -213,12 +219,14 @@ def batch_information_gain(state: PosteriorState, targets: Sequence[int],
     """I(f_A; y_B | D_n) for a (multi)set B of candidate indices."""
     if len(batch) == 0:
         return 0.0
-    _, block = _target_block(state, targets, stabilize)
-    pa = state.positions(targets)
+    pa, block = _target_block(state, targets, stabilize)
     pb = state.positions(batch)
     c_bb = state.cov[np.ix_(pb, pb)] + np.diag(state.noise.vector(batch))
     c_ab = state.cov[np.ix_(pa, pb)]
-    downdated = block - c_ab @ np.linalg.solve(c_bb, c_ab.T)
+    try:
+        downdated = block - c_ab @ np.linalg.solve(c_bb, c_ab.T)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"batch gain solve failed: {exc}") from exc
     gain = 0.5 * (chol_logdet(block) - chol_logdet(downdated))
     return max(gain, 0.0)
 

@@ -16,18 +16,20 @@ Rule catalog (higher score wins; argmin rules are negated internally):
     random            uniform over the candidate pool
 
 Batches are built either greedily with conditional-embedding updates
-("bace": after each pick the covariance is downdated by the noise-inflated
-rank-one formula and the remaining candidates are re-scored) or by taking
-the top-b scores of a single pass ("topb"). Ties always break toward the
-lowest index.
+("bace": after each pick the remaining candidates are re-scored under the
+noise-inflated rank-one downdate at the pick) or by taking the top-b scores
+of a single pass ("topb"). Ties always break toward the lowest index.
+Scorers read only cov[A, A], cov[A, C] and the variances at the targets A
+and candidates C; in-batch downdates are factor rows over A and C on top of
+the untouched state covariance, and the round loop conditions once per batch.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
@@ -40,7 +42,8 @@ from .posterior import (
     Observation,
     PosteriorState,
     batch_information_gain,
-    condition,
+    condition,  # noqa: F401  (public name here; tracing tools wrap it)
+    condition_all,
     information_gain,
     solve_psd,
 )
@@ -129,46 +132,98 @@ class BatchResult:
 
     indices: tuple[int, ...]
     objectives: tuple[float, ...]
-    snapshot: str
 
 
-def _snapshot_id(state: PosteriorState) -> str:
-    digest = hashlib.sha1(state.cov.tobytes() + str(state.round).encode())
-    return digest.hexdigest()[:12]
+# ---------------------------------------------------------------------------
+# covariance blocks (targets A, candidates C, in-batch downdates as factor rows)
+# ---------------------------------------------------------------------------
+
+class _Blocks:
+    """The pieces of the conditional covariance that the scorers read.
+
+    Rows are the targets A followed by the candidates C. Each piece is
+    gathered from ``state.cov`` once, when first read. The in-batch downdates
+    are factor columns W over these rows, so every block is the state's block
+    minus the matching product of W rows, e.g. cov[A, C] = state.cov[A, C] - W_A W_C^T.
+    """
+
+    def __init__(self, state: PosteriorState | None, targets: Sequence[int],
+                 candidates: Sequence[int], capacity: int = 0):
+        self.state = state
+        self.targets = tuple(targets)
+        self.candidates = candidates
+        self.na = len(self.targets)
+        self.width = 0  # factor columns in use, out of ``capacity``
+        self.w = np.empty((self.na + len(candidates), capacity))
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return self.state.positions(self.targets + tuple(self.candidates))
+
+    @cached_property
+    def noise_a(self) -> np.ndarray:
+        return self.state.noise.vector(self.targets)
+
+    @cached_property
+    def noise_c(self) -> np.ndarray:
+        return self.state.noise.vector(self.candidates)
+
+    @cached_property
+    def _k_a(self) -> np.ndarray:
+        return self.state.cov[np.ix_(self.rows[:self.na], self.rows)]
+
+    @cached_property
+    def _k_diag(self) -> np.ndarray:
+        return self.state.cov[self.rows, self.rows]
+
+    def cov_a(self) -> np.ndarray:
+        """cov[A, A] in the first |A| columns, cov[A, C] after them."""
+        w = self.w[:, :self.width]
+        return self._k_a - w[:self.na] @ w.T
+
+    def var(self) -> np.ndarray:
+        """Variances at A then C, clamped at zero."""
+        w = self.w[:, :self.width]
+        return np.maximum(self._k_diag - np.einsum("ij,ij->i", w, w), 0.0)
+
+
+def bace_update(blocks: _Blocks, pick: int, rho2: float) -> None:
+    """Noise-inflated rank-one downdate at the candidate in position ``pick``.
+
+    Identical to conditioning except that no observation value exists yet;
+    it appends one factor column to ``blocks`` and leaves the state alone.
+    """
+    k, i = blocks.width, blocks.na + pick
+    col = blocks.state.cov[blocks.rows, blocks.rows[i]] - blocks.w[:, :k] @ blocks.w[i, :k]
+    blocks.w[:, k] = col / math.sqrt(max(float(col[i]), 0.0) + rho2)
+    blocks.width = k + 1
 
 
 # ---------------------------------------------------------------------------
 # scorers (vectorized over the candidate list)
 # ---------------------------------------------------------------------------
 
-def _itl_scores(state: PosteriorState, targets: Sequence[int],
-                candidates: Sequence[int], stabilize: bool) -> np.ndarray:
-    pa = state.positions(targets)
-    pc = state.positions(candidates)
-    block = state.cov[np.ix_(pa, pa)]
+def _itl_scores(blocks: _Blocks, stabilize: bool) -> np.ndarray:
+    cov_a = blocks.cov_a()
+    block, cross = cov_a[:, :blocks.na], cov_a[:, blocks.na:]
     if stabilize:
-        block = block + np.diag(state.noise.vector(targets))
-    cross = state.cov[np.ix_(pa, pc)]
+        block = block + np.diag(blocks.noise_a)
     quad = np.sum(cross * solve_psd(block, cross), axis=0)
-    kxx = np.maximum(np.diag(state.cov)[pc], 0.0)
-    noise = state.noise.vector(candidates)
-    denom = kxx + noise
+    noise = blocks.noise_c
+    denom = blocks.var()[blocks.na:] + noise
     resid = np.maximum(denom - quad, 1e-300)
     if not stabilize:
         # in-target candidates have exact residual rho^2 (y_x independent of
         # f_{A \ x} given f_x); bypass the solve round-off for them
-        inside = np.isin(np.asarray(candidates), np.asarray(targets))
+        inside = np.isin(np.asarray(blocks.candidates), np.asarray(blocks.targets))
         resid = np.where(inside, noise, resid)
     return np.maximum(0.5 * np.log(denom / resid), 0.0)
 
 
-def _ctl_scores(state: PosteriorState, targets: Sequence[int],
-                candidates: Sequence[int]) -> np.ndarray:
-    pa = state.positions(targets)
-    pc = state.positions(candidates)
-    var = np.maximum(np.diag(state.cov), 0.0)
-    var_c, var_a = var[pc], var[pa]
-    cross = state.cov[np.ix_(pc, pa)]
+def _ctl_scores(blocks: _Blocks) -> np.ndarray:
+    var = blocks.var()
+    var_a, var_c = var[:blocks.na], var[blocks.na:]
+    cross = blocks.cov_a()[:, blocks.na:].T
     denom = np.sqrt(np.maximum(var_c, _DEGENERATE_VAR)[:, None]
                     * np.maximum(var_a, _DEGENERATE_VAR)[None, :])
     corr = cross / denom
@@ -177,23 +232,12 @@ def _ctl_scores(state: PosteriorState, targets: Sequence[int],
     return corr.sum(axis=1)
 
 
-def _prior_cosine_scores(state: PosteriorState, targets: Sequence[int],
-                         candidates: Sequence[int]) -> np.ndarray:
-    prior = state.gram.values
-    pa = state.gram.positions(targets)
-    pc = state.gram.positions(candidates)
+def _prior_cosine_scores(blocks: _Blocks) -> np.ndarray:
+    prior = blocks.state.gram.values
+    pa, pc = blocks.rows[:blocks.na], blocks.rows[blocks.na:]
     diag = np.maximum(np.diag(prior), _DEGENERATE_VAR)
     corr = prior[np.ix_(pc, pa)] / np.sqrt(diag[pc][:, None] * diag[pa][None, :])
     return corr.mean(axis=1)
-
-
-def _uncertainty_scores(state: PosteriorState, candidates: Sequence[int]) -> np.ndarray:
-    return np.maximum(np.diag(state.cov)[state.positions(candidates)], 0.0)
-
-
-def _undirected_itl_scores(state: PosteriorState, candidates: Sequence[int]) -> np.ndarray:
-    var = _uncertainty_scores(state, candidates)
-    return 0.5 * np.log1p(var / state.noise.vector(candidates))
 
 
 def _min_sq_distances(state: PosteriorState, candidates: Sequence[int],
@@ -212,25 +256,24 @@ def _softmax_entropy(rows: np.ndarray) -> np.ndarray:
     return -(rows * np.log(safe)).sum(axis=1)
 
 
-def _score_candidates(state: PosteriorState, targets: Sequence[int],
-                      candidates: Sequence[int], policy: Policy,
-                      softmax: SoftmaxTable | None,
+def _score_candidates(blocks: _Blocks, policy: Policy, softmax: SoftmaxTable | None,
                       selected: Sequence[int]) -> np.ndarray:
     rule = policy.rule
+    state, targets, candidates = blocks.state, blocks.targets, blocks.candidates
     if rule in TARGET_RULES and not targets:
         raise InputError(f"rule {rule!r} needs a nonempty target set")
     if rule in SOFTMAX_RULES and softmax is None:
         raise InputError(f"rule {rule!r} needs a softmax table")
     if rule == ITL:
-        return _itl_scores(state, targets, candidates, policy.stabilize)
+        return _itl_scores(blocks, policy.stabilize)
     if rule == CTL:
-        return _ctl_scores(state, targets, candidates)
+        return _ctl_scores(blocks)
     if rule == UNCERTAINTY:
-        return _uncertainty_scores(state, candidates)
+        return blocks.var()[blocks.na:]
     if rule == UNDIRECTED_ITL:
-        return _undirected_itl_scores(state, candidates)
+        return 0.5 * np.log1p(blocks.var()[blocks.na:] / blocks.noise_c)
     if rule == COSINE:
-        return _prior_cosine_scores(state, targets, candidates)
+        return _prior_cosine_scores(blocks)
     if rule == MAX_DIST:
         if not selected:
             return np.zeros(len(candidates))
@@ -244,7 +287,7 @@ def _score_candidates(state: PosteriorState, targets: Sequence[int],
         return -softmax.rows(candidates).max(axis=1)
     if rule == INFO_DENSITY:
         entropy_term = _softmax_entropy(softmax.rows(candidates))
-        relevance = np.maximum(_prior_cosine_scores(state, targets, candidates), 0.0)
+        relevance = np.maximum(_prior_cosine_scores(blocks), 0.0)
         return entropy_term * relevance ** policy.beta
     raise InputError(f"rule {rule!r} is not a scored rule")
 
@@ -262,7 +305,7 @@ def score_itl(state: PosteriorState, targets: Sequence[int], candidate: int,
 
 def score_ctl(state: PosteriorState, targets: Sequence[int], candidate: int) -> float:
     """Total conditional correlation between the candidate and the targets."""
-    return float(_ctl_scores(state, targets, [candidate])[0])
+    return float(_ctl_scores(_Blocks(state, targets, [candidate]))[0])
 
 
 def score_baseline(rule: str, candidate: int, *, state: PosteriorState | None = None,
@@ -273,25 +316,9 @@ def score_baseline(rule: str, candidate: int, *, state: PosteriorState | None = 
     if rule in (ITL, CTL):
         raise InputError("use score_itl / score_ctl for the primary rules")
     policy = Policy(rule=rule, rho=rho, beta=beta)
-    scores = _score_candidates(state, tuple(targets), [candidate], policy,
+    scores = _score_candidates(_Blocks(state, targets, [candidate]), policy,
                                softmax, tuple(selected))
     return float(scores[0])
-
-
-def bace_update(state: PosteriorState, index: int, rho2: float) -> PosteriorState:
-    """Noise-inflated rank-one covariance downdate at a picked point.
-
-    Identical to conditioning except that no observation value exists yet:
-    the mean and history stay untouched.
-    """
-    j = state.position(index)
-    col = state.cov[:, j]
-    denom = float(state.cov[j, j]) + rho2
-    cov = state.cov - np.outer(col, col) / denom
-    diag = np.diag(cov)
-    if np.min(diag) < 0.0:
-        np.fill_diagonal(cov, np.maximum(diag, 0.0))
-    return replace(state, cov=cov)
 
 
 def _history_indices(state: PosteriorState) -> list[int]:
@@ -311,47 +338,43 @@ def select_batch(state: PosteriorState, targets: Sequence[int],
         raise InputError(f"batch size {b} exceeds the candidate pool ({len(cand)})")
     if rng is None:
         rng = np.random.default_rng(policy.seed)
-    snapshot = _snapshot_id(state)
     targets = tuple(int(t) for t in targets)
 
     if policy.rule == RANDOM:
         picks = sorted(rng.choice(len(cand), size=b, replace=False).tolist())
-        return BatchResult(indices=tuple(cand[i] for i in picks),
-                           objectives=(0.0,) * b, snapshot=snapshot)
+        return BatchResult(indices=tuple(cand[i] for i in picks), objectives=(0.0,) * b)
 
     if policy.rule == KMEANS_PP:
-        return _select_kmeanspp(state, cand, b, rng, snapshot)
+        return _select_kmeanspp(state, cand, b, rng)
 
-    cand_arr = np.array(cand)
+    history = _history_indices(state)
+    # uncertainty rules never read the target blocks, so no rows are kept for them
+    blocks = _Blocks(state, targets if policy.rule in TARGET_RULES else (), cand, b - 1)
     if policy.batch_mode == "topb":
-        scores = _score_candidates(state, targets, cand, policy, softmax,
-                                   _history_indices(state))
-        order = np.lexsort((cand_arr, -scores))[:b]
-        return BatchResult(indices=tuple(int(cand_arr[i]) for i in order),
-                           objectives=tuple(float(scores[i]) for i in order),
-                           snapshot=snapshot)
+        scores = _score_candidates(blocks, policy, softmax, history)
+        order = np.lexsort((np.array(cand), -scores))[:b]
+        return BatchResult(indices=tuple(cand[i] for i in order),
+                           objectives=tuple(float(scores[i]) for i in order))
 
     picked: list[int] = []
     objectives: list[float] = []
-    work = state
     rho2 = policy.rho ** 2
     mask = np.zeros(len(cand), dtype=bool)
-    for _ in range(b):
-        selected = _history_indices(state) + picked
-        scores = _score_candidates(work, targets, cand, policy, softmax, selected)
+    for step in range(b):
+        scores = _score_candidates(blocks, policy, softmax, history + picked)
         scores = np.where(mask, -np.inf, scores)
         best = int(np.argmax(scores))
-        picked.append(int(cand_arr[best]))
+        picked.append(cand[best])
         objectives.append(float(scores[best]))
         mask[best] = True
-        if policy.rule in _POSTERIOR_RULES:
-            work = bace_update(work, int(cand_arr[best]), rho2)
-    return BatchResult(indices=tuple(picked), objectives=tuple(objectives),
-                       snapshot=snapshot)
+        # the downdate after the last pick would never be read
+        if policy.rule in _POSTERIOR_RULES and step < b - 1:
+            bace_update(blocks, best, rho2)
+    return BatchResult(indices=tuple(picked), objectives=tuple(objectives))
 
 
 def _select_kmeanspp(state: PosteriorState, cand: list[int], b: int,
-                     rng: np.random.Generator, snapshot: str) -> BatchResult:
+                     rng: np.random.Generator) -> BatchResult:
     picked: list[int] = []
     objectives: list[float] = []
     selected = _history_indices(state)
@@ -373,8 +396,7 @@ def _select_kmeanspp(state: PosteriorState, cand: list[int], b: int,
         choice = int(rng.choice(len(cand), p=probs))
         picked.append(cand[choice])
         objectives.append(float(d2[choice]))
-    return BatchResult(indices=tuple(picked), objectives=tuple(objectives),
-                       snapshot=snapshot)
+    return BatchResult(indices=tuple(picked), objectives=tuple(objectives))
 
 
 def brute_force_batch(state: PosteriorState, targets: Sequence[int],
@@ -400,8 +422,7 @@ def brute_force_batch(state: PosteriorState, targets: Sequence[int],
         value = batch_information_gain(state, targets, best_combo[:i], stabilize=stabilize)
         objectives.append(value - previous)
         previous = value
-    return BatchResult(indices=best_combo, objectives=tuple(objectives),
-                       snapshot=_snapshot_id(state))
+    return BatchResult(indices=best_combo, objectives=tuple(objectives))
 
 
 def subsample_targets(targets: Sequence[int], m: int,
@@ -455,22 +476,22 @@ def run_loop(state: PosteriorState, targets: Sequence[int],
             wall_time=elapsed if timings else 0.0)
 
     record.append(metrics(0, (), (), 0.0))
+    pool = None if callable(sample_space) else sorted(int(s) for s in sample_space)
     for round_no in range(1, rounds + 1):
         start = time.perf_counter()
-        if callable(sample_space):
+        if pool is None:
             cand = list(sample_space(round_no, rng))
+        elif candidate_size is not None and candidate_size < len(pool):
+            picks = rng.choice(len(pool), size=candidate_size, replace=False)
+            cand = sorted(pool[i] for i in picks)
         else:
-            pool = sorted(int(s) for s in sample_space)
-            size = len(pool) if candidate_size is None else min(candidate_size, len(pool))
-            if size < len(pool):
-                cand = sorted(pool[i] for i in rng.choice(len(pool), size=size, replace=False))
-            else:
-                cand = pool
+            cand = pool
         round_targets = targets
         if policy.target_subsample is not None and policy.target_subsample < len(targets):
             round_targets = subsample_targets(targets, policy.target_subsample, rng)
         batch = select_batch(state, round_targets, cand, policy,
                              softmax=softmax, rng=rng)
+        observations = []
         for index in batch.indices:
             try:
                 value = float(oracle(index))
@@ -478,8 +499,8 @@ def run_loop(state: PosteriorState, targets: Sequence[int],
                 raise
             except Exception as exc:
                 raise DataError(f"oracle failed for index {index}: {exc}") from exc
-            state = condition(state, Observation(index, value,
-                                                 state.noise.variance_at(index)))
+            observations.append(Observation(index, value, state.noise.variance_at(index)))
+        state = condition_all(state, observations)
         retrieved.update(i for i in batch.indices if i in relevant)
         record.append(metrics(round_no, batch.indices, batch.objectives,
                               time.perf_counter() - start))

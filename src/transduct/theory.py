@@ -42,6 +42,7 @@ from .posterior import (
     information_capacity,
     solve_psd,
 )
+from .selection import _Blocks, _itl_scores
 
 _TOL = 1e-9
 SIZE_BOUND_CAP = 10_000
@@ -113,22 +114,6 @@ class BoundCheck:
         return "pass" if self.passed else "fail"
 
 
-def _exact_itl_scores(state: PosteriorState, targets: Sequence[int],
-                      candidates: Sequence[int]) -> np.ndarray:
-    pa = state.positions(targets)
-    pc = state.positions(candidates)
-    block = state.cov[np.ix_(pa, pa)]
-    cross = state.cov[np.ix_(pa, pc)]
-    quad = np.sum(cross * solve_psd(block, cross), axis=0)
-    noise = state.noise.vector(candidates)
-    denom = np.maximum(np.diag(state.cov)[pc], 0.0) + noise
-    resid = np.maximum(denom - quad, 1e-300)
-    # exact residual for in-target candidates, as in selection's scorer
-    inside = np.isin(np.asarray(candidates), np.asarray(targets))
-    resid = np.where(inside, noise, resid)
-    return np.maximum(0.5 * np.log(denom / resid), 0.0)
-
-
 def greedy_itl_trajectory(prior: PosteriorState, targets: Sequence[int],
                           sample_space: Sequence[int], rounds: int) -> Trajectory:
     """Roll out the exact greedy rule; observed values are irrelevant to
@@ -138,7 +123,7 @@ def greedy_itl_trajectory(prior: PosteriorState, targets: Sequence[int],
     states = [prior]
     state = prior
     for _ in range(rounds):
-        scores = _exact_itl_scores(state, targets, space)
+        scores = _itl_scores(_Blocks(state, targets, space), stabilize=False)
         pick = space[int(np.argmax(scores))]
         state = condition(state, Observation(pick, 0.0, state.noise.variance_at(pick)))
         states.append(state)
@@ -162,7 +147,7 @@ def irreducible_uncertainty(prior_gram: KernelMatrix, sample_space: Sequence[int
 def step_uncertainty(state: PosteriorState, targets: Sequence[int],
                      sample_space: Sequence[int]) -> float:
     """Gamma_n: the largest exact gain available within the sample space."""
-    return float(np.max(_exact_itl_scores(state, targets, sample_space)))
+    return float(np.max(_itl_scores(_Blocks(state, targets, sample_space), stabilize=False)))
 
 
 def _capacity_with_mode(prior: PosteriorState, space: Sequence[int],

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -221,6 +222,20 @@ class TestAblateCommand:
                               grid={"rho": [0.1, 1.0], "k": list(range(1, 12))})
         path = write_config(tmp_path / "c.json", cfg)
         assert main(["ablate", "--config", path, "--out", str(tmp_path / "o")]) == 4
+
+    def test_huge_grid_refused_before_expansion(self, tmp_path):
+        # 56^4 ~ 9.8e6 cells: expanding the cross product first would take
+        # minutes and gigabytes, so the run count must come from the axis lengths
+        steps = range(56)
+        cfg = base_run_config(policies=["itl"], seeds=[0],
+                              grid={"rho": [0.5 + 0.01 * i for i in steps],
+                                    "k": [10 * (i + 1) for i in steps],
+                                    "m": [i + 1 for i in steps],
+                                    "M": [10 * (i + 1) for i in steps]})
+        path = write_config(tmp_path / "c.json", cfg)
+        start = time.perf_counter()
+        assert main(["ablate", "--config", path, "--out", str(tmp_path / "o")]) == 4
+        assert time.perf_counter() - start < 5.0
 
 
 class TestDomainBuilders:

@@ -2,19 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from transduct import (
     IGQuery,
     InputError,
     KernelMatrix,
+    KernelSpec,
     NoiseModel,
+    NumericError,
     Observation,
+    Point,
     PosteriorState,
     batch_information_gain,
     beta_n,
     condition,
     condition_all,
     entropy,
+    gram,
     information_capacity,
     information_gain,
     marginal_variance,
@@ -87,6 +92,41 @@ class TestConditioning:
         assert state.round == 0
         assert condition(state, Observation(0, 0.0, 0.1)).round == 1
 
+    def test_batch_matches_sequential_with_repeats(self, rng):
+        for _ in range(20):
+            state = random_state(rng, 15, hetero=True)
+            observations = [Observation(int(i), float(rng.standard_normal()), float(v))
+                            for i, v in zip(rng.integers(0, 5, size=12),
+                                            rng.uniform(0.01, 0.5, size=12))]
+            batch = condition_all(state, observations)
+            sequential = state
+            for obs in observations:
+                sequential = condition(sequential, obs)
+            assert batch.history == sequential.history
+            np.testing.assert_allclose(batch.cov, sequential.cov, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(batch.mean, sequential.mean, rtol=0, atol=1e-12)
+
+    def test_no_drift_at_tiny_noise(self):
+        # 400 observations at rho^2 = 1e-8 in batches of 10, as the round loop
+        # conditions them; the reference is one Cholesky recompute from the prior
+        rng = np.random.default_rng(7)
+        points = [Point(i, coords=xy) for i, xy in enumerate(rng.uniform(size=(60, 2)))]
+        state = PosteriorState.from_prior(gram(KernelSpec("gaussian", lengthscale=0.2), points),
+                                          NoiseModel.homoscedastic(1e-8))
+        observations = [Observation(int(i), float(rng.standard_normal()), 1e-8)
+                        for i in rng.integers(0, 60, size=400)]
+        for start in range(0, 400, 10):
+            state = condition_all(state, observations[start:start + 10])
+        prior = state.gram.values
+        pos = [state.position(obs.index) for obs in observations]
+        chol = np.linalg.cholesky(prior[np.ix_(pos, pos)] + 1e-8 * np.eye(400))
+        v = solve_triangular(chol, prior[pos, :], lower=True)
+        assert np.max(np.abs(state.cov - (prior - v.T @ v))) <= 1e-12
+
+    def test_empty_batch_is_identity(self):
+        state = two_point_state()
+        assert condition_all(state, []) is state
+
 
 class TestInformationGain:
     def test_hand_computed_backward(self):
@@ -153,6 +193,15 @@ class TestInformationGain:
         gain = information_gain(state, IGQuery((1,), 0), stabilize=True)
         expected = 0.5 * math.log(1.1 / (1.1 - 0.25 / 1.1))
         np.testing.assert_allclose(gain, expected, atol=1e-9)
+
+    def test_singular_batch_block_is_numeric_error(self):
+        # two coincident points measured with negligible noise: c_bb rounds
+        # to [[1, 1], [1, 1]] exactly, which no unjittered solve can invert
+        values = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
+        state = PosteriorState.from_prior(KernelMatrix(values, (0, 1, 2)),
+                                          NoiseModel.homoscedastic(1e-300))
+        with pytest.raises(NumericError):
+            batch_information_gain(state, [2], [0, 1])
 
     def test_query_validation(self):
         with pytest.raises(InputError):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from transduct import (
     batch_information_gain,
     brute_force_batch,
     condition,
+    condition_all,
     information_gain,
     marginal_variance,
     run_loop,
@@ -221,6 +223,48 @@ class TestSelectBatch:
                                   Policy(rule="random", batch_size=2, seed=seed))
             seen.update(result.indices)
         assert seen == set(range(6))
+
+
+def dense_bace(state, targets, candidates, policy):
+    """Reference BaCE: one-pick selections on a dense covariance that is
+    downdated by cov - outer(col, col) / denom after every pick."""
+    cov = state.cov.copy()
+    remaining = sorted(candidates)
+    single = replace(policy, batch_size=1)
+    picks, objectives = [], []
+    for _ in range(policy.batch_size):
+        step = select_batch(replace(state, cov=cov), targets, remaining, single)
+        pick = step.indices[0]
+        picks.append(pick)
+        objectives.append(step.objectives[0])
+        remaining.remove(pick)
+        j = state.position(pick)
+        col = cov[:, j].copy()
+        cov = cov - np.outer(col, col) / (max(cov[j, j], 0.0) + policy.rho ** 2)
+        np.fill_diagonal(cov, np.maximum(np.diag(cov), 0.0))
+    return tuple(picks), objectives
+
+
+class TestFactorBaCE:
+    @pytest.mark.parametrize("rule", ["itl", "ctl", "uncertainty", "undirected-itl"])
+    def test_matches_dense_downdates(self, rng, rule):
+        for _ in range(30):
+            n = int(rng.integers(10, 31))
+            state = random_state(rng, n, hetero=bool(rng.integers(0, 2)))
+            if rng.integers(0, 2):
+                observed = rng.integers(0, n, size=5)
+                state = condition_all(state, [Observation(int(i), 0.3, 0.2) for i in observed])
+            targets = sorted(int(t) for t in rng.choice(n, int(rng.integers(1, 9)),
+                                                        replace=False))
+            b = int(rng.integers(1, 9))
+            candidates = sorted(int(c) for c in rng.choice(n, int(rng.integers(b, n + 1)),
+                                                           replace=False))
+            policy = Policy(rule=rule, batch_size=b, rho=float(rng.uniform(0.2, 1.5)),
+                            stabilize=bool(rng.integers(0, 2)))
+            got = select_batch(state, targets, candidates, policy)
+            picks, objectives = dense_bace(state, targets, candidates, policy)
+            assert got.indices == picks
+            np.testing.assert_allclose(got.objectives, objectives, rtol=0, atol=1e-12)
 
 
 class TestBruteForceBatch:
