@@ -161,9 +161,10 @@ def cmd_theory(args) -> int:
         raise InputError("theory checks require the sample space inside the target space")
     trajectory = greedy_itl_trajectory(prior, domain.target_ids, domain.sample_ids,
                                        config.rounds)
-    checks = [check_gamma_bound(trajectory),
-              check_within_S_bound(trajectory),
-              check_variance_bound(trajectory, epsilon)]
+    # the variance bound's size condition refuses an infeasible epsilon, so it
+    # runs before the capacity enumeration of the step-gain check
+    variance = check_variance_bound(trajectory, epsilon)
+    checks = [check_gamma_bound(trajectory), check_within_S_bound(trajectory), variance]
     rows = [[c.name, c.status, c.detail] for c in checks]
     if len(domain.sample_ids) <= 10:
         kappa = submodularity_ratio(prior, domain.target_ids, domain.sample_ids,

@@ -87,6 +87,14 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _number(kind: type, value, field: str):
+    """``kind(value)`` (int or float), raising ConfigError naming ``field``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"field {field!r} must be a number, got {value!r}") from exc
+
+
 def load_config(path: str, *, preset: str | None = None,
                 seeds: Sequence[int] | None = None) -> RunConfig:
     try:
@@ -134,22 +142,24 @@ def parse_config(raw: dict, *, preset: str | None = None,
     if not policies:
         raise ConfigError("field 'policies' must be nonempty")
 
-    seed_list = tuple(int(s) for s in (seeds if seeds is not None else raw.get("seeds", [0])))
+    seed_list = tuple(_number(int, s, "seeds")
+                      for s in (seeds if seeds is not None else raw.get("seeds", [0])))
     if not seed_list:
         raise ConfigError("field 'seeds' must be nonempty")
-    rounds = int(raw.get("rounds", 0))
+    rounds = _number(int, raw.get("rounds", 0), "rounds")
     if rounds < 0:
         raise ConfigError("field 'rounds' must be nonnegative")
 
     relevant = raw.get("relevant")
     if relevant is not None:
-        relevant = tuple(int(r) for r in relevant)
+        relevant = tuple(_number(int, r, "relevant") for r in relevant)
     epsilon = raw.get("epsilon")
-    if epsilon is not None and not float(epsilon) > 0:
-        raise ConfigError("field 'epsilon' must be positive")
+    if epsilon is not None:
+        epsilon = _number(float, epsilon, "epsilon")
+        if not epsilon > 0:
+            raise ConfigError("field 'epsilon' must be positive")
     return RunConfig(domain=domain, policies=tuple(policies), rounds=rounds,
-                     seeds=seed_list, hyper=hyper, relevant=relevant,
-                     epsilon=None if epsilon is None else float(epsilon),
+                     seeds=seed_list, hyper=hyper, relevant=relevant, epsilon=epsilon,
                      grid=dict(raw.get("grid", {})), raw=raw)
 
 
@@ -165,9 +175,9 @@ def _kernel_from(section: dict) -> KernelSpec:
 
 
 def _uniform_layout(layout: dict, rng: np.random.Generator):
-    dim = int(layout.get("dim", 2))
-    s_count = int(_require(layout, "s_count", "domain.layout"))
-    a_count = int(_require(layout, "a_count", "domain.layout"))
+    dim = _number(int, layout.get("dim", 2), "domain.layout.dim")
+    s_count = _number(int, _require(layout, "s_count", "domain.layout"), "domain.layout.s_count")
+    a_count = _number(int, _require(layout, "a_count", "domain.layout"), "domain.layout.a_count")
     box = np.asarray(layout.get("box", [[0.0, 1.0]] * dim), dtype=float)
     a_box = np.asarray(layout.get("a_box", box), dtype=float)
     if box.shape != (dim, 2) or a_box.shape != (dim, 2):
@@ -184,10 +194,10 @@ def _uniform_layout(layout: dict, rng: np.random.Generator):
 
 
 def _grid_layout(layout: dict):
-    s_count = int(_require(layout, "s_count", "domain.layout"))
-    start = float(layout.get("start", 0.0))
-    step = float(layout.get("step", 1.0))
-    a_extra = int(layout.get("a_extra", 0))
+    s_count = _number(int, _require(layout, "s_count", "domain.layout"), "domain.layout.s_count")
+    start = _number(float, layout.get("start", 0.0), "domain.layout.start")
+    step = _number(float, layout.get("step", 1.0), "domain.layout.step")
+    a_extra = _number(int, layout.get("a_extra", 0), "domain.layout.a_extra")
     include_s = bool(layout.get("include_s_in_a", True))
     coords = start + step * np.arange(s_count + a_extra)
     points = [Point(i, coords=[coords[i]]) for i in range(s_count + a_extra)]

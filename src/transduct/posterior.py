@@ -12,14 +12,16 @@ forms, the batch gain I(f_A; y_B | D), and the information capacity
 
     gamma_n = max_{X, |X| <= n} 1/2 log det(I + P_X^{-1} K_XX)
 
-by greedy maximization or exhaustive enumeration.
+by greedy maximization or exhaustive enumeration. Exhaustive enumeration
+over multisets scores chunks of multisets as stacked |S| x |S|
+determinants, one batched ``slogdet`` per chunk.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,6 +33,9 @@ LOG_2PI_E = math.log(2.0 * math.pi * math.e)
 
 #: Hard cap on exhaustive enumeration sizes (subsets or multisets).
 BRUTE_FORCE_CAP = 200_000
+
+#: Multisets per stacked determinant call; larger chunks only raise peak memory.
+_CHUNK = 256
 
 
 def chol_logdet(matrix: np.ndarray) -> float:
@@ -246,21 +251,32 @@ def _joint_gain(cov: np.ndarray, noise_diag: np.ndarray) -> float:
     return max(gain, 0.0)
 
 
-def _grouped_joint_gain(cov: np.ndarray, noise: np.ndarray, counts: np.ndarray) -> float:
-    """1/2 log det(I + sqrt(N) K sqrt(N)) with N = diag(counts / noise).
+def _best_grouped_gain(cov: np.ndarray, noise: np.ndarray, size: int) -> float:
+    """Largest 1/2 log det(I + sqrt(N) K sqrt(N)), N = diag(counts / noise),
+    over every multiset of exactly ``size`` candidate positions.
 
     Repeated independent measurements of the same point enter only through
-    their count, so a multiset of any size evaluates on the distinct-point
-    block (Sylvester's determinant identity).
+    their count, and a point never picked gives an identity row and column,
+    so every multiset is scored on the full block (Sylvester's determinant
+    identity) and a chunk of multisets is one stacked determinant.
     """
-    active = counts > 0
-    if not np.any(active):
-        return 0.0
-    root = np.sqrt(counts[active] / noise[active])
-    sub = cov[np.ix_(active, active)] * np.outer(root, root)
-    sub = sub + np.eye(sub.shape[0])
-    gain = 0.5 * float(np.linalg.slogdet(sub)[1])
-    return max(gain, 0.0)
+    n = cov.shape[0]
+    combos = combinations_with_replacement(range(n), size)
+    diag = np.arange(n)
+    best = 0.0
+    while True:
+        picks = np.fromiter(islice(combos, _CHUNK), dtype=(np.intp, size))
+        if len(picks) == 0:
+            return best
+        counts = np.zeros((len(picks), n))
+        np.add.at(counts, (np.arange(len(picks))[:, None], picks), 1.0)
+        root = np.sqrt(counts / noise)
+        stack = cov * (root[:, :, None] * root[:, None, :])
+        stack[:, diag, diag] += 1.0
+        logdet = np.linalg.slogdet(stack)[1]
+        if not np.all(np.isfinite(logdet)):
+            raise NumericError("capacity enumeration produced a non-finite log-determinant")
+        best = max(best, 0.5 * float(np.max(logdet)))
 
 
 def _capacity_brute(state: PosteriorState, candidates: Sequence[int], budget: int,
@@ -275,9 +291,7 @@ def _capacity_brute(state: PosteriorState, candidates: Sequence[int], budget: in
     best = 0.0
     if multiset:
         for size in sizes:
-            for combo in combinations_with_replacement(range(len(candidates)), size):
-                counts = np.bincount(combo, minlength=len(candidates))
-                best = max(best, _grouped_joint_gain(cov, noise, counts))
+            best = max(best, _best_grouped_gain(cov, noise, size))
     else:
         for size in sizes:
             for combo in combinations(range(len(candidates)), size):

@@ -15,17 +15,19 @@ checked on actual trajectories:
 Capacity values inside checkers are exact (exhaustive) whenever the
 enumeration is feasible; otherwise the greedy value is used and the affected
 rows are demoted from failures to warnings, since greedy underestimates the
-capacity and could flag spurious violations. The one exception is the size
-condition behind b_eps, where an underestimate would be unsound; there a
-certified closed-form upper bound (grouped-Hadamard water filling, see
-``capacity_upper_bound``) stands in.
+capacity and could flag spurious violations. Exhaustive capacities, in the
+checkers and in the exact phase of the size condition, score multisets in
+stacked determinants (``posterior._best_grouped_gain``), one size at a time.
+The one exception to the greedy fallback is the size condition behind b_eps,
+where an underestimate would be unsound; there a certified closed-form upper
+bound (grouped-Hadamard water filling, see ``capacity_upper_bound``) stands in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -36,9 +38,10 @@ from .posterior import (
     BRUTE_FORCE_CAP,
     Observation,
     PosteriorState,
-    _grouped_joint_gain,
+    _best_grouped_gain,
     batch_information_gain,
     condition,
+    condition_all,
     information_capacity,
     solve_psd,
 )
@@ -271,9 +274,7 @@ def markov_size_bound(state: PosteriorState, sample_space: Sequence[int],
     cov = prior.cov[np.ix_(pos, pos)]
     gamma = 0.0
     for size in range(1, k_exact + 1):
-        for combo in combinations_with_replacement(range(len(space)), size):
-            counts = np.bincount(combo, minlength=len(space))
-            gamma = max(gamma, _grouped_joint_gain(cov, noise, counts))
+        gamma = max(gamma, _best_grouped_gain(cov, noise, size))
         if gamma / size <= threshold:
             return size, True
 
@@ -345,10 +346,8 @@ def markov_boundary(state: PosteriorState, sample_space: Sequence[int], x: int,
 def verify_markov_boundary(state: PosteriorState, boundary: MarkovBoundary,
                            x: int) -> bool:
     """Re-condition from scratch and confirm the defining inequality."""
-    check = state
-    for index in boundary.members:
-        check = condition(check, Observation(index, 0.0,
-                                             state.noise.variance_at(index)))
+    check = condition_all(state, [Observation(index, 0.0, state.noise.variance_at(index))
+                                  for index in boundary.members])
     px = state.position(int(x))
     achieved = max(float(check.cov[px, px]), 0.0)
     return achieved <= boundary.irreducible + boundary.epsilon + _TOL

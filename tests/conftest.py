@@ -1,4 +1,6 @@
-"""Shared instance generators for the test suite."""
+"""Shared instance generators and scalar references for the test suite."""
+
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -60,6 +62,21 @@ def batch_posterior_oracle(state, observations):
     mean = k_dx @ solve @ y
     cov = prior - k_dx @ solve @ k_dx.T
     return mean, cov
+
+
+def best_grouped_gain_reference(cov, noise, size):
+    """Largest grouped multiset gain of exactly ``size`` picks, scored one
+    multiset at a time with one ``slogdet`` on its distinct-point block: the
+    scalar reference for the stacked enumeration."""
+    best = 0.0
+    for combo in combinations_with_replacement(range(len(noise)), size):
+        counts = np.bincount(combo, minlength=len(noise))
+        active = counts > 0
+        root = np.sqrt(counts[active] / noise[active])
+        sub = cov[np.ix_(active, active)] * np.outer(root, root)
+        sub = sub + np.eye(sub.shape[0])
+        best = max(best, 0.5 * float(np.linalg.slogdet(sub)[1]))
+    return best
 
 
 @pytest.fixture

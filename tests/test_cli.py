@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from transduct import cli
 from transduct.cli import main
 from transduct.config import PRESETS, load_config, parse_config
 from transduct.data import load_run, load_table
@@ -80,6 +81,31 @@ class TestConfigValidation:
     def test_rejects_empty_seeds(self):
         with pytest.raises(ConfigError, match="seeds"):
             parse_config(base_run_config(seeds=[]))
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("run", "rounds", "abc"),
+        ("run", "seeds", ["x"]),
+        ("run", "relevant", [1, "x"]),
+        ("theory", "epsilon", "tiny"),
+        ("run", "domain.layout.dim", "two"),
+        ("run", "domain.layout.s_count", "x"),
+        ("run", "domain.layout.a_count", None),
+        ("theory", "domain.layout.s_count", "x"),
+        ("theory", "domain.layout.a_extra", float("inf")),
+        ("theory", "domain.layout.start", [0.0]),
+        ("theory", "domain.layout.step", "wide"),
+    ])
+    def test_bad_number_is_config_error(self, tmp_path, capsys, command, field, value):
+        cfg = base_run_config() if command == "run" else grid_theory_config()
+        *parents, key = field.split(".")
+        section = cfg
+        for name in parents:
+            section = section[name]
+        section[key] = value
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert repr(field) in err and "Traceback" not in err
 
 
 class TestRunCommand:
@@ -158,12 +184,23 @@ class TestTheoryCommand:
         out = tmp_path / "out"
         assert main(["theory", "--config", cfg, "--out", str(out)]) == 0
         header, rows = load_table(str(out / "theory_diagnostics.tsv"))
+        assert [row[0] for row in rows] == ["step-gain-bound", "within-sample-bound",
+                                            "explicit-variance-bound", "submodularity-ratio"]
         statuses = {row[0]: row[1] for row in rows}
         assert statuses["step-gain-bound"] == "pass"
         assert statuses["within-sample-bound"] == "pass"
         assert statuses["explicit-variance-bound"] == "pass"
         assert statuses["submodularity-ratio"] == "pass"
         assert (out / "theory_rows.json").exists()
+
+    def test_infeasible_epsilon_refused_before_capacity_enumeration(self, tmp_path,
+                                                                    monkeypatch):
+        def enumerate_capacity(trajectory):
+            raise AssertionError("step-gain check ran before the size condition")
+
+        monkeypatch.setattr(cli, "check_gamma_bound", enumerate_capacity)
+        cfg = write_config(tmp_path / "t.json", grid_theory_config(epsilon=1e-9))
+        assert main(["theory", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
     def test_requires_sample_inside_targets(self, tmp_path):
         cfg = grid_theory_config()

@@ -24,7 +24,8 @@ from transduct import (
     information_gain,
     marginal_variance,
 )
-from conftest import batch_posterior_oracle, random_state
+from transduct import posterior
+from conftest import batch_posterior_oracle, best_grouped_gain_reference, random_state
 
 TWO_POINT = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -247,6 +248,28 @@ class TestInformationCapacity:
     def test_zero_budget(self):
         state = two_point_state()
         assert information_capacity(state, [0, 1], 0) == 0.0
+
+
+class TestStackedCapacityEnumeration:
+    def test_matches_scalar_reference(self, rng, monkeypatch):
+        # chunk 120 fits the 120 multisets of |S|=8, size 3 exactly; the
+        # default 256 sees counts below and above it (792 at |S|=8, size 5)
+        for n in range(2, 9):
+            state = random_state(rng, n, hetero=True)
+            noise = state.noise.vector(state.ids)
+            for size in range(1, 7):
+                expected = best_grouped_gain_reference(state.cov, noise, size)
+                for chunk in (256, 120):
+                    monkeypatch.setattr(posterior, "_CHUNK", chunk)
+                    got = posterior._best_grouped_gain(state.cov, noise, size)
+                    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_non_finite_covariance_is_numeric_error(self, rng):
+        state = random_state(rng, 4, hetero=True)
+        cov = state.cov.copy()
+        cov[1, 2] = cov[2, 1] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            posterior._best_grouped_gain(cov, state.noise.vector(state.ids), 2)
 
 
 class TestEntropy:

@@ -28,7 +28,7 @@ from transduct import (
 )
 from transduct.kernels import KernelSpec, Point, gram
 from transduct.theory import capacity_upper_bound, check_reducible_schedule
-from conftest import random_corr_gram, random_state
+from conftest import best_grouped_gain_reference, random_corr_gram, random_state
 
 TWO_POINT = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -196,6 +196,39 @@ class TestSizeBound:
         state = PosteriorState.from_prior(k, NoiseModel.homoscedastic(1.0))
         size, exact = markov_size_bound(state, [0, 1], 5.0)
         assert exact is True and size >= 1
+
+    def test_exact_phase_matches_scalar_reference(self, rng):
+        hits = 0
+        for n in (2, 3, 4, 5):
+            state = random_state(rng, n, hetero=True, unit_diag=True, floor=0.5,
+                                 noise_range=(0.2, 1.0))
+            space = list(range(n))
+            constants = TheoryConstants.from_state(state, space)
+            scale = (constants.lambda_min ** 2
+                     / (2.0 * n ** 2 * constants.sigma_sq ** 2 * constants.sigma_tilde_sq))
+            cov = state.cov
+            noise = state.noise.vector(space)
+            for epsilon in (1.0, 5.0, 20.0, 100.0, 500.0):
+                # the exact phase enumerates sizes while at most 2000 multisets
+                expected, gamma, total = None, 0.0, 0
+                for size in range(1, 65):
+                    total += math.comb(n + size - 1, size)
+                    if total > 2000:
+                        break
+                    gamma = max(gamma, best_grouped_gain_reference(cov, noise, size))
+                    if gamma / size <= epsilon * scale:
+                        expected = size
+                        break
+                try:
+                    got = markov_size_bound(state, space, epsilon)
+                except BudgetError:
+                    got = None
+                if expected is None:
+                    assert got is None or got[1] is False
+                else:
+                    hits += 1
+                    assert got == (expected, True)
+        assert hits >= 5
 
     def test_rejects_nonpositive_epsilon(self, rng):
         state = small_state(0.4, 3, rng)
