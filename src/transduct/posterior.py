@@ -13,8 +13,8 @@ forms, the batch gain I(f_A; y_B | D), and the information capacity
     gamma_n = max_{X, |X| <= n} 1/2 log det(I + P_X^{-1} K_XX)
 
 by greedy maximization or exhaustive enumeration. Exhaustive enumeration
-over multisets scores chunks of multisets as stacked |S| x |S|
-determinants, one batched ``slogdet`` per chunk.
+over multisets scores chunks of multisets as stacked determinants of
+min(|S|, size) x min(|S|, size) blocks, one batched ``slogdet`` per chunk.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ LOG_2PI_E = math.log(2.0 * math.pi * math.e)
 #: Hard cap on exhaustive enumeration sizes (subsets or multisets).
 BRUTE_FORCE_CAP = 200_000
 
-#: Multisets per stacked determinant call; larger chunks only raise peak memory.
+#: Multisets per stacked determinant call. A chunk holds _CHUNK blocks of
+#: min(|S|, size)^2 floats; larger chunks only raise peak memory.
 _CHUNK = 256
 
 
@@ -256,22 +257,30 @@ def _best_grouped_gain(cov: np.ndarray, noise: np.ndarray, size: int) -> float:
     over every multiset of exactly ``size`` candidate positions.
 
     Repeated independent measurements of the same point enter only through
-    their count, and a point never picked gives an identity row and column,
-    so every multiset is scored on the full block (Sylvester's determinant
-    identity) and a chunk of multisets is one stacked determinant.
+    their count, so a multiset is scored on its distinct points (Sylvester's
+    determinant identity). Each is placed in a min(|S|, size) block padded
+    with unpicked points, whose zero count gives an identity row and column,
+    so a chunk of multisets is one stacked determinant.
     """
     n = cov.shape[0]
+    width = min(n, size)
     combos = combinations_with_replacement(range(n), size)
-    diag = np.arange(n)
+    diag = np.arange(width)
     best = 0.0
     while True:
         picks = np.fromiter(islice(combos, _CHUNK), dtype=(np.intp, size))
         if len(picks) == 0:
             return best
-        counts = np.zeros((len(picks), n))
-        np.add.at(counts, (np.arange(len(picks))[:, None], picks), 1.0)
-        root = np.sqrt(counts / noise)
-        stack = cov * (root[:, :, None] * root[:, None, :])
+        # picks are sorted, so a new distinct point starts wherever they change
+        slot = np.zeros_like(picks)
+        np.cumsum(picks[:, 1:] != picks[:, :-1], axis=1, out=slot[:, 1:])
+        rows = np.arange(len(picks))[:, None]
+        points = np.zeros((len(picks), width), dtype=np.intp)
+        points[rows, slot] = picks
+        counts = np.zeros((len(picks), width))
+        np.add.at(counts, (rows, slot), 1.0)
+        root = np.sqrt(counts / noise[points])
+        stack = cov[points[:, :, None], points[:, None, :]] * (root[:, :, None] * root[:, None, :])
         stack[:, diag, diag] += 1.0
         logdet = np.linalg.slogdet(stack)[1]
         if not np.all(np.isfinite(logdet)):

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,6 +265,23 @@ class TestStackedCapacityEnumeration:
                     monkeypatch.setattr(posterior, "_CHUNK", chunk)
                     got = posterior._best_grouped_gain(state.cov, noise, size)
                     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_large_sample_space_scores_small_blocks(self, rng):
+        # |S| = 300 at sizes 1 and 2: each multiset is a size x size block,
+        # so a chunk holds kilobytes, not 256 blocks of 300 x 300
+        state = random_state(rng, 300, hetero=True)
+        noise = state.noise.vector(state.ids)
+        for size in (1, 2):
+            tracemalloc.start()
+            start = time.perf_counter()
+            got = posterior._best_grouped_gain(state.cov, noise, size)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 16e6
+            assert elapsed < 5.0
+            expected = best_grouped_gain_reference(state.cov, noise, size)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_non_finite_covariance_is_numeric_error(self, rng):
         state = random_state(rng, 4, hetero=True)
