@@ -52,10 +52,10 @@ def _tag(entry: dict, index: int) -> str:
     return f"{index:02d}-" + re.sub(r"[^A-Za-z0-9_-]+", "-", str(name))
 
 
-def _seeds_from(args, config: RunConfig) -> tuple[int, ...]:
-    if args.seeds:
-        return tuple(int(s) for s in args.seeds.split(","))
-    return config.seeds
+def _load(args) -> RunConfig:
+    """The config named by ``--config``, with ``--seeds`` (validated there) applied."""
+    seeds = args.seeds.split(",") if args.seeds else None
+    return load_config(args.config, preset=args.preset, seeds=seeds)
 
 
 def _single_run(config: RunConfig, entry: dict, seed: int, timings: bool):
@@ -116,13 +116,12 @@ _AGG_HEADER = ["policy", "round", "n_seeds"] + [
 
 
 def cmd_run(args) -> int:
-    config = load_config(args.config, preset=args.preset)
-    seeds = _seeds_from(args, config)
+    config = _load(args)
     os.makedirs(os.path.join(args.out, "records"), exist_ok=True)
     tags = [_tag(entry, i) for i, entry in enumerate(config.policies)]
     jobs = []
     for i, entry in enumerate(config.policies):
-        for seed in seeds:
+        for seed in config.seeds:
             jobs.append((tags[i], entry, seed))
     results = {}
     if args.jobs > 1:
@@ -138,7 +137,7 @@ def cmd_run(args) -> int:
             results[(tag, seed)] = _single_run(config, entry, seed, args.timings)
     for (tag, seed), record in sorted(results.items()):
         persist_run(record, os.path.join(args.out, "records", f"{tag}_s{seed}.jsonl"))
-    raw_rows, agg_rows = _aggregate(results, tags, seeds, config.rounds)
+    raw_rows, agg_rows = _aggregate(results, tags, config.seeds, config.rounds)
     save_table(os.path.join(args.out, "metrics_raw.tsv"), _RAW_HEADER, raw_rows)
     save_table(os.path.join(args.out, "metrics.tsv"), _AGG_HEADER, agg_rows)
     log.info("wrote %d records to %s", len(results), args.out)
@@ -155,7 +154,7 @@ def _theory_instance(config: RunConfig):
 
 
 def cmd_theory(args) -> int:
-    config = load_config(args.config, preset=args.preset)
+    config = _load(args)
     domain, prior, epsilon = _theory_instance(config)
     if not set(domain.sample_ids) <= set(domain.target_ids):
         raise InputError("theory checks require the sample space inside the target space")
@@ -187,7 +186,7 @@ def cmd_theory(args) -> int:
 
 
 def cmd_markov(args) -> int:
-    config = load_config(args.config, preset=args.preset)
+    config = _load(args)
     domain, prior, epsilon = _theory_instance(config)
     if args.epsilon is not None:
         epsilon = args.epsilon
@@ -215,8 +214,7 @@ _GRID_AXES = ("rho", "k", "m", "M", "batch_mode")
 
 
 def cmd_ablate(args) -> int:
-    config = load_config(args.config, preset=args.preset)
-    seeds = _seeds_from(args, config)
+    config = _load(args)
     grid = config.grid
     unknown = set(grid) - set(_GRID_AXES)
     if unknown:
@@ -224,7 +222,7 @@ def cmd_ablate(args) -> int:
     axes = [(axis, list(grid[axis])) for axis in _GRID_AXES if axis in grid]
     if not axes:
         raise InputError("config has no 'grid' section to ablate over")
-    total_runs = math.prod(len(values) for _, values in axes) * len(config.policies) * len(seeds)
+    total_runs = math.prod(len(v) for _, v in axes) * len(config.policies) * len(config.seeds)
     if total_runs > 1000:
         raise BudgetError(f"ablation grid expands to {total_runs} runs (limit 1000)")
     cells = [[]]
@@ -244,7 +242,7 @@ def cmd_ablate(args) -> int:
         variant = replace(config, hyper=hyper, policies=tuple(policies))
         for i, entry in enumerate(variant.policies):
             finals_var, finals_ret = [], []
-            for seed in seeds:
+            for seed in config.seeds:
                 record = _single_run(variant, entry, seed, args.timings)
                 finals_var.append(record.rounds[-1].mean_variance)
                 finals_ret.append(float(record.rounds[-1].distinct_relevant))

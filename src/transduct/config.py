@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,6 +46,7 @@ PRESETS = {
 }
 
 _DEFAULT_HYPER = {"k": None, "m": None, "M": None, "b": 1, "rho": 1.0}
+_CONFIG_KEYS = ("domain", "policies", "rounds", "seeds", "hyper", "relevant", "epsilon", "grid")
 
 
 @dataclass(frozen=True)
@@ -87,12 +89,17 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _number(kind: type, value, field: str):
-    """``kind(value)`` (int or float), raising ConfigError naming ``field``."""
+def _number(kind: Callable, value, field: str):
+    """``kind(value)`` (int, float or a float array), raising ConfigError naming
+    ``field``; an int field also rejects a fractional value."""
     try:
-        return kind(value)
+        number = kind(value)
+        if kind is int and number != float(value):
+            raise ValueError("fractional value")
+        return number
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"field {field!r} must be a number, got {value!r}") from exc
+        expected = "an integer" if kind is int else "numeric"
+        raise ConfigError(f"field {field!r} must be {expected}, got {value!r}") from exc
 
 
 def load_config(path: str, *, preset: str | None = None,
@@ -111,6 +118,9 @@ def load_config(path: str, *, preset: str | None = None,
 
 def parse_config(raw: dict, *, preset: str | None = None,
                  seeds: Sequence[int] | None = None) -> RunConfig:
+    unknown = set(raw) - set(_CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config fields {sorted(unknown)}; allowed: {_CONFIG_KEYS}")
     hyper = dict(_DEFAULT_HYPER)
     if preset is not None:
         if preset not in PRESETS:
@@ -120,6 +130,11 @@ def parse_config(raw: dict, *, preset: str | None = None,
     unknown = set(hyper) - set(_DEFAULT_HYPER)
     if unknown:
         raise ConfigError(f"unknown hyperparameter fields {sorted(unknown)}")
+    for key in _DEFAULT_HYPER:
+        if hyper[key] is not None or key in ("b", "rho"):
+            number = _number(float if key == "rho" else int, hyper[key], f"hyper.{key}")
+            if isinstance(hyper[key], str):  # JSON numbers stay as written in record headers
+                hyper[key] = number
     if not hyper["rho"] > 0:
         raise ConfigError("field 'hyper.rho' must be positive")
     if hyper["b"] < 1:
@@ -178,10 +193,12 @@ def _uniform_layout(layout: dict, rng: np.random.Generator):
     dim = _number(int, layout.get("dim", 2), "domain.layout.dim")
     s_count = _number(int, _require(layout, "s_count", "domain.layout"), "domain.layout.s_count")
     a_count = _number(int, _require(layout, "a_count", "domain.layout"), "domain.layout.a_count")
-    box = np.asarray(layout.get("box", [[0.0, 1.0]] * dim), dtype=float)
-    a_box = np.asarray(layout.get("a_box", box), dtype=float)
-    if box.shape != (dim, 2) or a_box.shape != (dim, 2):
-        raise ConfigError("layout boxes must list [low, high] per dimension")
+    floats = partial(np.asarray, dtype=float)
+    box = _number(floats, layout.get("box", [[0.0, 1.0]] * dim), "domain.layout.box")
+    a_box = _number(floats, layout.get("a_box", box), "domain.layout.a_box")
+    if box.shape != (dim, 2) or a_box.shape != (dim, 2) or not np.isfinite([box, a_box]).all():
+        raise ConfigError("fields 'domain.layout.box' and 'domain.layout.a_box' must list "
+                          "finite [low, high] per dimension")
     s_coords = rng.uniform(box[:, 0], box[:, 1], size=(s_count, dim))
     a_coords = rng.uniform(a_box[:, 0], a_box[:, 1], size=(a_count, dim))
     points = [Point(i, coords=s_coords[i]) for i in range(s_count)]

@@ -5,15 +5,19 @@ conditions it in factor form (GPML Alg. 2.1): the observation at j adds the
 column w = (K[:, j] - W W[j, :]^T) / sqrt(K[j, j] - |W[j, :]|^2 + rho^2(x_j))
 to an N x b factor W, and K - W W^T is formed once per batch. This matches
 batch conditioning from the prior for any observation order.
+Downdates with no observation value yet (BaCE picks, greedy capacity, Markov
+boundaries) append the same column to factor blocks over targets and
+candidates (``_Blocks``, ``bace_update``), read by ``_itl_scores``.
+
 On top of the state the module computes marginal variances, joint entropies,
 the information gain I(f_A; y_x | D) in its forward (determinant ratio over
-the target block) and backward (scalar variance ratio at the candidate)
-forms, the batch gain I(f_A; y_B | D), and the information capacity
+the target block) and backward (``_itl_scores``) forms, the batch gain
+I(f_A; y_B | D), and the information capacity
 
     gamma_n = max_{X, |X| <= n} 1/2 log det(I + P_X^{-1} K_XX)
 
 by greedy maximization or exhaustive enumeration. Exhaustive enumeration
-over multisets scores chunks of multisets as stacked determinants of
+over subsets or multisets scores chunks of them as stacked determinants of
 min(|S|, size) x min(|S|, size) blocks, one batched ``slogdet`` per chunk.
 """
 
@@ -21,8 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations, combinations_with_replacement, islice
-from typing import Iterable, Sequence
+from functools import cached_property
+from itertools import combinations, combinations_with_replacement, islice, takewhile
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -178,6 +183,106 @@ def marginal_variance(state: PosteriorState, index: int) -> float:
     return max(float(state.cov[j, j]), 0.0)
 
 
+class _Blocks:
+    """The pieces of the conditional covariance that the scorers read.
+
+    Rows are the targets A followed by the candidates C. Each piece is
+    gathered from ``state.cov`` once, when first read. Downdates that have no
+    observation value yet are factor columns W over these rows, so every block
+    is the state's block minus the matching product of W rows, e.g.
+    cov[A, C] = state.cov[A, C] - W_A W_C^T.
+    """
+
+    def __init__(self, state: PosteriorState | None, targets: Sequence[int],
+                 candidates: Sequence[int], capacity: int = 0):
+        self.state = state
+        self.targets = tuple(targets)
+        self.candidates = candidates
+        self.na = len(self.targets)
+        self.width = 0  # factor columns in use, out of w.shape[1]
+        self.w = np.empty((self.na + len(candidates), capacity))
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return self.state.positions(self.targets + tuple(self.candidates))
+
+    @cached_property
+    def noise_a(self) -> np.ndarray:
+        return self.state.noise.vector(self.targets)
+
+    @cached_property
+    def noise_c(self) -> np.ndarray:
+        return self.state.noise.vector(self.candidates)
+
+    @cached_property
+    def _k_a(self) -> np.ndarray:
+        return self.state.cov[np.ix_(self.rows[:self.na], self.rows)]
+
+    @cached_property
+    def _k_diag(self) -> np.ndarray:
+        return self.state.cov[self.rows, self.rows]
+
+    def cov_a(self) -> np.ndarray:
+        """cov[A, A] in the first |A| columns, cov[A, C] after them."""
+        w = self.w[:, :self.width]
+        return self._k_a - w[:self.na] @ w.T
+
+    def var(self) -> np.ndarray:
+        """Variances at A then C, clamped at zero."""
+        w = self.w[:, :self.width]
+        return np.maximum(self._k_diag - np.einsum("ij,ij->i", w, w), 0.0)
+
+
+def bace_update(blocks: _Blocks, pick: int, rho2: float) -> None:
+    """Noise-inflated rank-one downdate at the candidate in position ``pick``.
+
+    Identical to conditioning except that no observation value exists yet;
+    it appends one factor column to ``blocks`` (doubling the factor when it
+    is full) and leaves the state alone.
+    """
+    k, i = blocks.width, blocks.na + pick
+    if k == blocks.w.shape[1]:
+        blocks.w = np.concatenate((blocks.w, np.empty((len(blocks.w), max(k, 1)))), axis=1)
+    col = blocks.state.cov[blocks.rows, blocks.rows[i]] - blocks.w[:, :k] @ blocks.w[i, :k]
+    blocks.w[:, k] = col / math.sqrt(max(float(col[i]), 0.0) + rho2)
+    blocks.width = k + 1
+
+
+def _itl_scores(blocks: _Blocks, stabilize: bool) -> np.ndarray:
+    """I(f_A; y_x | D) at every candidate x, by the backward formula
+    1/2 log(Var(y_x) / Var(y_x | f_A))."""
+    cov_a = blocks.cov_a()
+    block, cross = cov_a[:, :blocks.na], cov_a[:, blocks.na:]
+    if stabilize:
+        block = block + np.diag(blocks.noise_a)
+    quad = np.sum(cross * solve_psd(block, cross), axis=0)
+    noise = blocks.noise_c
+    denom = blocks.var()[blocks.na:] + noise
+    resid = np.maximum(denom - quad, 1e-300)
+    if not stabilize:
+        # in-target candidates have exact residual rho^2 (y_x independent of
+        # f_{A \ x} given f_x); bypass the solve round-off for them
+        inside = np.isin(np.asarray(blocks.candidates), np.asarray(blocks.targets))
+        resid = np.where(inside, noise, resid)
+    return np.maximum(0.5 * np.log(denom / resid), 0.0)
+
+
+def _undirected_picks(blocks: _Blocks, multiset: bool) -> Iterator[tuple[int, float]]:
+    """Yield (position, gain) of the greedy undirected-ITL pick, argmax of 1/2 log(1 +
+    sigma^2/rho^2) over the candidates of ``blocks`` (no factor columns yet), then
+    downdate at it. Picks repeat only when ``multiset``; an exhausted pool yields -inf."""
+    available = np.ones(len(blocks.candidates), dtype=bool)
+    var = blocks._k_diag[blocks.na:]  # downdated by each new column: O(|C|) a pick
+    while True:
+        gains = np.where(available, np.log1p(np.maximum(var, 0.0) / blocks.noise_c), -np.inf)
+        best = int(np.argmax(gains))
+        yield best, float(gains[best]) / 2
+        bace_update(blocks, best, float(blocks.noise_c[best]))
+        var = var - blocks.w[blocks.na:, blocks.width - 1] ** 2
+        if not multiset:
+            available[best] = False
+
+
 def _target_block(state: PosteriorState, targets: Sequence[int],
                   stabilize: bool) -> tuple[np.ndarray, np.ndarray]:
     pa = state.positions(targets)
@@ -196,28 +301,16 @@ def information_gain(state: PosteriorState, query: IGQuery, *,
     this trades a small bias for numerical robustness on near-singular blocks.
     Forward and backward methods agree to high accuracy on either variant.
     """
-    px = state.position(query.candidate)
     rho2 = state.noise.variance_at(query.candidate)
     if not rho2 > 0:
         raise InputError("candidate noise variance must be positive for the gain to exist")
+    if query.method == "backward":
+        return float(_itl_scores(_Blocks(state, query.targets, [query.candidate]), stabilize)[0])
+    px = state.position(query.candidate)
     pa, block = _target_block(state, query.targets, stabilize)
     k_ax = state.cov[pa, px]
-    kxx = max(float(state.cov[px, px]), 0.0)
-    denom = kxx + rho2
-    if query.method == "forward":
-        downdated = block - np.outer(k_ax, k_ax) / denom
-        gain = 0.5 * (chol_logdet(block) - chol_logdet(downdated))
-    else:
-        if not stabilize and query.candidate in query.targets:
-            # y_x is independent of f_{A \ x} given f_x, so the residual
-            # variance is the bare noise; evaluating it exactly avoids
-            # solve round-off on near-singular conditional blocks
-            resid = rho2
-        else:
-            resid = denom - float(k_ax @ solve_psd(block, k_ax))
-            resid = max(resid, 1e-300)
-        gain = 0.5 * math.log(denom / resid)
-    return max(gain, 0.0)
+    downdated = block - np.outer(k_ax, k_ax) / (max(float(state.cov[px, px]), 0.0) + rho2)
+    return max(0.5 * (chol_logdet(block) - chol_logdet(downdated)), 0.0)
 
 
 def batch_information_gain(state: PosteriorState, targets: Sequence[int],
@@ -244,27 +337,22 @@ def entropy(state: PosteriorState, indices: Sequence[int]) -> float:
     return 0.5 * len(indices) * LOG_2PI_E + 0.5 * chol_logdet(block)
 
 
-def _joint_gain(cov: np.ndarray, noise_diag: np.ndarray) -> float:
-    """1/2 log det(I + P^-1 K) evaluated as logdet(K + P) - logdet(P)."""
-    if cov.size == 0:
-        return 0.0
-    gain = 0.5 * (chol_logdet(cov + np.diag(noise_diag)) - float(np.sum(np.log(noise_diag))))
-    return max(gain, 0.0)
-
-
-def _best_grouped_gain(cov: np.ndarray, noise: np.ndarray, size: int) -> float:
+def _best_grouped_gain(cov: np.ndarray, noise: np.ndarray, size: int, *,
+                       multiset: bool = True) -> float:
     """Largest 1/2 log det(I + sqrt(N) K sqrt(N)), N = diag(counts / noise),
-    over every multiset of exactly ``size`` candidate positions.
+    over every multiset (or, without ``multiset``, every subset) of exactly
+    ``size`` candidate positions.
 
     Repeated independent measurements of the same point enter only through
     their count, so a multiset is scored on its distinct points (Sylvester's
     determinant identity). Each is placed in a min(|S|, size) block padded
     with unpicked points, whose zero count gives an identity row and column,
-    so a chunk of multisets is one stacked determinant.
+    so a chunk of multisets is one stacked determinant. A subset is the
+    multiset whose counts are all one.
     """
     n = cov.shape[0]
     width = min(n, size)
-    combos = combinations_with_replacement(range(n), size)
+    combos = (combinations_with_replacement if multiset else combinations)(range(n), size)
     diag = np.arange(width)
     best = 0.0
     while True:
@@ -297,37 +385,14 @@ def _capacity_brute(state: PosteriorState, candidates: Sequence[int], budget: in
     total = sum(math.comb(len(candidates) + (s - 1 if multiset else 0), s) for s in sizes)
     if total > BRUTE_FORCE_CAP:
         raise BudgetError(f"exhaustive capacity search over {total} subsets exceeds the cap")
-    best = 0.0
-    if multiset:
-        for size in sizes:
-            best = max(best, _best_grouped_gain(cov, noise, size))
-    else:
-        for size in sizes:
-            for combo in combinations(range(len(candidates)), size):
-                sel = list(combo)
-                best = max(best, _joint_gain(cov[np.ix_(sel, sel)], noise[sel]))
-    return best
+    return max(_best_grouped_gain(cov, noise, size, multiset=multiset) for size in sizes)
 
 
 def _capacity_greedy(state: PosteriorState, candidates: Sequence[int], budget: int,
                      multiset: bool) -> float:
-    pos = state.positions(candidates)
-    noise = state.noise.vector(candidates)
-    cov = state.cov[np.ix_(pos, pos)].copy()
-    available = np.ones(len(candidates), dtype=bool)
-    total = 0.0
-    for _ in range(budget):
-        var = np.maximum(np.diag(cov), 0.0)
-        gains = np.where(available, 0.5 * np.log1p(var / noise), -np.inf)
-        best = int(np.argmax(gains))
-        if not np.isfinite(gains[best]) or gains[best] <= 0.0:
-            break
-        total += float(gains[best])
-        col = cov[:, best].copy()
-        cov -= np.outer(col, col) / (var[best] + noise[best])
-        if not multiset:
-            available[best] = False
-    return total
+    picks = _undirected_picks(_Blocks(state, (), candidates), multiset)
+    gains = (gain for _, gain in islice(picks, budget))
+    return sum(takewhile(lambda gain: gain > 0.0, gains), 0.0)
 
 
 def information_capacity(state: PosteriorState, candidates: Sequence[int], budget: int,

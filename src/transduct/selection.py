@@ -19,9 +19,9 @@ Batches are built either greedily with conditional-embedding updates
 ("bace": after each pick the remaining candidates are re-scored under the
 noise-inflated rank-one downdate at the pick) or by taking the top-b scores
 of a single pass ("topb"). Ties always break toward the lowest index.
-Scorers read only cov[A, A], cov[A, C] and the variances at the targets A
-and candidates C; in-batch downdates are factor rows over A and C on top of
-the untouched state covariance, and the round loop conditions once per batch.
+Scorers read cov[A, A], cov[A, C] and the variances at targets A and candidates
+C from ``posterior``'s factor blocks, where in-batch downdates (``bace_update``)
+are factor rows over A and C; the round loop conditions once per batch.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
@@ -41,11 +40,13 @@ from .posterior import (
     IGQuery,
     Observation,
     PosteriorState,
+    _Blocks,
+    _itl_scores,
+    bace_update,
     batch_information_gain,
     condition,  # noqa: F401  (public name here; tracing tools wrap it)
     condition_all,
     information_gain,
-    solve_psd,
 )
 
 ITL = "itl"
@@ -135,90 +136,8 @@ class BatchResult:
 
 
 # ---------------------------------------------------------------------------
-# covariance blocks (targets A, candidates C, in-batch downdates as factor rows)
-# ---------------------------------------------------------------------------
-
-class _Blocks:
-    """The pieces of the conditional covariance that the scorers read.
-
-    Rows are the targets A followed by the candidates C. Each piece is
-    gathered from ``state.cov`` once, when first read. The in-batch downdates
-    are factor columns W over these rows, so every block is the state's block
-    minus the matching product of W rows, e.g. cov[A, C] = state.cov[A, C] - W_A W_C^T.
-    """
-
-    def __init__(self, state: PosteriorState | None, targets: Sequence[int],
-                 candidates: Sequence[int], capacity: int = 0):
-        self.state = state
-        self.targets = tuple(targets)
-        self.candidates = candidates
-        self.na = len(self.targets)
-        self.width = 0  # factor columns in use, out of ``capacity``
-        self.w = np.empty((self.na + len(candidates), capacity))
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        return self.state.positions(self.targets + tuple(self.candidates))
-
-    @cached_property
-    def noise_a(self) -> np.ndarray:
-        return self.state.noise.vector(self.targets)
-
-    @cached_property
-    def noise_c(self) -> np.ndarray:
-        return self.state.noise.vector(self.candidates)
-
-    @cached_property
-    def _k_a(self) -> np.ndarray:
-        return self.state.cov[np.ix_(self.rows[:self.na], self.rows)]
-
-    @cached_property
-    def _k_diag(self) -> np.ndarray:
-        return self.state.cov[self.rows, self.rows]
-
-    def cov_a(self) -> np.ndarray:
-        """cov[A, A] in the first |A| columns, cov[A, C] after them."""
-        w = self.w[:, :self.width]
-        return self._k_a - w[:self.na] @ w.T
-
-    def var(self) -> np.ndarray:
-        """Variances at A then C, clamped at zero."""
-        w = self.w[:, :self.width]
-        return np.maximum(self._k_diag - np.einsum("ij,ij->i", w, w), 0.0)
-
-
-def bace_update(blocks: _Blocks, pick: int, rho2: float) -> None:
-    """Noise-inflated rank-one downdate at the candidate in position ``pick``.
-
-    Identical to conditioning except that no observation value exists yet;
-    it appends one factor column to ``blocks`` and leaves the state alone.
-    """
-    k, i = blocks.width, blocks.na + pick
-    col = blocks.state.cov[blocks.rows, blocks.rows[i]] - blocks.w[:, :k] @ blocks.w[i, :k]
-    blocks.w[:, k] = col / math.sqrt(max(float(col[i]), 0.0) + rho2)
-    blocks.width = k + 1
-
-
-# ---------------------------------------------------------------------------
 # scorers (vectorized over the candidate list)
 # ---------------------------------------------------------------------------
-
-def _itl_scores(blocks: _Blocks, stabilize: bool) -> np.ndarray:
-    cov_a = blocks.cov_a()
-    block, cross = cov_a[:, :blocks.na], cov_a[:, blocks.na:]
-    if stabilize:
-        block = block + np.diag(blocks.noise_a)
-    quad = np.sum(cross * solve_psd(block, cross), axis=0)
-    noise = blocks.noise_c
-    denom = blocks.var()[blocks.na:] + noise
-    resid = np.maximum(denom - quad, 1e-300)
-    if not stabilize:
-        # in-target candidates have exact residual rho^2 (y_x independent of
-        # f_{A \ x} given f_x); bypass the solve round-off for them
-        inside = np.isin(np.asarray(blocks.candidates), np.asarray(blocks.targets))
-        resid = np.where(inside, noise, resid)
-    return np.maximum(0.5 * np.log(denom / resid), 0.0)
-
 
 def _ctl_scores(blocks: _Blocks) -> np.ndarray:
     var = blocks.var()
@@ -310,12 +229,11 @@ def score_ctl(state: PosteriorState, targets: Sequence[int], candidate: int) -> 
 
 def score_baseline(rule: str, candidate: int, *, state: PosteriorState | None = None,
                    targets: Sequence[int] = (), softmax: SoftmaxTable | None = None,
-                   selected: Sequence[int] = (), rho: float = 1.0,
-                   beta: float = 1.0) -> float:
+                   selected: Sequence[int] = (), beta: float = 1.0) -> float:
     """Score one candidate under a baseline rule (higher = preferred)."""
     if rule in (ITL, CTL):
         raise InputError("use score_itl / score_ctl for the primary rules")
-    policy = Policy(rule=rule, rho=rho, beta=beta)
+    policy = Policy(rule=rule, beta=beta)
     scores = _score_candidates(_Blocks(state, targets, [candidate]), policy,
                                softmax, tuple(selected))
     return float(scores[0])
@@ -482,7 +400,7 @@ def run_loop(state: PosteriorState, targets: Sequence[int],
         if pool is None:
             cand = list(sample_space(round_no, rng))
         elif candidate_size is not None and candidate_size < len(pool):
-            picks = rng.choice(len(pool), size=candidate_size, replace=False)
+            picks = rng.choice(len(pool), size=int(candidate_size), replace=False)
             cand = sorted(pool[i] for i in picks)
         else:
             cand = pool

@@ -21,12 +21,13 @@ stacked determinants (``posterior._best_grouped_gain``), one size at a time.
 The one exception to the greedy fallback is the size condition behind b_eps,
 where an underestimate would be unsound; there a certified closed-form upper
 bound (grouped-Hadamard water filling, see ``capacity_upper_bound``) stands in.
+ITL scores and Markov boundaries run on the posterior module's factor blocks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Sequence
 
@@ -39,13 +40,16 @@ from .posterior import (
     Observation,
     PosteriorState,
     _best_grouped_gain,
+    _Blocks,
+    _itl_scores,
+    _undirected_picks,
+    bace_update,
     batch_information_gain,
     condition,
     condition_all,
     information_capacity,
     solve_psd,
 )
-from .selection import _Blocks, _itl_scores
 
 _TOL = 1e-9
 SIZE_BOUND_CAP = 10_000
@@ -156,10 +160,9 @@ def step_uncertainty(state: PosteriorState, targets: Sequence[int],
 def _capacity_with_mode(prior: PosteriorState, space: Sequence[int],
                         budget: int) -> tuple[float, bool]:
     """Capacity over multisets: exact when enumerable, else greedy."""
-    total = sum(math.comb(len(space) + s - 1, s) for s in range(1, budget + 1))
-    if total <= BRUTE_FORCE_CAP:
-        return information_capacity(prior, space, budget, "brute", multiset=True), True
-    return information_capacity(prior, space, budget, "greedy", multiset=True), False
+    exact = sum(math.comb(len(space) + s - 1, s) for s in range(1, budget + 1)) <= BRUTE_FORCE_CAP
+    mode = "brute" if exact else "greedy"
+    return information_capacity(prior, space, budget, mode, multiset=True), exact
 
 
 def check_gamma_bound(trajectory: Trajectory) -> BoundCheck:
@@ -175,14 +178,9 @@ def check_gamma_bound(trajectory: Trajectory) -> BoundCheck:
         ok = gamma_step <= bound + _TOL
         rows.append({"n": n, "gamma_step": gamma_step, "capacity": capacity,
                      "bound": bound, "capacity_exact": exact, "holds": ok})
-        if not ok:
-            if exact:
-                hard_fail = True
-            else:
-                warn = True
-    passed: bool | None = not hard_fail
-    if warn and not hard_fail:
-        passed = None
+        hard_fail |= not ok and exact
+        warn |= not ok and not exact
+    passed = None if warn and not hard_fail else not hard_fail
     detail = f"checked {len(rows)} rounds"
     if warn:
         detail += "; greedy capacity rows violated are warnings only"
@@ -249,7 +247,7 @@ def markov_size_bound(state: PosteriorState, sample_space: Sequence[int],
     if not epsilon > 0:
         raise InputError("epsilon must be positive")
     space = tuple(sorted(int(s) for s in sample_space))
-    prior = PosteriorState.from_prior(state.gram, state.noise)
+    prior = replace(state, cov=state.gram.values)  # read only: no N x N copy
     constants = TheoryConstants.from_state(prior, space)
     lam = max(constants.lambda_min, 0.0)
     threshold = (epsilon * lam ** 2
@@ -301,7 +299,7 @@ def markov_boundary(state: PosteriorState, sample_space: Sequence[int], x: int,
 
     Points are added by undirected greedy selection over S (computed from
     the prior, so the boundary is valid for any observation history) until
-    direct re-conditioning certifies Var(f_x | D_n, y_B) <= eta_S^2(x) + eps.
+    the current state, downdated at the picks, has Var(f_x | D_n, y_B) <= eta_S^2(x) + eps.
     """
     if not epsilon > 0:
         raise InputError("epsilon must be positive")
@@ -310,34 +308,18 @@ def markov_boundary(state: PosteriorState, sample_space: Sequence[int], x: int,
     eta2 = irreducible_uncertainty(state.gram, space, x)
     size_bound, exact = markov_size_bound(state, space, epsilon, cap=cap)
 
-    # greedy selector state, over the prior
-    pos = state.positions(space)
-    px = state.position(x)
-    noise = state.noise.vector(space)
-    prior_all = state.gram.values
-    sel_cov = prior_all[np.ix_(pos, pos)].copy()
-
-    # direct-check state, over the current posterior
-    check_state = state
+    prior = replace(state, cov=state.gram.values)  # read only: no N x N copy
+    picks = _undirected_picks(_Blocks(prior, (), space), multiset=True)
+    check = _Blocks(state, (x,), space)
     members: list[int] = []
-
-    def satisfied() -> float:
-        return max(float(check_state.cov[px, px]), 0.0)
-
-    achieved = satisfied()
+    achieved = float(check.var()[0])
     while achieved > eta2 + epsilon:
         if len(members) >= cap:
             raise BudgetError(f"markov boundary exceeded the {cap}-point cap")
-        var = np.maximum(np.diag(sel_cov), 0.0)
-        gains = 0.5 * np.log1p(var / noise)
-        best = int(np.argmax(gains))
-        pick = space[best]
-        members.append(pick)
-        col = sel_cov[:, best].copy()
-        sel_cov -= np.outer(col, col) / (var[best] + noise[best])
-        check_state = condition(check_state,
-                                Observation(pick, 0.0, state.noise.variance_at(pick)))
-        achieved = satisfied()
+        best, _ = next(picks)
+        members.append(space[best])
+        bace_update(check, best, float(check.noise_c[best]))
+        achieved = max(achieved - float(check.w[0, check.width - 1]) ** 2, 0.0)
     return MarkovBoundary(members=tuple(members), epsilon=epsilon,
                           achieved_variance=achieved, irreducible=eta2,
                           size_bound=size_bound, size_bound_exact=exact)

@@ -1,11 +1,13 @@
 """Shared instance generators and scalar references for the test suite."""
 
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
 
-from transduct import KernelMatrix, NoiseModel, PosteriorState
+from transduct import (BudgetError, KernelMatrix, NoiseModel, Observation, PosteriorState,
+                       condition)
+from transduct.posterior import chol_logdet
 
 
 def random_corr_gram(rng, n, floor=0.0, ids=None):
@@ -77,6 +79,67 @@ def best_grouped_gain_reference(cov, noise, size):
         sub = sub + np.eye(sub.shape[0])
         best = max(best, 0.5 * float(np.linalg.slogdet(sub)[1]))
     return best
+
+
+def capacity_greedy_reference(state, candidates, budget, multiset):
+    """Greedy capacity on a dense copy of the candidate block, downdated by
+    an explicit outer product after each undirected-ITL pick."""
+    pos = state.positions(candidates)
+    noise = state.noise.vector(candidates)
+    cov = state.cov[np.ix_(pos, pos)].copy()
+    available = np.ones(len(candidates), dtype=bool)
+    total = 0.0
+    for _ in range(budget):
+        var = np.maximum(np.diag(cov), 0.0)
+        gains = np.where(available, 0.5 * np.log1p(var / noise), -np.inf)
+        best = int(np.argmax(gains))
+        if not np.isfinite(gains[best]) or gains[best] <= 0.0:
+            break
+        total += float(gains[best])
+        col = cov[:, best].copy()
+        cov -= np.outer(col, col) / (var[best] + noise[best])
+        if not multiset:
+            available[best] = False
+    return total
+
+
+def capacity_subset_reference(state, candidates, budget):
+    """Exhaustive subset capacity, one Cholesky log-determinant of
+    K_XX + P_X per subset X."""
+    pos = state.positions(candidates)
+    noise = state.noise.vector(candidates)
+    cov = state.cov[np.ix_(pos, pos)]
+    best = 0.0
+    for size in range(1, budget + 1):
+        for combo in combinations(range(len(candidates)), size):
+            sel = list(combo)
+            gain = 0.5 * (chol_logdet(cov[np.ix_(sel, sel)] + np.diag(noise[sel]))
+                          - float(np.sum(np.log(noise[sel]))))
+            best = max(best, gain)
+    return best
+
+
+def markov_boundary_reference(state, space, x, floor, epsilon, cap):
+    """Markov-boundary members and achieved variance: undirected greedy
+    picks on a dense copy of the prior block, each pick certified by
+    conditioning the state on it."""
+    pos = state.positions(space)
+    px = state.position(x)
+    noise = state.noise.vector(space)
+    sel_cov = state.gram.values[np.ix_(pos, pos)].copy()
+    members = []
+    achieved = max(float(state.cov[px, px]), 0.0)
+    while achieved > floor + epsilon:
+        if len(members) >= cap:
+            raise BudgetError("reference boundary exceeded its cap")
+        var = np.maximum(np.diag(sel_cov), 0.0)
+        best = int(np.argmax(0.5 * np.log1p(var / noise)))
+        members.append(space[best])
+        col = sel_cov[:, best].copy()
+        sel_cov -= np.outer(col, col) / (var[best] + noise[best])
+        state = condition(state, Observation(space[best], 0.0, float(noise[best])))
+        achieved = max(float(state.cov[px, px]), 0.0)
+    return tuple(members), achieved
 
 
 @pytest.fixture

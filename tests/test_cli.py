@@ -94,6 +94,17 @@ class TestConfigValidation:
         ("theory", "domain.layout.a_extra", float("inf")),
         ("theory", "domain.layout.start", [0.0]),
         ("theory", "domain.layout.step", "wide"),
+        ("run", "hyper.b", "x"),
+        ("theory", "hyper.rho", "x"),
+        ("run", "hyper.rho", None),
+        ("run", "hyper.k", [20]),
+        ("run", "hyper.k", 2.5),
+        ("run", "hyper.b", 2.5),
+        ("run", "rounds", 1.5),
+        ("run", "hyper.m", "three"),
+        ("run", "hyper.M", {}),
+        ("run", "domain.layout.box", [[0, "x"], [0, 1]]),
+        ("run", "domain.layout.a_box", [[0.6, 1.0], [None, 1.0]]),
     ])
     def test_bad_number_is_config_error(self, tmp_path, capsys, command, field, value):
         cfg = base_run_config() if command == "run" else grid_theory_config()
@@ -106,6 +117,25 @@ class TestConfigValidation:
         assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert repr(field) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, seeds", [("run", "a"), ("ablate", "1,b"),
+                                                ("theory", "0,x")])
+    def test_bad_seed_override_is_config_error(self, tmp_path, capsys, command, seeds):
+        cfg = (grid_theory_config() if command == "theory"
+               else base_run_config(grid={"rho": [1.0]}))
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o"),
+                     "--seeds", seeds]) == 2
+        err = capsys.readouterr().err
+        assert "'seeds'" in err and "Traceback" not in err
+
+    def test_unknown_top_level_key_is_config_error(self, tmp_path, capsys):
+        cfg = base_run_config(round=50)
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "'round'" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestRunCommand:

@@ -27,7 +27,13 @@ from transduct import (
     marginal_variance,
 )
 from transduct import posterior
-from conftest import batch_posterior_oracle, best_grouped_gain_reference, random_state
+from conftest import (
+    batch_posterior_oracle,
+    best_grouped_gain_reference,
+    capacity_greedy_reference,
+    capacity_subset_reference,
+    random_state,
+)
 
 TWO_POINT = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -289,6 +295,46 @@ class TestStackedCapacityEnumeration:
         cov[1, 2] = cov[2, 1] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
             posterior._best_grouped_gain(cov, state.noise.vector(state.ids), 2)
+
+
+class TestFactorBlockCapacity:
+    @pytest.mark.parametrize("hetero", [False, True])
+    @pytest.mark.parametrize("multiset", [False, True])
+    def test_greedy_matches_dense_reference(self, rng, hetero, multiset):
+        for n in range(2, 12):
+            state = random_state(rng, n, hetero=hetero)
+            cands = list(range(n))
+            for budget in (1, n // 2 + 1, n, n + 3, 20 * n):  # 20 n: factor far wider than |S|
+                expected = capacity_greedy_reference(state, cands, budget, multiset)
+                got = information_capacity(state, cands, budget, "greedy",
+                                           multiset=multiset)
+                assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("hetero", [False, True])
+    def test_subset_brute_matches_reference(self, rng, hetero):
+        # the reference's Cholesky adds 1e-10 relative jitter; the stacked
+        # kernel's slogdet is exact, hence 1e-9 rather than 1e-12
+        for n in range(2, 9):
+            state = random_state(rng, n, hetero=hetero)
+            cands = list(range(n))
+            for budget in range(1, min(n, 4) + 1):
+                expected = capacity_subset_reference(state, cands, budget)
+                got = information_capacity(state, cands, budget, "brute")
+                assert got == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    def test_blocks_grow_past_initial_capacity(self, rng):
+        prior = random_state(rng, 12, hetero=True)
+        targets, cands = (9, 10, 11), list(range(9))
+        blocks = posterior._Blocks(prior, targets, cands, 1)
+        picks = [3, 0, 3, 7, 5, 1]
+        for pick in picks:
+            posterior.bace_update(blocks, pick, prior.noise.variance_at(cands[pick]))
+        assert blocks.width == len(picks) and blocks.w.shape[1] >= len(picks)
+        observations = [Observation(cands[p], 0.0, prior.noise.variance_at(cands[p]))
+                        for p in picks]
+        _, cov = batch_posterior_oracle(prior, observations)
+        rows = prior.positions(targets + tuple(cands))
+        np.testing.assert_allclose(blocks.var(), np.diag(cov)[rows], rtol=1e-12, atol=1e-12)
 
 
 class TestEntropy:

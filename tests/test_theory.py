@@ -28,7 +28,12 @@ from transduct import (
 )
 from transduct.kernels import KernelSpec, Point, gram
 from transduct.theory import capacity_upper_bound, check_reducible_schedule
-from conftest import best_grouped_gain_reference, random_corr_gram, random_state
+from conftest import (
+    best_grouped_gain_reference,
+    markov_boundary_reference,
+    random_corr_gram,
+    random_state,
+)
 
 TWO_POINT = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -176,6 +181,34 @@ class TestMarkovBoundary:
         boundary = markov_boundary(state, range(3), 1, 0.5)
         assert verify_markov_boundary(state, boundary, 1)
         assert len(boundary.members) <= boundary.size_bound
+
+
+    def test_matches_dense_reference(self, rng):
+        nonempty = 0
+        for trial in range(40):
+            # distinct prior scales: on a symmetric instance two greedy gains
+            # tie exactly and round-off alone picks between them
+            n = int(rng.integers(2, 5))
+            scale = rng.uniform(0.7, 1.3, size=n + 1)
+            values = random_corr_gram(rng, n + 1, floor=0.6).values * np.outer(scale, scale)
+            noise = (NoiseModel.heteroscedastic(dict(enumerate(rng.uniform(0.3, 1.0, n + 1))))
+                     if trial % 2 else NoiseModel.homoscedastic(float(rng.uniform(0.3, 1.0))))
+            state = PosteriorState.from_prior(KernelMatrix(values, tuple(range(n + 1))), noise)
+            if trial % 4 >= 2:
+                state = condition(state, Observation(0, 0.7, noise.variance_at(0)))
+            space, x = tuple(range(n)), n
+            floor = irreducible_uncertainty(state.gram, space, x)
+            epsilon = float(rng.uniform(0.3, 0.9)) * (float(state.cov[x, x]) - floor)
+            # b_eps on these instances runs to ~1e6 observations, past the
+            # default cap; the boundaries themselves stay small
+            boundary = markov_boundary(state, space, x, epsilon, cap=10 ** 7)
+            members, achieved = markov_boundary_reference(state, space, x, floor, epsilon,
+                                                          cap=10 ** 7)
+            assert boundary.members == members
+            assert boundary.achieved_variance == pytest.approx(achieved, rel=1e-12,
+                                                               abs=1e-12)
+            nonempty += bool(members)
+        assert nonempty >= 10
 
 
 class TestSizeBound:
