@@ -2,14 +2,16 @@
 Markov-boundary computations.
 
 Subcommands: run, theory, markov, ablate. Common flags: --config, --out,
---seeds, --preset, --jobs. Verbosity via the TRANSDUCT_LOG environment
-variable. Exit codes: 0 success, 2 config error, 3 numeric error, 4 budget
-error.
+--seeds, --preset, --jobs. ``run`` and ``ablate`` build each seed's domain
+once and run every policy on it; ``--jobs N`` runs up to N seeds in parallel
+threads. Verbosity via the TRANSDUCT_LOG environment variable. Exit codes:
+0 success, 2 config error, 3 numeric error, 4 budget error.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import math
@@ -17,13 +19,13 @@ import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
-from .config import PRESETS, RunConfig, build_domain, build_policy, load_config
+from .config import PRESETS, RunConfig, build_domain, build_policy, load_config, parse_config
 from .data import persist_run, save_table
-from .errors import BudgetError, DataError, InputError, NumericError
+from .errors import BudgetError, ConfigError, DataError, InputError, NumericError
 from .selection import run_loop
 from .theory import (
     check_gamma_bound,
@@ -58,17 +60,34 @@ def _load(args) -> RunConfig:
     return load_config(args.config, preset=args.preset, seeds=seeds)
 
 
-def _single_run(config: RunConfig, entry: dict, seed: int, timings: bool):
-    domain = build_domain(config, seed)
-    policy = build_policy(entry, config, seed)
-    snapshot = {"rule": entry["rule"], "seed": seed, "policy": asdict(policy),
-                "hyper": config.hyper, "rounds": config.rounds}
-    record = run_loop(
-        domain.prior, domain.target_ids, domain.sample_ids, policy,
-        domain.oracle, config.rounds,
-        candidate_size=config.hyper["k"], relevant=domain.relevant,
-        truth=domain.truth_map, config=snapshot, timings=timings)
-    return record
+def _runs(config: RunConfig, jobs: int, timings: bool) -> dict:
+    """``{(tag, seed): RunRecord}`` for every policy and seed of ``config``.
+
+    Each seed's domain is built once and every policy runs on it with a fresh
+    label oracle; with ``jobs > 1`` the seeds run in a thread pool.
+    """
+    def seed_runs(seed: int) -> dict:
+        domain = build_domain(config, seed)
+        records = {}
+        for i, entry in enumerate(config.policies):
+            tag = _tag(entry, i)
+            log.info("running %s seed %d", tag, seed)
+            policy = build_policy(entry, config, seed)
+            snapshot = {"rule": entry["rule"], "seed": seed, "policy": asdict(policy),
+                        "hyper": config.hyper, "rounds": config.rounds}
+            records[(tag, seed)] = run_loop(
+                domain.prior, domain.target_ids, domain.sample_ids, policy,
+                domain.oracle, config.rounds,
+                candidate_size=config.hyper["k"], relevant=domain.relevant,
+                truth=domain.truth_map, config=snapshot, timings=timings)
+        return records
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            per_seed = list(pool.map(seed_runs, config.seeds))
+    else:  # no worker thread: it would only add memory
+        per_seed = [seed_runs(seed) for seed in config.seeds]
+    return {key: record for records in per_seed for key, record in records.items()}
 
 
 def _stderr(values: list[float]) -> float:
@@ -77,10 +96,11 @@ def _stderr(values: list[float]) -> float:
     return float(np.std(values, ddof=1) / np.sqrt(len(values)))
 
 
-def _aggregate(results: dict, tags: list[str], seeds, rounds: int):
+def _aggregate(results: dict, config: RunConfig):
+    seeds, rounds = config.seeds, config.rounds
     raw_rows = []
     agg_rows = []
-    for tag in tags:
+    for tag in (_tag(entry, i) for i, entry in enumerate(config.policies)):
         per_seed = {seed: results[(tag, seed)] for seed in seeds}
         for seed in seeds:
             for entry in per_seed[seed].rounds:
@@ -118,26 +138,10 @@ _AGG_HEADER = ["policy", "round", "n_seeds"] + [
 def cmd_run(args) -> int:
     config = _load(args)
     os.makedirs(os.path.join(args.out, "records"), exist_ok=True)
-    tags = [_tag(entry, i) for i, entry in enumerate(config.policies)]
-    jobs = []
-    for i, entry in enumerate(config.policies):
-        for seed in config.seeds:
-            jobs.append((tags[i], entry, seed))
-    results = {}
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {
-                (tag, seed): pool.submit(_single_run, config, entry, seed, args.timings)
-                for tag, entry, seed in jobs}
-            for key, future in futures.items():
-                results[key] = future.result()
-    else:
-        for tag, entry, seed in jobs:
-            log.info("running %s seed %d", tag, seed)
-            results[(tag, seed)] = _single_run(config, entry, seed, args.timings)
+    results = _runs(config, args.jobs, args.timings)
     for (tag, seed), record in sorted(results.items()):
         persist_run(record, os.path.join(args.out, "records", f"{tag}_s{seed}.jsonl"))
-    raw_rows, agg_rows = _aggregate(results, tags, config.seeds, config.rounds)
+    raw_rows, agg_rows = _aggregate(results, config)
     save_table(os.path.join(args.out, "metrics_raw.tsv"), _RAW_HEADER, raw_rows)
     save_table(os.path.join(args.out, "metrics.tsv"), _AGG_HEADER, agg_rows)
     log.info("wrote %d records to %s", len(results), args.out)
@@ -210,47 +214,36 @@ def cmd_markov(args) -> int:
     return 0
 
 
-_GRID_AXES = ("rho", "k", "m", "M", "batch_mode")
+def _cell_config(config: RunConfig, cell: dict) -> RunConfig:
+    """``config`` with one ablation cell's values, parsed like any config."""
+    hyper = {**config.hyper, **{k: v for k, v in cell.items() if k != "batch_mode"}}
+    policies = [dict(entry, batch_mode=cell["batch_mode"]) if "batch_mode" in cell else entry
+                for entry in config.policies]
+    try:
+        return parse_config(dict(config.raw, hyper=hyper, policies=policies),
+                            seeds=config.seeds)
+    except ConfigError as exc:
+        raise ConfigError(f"grid cell {cell}: {exc}") from exc
 
 
 def cmd_ablate(args) -> int:
     config = _load(args)
-    grid = config.grid
-    unknown = set(grid) - set(_GRID_AXES)
-    if unknown:
-        raise InputError(f"unknown grid axes {sorted(unknown)}; allowed: {_GRID_AXES}")
-    axes = [(axis, list(grid[axis])) for axis in _GRID_AXES if axis in grid]
+    axes = config.grid
     if not axes:
         raise InputError("config has no 'grid' section to ablate over")
-    total_runs = math.prod(len(v) for _, v in axes) * len(config.policies) * len(config.seeds)
+    total_runs = math.prod(map(len, axes.values())) * len(config.policies) * len(config.seeds)
     if total_runs > 1000:
         raise BudgetError(f"ablation grid expands to {total_runs} runs (limit 1000)")
-    cells = [[]]
-    for axis, values in axes:
-        cells = [cell + [(axis, value)] for cell in cells for value in values]
+    cells = [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
+    variants = [_cell_config(config, cell) for cell in cells]  # all parsed before any runs
+    columns = [_AGG_HEADER.index(f"{field}_{stat}") for field in
+               ("mean_variance", "distinct_relevant") for stat in ("mean", "stderr")]
     rows = []
-    for cell in cells:
-        overrides = dict(cell)
-        hyper = dict(config.hyper)
-        hyper.update({k: v for k, v in overrides.items() if k != "batch_mode"})
-        policies = []
-        for entry in config.policies:
-            entry = dict(entry)
-            if "batch_mode" in overrides:
-                entry["batch_mode"] = overrides["batch_mode"]
-            policies.append(entry)
-        variant = replace(config, hyper=hyper, policies=tuple(policies))
-        for i, entry in enumerate(variant.policies):
-            finals_var, finals_ret = [], []
-            for seed in config.seeds:
-                record = _single_run(variant, entry, seed, args.timings)
-                finals_var.append(record.rounds[-1].mean_variance)
-                finals_ret.append(float(record.rounds[-1].distinct_relevant))
-            row = [overrides.get(axis) for axis, _ in axes]
-            row += [_tag(entry, i), float(np.mean(finals_var)), _stderr(finals_var),
-                    float(np.mean(finals_ret)), _stderr(finals_ret)]
-            rows.append(row)
-    header = [axis for axis, _ in axes] + [
+    for cell, variant in zip(cells, variants):
+        _, agg_rows = _aggregate(_runs(variant, args.jobs, args.timings), variant)
+        rows += [list(cell.values()) + [row[0]] + [row[c] for c in columns]
+                 for row in agg_rows if row[1] == config.rounds]  # each policy's final round
+    header = list(axes) + [
         "policy", "final_mean_variance", "final_mean_variance_stderr",
         "final_distinct_relevant", "final_distinct_relevant_stderr"]
     os.makedirs(args.out, exist_ok=True)
@@ -271,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seeds", default=None, help="comma-separated seed list override")
         p.add_argument("--preset", default=None, choices=sorted(PRESETS),
                        help="hyperparameter preset")
-        p.add_argument("--jobs", type=int, default=1, help="parallel runs")
+        p.add_argument("--jobs", type=int, default=1, help="seeds to run in parallel")
         p.add_argument("--timings", action="store_true",
                        help="record real wall times (breaks byte-determinism)")
 

@@ -10,7 +10,12 @@ A run config is a JSON object with the sections
     hyper     {"k": ..., "m": ..., "M": ..., "b": ..., "rho": ...}
     relevant  optional explicit id list (synthetic layouts derive a default)
     epsilon   tolerance for theory checks (default 0.05 of max prior variance)
-    grid      parameter grid for the ablate command
+    grid      parameter grid for the ablate command: a list of values for
+              any of rho, k, m, M (hyper fields) and batch_mode (every policy)
+
+A policy override may set b, m, rho, beta, batch_mode, stabilize and a
+display name. The softmax rules are refused: a config cannot supply their
+SoftmaxTable.
 
 Synthetic layouts:
 
@@ -38,7 +43,7 @@ from .data import SyntheticTruth, labeled_oracle, load_embeddings, sample_gp_tru
 from .errors import ConfigError
 from .kernels import KernelSpec, NoiseModel, Point, gram
 from .posterior import PosteriorState
-from .selection import RULES, Policy
+from .selection import RULES, SOFTMAX_RULES, Policy
 
 PRESETS = {
     "mnist-like": {"b": 1, "m": 3, "M": 30, "rho": 0.01, "k": 1000},
@@ -47,6 +52,10 @@ PRESETS = {
 
 _DEFAULT_HYPER = {"k": None, "m": None, "M": None, "b": 1, "rho": 1.0}
 _CONFIG_KEYS = ("domain", "policies", "rounds", "seeds", "hyper", "relevant", "epsilon", "grid")
+_POLICY_KEYS = ("rule", "name", "b", "m", "rho", "beta", "batch_mode", "stabilize")
+_LAYOUT_KEYS = {"uniform": ("kind", "dim", "s_count", "a_count", "box", "a_box"),
+                "grid": ("kind", "s_count", "start", "step", "a_extra", "include_s_in_a")}
+_GRID_AXES = ("rho", "k", "m", "M", "batch_mode")
 
 
 @dataclass(frozen=True)
@@ -58,7 +67,7 @@ class RunConfig:
     hyper: dict
     relevant: tuple[int, ...] | None
     epsilon: float | None
-    grid: dict
+    grid: dict          # axis -> value list, in _GRID_AXES order
     raw: dict
 
 
@@ -73,13 +82,16 @@ class DomainInstance:
     sample_ids: tuple[int, ...]
     target_ids: tuple[int, ...]
     relevant: tuple[int, ...]
-    truth: SyntheticTruth | None
-    oracle: Callable[[int], float]
+    truth: SyntheticTruth
+    oracle_seed: int
 
     @property
-    def truth_map(self) -> dict[int, float] | None:
-        if self.truth is None:
-            return None
+    def oracle(self) -> Callable[[int], float]:
+        """A fresh label oracle: every run on this domain draws the same noise."""
+        return labeled_oracle(self.truth, self.noise, self.oracle_seed)
+
+    @property
+    def truth_map(self) -> dict[int, float]:
         return {p.index: float(v) for p, v in zip(self.truth.points, self.truth.values)}
 
 
@@ -89,16 +101,34 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _typed(value, kind: type, field: str):
+    """``value`` if it is a ``kind`` (dict, list or str), else a ConfigError naming ``field``."""
+    if not isinstance(value, kind):
+        expected = {dict: "an object", list: "a list", str: "a string"}[kind]
+        raise ConfigError(f"field {field!r} must be {expected}, got {value!r}")
+    return value
+
+
+def _known_keys(section: dict, allowed: Sequence[str], where: str) -> None:
+    unknown = set(section) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {where} fields {sorted(map(str, unknown))}; "
+                          f"allowed: {allowed}")
+
+
 def _number(kind: Callable, value, field: str):
     """``kind(value)`` (int, float or a float array), raising ConfigError naming
-    ``field``; an int field also rejects a fractional value."""
+    ``field``; an int field also rejects a fractional value, a float one a
+    non-finite value."""
     try:
         number = kind(value)
         if kind is int and number != float(value):
             raise ValueError("fractional value")
+        if not np.isfinite(number).all():
+            raise ValueError("non-finite value")
         return number
     except (TypeError, ValueError, OverflowError) as exc:
-        expected = "an integer" if kind is int else "numeric"
+        expected = "an integer" if kind is int else "finite and numeric"
         raise ConfigError(f"field {field!r} must be {expected}, got {value!r}") from exc
 
 
@@ -118,18 +148,14 @@ def load_config(path: str, *, preset: str | None = None,
 
 def parse_config(raw: dict, *, preset: str | None = None,
                  seeds: Sequence[int] | None = None) -> RunConfig:
-    unknown = set(raw) - set(_CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config fields {sorted(unknown)}; allowed: {_CONFIG_KEYS}")
+    _known_keys(raw, _CONFIG_KEYS, "config")
     hyper = dict(_DEFAULT_HYPER)
     if preset is not None:
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
         hyper.update(PRESETS[preset])
-    hyper.update(raw.get("hyper", {}))
-    unknown = set(hyper) - set(_DEFAULT_HYPER)
-    if unknown:
-        raise ConfigError(f"unknown hyperparameter fields {sorted(unknown)}")
+    hyper.update(_typed(raw.get("hyper", {}), dict, "hyper"))
+    _known_keys(hyper, tuple(_DEFAULT_HYPER), "hyper")
     for key in _DEFAULT_HYPER:
         if hyper[key] is not None or key in ("b", "rho"):
             number = _number(float if key == "rho" else int, hyper[key], f"hyper.{key}")
@@ -140,25 +166,45 @@ def parse_config(raw: dict, *, preset: str | None = None,
     if hyper["b"] < 1:
         raise ConfigError("field 'hyper.b' must be at least 1")
 
-    domain = _require(raw, "domain", "config")
+    domain = _typed(_require(raw, "domain", "config"), dict, "domain")
     if domain.get("source") not in ("synthetic", "embeddings"):
         raise ConfigError("field 'domain.source' must be 'synthetic' or 'embeddings'")
+    if "kernel" in domain:
+        _typed(domain["kernel"], dict, "domain.kernel")
+    if domain["source"] == "synthetic":
+        layout = _typed(_require(domain, "layout", "domain"), dict, "domain.layout")
+        kind = layout.get("kind", "uniform")
+        if not isinstance(kind, str) or kind not in _LAYOUT_KEYS:
+            raise ConfigError(f"unknown layout kind {kind!r}")
+        _known_keys(layout, _LAYOUT_KEYS[kind], f"domain.layout ({kind})")
 
-    policy_specs = raw.get("policies", ["itl"])
     policies = []
-    for entry in policy_specs:
+    for i, entry in enumerate(_typed(raw.get("policies", ["itl"]), list, "policies")):
         if isinstance(entry, str):
             entry = {"rule": entry}
         if not isinstance(entry, dict) or "rule" not in entry:
             raise ConfigError("each policy needs a 'rule' field")
-        if entry["rule"] not in RULES:
-            raise ConfigError(f"unknown rule {entry['rule']!r} in field 'policies'")
-        policies.append(dict(entry))
+        _known_keys(entry, _POLICY_KEYS, f"policies[{i}]")
+        rule = entry["rule"]
+        if rule not in RULES:
+            raise ConfigError(f"unknown rule {rule!r} in field 'policies'")
+        if rule in SOFTMAX_RULES:
+            raise ConfigError(f"rule {rule!r} in field 'policies' needs a softmax table, "
+                              "which a run config cannot supply")
+        _typed(entry.get("name", rule), str, f"policies[{i}].name")
+        if entry.get("batch_mode", "bace") not in ("bace", "topb"):
+            raise ConfigError(f"field 'policies[{i}].batch_mode' must be 'bace' or 'topb'")
+        entry = dict(entry)
+        for key, kind in (("b", int), ("m", int), ("rho", float), ("beta", float)):
+            if key in entry and (entry[key] is not None or key != "m"):  # m may be null
+                entry[key] = _number(kind, entry[key], f"policies[{i}].{key}")
+        policies.append(entry)
     if not policies:
         raise ConfigError("field 'policies' must be nonempty")
 
-    seed_list = tuple(_number(int, s, "seeds")
-                      for s in (seeds if seeds is not None else raw.get("seeds", [0])))
+    if seeds is None:
+        seeds = _typed(raw.get("seeds", [0]), list, "seeds")
+    seed_list = tuple(_number(int, s, "seeds") for s in seeds)
     if not seed_list:
         raise ConfigError("field 'seeds' must be nonempty")
     rounds = _number(int, raw.get("rounds", 0), "rounds")
@@ -167,15 +213,20 @@ def parse_config(raw: dict, *, preset: str | None = None,
 
     relevant = raw.get("relevant")
     if relevant is not None:
-        relevant = tuple(_number(int, r, "relevant") for r in relevant)
+        relevant = tuple(_number(int, r, "relevant")
+                         for r in _typed(relevant, list, "relevant"))
     epsilon = raw.get("epsilon")
     if epsilon is not None:
         epsilon = _number(float, epsilon, "epsilon")
         if not epsilon > 0:
             raise ConfigError("field 'epsilon' must be positive")
+    grid = _typed(raw.get("grid", {}), dict, "grid")
+    _known_keys(grid, _GRID_AXES, "grid")
+    grid = {axis: list(_typed(grid[axis], list, f"grid.{axis}"))
+            for axis in _GRID_AXES if axis in grid}
     return RunConfig(domain=domain, policies=tuple(policies), rounds=rounds,
                      seeds=seed_list, hyper=hyper, relevant=relevant, epsilon=epsilon,
-                     grid=dict(raw.get("grid", {})), raw=raw)
+                     grid=grid, raw=raw)
 
 
 def _kernel_from(section: dict) -> KernelSpec:
@@ -189,14 +240,23 @@ def _kernel_from(section: dict) -> KernelSpec:
         raise ConfigError(f"invalid kernel section: {exc}") from exc
 
 
+def _count(layout: dict, key: str, default: int | None = None) -> int:
+    """The nonnegative integer ``layout[key]`` (required when ``default`` is None)."""
+    value = _require(layout, key, "domain.layout") if default is None else layout.get(key, default)
+    count = _number(int, value, f"domain.layout.{key}")
+    if count < 0:
+        raise ConfigError(f"field 'domain.layout.{key}' must be nonnegative")
+    return count
+
+
 def _uniform_layout(layout: dict, rng: np.random.Generator):
-    dim = _number(int, layout.get("dim", 2), "domain.layout.dim")
-    s_count = _number(int, _require(layout, "s_count", "domain.layout"), "domain.layout.s_count")
-    a_count = _number(int, _require(layout, "a_count", "domain.layout"), "domain.layout.a_count")
+    dim, s_count = _count(layout, "dim", 2), _count(layout, "s_count")
+    a_count = _count(layout, "a_count")
     floats = partial(np.asarray, dtype=float)
     box = _number(floats, layout.get("box", [[0.0, 1.0]] * dim), "domain.layout.box")
     a_box = _number(floats, layout.get("a_box", box), "domain.layout.a_box")
-    if box.shape != (dim, 2) or a_box.shape != (dim, 2) or not np.isfinite([box, a_box]).all():
+    if (box.shape != (dim, 2) or a_box.shape != (dim, 2)
+            or np.any(box[:, 0] > box[:, 1]) or np.any(a_box[:, 0] > a_box[:, 1])):
         raise ConfigError("fields 'domain.layout.box' and 'domain.layout.a_box' must list "
                           "finite [low, high] per dimension")
     s_coords = rng.uniform(box[:, 0], box[:, 1], size=(s_count, dim))
@@ -211,30 +271,28 @@ def _uniform_layout(layout: dict, rng: np.random.Generator):
 
 
 def _grid_layout(layout: dict):
-    s_count = _number(int, _require(layout, "s_count", "domain.layout"), "domain.layout.s_count")
+    s_count, a_extra = _count(layout, "s_count"), _count(layout, "a_extra", 0)
     start = _number(float, layout.get("start", 0.0), "domain.layout.start")
     step = _number(float, layout.get("step", 1.0), "domain.layout.step")
-    a_extra = _number(int, layout.get("a_extra", 0), "domain.layout.a_extra")
     include_s = bool(layout.get("include_s_in_a", True))
     coords = start + step * np.arange(s_count + a_extra)
     points = [Point(i, coords=[coords[i]]) for i in range(s_count + a_extra)]
     sample_ids = tuple(range(s_count))
     extras = tuple(range(s_count, s_count + a_extra))
     target_ids = (sample_ids + extras) if include_s else extras
-    if not target_ids:
-        raise ConfigError("grid layout produced an empty target space")
     return points, sample_ids, target_ids, sample_ids
 
 
 def _resolve_ids(section, available: Sequence[int], field: str) -> tuple[int, ...]:
     if isinstance(section, dict):
         if "first" in section:
-            return tuple(available[: int(section["first"])])
+            return tuple(available[: _number(int, section["first"], f"{field}.first")])
         if "count" in section:
-            offset = int(section.get("from", 0))
-            return tuple(available[offset: offset + int(section["count"])])
+            offset = _number(int, section.get("from", 0), f"{field}.from")
+            return tuple(available[offset: offset + _number(int, section["count"],
+                                                            f"{field}.count")])
         raise ConfigError(f"field '{field}' must be an id list or use first/count")
-    ids = tuple(int(i) for i in section)
+    ids = tuple(_number(int, i, field) for i in _typed(section, list, field))
     missing = set(ids) - set(available)
     if missing:
         raise ConfigError(f"field '{field}' references unknown ids {sorted(missing)}")
@@ -249,18 +307,15 @@ def build_domain(config: RunConfig, seed: int) -> DomainInstance:
     if source == "synthetic":
         kernel = _kernel_from(_require(config.domain, "kernel", "domain"))
         layout = dict(_require(config.domain, "layout", "domain"))
-        kind = layout.get("kind", "uniform")
-        if kind == "uniform":
+        if layout.get("kind", "uniform") == "uniform":
             if "a_count" not in layout and config.hyper["M"] is not None:
                 layout["a_count"] = int(config.hyper["M"])
             points, sample_ids, target_ids, relevant = _uniform_layout(
                 layout, np.random.default_rng(int(keys[0])))
-        elif kind == "grid":
-            points, sample_ids, target_ids, relevant = _grid_layout(layout)
         else:
-            raise ConfigError(f"unknown layout kind {kind!r}")
+            points, sample_ids, target_ids, relevant = _grid_layout(layout)
     else:
-        path = _require(config.domain, "path", "domain")
+        path = _typed(_require(config.domain, "path", "domain"), str, "domain.path")
         try:
             points = load_embeddings(path)
         except OSError as exc:
@@ -270,15 +325,16 @@ def build_domain(config: RunConfig, seed: int) -> DomainInstance:
         sample_ids = _resolve_ids(_require(config.domain, "s", "domain"), ids, "domain.s")
         target_ids = _resolve_ids(_require(config.domain, "a", "domain"), ids, "domain.a")
         relevant = ()
+    if not sample_ids or not target_ids:
+        raise ConfigError("the domain has an empty sample or target space")
     if config.relevant is not None:
         relevant = config.relevant
     truth = sample_gp_truth(kernel, points, int(keys[1]))
-    oracle = labeled_oracle(truth, noise, int(keys[2]))
     prior = PosteriorState.from_prior(gram(kernel, points), noise)
     return DomainInstance(points=tuple(points), kernel=kernel, noise=noise,
                           prior=prior, sample_ids=tuple(sample_ids),
                           target_ids=tuple(target_ids), relevant=tuple(relevant),
-                          truth=truth, oracle=oracle)
+                          truth=truth, oracle_seed=int(keys[2]))
 
 
 def build_policy(entry: dict, config: RunConfig, seed: int) -> Policy:

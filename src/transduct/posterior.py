@@ -118,7 +118,8 @@ class PosteriorState:
         mean = np.asarray(mean, dtype=np.float64)
         if mean.shape != (gram.size,):
             raise InputError("prior mean length does not match the domain")
-        return cls(gram=gram, noise=noise, cov=gram.values.copy(), mean=mean.copy())
+        # the Gram's values are read-only, so the prior shares them
+        return cls(gram=gram, noise=noise, cov=gram.values, mean=mean.copy())
 
     @property
     def round(self) -> int:

@@ -7,7 +7,7 @@ import pytest
 
 from transduct import cli
 from transduct.cli import main
-from transduct.config import PRESETS, load_config, parse_config
+from transduct.config import PRESETS, build_domain, load_config, parse_config
 from transduct.data import load_run, load_table
 from transduct.errors import ConfigError
 
@@ -31,6 +31,16 @@ def base_run_config(**overrides):
     }
     payload.update(overrides)
     return payload
+
+
+def set_field(cfg, path, value):
+    """``cfg`` with the dotted ``path`` (through objects) set to ``value``."""
+    *parents, key = path.split(".")
+    section = cfg
+    for name in parents:
+        section = section[name]
+    section[key] = value
+    return cfg
 
 
 def grid_theory_config(**overrides):
@@ -105,18 +115,77 @@ class TestConfigValidation:
         ("run", "hyper.M", {}),
         ("run", "domain.layout.box", [[0, "x"], [0, 1]]),
         ("run", "domain.layout.a_box", [[0.6, 1.0], [None, 1.0]]),
+        ("run", "domain.layout.box", [[1, 0], [0, 1]]),
+        ("run", "domain.layout.a_count", -1),
+        ("theory", "domain.layout.s_count", -2),
+        ("theory", "epsilon", float("nan")),
+        ("run", "hyper.rho", float("inf")),
+        ("theory", "domain.layout.step", float("-inf")),
     ])
     def test_bad_number_is_config_error(self, tmp_path, capsys, command, field, value):
         cfg = base_run_config() if command == "run" else grid_theory_config()
-        *parents, key = field.split(".")
-        section = cfg
-        for name in parents:
-            section = section[name]
-        section[key] = value
-        path = write_config(tmp_path / "c.json", cfg)
+        path = write_config(tmp_path / "c.json", set_field(cfg, field, value))
         assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert repr(field) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, path, value, named", [
+        ("ablate", "grid.rho", ["x"], "hyper.rho"),
+        ("ablate", "grid.rho", [1.0, None], "hyper.rho"),
+        ("ablate", "grid.k", [2.5], "hyper.k"),
+        ("ablate", "grid.batch_mode", ["sideways"], "policies[0].batch_mode"),
+        ("ablate", "grid.rho", "x", "grid.rho"),
+        ("ablate", "grid.b", [1], "b"),
+        ("ablate", "grid", "x", "grid"),
+        ("ablate", "grid", [], "grid"),
+        ("run", "policies", [{"rule": "itl", "b": "x"}], "policies[0].b"),
+        ("run", "policies", ["random", {"rule": "itl", "rho": "x"}], "policies[1].rho"),
+        ("run", "policies", [{"rule": "itl", "m": 1.5}], "policies[0].m"),
+        ("run", "policies", [{"rule": "itl", "beta": []}], "policies[0].beta"),
+        ("run", "policies", [{"rule": "random", "beta": float("inf")}], "policies[0].beta"),
+        ("run", "policies", [{"rule": "itl", "rho": float("nan")}], "policies[0].rho"),
+        ("run", "policies", [{"rule": "itl", "bb": 3}], "bb"),
+        ("run", "policies", [{"rule": "itl", "name": 7}], "policies[0].name"),
+        ("run", "policies", [{"rule": "itl", "batch_mode": "x"}], "policies[0].batch_mode"),
+        ("run", "policies", ["max-entropy"], "policies"),
+        ("run", "policies", [{"rule": "info-density"}], "policies"),
+        ("run", "policies", "itl", "policies"),
+        ("run", "hyper", "x", "hyper"),
+        ("run", "seeds", 5, "seeds"),
+        ("run", "relevant", 3, "relevant"),
+        ("run", "domain", [], "domain"),
+        ("run", "domain.kernel", "gaussian", "domain.kernel"),
+        ("run", "domain.layout", [1], "domain.layout"),
+        ("run", "domain.layout.s_cnt", 3, "s_cnt"),
+        ("run", "domain.layout.kind", "spiral", "spiral"),
+        ("theory", "domain.layout.a_count", 3, "a_count"),
+    ])
+    def test_bad_section_is_config_error(self, tmp_path, capsys, monkeypatch, command, path,
+                                         value, named):
+        builds = []
+        monkeypatch.setattr(cli, "build_domain", lambda *a: builds.append(a))
+        cfg = (grid_theory_config() if command == "theory"
+               else base_run_config(grid={"rho": [1.0]}))
+        config_path = write_config(tmp_path / "c.json", set_field(cfg, path, value))
+        assert main([command, "--config", config_path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert repr(named) in err and "Traceback" not in err
+        assert not builds  # refused while parsing, before any domain is built
+
+    @pytest.mark.parametrize("layout", [
+        {"kind": "uniform", "s_count": 4, "a_count": 0},
+        {"kind": "uniform", "s_count": 0, "a_count": 2},
+        {"kind": "grid", "s_count": 3, "include_s_in_a": False},
+        {"kind": "grid", "s_count": 0, "a_extra": 2},
+    ])
+    @pytest.mark.parametrize("command", ["run", "theory"])
+    def test_empty_space_is_config_error(self, tmp_path, capsys, command, layout):
+        cfg = base_run_config()
+        cfg["domain"]["layout"] = layout
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "empty sample or target space" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command, seeds", [("run", "a"), ("ablate", "1,b"),
                                                 ("theory", "0,x")])
@@ -167,6 +236,30 @@ class TestRunCommand:
         for rel in ["metrics.tsv", "metrics_raw.tsv",
                     "records/00-itl_s0.jsonl", "records/01-random_s1.jsonl"]:
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
+
+    def test_builds_each_domain_once_per_seed(self, tmp_path, monkeypatch):
+        seeds = []
+
+        def counting_build(config, seed):
+            seeds.append(seed)
+            return build_domain(config, seed)
+
+        monkeypatch.setattr(cli, "build_domain", counting_build)
+        cfg = write_config(tmp_path / "c.json", base_run_config())
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert sorted(seeds) == [0, 1]
+        assert len(os.listdir(tmp_path / "o" / "records")) == 4
+
+    def test_record_independent_of_preceding_policies(self, tmp_path):
+        # each run draws its own label noise, so a policy's record does not
+        # depend on which policies ran before it on the same domain
+        alone, after = tmp_path / "alone", tmp_path / "after"
+        for out, policies in ((alone, ["random"]), (after, ["itl", "ctl", "random"])):
+            cfg = write_config(tmp_path / f"{out.name}.json",
+                               base_run_config(policies=policies, seeds=[0]))
+            assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert (alone / "records" / "00-random_s0.jsonl").read_bytes() == \
+            (after / "records" / "02-random_s0.jsonl").read_bytes()
 
     def test_jobs_flag_keeps_output_identical(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", base_run_config())
@@ -282,6 +375,41 @@ class TestAblateCommand:
         assert main(["ablate", "--config", path, "--out", str(out)]) == 0
         _, rows = load_table(str(out / "ablation.tsv"))
         assert len(rows) == 1
+
+    def test_jobs_flag_keeps_table_identical(self, tmp_path):
+        cfg = base_run_config(policies=["itl", {"rule": "random", "name": "rnd"}],
+                              seeds=[0, 1, 2],
+                              grid={"rho": [0.5, 1.0], "batch_mode": ["bace", "topb"]})
+        path = write_config(tmp_path / "c.json", cfg)
+        tables = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"j{jobs}"
+            assert main(["ablate", "--config", path, "--out", str(out), "--jobs", jobs]) == 0
+            tables.append((out / "ablation.tsv").read_bytes())
+        assert tables[0] == tables[1]
+        _, rows = load_table(str(tmp_path / "j1" / "ablation.tsv"))
+        assert [row[:3] for row in rows[:4]] == [
+            [0.5, "bace", "00-itl"], [0.5, "bace", "01-rnd"],
+            [0.5, "topb", "00-itl"], [0.5, "topb", "01-rnd"]]
+
+    def test_cell_runs_match_a_plain_run(self, tmp_path):
+        # a cell is an ordinary config: its row is the final round of `run`
+        # on the config with the cell's values filled in
+        cfg = base_run_config(policies=["itl"], grid={"m": [2]})
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main(["ablate", "--config", path, "--out", str(tmp_path / "a")]) == 0
+        plain = base_run_config(policies=["itl"])
+        plain["hyper"]["m"] = 2
+        path = write_config(tmp_path / "p.json", plain)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "r")]) == 0
+        _, rows = load_table(str(tmp_path / "a" / "ablation.tsv"))
+        header, agg = load_table(str(tmp_path / "r" / "metrics.tsv"))
+        final = agg[-1]
+        assert rows == [[2, "00-itl",
+                         final[header.index("mean_variance_mean")],
+                         final[header.index("mean_variance_stderr")],
+                         final[header.index("distinct_relevant_mean")],
+                         final[header.index("distinct_relevant_stderr")]]]
 
     def test_oversized_grid_refused(self, tmp_path):
         cfg = base_run_config(policies=["itl"],

@@ -51,6 +51,14 @@ class TestConditioning:
         # conditional mean at index 1: k10 / (k00 + rho^2) * y
         np.testing.assert_allclose(state.mean_vector([1]), [0.5 / 1.1], rtol=1e-12)
 
+    def test_prior_shares_the_read_only_gram(self):
+        gram = KernelMatrix(np.diag([1.0, 2.0]), (0, 1))
+        state = PosteriorState.from_prior(gram, NoiseModel.homoscedastic(0.1))
+        assert state.cov is gram.values and not state.cov.flags.writeable
+        after = condition(state, Observation(0, 3.0, 0.1))
+        np.testing.assert_array_equal(gram.values, np.diag([1.0, 2.0]))
+        assert marginal_variance(after, 0) < 1.0
+
     def test_uncorrelated_point_untouched(self):
         gram = KernelMatrix(np.diag([1.0, 2.0]), (0, 1))
         state = PosteriorState.from_prior(gram, NoiseModel.homoscedastic(0.1))
