@@ -8,7 +8,7 @@ A run config is a JSON object with the sections
     rounds    number of selection rounds
     seeds     list of integer seeds
     hyper     {"k": ..., "m": ..., "M": ..., "b": ..., "rho": ...}
-    relevant  optional explicit id list (synthetic layouts derive a default)
+    relevant  optional id list inside the sample space (layouts derive a default)
     epsilon   tolerance for theory checks (default 0.05 of max prior variance)
     grid      parameter grid for the ablate command: a list of values for
               any of rho, k, m, M (hyper fields) and batch_mode (every policy)
@@ -329,6 +329,9 @@ def build_domain(config: RunConfig, seed: int) -> DomainInstance:
         raise ConfigError("the domain has an empty sample or target space")
     if config.relevant is not None:
         relevant = config.relevant
+        outside = sorted(set(relevant) - set(sample_ids))
+        if outside:
+            raise ConfigError(f"field 'relevant' lists ids outside the sample space: {outside}")
     truth = sample_gp_truth(kernel, points, int(keys[1]))
     prior = PosteriorState.from_prior(gram(kernel, points), noise)
     return DomainInstance(points=tuple(points), kernel=kernel, noise=noise,

@@ -21,13 +21,15 @@ stacked determinants (``posterior._best_grouped_gain``), one size at a time.
 The one exception to the greedy fallback is the size condition behind b_eps,
 where an underestimate would be unsound; there a certified closed-form upper
 bound (grouped-Hadamard water filling, see ``capacity_upper_bound``) stands in.
-ITL scores and Markov boundaries run on the posterior module's factor blocks.
+A greedy ITL rollout downdates one of the posterior module's factor blocks
+per pick and keeps its picks, Gamma_n and target variances, which is all the
+checkers read. Markov boundaries and kappa's greedy batch use the same blocks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
@@ -45,7 +47,7 @@ from .posterior import (
     _undirected_picks,
     bace_update,
     batch_information_gain,
-    condition,
+    condition,  # noqa: F401  (public name here; tracing tools wrap it)
     condition_all,
     information_capacity,
     solve_psd,
@@ -90,19 +92,22 @@ class MarkovBoundary:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States along a selection run; states[n] holds n observations."""
+    """A greedy ITL rollout, recorded on one factor block.
 
-    states: tuple[PosteriorState, ...]
+    ``picks[n]`` is the (n+1)-th pick, ``gains[n]`` is Gamma_n and
+    ``variances[n]`` holds the clamped target variances, both after n picks.
+    """
+
+    prior: PosteriorState
     targets: tuple[int, ...]
     sample_space: tuple[int, ...]
-
-    @property
-    def prior(self) -> PosteriorState:
-        return self.states[0]
+    picks: tuple[int, ...]
+    gains: tuple[float, ...]
+    variances: np.ndarray
 
     @property
     def rounds(self) -> int:
-        return len(self.states) - 1
+        return len(self.picks)
 
 
 @dataclass(frozen=True)
@@ -121,20 +126,36 @@ class BoundCheck:
         return "pass" if self.passed else "fail"
 
 
+def _itl_rollout(state: PosteriorState, targets: tuple[int, ...], space: tuple[int, ...],
+                 rounds: int, multiset: bool) -> Trajectory:
+    """Greedy ITL picks on one factor block, downdated at each pick, with Gamma_n
+    and the target variances after n picks. Picks repeat only when ``multiset``."""
+    blocks = _Blocks(state, targets, space, rounds)
+    taken = np.zeros(len(space), dtype=bool)
+    picks, gains, variances = [], [], []
+    while True:
+        scores = _itl_scores(blocks, stabilize=False)
+        gains.append(float(np.max(scores, initial=0.0)))  # 0 on an empty space
+        variances.append(blocks.var()[:blocks.na])
+        if len(picks) == rounds:
+            return Trajectory(prior=state, targets=targets, sample_space=space,
+                              picks=tuple(picks), gains=tuple(gains),
+                              variances=np.array(variances))
+        best = int(np.argmax(scores if multiset else np.where(taken, -np.inf, scores)))
+        taken[best] = True
+        picks.append(space[best])
+        bace_update(blocks, best, float(blocks.noise_c[best]))
+
+
 def greedy_itl_trajectory(prior: PosteriorState, targets: Sequence[int],
                           sample_space: Sequence[int], rounds: int) -> Trajectory:
     """Roll out the exact greedy rule; observed values are irrelevant to
-    every variance-based quantity, so zeros are fed in."""
+    every variance-based quantity, so none are drawn."""
     targets = tuple(int(t) for t in targets)
     space = tuple(sorted(int(s) for s in sample_space))
-    states = [prior]
-    state = prior
-    for _ in range(rounds):
-        scores = _itl_scores(_Blocks(state, targets, space), stabilize=False)
-        pick = space[int(np.argmax(scores))]
-        state = condition(state, Observation(pick, 0.0, state.noise.variance_at(pick)))
-        states.append(state)
-    return Trajectory(states=tuple(states), targets=targets, sample_space=space)
+    if not space or rounds < 0:
+        raise InputError("the rollout needs a nonempty sample space and rounds >= 0")
+    return _itl_rollout(prior, targets, space, rounds, multiset=True)
 
 
 def irreducible_uncertainty(prior_gram: KernelMatrix, sample_space: Sequence[int],
@@ -167,13 +188,11 @@ def _capacity_with_mode(prior: PosteriorState, space: Sequence[int],
 
 def check_gamma_bound(trajectory: Trajectory) -> BoundCheck:
     """Check Gamma_{n-1} <= gamma_n / n along an S-inside-A trajectory."""
-    prior = trajectory.prior
     rows = []
     hard_fail = warn = False
     for n in range(1, trajectory.rounds + 1):
-        gamma_step = step_uncertainty(trajectory.states[n - 1], trajectory.targets,
-                                      trajectory.sample_space)
-        capacity, exact = _capacity_with_mode(prior, trajectory.sample_space, n)
+        gamma_step = trajectory.gains[n - 1]
+        capacity, exact = _capacity_with_mode(trajectory.prior, trajectory.sample_space, n)
         bound = capacity / n
         ok = gamma_step <= bound + _TOL
         rows.append({"n": n, "gamma_step": gamma_step, "capacity": capacity,
@@ -190,23 +209,21 @@ def check_gamma_bound(trajectory: Trajectory) -> BoundCheck:
 
 def check_within_S_bound(trajectory: Trajectory) -> BoundCheck:
     """Check sigma_n^2(x) <= 2 sigma~^2 Gamma_n for x in both A and S."""
-    prior = trajectory.prior
-    constants = TheoryConstants.from_state(prior, trajectory.sample_space)
-    overlap = tuple(x for x in trajectory.targets if x in set(trajectory.sample_space))
-    if not overlap:
+    constants = TheoryConstants.from_state(trajectory.prior, trajectory.sample_space)
+    overlap = np.isin(trajectory.targets, trajectory.sample_space)
+    if not overlap.any():
         return BoundCheck(name="within-sample-bound", passed=None,
                           detail="targets and sample space are disjoint", rows=())
     rows = []
     ok_all = True
-    for n, state in enumerate(trajectory.states):
-        gamma_step = step_uncertainty(state, trajectory.targets, trajectory.sample_space)
-        worst = float(np.max(state.variance_vector(overlap)))
+    for n, gamma_step in enumerate(trajectory.gains):
+        worst = float(np.max(trajectory.variances[n][overlap]))
         bound = 2.0 * constants.sigma_tilde_sq * gamma_step
         ok = worst <= bound + _TOL
         ok_all &= ok
         rows.append({"n": n, "max_variance": worst, "bound": bound, "holds": ok})
     return BoundCheck(name="within-sample-bound", passed=ok_all,
-                      detail=f"checked {len(rows)} rounds over {len(overlap)} points",
+                      detail=f"checked {len(rows)} rounds over {int(overlap.sum())} points",
                       rows=tuple(rows))
 
 
@@ -247,8 +264,7 @@ def markov_size_bound(state: PosteriorState, sample_space: Sequence[int],
     if not epsilon > 0:
         raise InputError("epsilon must be positive")
     space = tuple(sorted(int(s) for s in sample_space))
-    prior = replace(state, cov=state.gram.values)  # read only: no N x N copy
-    constants = TheoryConstants.from_state(prior, space)
+    constants = TheoryConstants.from_state(state, space)
     lam = max(constants.lambda_min, 0.0)
     threshold = (epsilon * lam ** 2
                  / (2.0 * len(space) ** 2 * constants.sigma_sq ** 2
@@ -256,9 +272,10 @@ def markov_size_bound(state: PosteriorState, sample_space: Sequence[int],
     if threshold <= 0:
         raise BudgetError("size condition is vacuous: the sample Gram is singular")
 
-    pos = prior.positions(space)
-    variances = np.maximum(np.diag(prior.cov)[pos], 0.0)
-    noise = prior.noise.vector(space)
+    pos = state.positions(space)
+    prior_cov = state.gram.values[np.ix_(pos, pos)]
+    variances = np.maximum(np.diag(prior_cov), 0.0)
+    noise = state.noise.vector(space)
 
     # exact phase: one enumeration pass over small multisets, prefix maxima
     k_exact = 0
@@ -269,10 +286,9 @@ def markov_size_bound(state: PosteriorState, sample_space: Sequence[int],
             break
         total += extra
         k_exact += 1
-    cov = prior.cov[np.ix_(pos, pos)]
     gamma = 0.0
     for size in range(1, k_exact + 1):
-        gamma = max(gamma, _best_grouped_gain(cov, noise, size))
+        gamma = max(gamma, _best_grouped_gain(prior_cov, noise, size))
         if gamma / size <= threshold:
             return size, True
 
@@ -308,7 +324,7 @@ def markov_boundary(state: PosteriorState, sample_space: Sequence[int], x: int,
     eta2 = irreducible_uncertainty(state.gram, space, x)
     size_bound, exact = markov_size_bound(state, space, epsilon, cap=cap)
 
-    prior = replace(state, cov=state.gram.values)  # read only: no N x N copy
+    prior = PosteriorState.from_prior(state.gram, state.noise)  # shares the Gram
     picks = _undirected_picks(_Blocks(prior, (), space), multiset=True)
     check = _Blocks(state, (x,), space)
     members: list[int] = []
@@ -351,9 +367,7 @@ def check_variance_bound(trajectory: Trajectory, epsilon: float) -> BoundCheck:
                     for x in trajectory.targets])
     rows = []
     ok_all = True
-    for n, state in enumerate(trajectory.states):
-        gamma_step = step_uncertainty(state, trajectory.targets, trajectory.sample_space)
-        var = state.variance_vector(trajectory.targets)
+    for n, (gamma_step, var) in enumerate(zip(trajectory.gains, trajectory.variances)):
         reducible = 2.0 * constants.sigma_sq * size_bound * gamma_step
         slack = reducible + eta + epsilon - var
         ok = bool(np.min(slack) >= -_TOL)
@@ -382,15 +396,15 @@ def check_reducible_schedule(trajectory: Trajectory) -> BoundCheck:
     c = (2.0 * len(trajectory.sample_space) ** 2 * constants.sigma_sq ** 2
          * constants.sigma_tilde_sq / lam ** 2)
     c_prime = 2.0 * constants.sigma_sq + c
+    # both budgets, isqrt(n) and n, lie in 1..R: one capacity per budget
+    capacity = {budget: _capacity_with_mode(prior, trajectory.sample_space, budget)
+                for budget in range(1, trajectory.rounds + 1)}
     rows = []
     ok_all = True
     warn = False
     for n in range(1, trajectory.rounds + 1):
-        root = max(int(math.isqrt(n)), 1)
-        gamma_root, exact_root = _capacity_with_mode(prior, trajectory.sample_space, root)
-        gamma_n, exact_n = _capacity_with_mode(prior, trajectory.sample_space, n)
-        gamma_step = step_uncertainty(trajectory.states[n], trajectory.targets,
-                                      trajectory.sample_space)
+        (gamma_root, exact_root), (gamma_n, exact_n) = capacity[math.isqrt(n)], capacity[n]
+        gamma_step = trajectory.gains[n]
         lhs = (2.0 * constants.sigma_sq * math.sqrt(n) * gamma_step
                + c * gamma_root / math.sqrt(n))
         rhs = c_prime * gamma_n / math.sqrt(n)
@@ -410,24 +424,6 @@ def check_reducible_schedule(trajectory: Trajectory) -> BoundCheck:
 # submodularity ratio
 # ---------------------------------------------------------------------------
 
-def _greedy_exact_batch(state: PosteriorState, targets: Sequence[int],
-                        space: Sequence[int], k: int) -> tuple[int, ...]:
-    chosen: list[int] = []
-    for _ in range(k):
-        best, best_gain = None, -1.0
-        base = batch_information_gain(state, targets, chosen)
-        for cand in space:
-            if cand in chosen:
-                continue
-            gain = batch_information_gain(state, targets, chosen + [cand]) - base
-            if gain > best_gain + 1e-15:
-                best, best_gain = cand, gain
-        if best is None:
-            break
-        chosen.append(best)
-    return tuple(chosen)
-
-
 def submodularity_ratio(state: PosteriorState, targets: Sequence[int],
                         sample_space: Sequence[int], k: int) -> float:
     """Exact submodularity ratio kappa(k) of the batch objective.
@@ -442,7 +438,7 @@ def submodularity_ratio(state: PosteriorState, targets: Sequence[int],
     combos = sum(math.comb(len(space), j) for j in range(1, k + 1)) * (2 ** k)
     if combos > 50_000:
         raise InputError("submodularity-ratio enumeration is limited to small instances")
-    greedy = _greedy_exact_batch(state, targets, space, k)
+    greedy = _itl_rollout(state, targets, space, min(k, len(space)), multiset=False).picks
 
     cache: dict[tuple[int, ...], float] = {}
 

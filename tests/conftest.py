@@ -1,13 +1,15 @@
 """Shared instance generators and scalar references for the test suite."""
 
+import functools
+import math
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
 
 from transduct import (BudgetError, KernelMatrix, NoiseModel, Observation, PosteriorState,
-                       condition)
-from transduct.posterior import chol_logdet
+                       batch_information_gain, condition, step_uncertainty)
+from transduct.posterior import _Blocks, _itl_scores, chol_logdet
 
 
 def random_corr_gram(rng, n, floor=0.0, ids=None):
@@ -140,6 +142,76 @@ def markov_boundary_reference(state, space, x, floor, epsilon, cap):
         state = condition(state, Observation(space[best], 0.0, float(noise[best])))
         achieved = max(float(state.cov[px, px]), 0.0)
     return tuple(members), achieved
+
+
+def itl_trajectory_reference(prior, targets, space, rounds):
+    """The dense greedy ITL rollout: condition the full state on each pick,
+    then rescore every state with ``step_uncertainty`` and read its target
+    variances. Returns (picks, gains, variances) as the factor-block rollout
+    records them."""
+    space = sorted(space)
+    states = [prior]
+    picks = []
+    for _ in range(rounds):
+        state = states[-1]
+        pick = space[int(np.argmax(_itl_scores(_Blocks(state, targets, space),
+                                               stabilize=False)))]
+        picks.append(pick)
+        states.append(condition(state, Observation(pick, 0.0,
+                                                   state.noise.variance_at(pick))))
+    gains = [step_uncertainty(state, targets, space) for state in states]
+    variances = np.array([state.variance_vector(targets) for state in states])
+    return tuple(picks), gains, variances
+
+
+def greedy_batch_reference(state, targets, space, k):
+    """Greedy no-repeat batch scored by differences of batch log-determinant
+    gains, one pair of Cholesky factorizations per candidate. Returns the
+    batch and, per pick, the gap between the best and second-best gain."""
+    chosen, gaps = [], []
+    for _ in range(k):
+        best, best_gain = None, -1.0
+        base = batch_information_gain(state, targets, chosen)
+        gains = []
+        for cand in space:
+            if cand in chosen:
+                continue
+            gain = batch_information_gain(state, targets, chosen + [cand]) - base
+            gains.append(gain)
+            if gain > best_gain + 1e-15:
+                best, best_gain = cand, gain
+        if best is None:
+            break
+        chosen.append(best)
+        top = sorted(gains, reverse=True)
+        gaps.append(top[0] - top[1] if len(top) > 1 else math.inf)
+    return tuple(chosen), gaps
+
+
+def submodularity_ratio_reference(state, targets, space, greedy, k):
+    """kappa(k) by enumeration over subsets B of ``greedy`` and disjoint
+    candidate sets X with |X| <= k; every gain is a fresh batch gain."""
+    @functools.cache
+    def gain(key):
+        return batch_information_gain(state, targets, key)
+
+    def value(subset):
+        return gain(tuple(sorted(subset)))
+
+    ratio = math.inf
+    for b_size in range(len(greedy) + 1):
+        for base in combinations(greedy, b_size):
+            rest = [s for s in space if s not in base]
+            for x_size in range(1, k + 1):
+                for group in combinations(rest, x_size):
+                    numerator = sum(value(base + (x,)) - value(base) for x in group)
+                    denominator = value(base + group) - value(base)
+                    if abs(denominator) < 1e-12:
+                        current = 1.0 if abs(numerator) < 1e-12 else math.inf
+                    else:
+                        current = numerator / denominator
+                    ratio = min(ratio, current)
+    return ratio
 
 
 @pytest.fixture

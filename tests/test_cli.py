@@ -121,6 +121,8 @@ class TestConfigValidation:
         ("theory", "epsilon", float("nan")),
         ("run", "hyper.rho", float("inf")),
         ("theory", "domain.layout.step", float("-inf")),
+        ("run", "relevant", [999, 3]),  # ids outside the sample space
+        ("theory", "relevant", [1, 4]),
     ])
     def test_bad_number_is_config_error(self, tmp_path, capsys, command, field, value):
         cfg = base_run_config() if command == "run" else grid_theory_config()

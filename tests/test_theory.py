@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,13 +27,17 @@ from transduct import (
     submodularity_ratio,
     verify_markov_boundary,
 )
+from transduct import theory
 from transduct.kernels import KernelSpec, Point, gram
 from transduct.theory import capacity_upper_bound, check_reducible_schedule
 from conftest import (
     best_grouped_gain_reference,
+    greedy_batch_reference,
+    itl_trajectory_reference,
     markov_boundary_reference,
     random_corr_gram,
     random_state,
+    submodularity_ratio_reference,
 )
 
 TWO_POINT = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -88,9 +93,83 @@ class TestStepUncertainty:
         for _ in range(5):
             prior = small_state(0.2, 8, rng)
             traj = greedy_itl_trajectory(prior, range(8), range(8), 12)
-            values = [step_uncertainty(s, traj.targets, traj.sample_space)
-                      for s in traj.states]
+            values = traj.gains
             assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
+
+
+def rollout_instance(rng, layout, hetero):
+    """A random prior with targets A and sample space S laid out as S inside A,
+    A and S disjoint, or partially overlapping."""
+    n = int(rng.integers(6, 15))
+    prior = random_state(rng, n, hetero=hetero, noise_range=(0.05, 1.0))
+    ids = [int(i) for i in rng.permutation(n)]
+    cut = int(rng.integers(2, n - 2))
+    if layout == "inside":
+        return prior, ids, ids[:cut]
+    if layout == "disjoint":
+        return prior, ids[:cut], ids[cut:]
+    return prior, ids[:cut + 2], ids[cut:]
+
+
+class TestRollout:
+    @pytest.mark.parametrize("layout", ["inside", "disjoint", "partial"])
+    @pytest.mark.parametrize("hetero", [False, True])
+    def test_matches_dense_rollout(self, rng, layout, hetero):
+        repeats = 0
+        for trial in range(8):
+            prior, targets, space = rollout_instance(rng, layout, hetero)
+            rounds = int(rng.integers(1, 61)) if trial else 0
+            traj = greedy_itl_trajectory(prior, targets, space, rounds)
+            picks, gains, variances = itl_trajectory_reference(prior, targets, space, rounds)
+            assert traj.picks == picks and traj.rounds == rounds
+            assert all(type(g) is float for g in traj.gains)
+            np.testing.assert_allclose(traj.gains, gains, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(traj.variances, variances, rtol=1e-12, atol=1e-12)
+            repeats += len(set(picks)) < len(picks)
+        assert repeats >= 4
+
+    @pytest.mark.parametrize("layout", ["inside", "disjoint", "partial"])
+    def test_no_repeat_rollout_matches_batch_greedy(self, rng, layout):
+        compared = 0
+        for trial in range(8):
+            prior, targets, space = rollout_instance(rng, layout, hetero=trial % 2 == 1)
+            space = sorted(space)[:6]
+            k = int(rng.integers(1, 4))
+            picks = theory._itl_rollout(prior, tuple(targets), tuple(space),
+                                        min(k, len(space)), multiset=False).picks
+            reference, gaps = greedy_batch_reference(prior, targets, space, k)
+            assert len(set(picks)) == len(picks) == len(reference)
+            # picks agree up to the first near-tie of the reference
+            for pick, ref, gap in zip(picks, reference, gaps):
+                if gap <= 1e-9:
+                    break
+                assert pick == ref
+                compared += 1
+            np.testing.assert_allclose(
+                submodularity_ratio(prior, targets, space, k),
+                submodularity_ratio_reference(prior, targets, space, reference, k),
+                rtol=1e-12)
+        assert compared >= 8
+
+    def test_memory_is_one_factor_block(self, rng):
+        prior = PosteriorState.from_prior(random_corr_gram(rng, 300),
+                                          NoiseModel.homoscedastic(0.1))
+        tracemalloc.start()
+        try:
+            traj = greedy_itl_trajectory(prior, range(300), range(300), 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.rounds == 100
+        # a dense state per round would hold 101 x 300^2 floats (about 73 MB)
+        assert peak < 16 * 2 ** 20
+
+    def test_rejects_empty_space_and_negative_rounds(self, rng):
+        prior = small_state(0.2, 4, rng)
+        with pytest.raises(InputError):
+            greedy_itl_trajectory(prior, range(4), [], 3)
+        with pytest.raises(InputError):
+            greedy_itl_trajectory(prior, range(4), range(4), -1)
 
 
 class TestGammaBound:
@@ -287,6 +366,32 @@ class TestVarianceBound:
         traj = greedy_itl_trajectory(prior, range(4), range(4), 6)
         report = check_reducible_schedule(traj)
         assert report.passed is True
+
+    def test_schedule_computes_each_budget_once(self, rng, monkeypatch):
+        budgets = []
+        capacity = theory.information_capacity
+
+        def counted(state, candidates, budget, *args, **kwargs):
+            budgets.append(budget)
+            return capacity(state, candidates, budget, *args, **kwargs)
+
+        monkeypatch.setattr(theory, "information_capacity", counted)
+        prior = small_state(0.5, 4, rng, rho2=0.5)
+        traj = greedy_itl_trajectory(prior, range(4), range(4), 9)
+        report = check_reducible_schedule(traj)
+        assert sorted(budgets) == list(range(1, 10))
+        # each row still reads the capacities at budgets isqrt(n) and n
+        constants = TheoryConstants.from_state(prior, range(4))
+        c = (2.0 * 16 * constants.sigma_sq ** 2 * constants.sigma_tilde_sq
+             / constants.lambda_min ** 2)
+        for row in report.rows:
+            n = row["n"]
+            root, full = (information_capacity(prior, range(4), b, "brute", multiset=True)
+                          for b in (math.isqrt(n), n))
+            lhs = 2.0 * constants.sigma_sq * math.sqrt(n) * traj.gains[n] + c * root / math.sqrt(n)
+            assert row["lhs"] == pytest.approx(lhs, rel=1e-12)
+            assert row["rhs"] == pytest.approx((2.0 * constants.sigma_sq + c) * full
+                                               / math.sqrt(n), rel=1e-12)
 
 
 class TestSubmodularityRatio:
