@@ -38,6 +38,7 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.random import Generator, SeedSequence, default_rng
 
 from .data import SyntheticTruth, labeled_oracle, load_embeddings, sample_gp_truth
 from .errors import ConfigError
@@ -249,7 +250,7 @@ def _count(layout: dict, key: str, default: int | None = None) -> int:
     return count
 
 
-def _uniform_layout(layout: dict, rng: np.random.Generator):
+def _uniform_layout(layout: dict, rng: Generator):
     dim, s_count = _count(layout, "dim", 2), _count(layout, "s_count")
     a_count = _count(layout, "a_count")
     floats = partial(np.asarray, dtype=float)
@@ -301,7 +302,7 @@ def _resolve_ids(section, available: Sequence[int], field: str) -> tuple[int, ..
 
 def build_domain(config: RunConfig, seed: int) -> DomainInstance:
     """Realize the configured domain for one seed."""
-    keys = np.random.SeedSequence(seed).generate_state(4)
+    keys = SeedSequence(seed).generate_state(4)
     noise = NoiseModel.homoscedastic(float(config.hyper["rho"]) ** 2)
     source = config.domain["source"]
     if source == "synthetic":
@@ -311,7 +312,7 @@ def build_domain(config: RunConfig, seed: int) -> DomainInstance:
             if "a_count" not in layout and config.hyper["M"] is not None:
                 layout["a_count"] = int(config.hyper["M"])
             points, sample_ids, target_ids, relevant = _uniform_layout(
-                layout, np.random.default_rng(int(keys[0])))
+                layout, default_rng(int(keys[0])))
         else:
             points, sample_ids, target_ids, relevant = _grid_layout(layout)
     else:
@@ -332,8 +333,9 @@ def build_domain(config: RunConfig, seed: int) -> DomainInstance:
         outside = sorted(set(relevant) - set(sample_ids))
         if outside:
             raise ConfigError(f"field 'relevant' lists ids outside the sample space: {outside}")
-    truth = sample_gp_truth(kernel, points, int(keys[1]))
-    prior = PosteriorState.from_prior(gram(kernel, points), noise)
+    prior_gram = gram(kernel, points)
+    truth = sample_gp_truth(kernel, points, int(keys[1]), prior=prior_gram)
+    prior = PosteriorState.from_prior(prior_gram, noise)
     return DomainInstance(points=tuple(points), kernel=kernel, noise=noise,
                           prior=prior, sample_ids=tuple(sample_ids),
                           target_ids=tuple(target_ids), relevant=tuple(relevant),
@@ -345,7 +347,7 @@ def build_policy(entry: dict, config: RunConfig, seed: int) -> Policy:
     hyper = config.hyper
     m = entry.get("m", hyper["m"])
     rule_tag = entry.get("name", entry["rule"])
-    policy_seed = int(np.random.SeedSequence([seed, _stable_tag(rule_tag)]).generate_state(1)[0])
+    policy_seed = int(SeedSequence([seed, _stable_tag(rule_tag)]).generate_state(1)[0])
     return Policy(
         rule=entry["rule"],
         batch_size=int(entry.get("b", hyper["b"])),

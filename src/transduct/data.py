@@ -25,9 +25,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+# imported by name so that numpy.random loads with the package, not in its first draw
+from numpy.random import default_rng
 
 from .errors import DataError, InputError, NumericError, ParseError
-from .kernels import KernelSpec, NoiseModel, Point, gram, jittered
+from .kernels import KernelMatrix, KernelSpec, NoiseModel, Point, jittered
+from .kernels import gram  # noqa: F401  (public name here; tracing tools wrap it)
 
 RECORD_VERSION = "v1"
 _BINARY_MAGIC = b"TDEMB1\n"
@@ -168,12 +171,16 @@ def _covariance_factor(matrix: np.ndarray) -> np.ndarray:
         return eigvecs * np.sqrt(np.maximum(eigvals, 0.0))
 
 
-def sample_gp_truth(spec: KernelSpec, grid: Sequence[Point], seed: int) -> SyntheticTruth:
-    """Draw f* ~ N(0, K) over the grid via a seeded Cholesky transform."""
+def sample_gp_truth(spec: KernelSpec, grid: Sequence[Point], seed: int, *,
+                    prior: KernelMatrix) -> SyntheticTruth:
+    """Draw f* ~ N(0, K) over the grid via a seeded Cholesky transform,
+    where ``prior`` is K = ``gram(spec, grid)``, built once by the caller."""
     if not grid:
         raise InputError("grid must be nonempty")
-    factor = _covariance_factor(gram(spec, grid).values)
-    draw = np.random.default_rng(seed).standard_normal(len(grid))
+    if prior.ids != tuple(p.index for p in grid):
+        raise InputError("the prior Gram's ids do not match the grid")
+    factor = _covariance_factor(prior.values)
+    draw = default_rng(seed).standard_normal(len(grid))
     return SyntheticTruth(kernel=spec, points=tuple(grid),
                           values=factor @ draw, seed=seed)
 
@@ -182,7 +189,7 @@ def labeled_oracle(truth: SyntheticTruth, noise: NoiseModel,
                    seed: int) -> Callable[[int], float]:
     """Label provider y = f*(x) + eps with fresh seeded noise per query."""
     lookup = {p.index: float(v) for p, v in zip(truth.points, truth.values)}
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
 
     def oracle(index: int) -> float:
         if index not in lookup:

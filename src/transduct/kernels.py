@@ -14,6 +14,10 @@ Supported families and their closed forms (``h`` is the lengthscale,
 Only half-integer Matern orders with closed forms are supported; general
 Bessel evaluation is out of scope.  The laplace family uses the L1 norm,
 so it coincides with matern(1/2) exactly on one-dimensional inputs.
+
+Grams of the distance families use numpy alone: squared or absolute
+coordinate differences are summed in place one coordinate at a time, in
+coordinate order, which gives the same bits as scipy's ``cdist``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import InputError
 
@@ -38,6 +41,8 @@ MATERN_ORDERS = (0.5, 1.5, 2.5)
 
 #: Relative jitter added to Gram diagonals before any factorization.
 JITTER_SCALE = 1e-10
+#: Entries per row block of the pairwise distance sums (512 KB of float64).
+_BLOCK_ENTRIES = 1 << 16
 
 
 def _as_vector(value, name: str) -> np.ndarray | None:
@@ -252,6 +257,26 @@ def _stack(points: Sequence[Point], what: str) -> np.ndarray:
     return np.stack(rows)
 
 
+def _pairwise_sum(x: np.ndarray, term) -> np.ndarray:
+    """D[i, j] = sum_k term(x[i, k] - x[j, k]), summed over k in order.
+
+    Rows go in blocks of about ``_BLOCK_ENTRIES`` entries, so a block's sums
+    and differences stay in cache while the coordinates are added.
+    """
+    n = x.shape[0]
+    rows = max(1, _BLOCK_ENTRIES // n)
+    total = np.zeros((n, n))
+    diff = np.empty((min(rows, n), n))
+    columns = np.ascontiguousarray(x.T)
+    for start in range(0, n, rows):
+        block = total[start:start + rows]
+        part = diff[:len(block)]
+        for column in columns:
+            np.subtract.outer(column[start:start + rows], column, out=part)
+            block += term(part, out=part)
+    return total
+
+
 def gram(spec: KernelSpec, points: Sequence[Point]) -> KernelMatrix:
     """Build the Gram matrix K[i, j] = k(points[i], points[j])."""
     if not points:
@@ -272,15 +297,18 @@ def gram(spec: KernelSpec, points: Sequence[Point]) -> KernelMatrix:
         k = (k + k.T) / 2.0
     else:
         x = _stack(points, "coords")
-        if spec.family == GAUSSIAN:
-            d2 = cdist(x, x, "sqeuclidean")
-            k = np.exp(-d2 / (2.0 * spec.lengthscale ** 2))
-        elif spec.family == LAPLACE:
-            d1 = cdist(x, x, "cityblock")
-            k = np.exp(-d1 / spec.lengthscale)
+        if spec.family == MATERN:
+            r = _pairwise_sum(x, np.square)
+            k = _matern_of_distance(np.sqrt(r, out=r), spec.lengthscale, spec.nu)
         else:
-            r = cdist(x, x, "euclidean")
-            k = _matern_of_distance(r, spec.lengthscale, spec.nu)
+            # exp(-d / scale), in place
+            if spec.family == GAUSSIAN:
+                k, scale = _pairwise_sum(x, np.square), 2.0 * spec.lengthscale ** 2
+            else:
+                k, scale = _pairwise_sum(x, np.abs), spec.lengthscale
+            np.negative(k, out=k)
+            k /= scale
+            np.exp(k, out=k)
     return KernelMatrix(values=k, ids=ids)
 
 

@@ -33,6 +33,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.random import Generator, default_rng
 
 from .data import RoundEntry, RunRecord
 from .errors import DataError, InputError
@@ -68,6 +69,8 @@ SOFTMAX_RULES = frozenset((MAX_ENTROPY, MAX_MARGIN, LEAST_CONFIDENCE, INFO_DENSI
 TARGET_RULES = frozenset((ITL, CTL, COSINE, INFO_DENSITY))
 #: rules whose scores change when the conditional covariance is downdated
 _POSTERIOR_RULES = frozenset((ITL, CTL, UNCERTAINTY, UNDIRECTED_ITL))
+#: rules that BaCE rescores after each in-batch pick; the others score once a batch
+_PICK_DEPENDENT_RULES = _POSTERIOR_RULES | {MAX_DIST}
 
 BRUTE_FORCE_BATCH_CAP = 100_000
 _DEGENERATE_VAR = 1e-12
@@ -246,7 +249,7 @@ def _history_indices(state: PosteriorState) -> list[int]:
 def select_batch(state: PosteriorState, targets: Sequence[int],
                  candidates: Sequence[int], policy: Policy, *,
                  softmax: SoftmaxTable | None = None,
-                 rng: np.random.Generator | None = None) -> BatchResult:
+                 rng: Generator | None = None) -> BatchResult:
     """Select a batch of ``policy.batch_size`` distinct candidates."""
     cand = sorted(int(c) for c in candidates)
     if len(set(cand)) != len(cand):
@@ -255,7 +258,7 @@ def select_batch(state: PosteriorState, targets: Sequence[int],
     if b > len(cand):
         raise InputError(f"batch size {b} exceeds the candidate pool ({len(cand)})")
     if rng is None:
-        rng = np.random.default_rng(policy.seed)
+        rng = default_rng(policy.seed)
     targets = tuple(int(t) for t in targets)
 
     if policy.rule == RANDOM:
@@ -278,8 +281,11 @@ def select_batch(state: PosteriorState, targets: Sequence[int],
     objectives: list[float] = []
     rho2 = policy.rho ** 2
     mask = np.zeros(len(cand), dtype=bool)
+    fixed = (None if policy.rule in _PICK_DEPENDENT_RULES
+             else _score_candidates(blocks, policy, softmax, history))
     for step in range(b):
-        scores = _score_candidates(blocks, policy, softmax, history + picked)
+        scores = fixed if fixed is not None else _score_candidates(
+            blocks, policy, softmax, history + picked)
         scores = np.where(mask, -np.inf, scores)
         best = int(np.argmax(scores))
         picked.append(cand[best])
@@ -292,7 +298,7 @@ def select_batch(state: PosteriorState, targets: Sequence[int],
 
 
 def _select_kmeanspp(state: PosteriorState, cand: list[int], b: int,
-                     rng: np.random.Generator) -> BatchResult:
+                     rng: Generator) -> BatchResult:
     picked: list[int] = []
     objectives: list[float] = []
     selected = _history_indices(state)
@@ -344,7 +350,7 @@ def brute_force_batch(state: PosteriorState, targets: Sequence[int],
 
 
 def subsample_targets(targets: Sequence[int], m: int,
-                      rng: np.random.Generator) -> tuple[int, ...]:
+                      rng: Generator) -> tuple[int, ...]:
     """Draw m target indices uniformly without replacement."""
     targets = list(targets)
     if m < 1:
@@ -360,7 +366,7 @@ def subsample_targets(targets: Sequence[int], m: int,
 # ---------------------------------------------------------------------------
 
 def run_loop(state: PosteriorState, targets: Sequence[int],
-             sample_space: Sequence[int] | Callable[[int, np.random.Generator], Sequence[int]],
+             sample_space: Sequence[int] | Callable[[int, Generator], Sequence[int]],
              policy: Policy, oracle: Callable[[int], float], rounds: int, *,
              candidate_size: int | None = None, relevant: Iterable[int] = (),
              softmax: SoftmaxTable | None = None,
@@ -375,7 +381,7 @@ def run_loop(state: PosteriorState, targets: Sequence[int],
     """
     targets = tuple(int(t) for t in targets)
     relevant = frozenset(int(r) for r in relevant)
-    rng = np.random.default_rng(policy.seed)
+    rng = default_rng(policy.seed)
     record = RunRecord(config=dict(config or {}))
     retrieved: set[int] = set()
 

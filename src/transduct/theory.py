@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -108,6 +109,11 @@ class Trajectory:
     @property
     def rounds(self) -> int:
         return len(self.picks)
+
+    @cached_property
+    def constants(self) -> TheoryConstants:
+        """The prior's scale constants over the sample space, computed once."""
+        return TheoryConstants.from_state(self.prior, self.sample_space)
 
 
 @dataclass(frozen=True)
@@ -209,7 +215,6 @@ def check_gamma_bound(trajectory: Trajectory) -> BoundCheck:
 
 def check_within_S_bound(trajectory: Trajectory) -> BoundCheck:
     """Check sigma_n^2(x) <= 2 sigma~^2 Gamma_n for x in both A and S."""
-    constants = TheoryConstants.from_state(trajectory.prior, trajectory.sample_space)
     overlap = np.isin(trajectory.targets, trajectory.sample_space)
     if not overlap.any():
         return BoundCheck(name="within-sample-bound", passed=None,
@@ -218,7 +223,7 @@ def check_within_S_bound(trajectory: Trajectory) -> BoundCheck:
     ok_all = True
     for n, gamma_step in enumerate(trajectory.gains):
         worst = float(np.max(trajectory.variances[n][overlap]))
-        bound = 2.0 * constants.sigma_tilde_sq * gamma_step
+        bound = 2.0 * trajectory.constants.sigma_tilde_sq * gamma_step
         ok = worst <= bound + _TOL
         ok_all &= ok
         rows.append({"n": n, "max_variance": worst, "bound": bound, "holds": ok})
@@ -252,19 +257,22 @@ def capacity_upper_bound(variances: np.ndarray, noise: np.ndarray, budget: float
 
 
 def markov_size_bound(state: PosteriorState, sample_space: Sequence[int],
-                      epsilon: float, *, cap: int = SIZE_BOUND_CAP) -> tuple[int, bool]:
+                      epsilon: float, *, cap: int = SIZE_BOUND_CAP,
+                      constants: TheoryConstants | None = None) -> tuple[int, bool]:
     """Smallest k with gamma_k / k below the size-condition threshold.
 
     The capacity is always computed from the prior, regardless of the
     state's history. Small budgets are checked exactly by enumeration;
     beyond that the certified water-filling upper bound stands in, which
     can only enlarge the reported k (never produce an unsound one).
-    Returns (k, exact).
+    ``constants`` are the prior's over the sample space, when the caller has
+    them. Returns (k, exact).
     """
     if not epsilon > 0:
         raise InputError("epsilon must be positive")
     space = tuple(sorted(int(s) for s in sample_space))
-    constants = TheoryConstants.from_state(state, space)
+    if constants is None:
+        constants = TheoryConstants.from_state(state, space)
     lam = max(constants.lambda_min, 0.0)
     threshold = (epsilon * lam ** 2
                  / (2.0 * len(space) ** 2 * constants.sigma_sq ** 2
@@ -360,9 +368,9 @@ def check_variance_bound(trajectory: Trajectory, epsilon: float) -> BoundCheck:
     trajectory. Rows also carry the reducible gap max_x(sigma_n^2 - eta^2)
     for convergence reporting.
     """
-    prior = trajectory.prior
-    constants = TheoryConstants.from_state(prior, trajectory.sample_space)
-    size_bound, exact = markov_size_bound(prior, trajectory.sample_space, epsilon)
+    prior, constants = trajectory.prior, trajectory.constants
+    size_bound, exact = markov_size_bound(prior, trajectory.sample_space, epsilon,
+                                          constants=constants)
     eta = np.array([irreducible_uncertainty(prior.gram, trajectory.sample_space, x)
                     for x in trajectory.targets])
     rows = []
@@ -387,8 +395,7 @@ def check_variance_bound(trajectory: Trajectory, epsilon: float) -> BoundCheck:
 def check_reducible_schedule(trajectory: Trajectory) -> BoundCheck:
     """Check the schedule eps_n = c gamma_sqrt(n)/sqrt(n): the combined
     reducible term must stay below (2 sigma^2 + c) gamma_n / sqrt(n)."""
-    prior = trajectory.prior
-    constants = TheoryConstants.from_state(prior, trajectory.sample_space)
+    prior, constants = trajectory.prior, trajectory.constants
     lam = max(constants.lambda_min, 0.0)
     if lam <= 0:
         return BoundCheck(name="reducible-schedule", passed=None,

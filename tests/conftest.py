@@ -6,10 +6,13 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from transduct import (BudgetError, KernelMatrix, NoiseModel, Observation, PosteriorState,
                        batch_information_gain, condition, step_uncertainty)
-from transduct.posterior import _Blocks, _itl_scores, chol_logdet
+from transduct.kernels import _matern_of_distance
+from transduct.posterior import _Blocks, _itl_scores, bace_update, chol_logdet
+from transduct.selection import _POSTERIOR_RULES, _score_candidates
 
 
 def random_corr_gram(rng, n, floor=0.0, ids=None):
@@ -212,6 +215,37 @@ def submodularity_ratio_reference(state, targets, space, greedy, k):
                         current = numerator / denominator
                     ratio = min(ratio, current)
     return ratio
+
+
+def cdist_gram_reference(spec, points):
+    """Gram values of a distance family on scipy's ``cdist``, the runtime's
+    distance kernel before it became numpy-only (scipy is a test dependency)."""
+    x = np.stack([p.coords for p in points])
+    if spec.family == "gaussian":
+        return np.exp(-cdist(x, x, "sqeuclidean") / (2.0 * spec.lengthscale ** 2))
+    if spec.family == "laplace":
+        return np.exp(-cdist(x, x, "cityblock") / spec.lengthscale)
+    return _matern_of_distance(cdist(x, x, "euclidean"), spec.lengthscale, spec.nu)
+
+
+def rescoring_bace_reference(state, targets, candidates, policy, softmax=None):
+    """BaCE that rescores every candidate at every step, whatever the rule.
+    Returns (picks, objectives) as ``select_batch`` does."""
+    cand = sorted(candidates)
+    blocks = _Blocks(state, targets, cand, policy.batch_size - 1)
+    history = [obs.index for obs in state.history]
+    picks, objectives = [], []
+    mask = np.zeros(len(cand), dtype=bool)
+    for step in range(policy.batch_size):
+        scores = np.where(mask, -np.inf,
+                          _score_candidates(blocks, policy, softmax, history + picks))
+        best = int(np.argmax(scores))
+        picks.append(cand[best])
+        objectives.append(float(scores[best]))
+        mask[best] = True
+        if policy.rule in _POSTERIOR_RULES and step < policy.batch_size - 1:
+            bace_update(blocks, best, policy.rho ** 2)
+    return tuple(picks), tuple(objectives)
 
 
 @pytest.fixture

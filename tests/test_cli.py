@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import transduct
 from transduct import cli
 from transduct.cli import main
 from transduct.config import PRESETS, build_domain, load_config, parse_config
@@ -327,6 +330,19 @@ class TestTheoryCommand:
         cfg = write_config(tmp_path / "t.json", grid_theory_config(epsilon=1e-9))
         assert main(["theory", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
+    def test_sample_gram_spectrum_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(matrix, *args, **kwargs):
+            calls.append(np.shape(matrix))
+            return eigvalsh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        cfg = write_config(tmp_path / "t.json", grid_theory_config())
+        assert main(["theory", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert calls == [(3, 3)]
+
     def test_requires_sample_inside_targets(self, tmp_path):
         cfg = grid_theory_config()
         cfg["domain"]["layout"]["include_s_in_a"] = False
@@ -445,6 +461,16 @@ class TestDomainBuilders:
         assert set(domain.relevant) <= set(domain.sample_ids)
         assert domain.truth is not None
 
+    def test_one_gram_per_domain(self, monkeypatch):
+        calls = []
+        for module in (transduct.config, transduct.data):
+            def counted(spec, points, _gram=module.gram):
+                calls.append(len(points))
+                return _gram(spec, points)
+            monkeypatch.setattr(module, "gram", counted)
+        domain = build_domain(parse_config(base_run_config()), seed=0)
+        assert calls == [domain.prior.gram.size]
+
     def test_embedding_domain(self, tmp_path):
         emb = tmp_path / "emb.txt"
         emb.write_text("p=2 n=4\n0,1.0,0.0\n1,0.9,0.1\n2,0.0,1.0\n3,0.1,0.9\n")
@@ -467,3 +493,39 @@ class TestDomainBuilders:
         monkeypatch.setenv("TRANSDUCT_LOG", "debug")
         cfg = write_config(tmp_path / "c.json", base_run_config(rounds=1, seeds=[0]))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(transduct.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+class TestNumpyOnlyRuntime:
+    @pytest.mark.parametrize("command,payload", [("run", base_run_config()),
+                                                 ("theory", grid_theory_config())])
+    def test_commands_run_with_scipy_blocked(self, tmp_path, command, payload):
+        cfg = write_config(tmp_path / "c.json", payload)
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+        done = run_python("import sys\n"
+                          "sys.modules['scipy'] = None  # any scipy import now fails\n"
+                          "from transduct.cli import main\n"
+                          f"sys.exit(main({argv!r}))\n")
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_cli_import_loads_no_scipy(self):
+        done = run_python("import sys, transduct.cli\n"
+                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_package_import_loads_numpy_random(self):
+        # numpy loads numpy.random lazily; the first draw must not pay for it
+        done = run_python("import sys, transduct\n"
+                          "print('numpy.random' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "True"

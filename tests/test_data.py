@@ -15,6 +15,7 @@ from transduct import (
     load_run,
     load_softmax,
     persist_run,
+    gram,
     sample_gp_truth,
     save_embeddings,
 )
@@ -24,6 +25,7 @@ from transduct.data import (
     save_embeddings_binary,
     save_table,
 )
+from transduct.kernels import jittered
 
 
 class TestEmbeddingFiles:
@@ -93,24 +95,28 @@ class TestSoftmaxFiles:
         np.testing.assert_allclose(table.rows([9]), [[0.5, 0.5]])
 
 
+def draw_truth(spec, grid, seed):
+    return sample_gp_truth(spec, grid, seed, prior=gram(spec, grid))
+
+
 class TestSyntheticTruth:
     def test_single_point_moments(self):
         spec = KernelSpec("linear")
         grid = [Point(0, coords=[1.0])]
-        draws = np.array([sample_gp_truth(spec, grid, seed).values[0]
+        draws = np.array([draw_truth(spec, grid, seed).values[0]
                           for seed in range(100_000)])
         assert abs(draws.var() - 1.0) < 0.02
 
     def test_degenerate_kernel_gives_zero(self):
         spec = KernelSpec("linear")
-        truth = sample_gp_truth(spec, [Point(0, coords=[0.0])], 3)
+        truth = draw_truth(spec, [Point(0, coords=[0.0])], 3)
         assert truth.values[0] == 0.0
 
     def test_seeded_reproducibility(self, rng):
         spec = KernelSpec("gaussian", 0.5)
         grid = [Point(i, coords=rng.uniform(0, 1, 2)) for i in range(6)]
-        a = sample_gp_truth(spec, grid, 42)
-        b = sample_gp_truth(spec, grid, 42)
+        a = draw_truth(spec, grid, 42)
+        b = draw_truth(spec, grid, 42)
         assert np.array_equal(a.values, b.values)
 
     def test_covariance_moment_check(self, rng):
@@ -120,29 +126,44 @@ class TestSyntheticTruth:
 
         k = gram(spec, grid).values
         n = 10_000
-        draws = np.stack([sample_gp_truth(spec, grid, seed).values
+        draws = np.stack([draw_truth(spec, grid, seed).values
                           for seed in range(n)])
         empirical = draws.T @ draws / n
         stderr = np.sqrt((np.outer(np.diag(k), np.diag(k)) + k ** 2) / n)
         assert np.all(np.abs(empirical - k) <= 5 * stderr)
+
+    def test_draw_is_the_seeded_cholesky_transform_bit_for_bit(self, rng):
+        spec = KernelSpec("matern", 0.4, nu=1.5)
+        grid = [Point(i, coords=rng.uniform(0, 1, 2)) for i in range(30)]
+        prior = gram(spec, grid)
+        expected = (np.linalg.cholesky(jittered(prior.values))
+                    @ np.random.default_rng(7).standard_normal(len(grid)))
+        truth = sample_gp_truth(spec, grid, 7, prior=prior)
+        assert truth.values.tobytes() == expected.tobytes()
+
+    def test_prior_gram_over_other_ids_is_refused(self, rng):
+        spec = KernelSpec("gaussian", 0.5)
+        grid = [Point(i, coords=rng.uniform(0, 1, 2)) for i in range(4)]
+        with pytest.raises(InputError):
+            sample_gp_truth(spec, grid, 0, prior=gram(spec, grid[::-1]))
 
 
 class TestLabeledOracle:
     def test_tiny_noise_recovers_truth(self, rng):
         spec = KernelSpec("gaussian", 0.5)
         grid = [Point(i, coords=rng.uniform(0, 1, 1)) for i in range(3)]
-        truth = sample_gp_truth(spec, grid, 1)
+        truth = draw_truth(spec, grid, 1)
         oracle = labeled_oracle(truth, NoiseModel.homoscedastic(1e-12), seed=2)
         np.testing.assert_allclose(oracle(0), truth.values[0], atol=1e-5)
 
     def test_noise_variance_matches_model(self):
-        truth = sample_gp_truth(KernelSpec("linear"), [Point(0, coords=[2.0])], 0)
+        truth = draw_truth(KernelSpec("linear"), [Point(0, coords=[2.0])], 0)
         oracle = labeled_oracle(truth, NoiseModel.homoscedastic(0.49), seed=5)
         draws = np.array([oracle(0) for _ in range(10_000)])
         assert abs(draws.var() - 0.49) < 0.03
 
     def test_noise_is_serially_uncorrelated(self):
-        truth = sample_gp_truth(KernelSpec("linear"), [Point(0, coords=[1.5])], 0)
+        truth = draw_truth(KernelSpec("linear"), [Point(0, coords=[1.5])], 0)
         oracle = labeled_oracle(truth, NoiseModel.homoscedastic(1.0), seed=7)
         n = 10_000
         draws = np.array([oracle(0) for _ in range(n)]) - truth.values[0]
@@ -150,13 +171,13 @@ class TestLabeledOracle:
         assert abs(lag1) < 3 / np.sqrt(n)
 
     def test_seeded_determinism(self):
-        truth = sample_gp_truth(KernelSpec("linear"), [Point(0, coords=[1.0])], 0)
+        truth = draw_truth(KernelSpec("linear"), [Point(0, coords=[1.0])], 0)
         a = labeled_oracle(truth, NoiseModel.homoscedastic(0.3), seed=11)
         b = labeled_oracle(truth, NoiseModel.homoscedastic(0.3), seed=11)
         assert [a(0) for _ in range(5)] == [b(0) for _ in range(5)]
 
     def test_unknown_index(self):
-        truth = sample_gp_truth(KernelSpec("linear"), [Point(0, coords=[1.0])], 0)
+        truth = draw_truth(KernelSpec("linear"), [Point(0, coords=[1.0])], 0)
         oracle = labeled_oracle(truth, NoiseModel.homoscedastic(0.3), seed=1)
         with pytest.raises(DataError):
             oracle(99)

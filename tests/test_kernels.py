@@ -15,6 +15,7 @@ from transduct import (
     gram,
 )
 from transduct.kernels import jittered, kernel_distance
+from conftest import cdist_gram_reference
 
 
 def pt(i, coords=None, emb=None):
@@ -109,6 +110,20 @@ class TestGram:
                     np.testing.assert_allclose(
                         k.values[i, j], eval_kernel(spec, points[i], points[j]),
                         rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 32])
+    @pytest.mark.parametrize("family,nu", [("gaussian", None), ("laplace", None),
+                                           ("matern", 0.5), ("matern", 1.5),
+                                           ("matern", 2.5)])
+    def test_bitwise_equal_to_cdist_reference(self, rng, family, nu, dim):
+        # lengthscales grow with the dimension so entries stay away from 0 and 1
+        scale = dim if family == "laplace" else math.sqrt(dim)
+        for spread in (1e-3, 1.0, 40.0):
+            # 300 rows span two row blocks of the distance sums, the second partial
+            points = [pt(i, coords=rng.standard_normal(dim) * spread) for i in range(300)]
+            spec = KernelSpec(family, 0.7 * scale * spread, nu=nu)
+            assert np.array_equal(gram(spec, points).values,
+                                  cdist_gram_reference(spec, points))
 
     def test_jittered_gram_admits_cholesky_up_to_512(self, rng):
         points = [pt(i, coords=rng.uniform(0, 1, size=2)) for i in range(512)]

@@ -27,7 +27,8 @@ from transduct import (
     select_batch,
     subsample_targets,
 )
-from conftest import random_corr_gram, random_state
+from transduct import selection
+from conftest import random_corr_gram, random_state, rescoring_bace_reference
 
 TWO_POINT = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -265,6 +266,43 @@ class TestFactorBaCE:
             picks, objectives = dense_bace(state, targets, candidates, policy)
             assert got.indices == picks
             np.testing.assert_allclose(got.objectives, objectives, rtol=0, atol=1e-12)
+
+
+class TestScoreOncePerBatch:
+    @pytest.mark.parametrize("rule", ["cosine", "info-density", "max-entropy", "max-margin",
+                                      "least-confidence", "max-dist"])
+    def test_matches_per_step_rescoring(self, rng, rule):
+        for _ in range(25):
+            n = int(rng.integers(8, 25))
+            state = random_state(rng, n, hetero=bool(rng.integers(0, 2)))
+            if rng.integers(0, 2):
+                observed = rng.integers(0, n, size=4)
+                state = condition_all(state, [Observation(int(i), 0.3, 0.2) for i in observed])
+            targets = sorted(int(t) for t in rng.choice(n, int(rng.integers(1, 6)),
+                                                        replace=False))
+            b = int(rng.integers(1, 7))
+            candidates = sorted(int(c) for c in rng.choice(n, int(rng.integers(b, n + 1)),
+                                                           replace=False))
+            softmax = SoftmaxTable(rng.dirichlet(np.ones(4), size=n), tuple(range(n)))
+            policy = Policy(rule=rule, batch_size=b, rho=float(rng.uniform(0.2, 1.5)),
+                            beta=float(rng.uniform(0.5, 2.0)))
+            got = select_batch(state, targets, candidates, policy, softmax=softmax)
+            assert (got.indices, got.objectives) == rescoring_bace_reference(
+                state, targets, candidates, policy, softmax)
+
+    def test_cosine_scored_once_per_batch(self, rng, monkeypatch):
+        calls = []
+        scorer = selection._prior_cosine_scores
+
+        def counted(blocks):
+            calls.append(len(blocks.candidates))
+            return scorer(blocks)
+
+        monkeypatch.setattr(selection, "_prior_cosine_scores", counted)
+        state = random_state(rng, 12, unit_diag=True)
+        result = select_batch(state, [10, 11], range(10), Policy(rule="cosine", batch_size=5))
+        assert len(result.indices) == 5
+        assert calls == [10]
 
 
 class TestBruteForceBatch:

@@ -454,3 +454,11 @@ class TestConstants:
         assert constants.sigma_tilde_sq == 1.5
         np.testing.assert_allclose(constants.lambda_min,
                                    np.linalg.eigvalsh(values).min())
+
+    def test_trajectory_computes_constants_once(self, rng):
+        state = small_state(0.1, 6, rng)
+        trajectory = greedy_itl_trajectory(state, range(6), [4, 1, 3], 3)
+        assert trajectory.constants is trajectory.constants
+        assert trajectory.constants == TheoryConstants.from_state(state, [1, 3, 4])
+        assert (markov_size_bound(state, [4, 1, 3], 0.5, constants=trajectory.constants)
+                == markov_size_bound(state, [4, 1, 3], 0.5))
