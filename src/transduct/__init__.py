@@ -36,12 +36,8 @@ from .posterior import (
 from .selection import (
     BatchResult,
     Policy,
-    SoftmaxTable,
     brute_force_batch,
     run_loop,
-    score_baseline,
-    score_ctl,
-    score_itl,
     select_batch,
     subsample_targets,
 )
@@ -52,7 +48,6 @@ from .data import (
     labeled_oracle,
     load_embeddings,
     load_run,
-    load_softmax,
     persist_run,
     sample_gp_truth,
     save_embeddings,

@@ -4,6 +4,7 @@ A run config is a JSON object with the sections
 
     domain    {"source": "synthetic", "kernel": {...}, "layout": {...}}
               or {"source": "embeddings", "path": ..., "s": [...], "a": [...]}
+              (path: a text or binary embedding file, see ``data``)
     policies  list of rule names or {"rule": ..., overrides...}
     rounds    number of selection rounds
     seeds     list of integer seeds
@@ -13,9 +14,8 @@ A run config is a JSON object with the sections
     grid      parameter grid for the ablate command: a list of values for
               any of rho, k, m, M (hyper fields) and batch_mode (every policy)
 
-A policy override may set b, m, rho, beta, batch_mode, stabilize and a
-display name. The softmax rules are refused: a config cannot supply their
-SoftmaxTable.
+A policy entry names one of ``selection.RULES``; an override may set b, m,
+rho, batch_mode, stabilize and a display name.
 
 Synthetic layouts:
 
@@ -44,7 +44,7 @@ from .data import SyntheticTruth, labeled_oracle, load_embeddings, sample_gp_tru
 from .errors import ConfigError
 from .kernels import KernelSpec, NoiseModel, Point, gram
 from .posterior import PosteriorState
-from .selection import RULES, SOFTMAX_RULES, Policy
+from .selection import RULES, Policy
 
 PRESETS = {
     "mnist-like": {"b": 1, "m": 3, "M": 30, "rho": 0.01, "k": 1000},
@@ -53,7 +53,7 @@ PRESETS = {
 
 _DEFAULT_HYPER = {"k": None, "m": None, "M": None, "b": 1, "rho": 1.0}
 _CONFIG_KEYS = ("domain", "policies", "rounds", "seeds", "hyper", "relevant", "epsilon", "grid")
-_POLICY_KEYS = ("rule", "name", "b", "m", "rho", "beta", "batch_mode", "stabilize")
+_POLICY_KEYS = ("rule", "name", "b", "m", "rho", "batch_mode", "stabilize")
 _LAYOUT_KEYS = {"uniform": ("kind", "dim", "s_count", "a_count", "box", "a_box"),
                 "grid": ("kind", "s_count", "start", "step", "a_extra", "include_s_in_a")}
 _GRID_AXES = ("rho", "k", "m", "M", "batch_mode")
@@ -189,14 +189,11 @@ def parse_config(raw: dict, *, preset: str | None = None,
         rule = entry["rule"]
         if rule not in RULES:
             raise ConfigError(f"unknown rule {rule!r} in field 'policies'")
-        if rule in SOFTMAX_RULES:
-            raise ConfigError(f"rule {rule!r} in field 'policies' needs a softmax table, "
-                              "which a run config cannot supply")
         _typed(entry.get("name", rule), str, f"policies[{i}].name")
         if entry.get("batch_mode", "bace") not in ("bace", "topb"):
             raise ConfigError(f"field 'policies[{i}].batch_mode' must be 'bace' or 'topb'")
         entry = dict(entry)
-        for key, kind in (("b", int), ("m", int), ("rho", float), ("beta", float)):
+        for key, kind in (("b", int), ("m", int), ("rho", float)):
             if key in entry and (entry[key] is not None or key != "m"):  # m may be null
                 entry[key] = _number(kind, entry[key], f"policies[{i}].{key}")
         policies.append(entry)
@@ -355,7 +352,6 @@ def build_policy(entry: dict, config: RunConfig, seed: int) -> Policy:
         target_subsample=None if m is None else int(m),
         seed=policy_seed,
         rho=float(entry.get("rho", hyper["rho"])),
-        beta=float(entry.get("beta", 1.0)),
         stabilize=bool(entry.get("stabilize", True)),
     )
 

@@ -1,5 +1,5 @@
-"""Ingestion of embeddings, softmax tables and labels; synthetic ground
-truths; run-record persistence.
+"""Ingestion of embeddings and labels; synthetic ground truths; run-record
+persistence.
 
 File formats
 ------------
@@ -10,7 +10,8 @@ values must be finite.
 
 Embedding file (binary, for large p): magic ``TDEMB1\\n`` then little-endian
 int64 count, int64 dim, int64 ids[count], float64 values[count * dim]
-(row-major).
+(row-major). ``load_embeddings`` reads either format, telling them apart by
+the magic.
 
 Run record: line-delimited JSON. The first line holds
 ``{"config": ..., "version": "v1"}``; each further line is one round entry.
@@ -37,12 +38,14 @@ _BINARY_MAGIC = b"TDEMB1\n"
 
 
 # ---------------------------------------------------------------------------
-# embeddings and softmax tables
+# embeddings
 # ---------------------------------------------------------------------------
 
-def _parse_matrix_file(path: str) -> tuple[list[int], np.ndarray]:
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+def _parse_text(path: str, blob: bytes) -> tuple[list[int], np.ndarray]:
+    try:
+        lines = blob.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a UTF-8 text file: {exc}") from exc
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = lines[0].split()
@@ -55,7 +58,7 @@ def _parse_matrix_file(path: str) -> tuple[list[int], np.ndarray]:
         raise ParseError(f"{path}:1: header declares p={dim}, n={count}")
     ids: list[int] = []
     seen: set[int] = set()
-    rows = np.empty((count, dim), dtype=np.float64)
+    rows: list[list[float]] = []  # sized by the file, not by the header's claims
     body = [line for line in lines[1:] if line.strip()]
     if len(body) != count:
         raise ParseError(f"{path}: header declares n={count} rows, found {len(body)}")
@@ -76,14 +79,38 @@ def _parse_matrix_file(path: str) -> tuple[list[int], np.ndarray]:
             raise ParseError(f"{path}:{lineno}: non-finite value in row for id {idx}")
         seen.add(idx)
         ids.append(idx)
-        rows[len(ids) - 1] = values
-    return ids, rows
+        rows.append(values)
+    return ids, np.array(rows, dtype=np.float64).reshape(count, dim)
+
+
+def _parse_binary(path: str, blob: bytes) -> tuple[np.ndarray, np.ndarray]:
+    offset = len(_BINARY_MAGIC)
+    if len(blob) < offset + 16:
+        raise ParseError(f"{path}: binary embedding file ends inside its header")
+    header = np.frombuffer(blob, dtype="<i8", count=2, offset=offset)
+    count, dim = int(header[0]), int(header[1])
+    offset += 16
+    if count < 0 or dim < 1 or len(blob) != offset + 8 * count * (1 + dim):
+        raise ParseError(f"{path}: binary header declares n={count}, p={dim}, "
+                         f"which does not match the file size {len(blob)}")
+    ids = np.frombuffer(blob, dtype="<i8", count=count, offset=offset)
+    offset += 8 * count
+    values = np.frombuffer(blob, dtype="<f8", count=count * dim, offset=offset)
+    if len(set(ids.tolist())) != count:
+        raise ParseError(f"{path}: duplicate ids in binary file")
+    if not np.all(np.isfinite(values)):
+        raise ParseError(f"{path}: non-finite values in binary file")
+    return ids, values.reshape(count, dim)
 
 
 def load_embeddings(path: str) -> list[Point]:
-    """Read a text embedding file into domain points."""
-    ids, rows = _parse_matrix_file(path)
-    return [Point(index=i, embedding=row) for i, row in zip(ids, rows)]
+    """Read an embedding file, text or binary (told apart by the magic), into
+    domain points."""
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    parse = _parse_binary if blob.startswith(_BINARY_MAGIC) else _parse_text
+    ids, rows = parse(path, blob)
+    return [Point(index=int(i), embedding=row) for i, row in zip(ids, rows)]
 
 
 def save_embeddings(points: Sequence[Point], path: str) -> None:
@@ -102,26 +129,6 @@ def save_embeddings(points: Sequence[Point], path: str) -> None:
     _atomic_write_text(path, payload)
 
 
-def load_embeddings_binary(path: str) -> list[Point]:
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    if not blob.startswith(_BINARY_MAGIC):
-        raise ParseError(f"{path}: not a binary embedding file")
-    offset = len(_BINARY_MAGIC)
-    header = np.frombuffer(blob, dtype="<i8", count=2, offset=offset)
-    count, dim = int(header[0]), int(header[1])
-    offset += 16
-    ids = np.frombuffer(blob, dtype="<i8", count=count, offset=offset)
-    offset += 8 * count
-    values = np.frombuffer(blob, dtype="<f8", count=count * dim, offset=offset)
-    if len(set(ids.tolist())) != count:
-        raise ParseError(f"{path}: duplicate ids in binary file")
-    if not np.all(np.isfinite(values)):
-        raise ParseError(f"{path}: non-finite values in binary file")
-    matrix = values.reshape(count, dim)
-    return [Point(index=int(i), embedding=row) for i, row in zip(ids, matrix)]
-
-
 def save_embeddings_binary(points: Sequence[Point], path: str) -> None:
     ids = np.array([p.index for p in points], dtype="<i8")
     matrix = np.stack([p.embedding for p in points]).astype("<f8")
@@ -129,20 +136,6 @@ def save_embeddings_binary(points: Sequence[Point], path: str) -> None:
             + np.array([len(points), matrix.shape[1]], dtype="<i8").tobytes()
             + ids.tobytes() + matrix.tobytes())
     _atomic_write_bytes(path, blob)
-
-
-def load_softmax(path: str):
-    """Read a softmax table (same container as embeddings, rows sum to 1)."""
-    from .selection import SoftmaxTable
-
-    ids, rows = _parse_matrix_file(path)
-    if np.any(rows < 0):
-        raise ParseError(f"{path}: softmax rows must be nonnegative")
-    sums = rows.sum(axis=1)
-    bad = np.where(np.abs(sums - 1.0) > 1e-6)[0]
-    if bad.size:
-        raise ParseError(f"{path}: row for id {ids[bad[0]]} sums to {sums[bad[0]]!r}, not 1")
-    return SoftmaxTable(probs=rows, ids=tuple(ids))
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,7 @@ class _Blocks:
     cov[A, C] = state.cov[A, C] - W_A W_C^T.
     """
 
-    def __init__(self, state: PosteriorState | None, targets: Sequence[int],
+    def __init__(self, state: PosteriorState, targets: Sequence[int],
                  candidates: Sequence[int], capacity: int = 0):
         self.state = state
         self.targets = tuple(targets)

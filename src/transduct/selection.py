@@ -1,6 +1,6 @@
 """Decision rules, greedy batch selection, and the round loop.
 
-Rule catalog (higher score wins; argmin rules are negated internally):
+Rule catalog (higher score wins):
 
     itl               I(f_A; y_x | D_{n-1}), backward evaluation
     ctl               sum_{x' in A} Cor(f_x, f_x' | D_{n-1})
@@ -9,10 +9,6 @@ Rule catalog (higher score wins; argmin rules are negated internally):
     max-dist          min kernel distance to previously selected points
     kmeans++          sampled prop. to squared distance to nearest selected
     cosine            mean prior correlation between x and the targets
-    info-density      softmax entropy times (mean cosine)^beta
-    max-entropy       entropy of the softmax row at x
-    max-margin        -(p1 - p2) of the softmax row
-    least-confidence  -p1 of the softmax row
     random            uniform over the candidate pool
 
 Batches are built either greedily with conditional-embedding updates
@@ -38,7 +34,6 @@ from numpy.random import Generator, default_rng
 from .data import RoundEntry, RunRecord
 from .errors import DataError, InputError
 from .posterior import (
-    IGQuery,
     Observation,
     PosteriorState,
     _Blocks,
@@ -47,7 +42,6 @@ from .posterior import (
     batch_information_gain,
     condition,  # noqa: F401  (public name here; tracing tools wrap it)
     condition_all,
-    information_gain,
 )
 
 ITL = "itl"
@@ -57,16 +51,10 @@ UNDIRECTED_ITL = "undirected-itl"
 MAX_DIST = "max-dist"
 KMEANS_PP = "kmeans++"
 COSINE = "cosine"
-INFO_DENSITY = "info-density"
-MAX_ENTROPY = "max-entropy"
-MAX_MARGIN = "max-margin"
-LEAST_CONFIDENCE = "least-confidence"
 RANDOM = "random"
 
-RULES = (ITL, CTL, UNCERTAINTY, UNDIRECTED_ITL, MAX_DIST, KMEANS_PP, COSINE,
-         INFO_DENSITY, MAX_ENTROPY, MAX_MARGIN, LEAST_CONFIDENCE, RANDOM)
-SOFTMAX_RULES = frozenset((MAX_ENTROPY, MAX_MARGIN, LEAST_CONFIDENCE, INFO_DENSITY))
-TARGET_RULES = frozenset((ITL, CTL, COSINE, INFO_DENSITY))
+RULES = (ITL, CTL, UNCERTAINTY, UNDIRECTED_ITL, MAX_DIST, KMEANS_PP, COSINE, RANDOM)
+TARGET_RULES = frozenset((ITL, CTL, COSINE))
 #: rules whose scores change when the conditional covariance is downdated
 _POSTERIOR_RULES = frozenset((ITL, CTL, UNCERTAINTY, UNDIRECTED_ITL))
 #: rules that BaCE rescores after each in-batch pick; the others score once a batch
@@ -74,32 +62,6 @@ _PICK_DEPENDENT_RULES = _POSTERIOR_RULES | {MAX_DIST}
 
 BRUTE_FORCE_BATCH_CAP = 100_000
 _DEGENERATE_VAR = 1e-12
-
-
-@dataclass(frozen=True)
-class SoftmaxTable:
-    """Per-candidate class-probability rows, aligned with an id list."""
-
-    probs: np.ndarray
-    ids: tuple[int, ...]
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 2 or probs.shape[0] != len(self.ids):
-            raise InputError("softmax table shape does not match its id list")
-        if np.any(probs < 0) or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6):
-            raise InputError("softmax rows must be nonnegative and sum to 1")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "ids", tuple(int(i) for i in self.ids))
-        object.__setattr__(self, "_pos", {i: p for p, i in enumerate(self.ids)})
-
-    def rows(self, indices: Sequence[int]) -> np.ndarray:
-        pos = getattr(self, "_pos")
-        try:
-            return self.probs[[pos[i] for i in indices]]
-        except KeyError as exc:
-            raise InputError(f"softmax table has no row for index {exc.args[0]}") from None
 
 
 @dataclass(frozen=True)
@@ -112,7 +74,7 @@ class Policy:
     target_subsample: int | None = None
     seed: int = 0
     rho: float = 1.0
-    beta: float = 1.0
+    beta: float = 1.0  # read by no rule; kept because v1 run-record headers carry it
     stabilize: bool = True
 
     def __post_init__(self):
@@ -126,8 +88,6 @@ class Policy:
             raise InputError("target subsample size must be at least 1")
         if not self.rho > 0:
             raise InputError("policy noise scale rho must be positive")
-        if not self.beta > 0:
-            raise InputError("information-density beta must be positive")
 
 
 @dataclass(frozen=True)
@@ -173,19 +133,12 @@ def _min_sq_distances(state: PosteriorState, candidates: Sequence[int],
     return np.maximum(d2, 0.0).min(axis=1)
 
 
-def _softmax_entropy(rows: np.ndarray) -> np.ndarray:
-    safe = np.where(rows > 0, rows, 1.0)
-    return -(rows * np.log(safe)).sum(axis=1)
-
-
-def _score_candidates(blocks: _Blocks, policy: Policy, softmax: SoftmaxTable | None,
+def _score_candidates(blocks: _Blocks, policy: Policy,
                       selected: Sequence[int]) -> np.ndarray:
     rule = policy.rule
     state, targets, candidates = blocks.state, blocks.targets, blocks.candidates
     if rule in TARGET_RULES and not targets:
         raise InputError(f"rule {rule!r} needs a nonempty target set")
-    if rule in SOFTMAX_RULES and softmax is None:
-        raise InputError(f"rule {rule!r} needs a softmax table")
     if rule == ITL:
         return _itl_scores(blocks, policy.stabilize)
     if rule == CTL:
@@ -200,46 +153,7 @@ def _score_candidates(blocks: _Blocks, policy: Policy, softmax: SoftmaxTable | N
         if not selected:
             return np.zeros(len(candidates))
         return np.sqrt(_min_sq_distances(state, candidates, selected))
-    if rule == MAX_ENTROPY:
-        return _softmax_entropy(softmax.rows(candidates))
-    if rule == MAX_MARGIN:
-        rows = np.sort(softmax.rows(candidates), axis=1)
-        return -(rows[:, -1] - rows[:, -2])
-    if rule == LEAST_CONFIDENCE:
-        return -softmax.rows(candidates).max(axis=1)
-    if rule == INFO_DENSITY:
-        entropy_term = _softmax_entropy(softmax.rows(candidates))
-        relevance = np.maximum(_prior_cosine_scores(blocks), 0.0)
-        return entropy_term * relevance ** policy.beta
     raise InputError(f"rule {rule!r} is not a scored rule")
-
-
-# ---------------------------------------------------------------------------
-# public scoring API
-# ---------------------------------------------------------------------------
-
-def score_itl(state: PosteriorState, targets: Sequence[int], candidate: int,
-              *, stabilize: bool = False) -> float:
-    """I(f_A; y_x | D_{n-1}) via the backward evaluation."""
-    return information_gain(state, IGQuery(tuple(targets), candidate),
-                            stabilize=stabilize)
-
-
-def score_ctl(state: PosteriorState, targets: Sequence[int], candidate: int) -> float:
-    """Total conditional correlation between the candidate and the targets."""
-    return float(_ctl_scores(_Blocks(state, targets, [candidate]))[0])
-
-
-def score_baseline(rule: str, candidate: int, *, state: PosteriorState | None = None,
-                   targets: Sequence[int] = (), softmax: SoftmaxTable | None = None,
-                   selected: Sequence[int] = (), beta: float = 1.0) -> float:
-    """Score one candidate under a baseline rule (higher = preferred)."""
-    if rule in (ITL, CTL):
-        raise InputError("use score_itl / score_ctl for the primary rules")
-    policy = Policy(rule=rule, beta=beta)
-    scores = _score_candidates(_Blocks(state, targets, [candidate]), policy,
-                               softmax, tuple(selected))
-    return float(scores[0])
 
 
 def _history_indices(state: PosteriorState) -> list[int]:
@@ -248,7 +162,6 @@ def _history_indices(state: PosteriorState) -> list[int]:
 
 def select_batch(state: PosteriorState, targets: Sequence[int],
                  candidates: Sequence[int], policy: Policy, *,
-                 softmax: SoftmaxTable | None = None,
                  rng: Generator | None = None) -> BatchResult:
     """Select a batch of ``policy.batch_size`` distinct candidates."""
     cand = sorted(int(c) for c in candidates)
@@ -272,7 +185,7 @@ def select_batch(state: PosteriorState, targets: Sequence[int],
     # uncertainty rules never read the target blocks, so no rows are kept for them
     blocks = _Blocks(state, targets if policy.rule in TARGET_RULES else (), cand, b - 1)
     if policy.batch_mode == "topb":
-        scores = _score_candidates(blocks, policy, softmax, history)
+        scores = _score_candidates(blocks, policy, history)
         order = np.lexsort((np.array(cand), -scores))[:b]
         return BatchResult(indices=tuple(cand[i] for i in order),
                            objectives=tuple(float(scores[i]) for i in order))
@@ -282,10 +195,10 @@ def select_batch(state: PosteriorState, targets: Sequence[int],
     rho2 = policy.rho ** 2
     mask = np.zeros(len(cand), dtype=bool)
     fixed = (None if policy.rule in _PICK_DEPENDENT_RULES
-             else _score_candidates(blocks, policy, softmax, history))
+             else _score_candidates(blocks, policy, history))
     for step in range(b):
         scores = fixed if fixed is not None else _score_candidates(
-            blocks, policy, softmax, history + picked)
+            blocks, policy, history + picked)
         scores = np.where(mask, -np.inf, scores)
         best = int(np.argmax(scores))
         picked.append(cand[best])
@@ -366,10 +279,9 @@ def subsample_targets(targets: Sequence[int], m: int,
 # ---------------------------------------------------------------------------
 
 def run_loop(state: PosteriorState, targets: Sequence[int],
-             sample_space: Sequence[int] | Callable[[int, Generator], Sequence[int]],
+             sample_space: Sequence[int],
              policy: Policy, oracle: Callable[[int], float], rounds: int, *,
              candidate_size: int | None = None, relevant: Iterable[int] = (),
-             softmax: SoftmaxTable | None = None,
              truth: dict[int, float] | None = None,
              config: dict | None = None, timings: bool = False) -> RunRecord:
     """Run ``rounds`` of candidate sampling, batch selection and conditioning.
@@ -400,12 +312,10 @@ def run_loop(state: PosteriorState, targets: Sequence[int],
             wall_time=elapsed if timings else 0.0)
 
     record.append(metrics(0, (), (), 0.0))
-    pool = None if callable(sample_space) else sorted(int(s) for s in sample_space)
+    pool = sorted(int(s) for s in sample_space)
     for round_no in range(1, rounds + 1):
         start = time.perf_counter()
-        if pool is None:
-            cand = list(sample_space(round_no, rng))
-        elif candidate_size is not None and candidate_size < len(pool):
+        if candidate_size is not None and candidate_size < len(pool):
             picks = rng.choice(len(pool), size=int(candidate_size), replace=False)
             cand = sorted(pool[i] for i in picks)
         else:
@@ -413,8 +323,7 @@ def run_loop(state: PosteriorState, targets: Sequence[int],
         round_targets = targets
         if policy.target_subsample is not None and policy.target_subsample < len(targets):
             round_targets = subsample_targets(targets, policy.target_subsample, rng)
-        batch = select_batch(state, round_targets, cand, policy,
-                             softmax=softmax, rng=rng)
+        batch = select_batch(state, round_targets, cand, policy, rng=rng)
         observations = []
         for index in batch.indices:
             try:

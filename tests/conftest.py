@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from transduct import (BudgetError, KernelMatrix, NoiseModel, Observation, PosteriorState,
-                       batch_information_gain, condition, step_uncertainty)
+from transduct import (BudgetError, IGQuery, KernelMatrix, NoiseModel, Observation, Policy,
+                       PosteriorState, batch_information_gain, condition, information_gain,
+                       step_uncertainty)
 from transduct.kernels import _matern_of_distance
 from transduct.posterior import _Blocks, _itl_scores, bace_update, chol_logdet
-from transduct.selection import _POSTERIOR_RULES, _score_candidates
+from transduct.selection import _POSTERIOR_RULES, _ctl_scores, _score_candidates
 
 
 def random_corr_gram(rng, n, floor=0.0, ids=None):
@@ -228,7 +229,24 @@ def cdist_gram_reference(spec, points):
     return _matern_of_distance(cdist(x, x, "euclidean"), spec.lengthscale, spec.nu)
 
 
-def rescoring_bace_reference(state, targets, candidates, policy, softmax=None):
+def score_itl(state, targets, candidate, *, stabilize=False):
+    """I(f_A; y_x | D_{n-1}) of one candidate via the backward evaluation."""
+    return information_gain(state, IGQuery(tuple(targets), candidate), stabilize=stabilize)
+
+
+def score_ctl(state, targets, candidate):
+    """Total conditional correlation between one candidate and the targets."""
+    return float(_ctl_scores(_Blocks(state, targets, [candidate]))[0])
+
+
+def score_baseline(rule, candidate, *, state, targets=(), selected=()):
+    """One candidate's score under a baseline rule, through the batch scorer."""
+    scores = _score_candidates(_Blocks(state, targets, [candidate]), Policy(rule=rule),
+                               tuple(selected))
+    return float(scores[0])
+
+
+def rescoring_bace_reference(state, targets, candidates, policy):
     """BaCE that rescores every candidate at every step, whatever the rule.
     Returns (picks, objectives) as ``select_batch`` does."""
     cand = sorted(candidates)
@@ -238,7 +256,7 @@ def rescoring_bace_reference(state, targets, candidates, policy, softmax=None):
     mask = np.zeros(len(cand), dtype=bool)
     for step in range(policy.batch_size):
         scores = np.where(mask, -np.inf,
-                          _score_candidates(blocks, policy, softmax, history + picks))
+                          _score_candidates(blocks, policy, history + picks))
         best = int(np.argmax(scores))
         picks.append(cand[best])
         objectives.append(float(scores[best]))

@@ -11,8 +11,9 @@ import transduct
 from transduct import cli
 from transduct.cli import main
 from transduct.config import PRESETS, build_domain, load_config, parse_config
-from transduct.data import load_run, load_table
+from transduct.data import load_embeddings, load_run, load_table, save_embeddings_binary
 from transduct.errors import ConfigError
+from transduct.selection import RULES
 
 
 def write_config(path, payload):
@@ -146,8 +147,8 @@ class TestConfigValidation:
         ("run", "policies", [{"rule": "itl", "b": "x"}], "policies[0].b"),
         ("run", "policies", ["random", {"rule": "itl", "rho": "x"}], "policies[1].rho"),
         ("run", "policies", [{"rule": "itl", "m": 1.5}], "policies[0].m"),
-        ("run", "policies", [{"rule": "itl", "beta": []}], "policies[0].beta"),
-        ("run", "policies", [{"rule": "random", "beta": float("inf")}], "policies[0].beta"),
+        ("run", "policies", [{"rule": "itl", "beta": []}], "beta"),  # beta is no policy key
+        ("run", "policies", [{"rule": "random", "beta": float("inf")}], "beta"),
         ("run", "policies", [{"rule": "itl", "rho": float("nan")}], "policies[0].rho"),
         ("run", "policies", [{"rule": "itl", "bb": 3}], "bb"),
         ("run", "policies", [{"rule": "itl", "name": 7}], "policies[0].name"),
@@ -296,6 +297,18 @@ class TestRunCommand:
             expected = np.std(values, ddof=1) / np.sqrt(len(values))
             got = agg[agg_header.index("mean_variance_stderr")]
             np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_every_rule_is_reachable(self, tmp_path, rule):
+        cfg = base_run_config(policies=[rule], rounds=1, seeds=[0])
+        assert parse_config(cfg).policies == ({"rule": rule},)
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path / "c.json", cfg),
+                     "--out", str(out)]) == 0
+        record = load_run(str(out / "records" / f"{cli._tag({'rule': rule}, 0)}_s0.jsonl"))
+        assert record.config["rule"] == rule
+        assert record.config["policy"]["beta"] == 1.0  # v1 headers keep the field
+        assert len(record.rounds[1].chosen) == 2
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", base_run_config(policies=["nope"]))
@@ -488,6 +501,30 @@ class TestDomainBuilders:
         domain = build_domain(config, seed=0)
         assert domain.sample_ids == (0, 1)
         assert domain.prior.gram.size == 4
+
+    def test_binary_embeddings_file_gives_identical_outputs(self, tmp_path):
+        text = tmp_path / "emb.txt"
+        rng = np.random.default_rng(5)
+        text.write_text("p=3 n=12\n" + "".join(
+            f"{i}," + ",".join(repr(float(v)) for v in rng.standard_normal(3)) + "\n"
+            for i in range(12)))
+        binary = tmp_path / "emb.bin"
+        save_embeddings_binary(load_embeddings(str(text)), str(binary))
+        assert binary.read_bytes().startswith(b"TDEMB1\n")
+        outs = []
+        for path in (text, binary):
+            cfg = base_run_config(domain={"source": "embeddings", "path": str(path),
+                                          "s": {"first": 9}, "a": [9, 10, 11]},
+                                  policies=["itl", "ctl", "kmeans++"])
+            out = tmp_path / path.suffix[1:]
+            assert main(["run", "--config", write_config(tmp_path / "c.json", cfg),
+                         "--out", str(out)]) == 0
+            outs.append(out)
+        names = sorted(str(p.relative_to(outs[0])) for p in outs[0].rglob("*") if p.is_file())
+        assert len(names) == 8
+        for name in names:
+            # record headers name no file path, so every byte must agree
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_env_log_level(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TRANSDUCT_LOG", "debug")

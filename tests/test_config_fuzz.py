@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from transduct.cli import main
+from transduct.selection import RULES
 
 JUNK = st.sampled_from(["x", "3", None, True, [], {}, 2.5, float("nan"), float("inf"), 0, -1])
 
@@ -42,11 +43,10 @@ _DOMAIN = st.one_of(
                       "a_extra": st.integers(0, 4), "include_s_in_a": st.booleans()}))}),
     _dict({"source": st.just("embeddings"), "path": st.just("EMBEDDINGS"), "s": _ids,
            "a": _ids}))
-_RULE = st.sampled_from(["itl", "ctl", "random", "cosine", "uncertainty", "undirected-itl",
-                         "max-dist", "kmeans++"])
+_RULE = st.sampled_from(RULES)
 _POLICY = st.one_of(_RULE, _dict({"rule": _RULE}, {
     "name": st.text("ab -", max_size=3), "b": st.integers(1, 3), "m": st.integers(1, 3),
-    "rho": st.floats(0.01, 3), "beta": st.floats(0.1, 3),
+    "rho": st.floats(0.01, 3),
     "batch_mode": st.sampled_from(["bace", "topb"]), "stabilize": st.booleans()}))
 _AXES = {"rho": st.floats(0.01, 2), "k": st.integers(1, 12), "m": st.integers(1, 3),
          "M": st.integers(1, 4), "batch_mode": st.sampled_from(["bace", "topb"])}

@@ -13,14 +13,12 @@ from transduct import (
     labeled_oracle,
     load_embeddings,
     load_run,
-    load_softmax,
     persist_run,
     gram,
     sample_gp_truth,
     save_embeddings,
 )
 from transduct.data import (
-    load_embeddings_binary,
     load_table,
     save_embeddings_binary,
     save_table,
@@ -48,6 +46,12 @@ class TestEmbeddingFiles:
         with pytest.raises(ParseError, match=":3"):
             load_embeddings(str(path))
 
+    def test_huge_header_is_parse_error(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("p=100000000000 n=100000000000\n0,1.0\n")
+        with pytest.raises(ParseError, match="header declares"):
+            load_embeddings(str(path))
+
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("p=1 n=1\n0,nan\n")
@@ -69,7 +73,7 @@ class TestEmbeddingFiles:
         points = [Point(i, embedding=rng.standard_normal(300)) for i in range(7)]
         path = tmp_path / "emb.bin"
         save_embeddings_binary(points, str(path))
-        loaded = load_embeddings_binary(str(path))
+        loaded = load_embeddings(str(path))
         for a, b in zip(points, loaded):
             assert a.index == b.index
             assert np.array_equal(a.embedding, b.embedding)
@@ -78,21 +82,21 @@ class TestEmbeddingFiles:
         path = tmp_path / "not.bin"
         path.write_bytes(b"something else entirely")
         with pytest.raises(ParseError):
-            load_embeddings_binary(str(path))
+            load_embeddings(str(path))
+        path.write_bytes(b"\xff\xfe not utf-8")
+        with pytest.raises(ParseError, match="UTF-8"):
+            load_embeddings(str(path))
 
-
-class TestSoftmaxFiles:
-    def test_load_checks_normalization(self, tmp_path):
-        path = tmp_path / "sm.txt"
-        path.write_text("p=3 n=1\n0,0.5,0.3,0.1\n")
-        with pytest.raises(ParseError, match="sums to"):
-            load_softmax(str(path))
-
-    def test_good_table(self, tmp_path):
-        path = tmp_path / "sm.txt"
-        path.write_text("p=2 n=2\n4,0.25,0.75\n9,0.5,0.5\n")
-        table = load_softmax(str(path))
-        np.testing.assert_allclose(table.rows([9]), [[0.5, 0.5]])
+    @pytest.mark.parametrize("cut", [slice(0, 10), slice(0, -8), None],
+                             ids=["short-header", "short-body", "trailing-bytes"])
+    def test_binary_size_must_match_header(self, tmp_path, rng, cut):
+        points = [Point(i, embedding=rng.standard_normal(3)) for i in range(4)]
+        path = tmp_path / "emb.bin"
+        save_embeddings_binary(points, str(path))
+        blob = path.read_bytes()
+        path.write_bytes(blob + b"\0" * 8 if cut is None else blob[cut])
+        with pytest.raises(ParseError, match="binary"):
+            load_embeddings(str(path))
 
 
 def draw_truth(spec, grid, seed):
