@@ -3,8 +3,8 @@ Markov-boundary computations.
 
 Subcommands: run, theory, markov, ablate. Common flags: --config, --out,
 --seeds, --preset, --jobs. ``run`` and ``ablate`` build each seed's domain
-once and run every policy on it; ``--jobs N`` runs up to N seeds in parallel
-threads. Verbosity via the TRANSDUCT_LOG environment variable. Exit codes:
+once and run every parsed policy on it; ``--jobs N`` runs up to N seeds in
+parallel threads. Verbosity via the TRANSDUCT_LOG environment variable. Exit codes:
 0 success, 2 config error, 3 numeric error, 4 budget error.
 """
 
@@ -19,11 +19,12 @@ import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
+from numpy.random import SeedSequence
 
-from .config import PRESETS, RunConfig, build_domain, build_policy, load_config, parse_config
+from .config import PRESETS, RunConfig, build_domain, load_config, parse_config
 from .data import persist_run, save_table
 from .errors import BudgetError, ConfigError, DataError, InputError, NumericError
 from .selection import run_loop
@@ -49,9 +50,15 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _tag(entry: dict, index: int) -> str:
-    name = entry.get("name", entry["rule"])
-    return f"{index:02d}-" + re.sub(r"[^A-Za-z0-9_-]+", "-", str(name))
+def _tag(name: str, index: int) -> str:
+    return f"{index:02d}-" + re.sub(r"[^A-Za-z0-9_-]+", "-", name)
+
+
+def _stable_tag(name: str) -> int:
+    value = 0
+    for char in name:
+        value = (value * 131 + ord(char)) % (2 ** 31)
+    return value
 
 
 def _load(args) -> RunConfig:
@@ -64,17 +71,20 @@ def _runs(config: RunConfig, jobs: int, timings: bool) -> dict:
     """``{(tag, seed): RunRecord}`` for every policy and seed of ``config``.
 
     Each seed's domain is built once and every policy runs on it with a fresh
-    label oracle; with ``jobs > 1`` the seeds run in a thread pool.
+    label oracle and a seed drawn from the run seed and the policy name; with
+    ``jobs > 1`` the seeds run in a thread pool.
     """
     def seed_runs(seed: int) -> dict:
         domain = build_domain(config, seed)
         records = {}
-        for i, entry in enumerate(config.policies):
-            tag = _tag(entry, i)
+        for i, (name, policy) in enumerate(config.policies):
+            tag = _tag(name, i)
             log.info("running %s seed %d", tag, seed)
-            policy = build_policy(entry, config, seed)
-            snapshot = {"rule": entry["rule"], "seed": seed, "policy": asdict(policy),
-                        "hyper": config.hyper, "rounds": config.rounds}
+            policy = replace(policy, seed=int(
+                SeedSequence([seed, _stable_tag(name)]).generate_state(1)[0]))
+            snapshot = {"rule": policy.rule, "seed": seed, "hyper": config.hyper,
+                        "rounds": config.rounds,  # v1 headers keep beta and rho
+                        "policy": dict(asdict(policy), beta=1.0, rho=float(config.hyper["rho"]))}
             records[(tag, seed)] = run_loop(
                 domain.prior, domain.target_ids, domain.sample_ids, policy,
                 domain.oracle, config.rounds,
@@ -100,7 +110,7 @@ def _aggregate(results: dict, config: RunConfig):
     seeds, rounds = config.seeds, config.rounds
     raw_rows = []
     agg_rows = []
-    for tag in (_tag(entry, i) for i, entry in enumerate(config.policies)):
+    for tag in (_tag(name, i) for i, (name, _) in enumerate(config.policies)):
         per_seed = {seed: results[(tag, seed)] for seed in seeds}
         for seed in seeds:
             for entry in per_seed[seed].rounds:
@@ -216,9 +226,10 @@ def cmd_markov(args) -> int:
 
 def _cell_config(config: RunConfig, cell: dict) -> RunConfig:
     """``config`` with one ablation cell's values, parsed like any config."""
-    hyper = {**config.hyper, **{k: v for k, v in cell.items() if k != "batch_mode"}}
-    policies = [dict(entry, batch_mode=cell["batch_mode"]) if "batch_mode" in cell else entry
-                for entry in config.policies]
+    hyper = {**config.hyper, **cell}
+    mode = {"batch_mode": hyper.pop("batch_mode")} if "batch_mode" in cell else {}
+    policies = [{"rule": entry, **mode} if isinstance(entry, str) else {**entry, **mode}
+                for entry in config.raw.get("policies", ["itl"])]
     try:
         return parse_config(dict(config.raw, hyper=hyper, policies=policies),
                             seeds=config.seeds)

@@ -15,7 +15,8 @@ A run config is a JSON object with the sections
               any of rho, k, m, M (hyper fields) and batch_mode (every policy)
 
 A policy entry names one of ``selection.RULES``; an override may set b, m,
-rho, batch_mode, stabilize and a display name.
+batch_mode, stabilize and a display name. Unknown fields are refused (a kernel
+takes its family's alone), and each policy is built once, while parsing.
 
 Synthetic layouts:
 
@@ -53,7 +54,12 @@ PRESETS = {
 
 _DEFAULT_HYPER = {"k": None, "m": None, "M": None, "b": 1, "rho": 1.0}
 _CONFIG_KEYS = ("domain", "policies", "rounds", "seeds", "hyper", "relevant", "epsilon", "grid")
-_POLICY_KEYS = ("rule", "name", "b", "m", "rho", "batch_mode", "stabilize")
+_POLICY_KEYS = ("rule", "name", "b", "m", "batch_mode", "stabilize")
+_DOMAIN_KEYS = {"synthetic": ("source", "kernel", "layout"),
+                "embeddings": ("source", "path", "s", "a", "kernel")}
+_KERNEL_KEYS = {"linear": ("family",), "gaussian": ("family", "lengthscale"),
+                "laplace": ("family", "lengthscale"), "matern": ("family", "lengthscale", "nu"),
+                "embedding": ("family", "latent_cov")}
 _LAYOUT_KEYS = {"uniform": ("kind", "dim", "s_count", "a_count", "box", "a_box"),
                 "grid": ("kind", "s_count", "start", "step", "a_extra", "include_s_in_a")}
 _GRID_AXES = ("rho", "k", "m", "M", "batch_mode")
@@ -62,7 +68,7 @@ _GRID_AXES = ("rho", "k", "m", "M", "batch_mode")
 @dataclass(frozen=True)
 class RunConfig:
     domain: dict
-    policies: tuple[dict, ...]
+    policies: tuple[tuple[str, Policy], ...]  # (name, policy with seed 0)
     rounds: int
     seeds: tuple[int, ...]
     hyper: dict
@@ -103,9 +109,9 @@ def _require(mapping: dict, key: str, where: str):
 
 
 def _typed(value, kind: type, field: str):
-    """``value`` if it is a ``kind`` (dict, list or str), else a ConfigError naming ``field``."""
+    """``value`` if it is a ``kind`` (dict, list, str, bool), else a ConfigError naming it."""
     if not isinstance(value, kind):
-        expected = {dict: "an object", list: "a list", str: "a string"}[kind]
+        expected = {dict: "an object", list: "a list", str: "a string", bool: "a boolean"}[kind]
         raise ConfigError(f"field {field!r} must be {expected}, got {value!r}")
     return value
 
@@ -164,20 +170,28 @@ def parse_config(raw: dict, *, preset: str | None = None,
                 hyper[key] = number
     if not hyper["rho"] > 0:
         raise ConfigError("field 'hyper.rho' must be positive")
-    if hyper["b"] < 1:
-        raise ConfigError("field 'hyper.b' must be at least 1")
+    for key in ("b", "m"):
+        if hyper[key] is not None and hyper[key] < 1:
+            raise ConfigError(f"field 'hyper.{key}' must be at least 1")
 
     domain = _typed(_require(raw, "domain", "config"), dict, "domain")
-    if domain.get("source") not in ("synthetic", "embeddings"):
+    source = domain.get("source")
+    if not isinstance(source, str) or source not in _DOMAIN_KEYS:
         raise ConfigError("field 'domain.source' must be 'synthetic' or 'embeddings'")
-    if "kernel" in domain:
-        _typed(domain["kernel"], dict, "domain.kernel")
-    if domain["source"] == "synthetic":
+    _known_keys(domain, _DOMAIN_KEYS[source], f"domain ({source})")
+    if "kernel" in domain or source == "synthetic":
+        kernel = _typed(_require(domain, "kernel", "domain"), dict, "domain.kernel")
+        family = _require(kernel, "family", "domain.kernel")
+        if not isinstance(family, str) or family not in _KERNEL_KEYS:
+            raise ConfigError(f"unknown kernel family {family!r} in field 'domain.kernel.family'")
+        _known_keys(kernel, _KERNEL_KEYS[family], f"domain.kernel ({family})")
+    if source == "synthetic":
         layout = _typed(_require(domain, "layout", "domain"), dict, "domain.layout")
         kind = layout.get("kind", "uniform")
         if not isinstance(kind, str) or kind not in _LAYOUT_KEYS:
             raise ConfigError(f"unknown layout kind {kind!r}")
         _known_keys(layout, _LAYOUT_KEYS[kind], f"domain.layout ({kind})")
+        _typed(layout.get("include_s_in_a", True), bool, "domain.layout.include_s_in_a")
 
     policies = []
     for i, entry in enumerate(_typed(raw.get("policies", ["itl"]), list, "policies")):
@@ -189,14 +203,20 @@ def parse_config(raw: dict, *, preset: str | None = None,
         rule = entry["rule"]
         if rule not in RULES:
             raise ConfigError(f"unknown rule {rule!r} in field 'policies'")
-        _typed(entry.get("name", rule), str, f"policies[{i}].name")
-        if entry.get("batch_mode", "bace") not in ("bace", "topb"):
+        name = _typed(entry.get("name", rule), str, f"policies[{i}].name")
+        batch_mode = entry.get("batch_mode", "bace")
+        if batch_mode not in ("bace", "topb"):
             raise ConfigError(f"field 'policies[{i}].batch_mode' must be 'bace' or 'topb'")
-        entry = dict(entry)
-        for key, kind in (("b", int), ("m", int), ("rho", float)):
+        sizes = {key: entry.get(key, hyper[key]) for key in ("b", "m")}
+        for key in ("b", "m"):
             if key in entry and (entry[key] is not None or key != "m"):  # m may be null
-                entry[key] = _number(kind, entry[key], f"policies[{i}].{key}")
-        policies.append(entry)
+                sizes[key] = _number(int, entry[key], f"policies[{i}].{key}")
+                if sizes[key] < 1:
+                    raise ConfigError(f"field 'policies[{i}].{key}' must be at least 1")
+        policies.append((name, Policy(
+            rule=rule, batch_size=int(sizes["b"]), batch_mode=batch_mode,
+            target_subsample=None if sizes["m"] is None else int(sizes["m"]),
+            stabilize=_typed(entry.get("stabilize", True), bool, f"policies[{i}].stabilize"))))
     if not policies:
         raise ConfigError("field 'policies' must be nonempty")
 
@@ -228,9 +248,8 @@ def parse_config(raw: dict, *, preset: str | None = None,
 
 
 def _kernel_from(section: dict) -> KernelSpec:
-    family = _require(section, "family", "domain.kernel")
-    try:
-        return KernelSpec(family=family,
+    try:  # parse_config has checked the family and the field names
+        return KernelSpec(family=section["family"],
                           lengthscale=float(section.get("lengthscale", 1.0)),
                           nu=section.get("nu"),
                           latent_cov=section.get("latent_cov"))
@@ -272,7 +291,7 @@ def _grid_layout(layout: dict):
     s_count, a_extra = _count(layout, "s_count"), _count(layout, "a_extra", 0)
     start = _number(float, layout.get("start", 0.0), "domain.layout.start")
     step = _number(float, layout.get("step", 1.0), "domain.layout.step")
-    include_s = bool(layout.get("include_s_in_a", True))
+    include_s = layout.get("include_s_in_a", True)
     coords = start + step * np.arange(s_count + a_extra)
     points = [Point(i, coords=[coords[i]]) for i in range(s_count + a_extra)]
     sample_ids = tuple(range(s_count))
@@ -303,7 +322,7 @@ def build_domain(config: RunConfig, seed: int) -> DomainInstance:
     noise = NoiseModel.homoscedastic(float(config.hyper["rho"]) ** 2)
     source = config.domain["source"]
     if source == "synthetic":
-        kernel = _kernel_from(_require(config.domain, "kernel", "domain"))
+        kernel = _kernel_from(config.domain["kernel"])
         layout = dict(_require(config.domain, "layout", "domain"))
         if layout.get("kind", "uniform") == "uniform":
             if "a_count" not in layout and config.hyper["M"] is not None:
@@ -338,26 +357,3 @@ def build_domain(config: RunConfig, seed: int) -> DomainInstance:
                           target_ids=tuple(target_ids), relevant=tuple(relevant),
                           truth=truth, oracle_seed=int(keys[2]))
 
-
-def build_policy(entry: dict, config: RunConfig, seed: int) -> Policy:
-    """Materialize one policy entry with the run's hyperparameters."""
-    hyper = config.hyper
-    m = entry.get("m", hyper["m"])
-    rule_tag = entry.get("name", entry["rule"])
-    policy_seed = int(SeedSequence([seed, _stable_tag(rule_tag)]).generate_state(1)[0])
-    return Policy(
-        rule=entry["rule"],
-        batch_size=int(entry.get("b", hyper["b"])),
-        batch_mode=entry.get("batch_mode", "bace"),
-        target_subsample=None if m is None else int(m),
-        seed=policy_seed,
-        rho=float(entry.get("rho", hyper["rho"])),
-        stabilize=bool(entry.get("stabilize", True)),
-    )
-
-
-def _stable_tag(name: str) -> int:
-    value = 0
-    for char in name:
-        value = (value * 131 + ord(char)) % (2 ** 31)
-    return value

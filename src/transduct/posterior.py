@@ -382,11 +382,10 @@ def _capacity_brute(state: PosteriorState, candidates: Sequence[int], budget: in
     pos = state.positions(candidates)
     noise = state.noise.vector(candidates)
     cov = state.cov[np.ix_(pos, pos)]
-    sizes = range(1, budget + 1)
-    total = sum(math.comb(len(candidates) + (s - 1 if multiset else 0), s) for s in sizes)
+    total = math.comb(len(candidates) + (budget - 1 if multiset else 0), budget)
     if total > BRUTE_FORCE_CAP:
         raise BudgetError(f"exhaustive capacity search over {total} subsets exceeds the cap")
-    return max(_best_grouped_gain(cov, noise, size, multiset=multiset) for size in sizes)
+    return _best_grouped_gain(cov, noise, budget, multiset=multiset)
 
 
 def _capacity_greedy(state: PosteriorState, candidates: Sequence[int], budget: int,
@@ -402,7 +401,8 @@ def information_capacity(state: PosteriorState, candidates: Sequence[int], budge
 
     ``greedy`` returns the value of greedy maximization (a (1 - 1/e)
     approximation by submodularity); ``brute`` enumerates every candidate
-    subset of size <= budget, or every multiset when ``multiset=True``.
+    subset of size exactly ``budget`` (no smaller set gains more), or every
+    multiset when ``multiset=True``.
     """
     if budget < 0:
         raise InputError("budget must be nonnegative")

@@ -11,13 +11,13 @@ Rule catalog (higher score wins):
     cosine            mean prior correlation between x and the targets
     random            uniform over the candidate pool
 
-Batches are built either greedily with conditional-embedding updates
-("bace": after each pick the remaining candidates are re-scored under the
-noise-inflated rank-one downdate at the pick) or by taking the top-b scores
-of a single pass ("topb"). Ties always break toward the lowest index.
-Scorers read cov[A, A], cov[A, C] and the variances at targets A and candidates
-C from ``posterior``'s factor blocks, where in-batch downdates (``bace_update``)
-are factor rows over A and C; the round loop conditions once per batch.
+Batches are built either greedily with conditional-embedding updates ("bace":
+after each pick the remaining candidates are re-scored under the rank-one
+downdate at the pick x, inflated by the state's noise rho^2(x)) or from the
+top-b scores of one pass ("topb"). Ties break toward the lowest index. Scorers
+read cov[A, A], cov[A, C] and the variances at targets A and candidates C from
+``posterior``'s factor blocks; in-batch downdates (``bace_update``) are factor
+rows over A and C, and the round loop conditions once per batch.
 """
 
 from __future__ import annotations
@@ -73,8 +73,6 @@ class Policy:
     batch_mode: str = "bace"
     target_subsample: int | None = None
     seed: int = 0
-    rho: float = 1.0
-    beta: float = 1.0  # read by no rule; kept because v1 run-record headers carry it
     stabilize: bool = True
 
     def __post_init__(self):
@@ -86,8 +84,6 @@ class Policy:
             raise InputError("batch_mode must be 'bace' or 'topb'")
         if self.target_subsample is not None and self.target_subsample < 1:
             raise InputError("target subsample size must be at least 1")
-        if not self.rho > 0:
-            raise InputError("policy noise scale rho must be positive")
 
 
 @dataclass(frozen=True)
@@ -192,7 +188,6 @@ def select_batch(state: PosteriorState, targets: Sequence[int],
 
     picked: list[int] = []
     objectives: list[float] = []
-    rho2 = policy.rho ** 2
     mask = np.zeros(len(cand), dtype=bool)
     fixed = (None if policy.rule in _PICK_DEPENDENT_RULES
              else _score_candidates(blocks, policy, history))
@@ -206,7 +201,7 @@ def select_batch(state: PosteriorState, targets: Sequence[int],
         mask[best] = True
         # the downdate after the last pick would never be read
         if policy.rule in _POSTERIOR_RULES and step < b - 1:
-            bace_update(blocks, best, rho2)
+            bace_update(blocks, best, float(blocks.noise_c[best]))
     return BatchResult(indices=tuple(picked), objectives=tuple(objectives))
 
 

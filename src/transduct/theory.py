@@ -16,8 +16,8 @@ Capacity values inside checkers are exact (exhaustive) whenever the
 enumeration is feasible; otherwise the greedy value is used and the affected
 rows are demoted from failures to warnings, since greedy underestimates the
 capacity and could flag spurious violations. Exhaustive capacities, in the
-checkers and in the exact phase of the size condition, score multisets in
-stacked determinants (``posterior._best_grouped_gain``), one size at a time.
+checkers and in the exact phase of the size condition, score the multisets of
+size exactly n in stacked determinants (``posterior._best_grouped_gain``).
 The one exception to the greedy fallback is the size condition behind b_eps,
 where an underestimate would be unsound; there a certified closed-form upper
 bound (grouped-Hadamard water filling, see ``capacity_upper_bound``) stands in.
@@ -187,7 +187,7 @@ def step_uncertainty(state: PosteriorState, targets: Sequence[int],
 def _capacity_with_mode(prior: PosteriorState, space: Sequence[int],
                         budget: int) -> tuple[float, bool]:
     """Capacity over multisets: exact when enumerable, else greedy."""
-    exact = sum(math.comb(len(space) + s - 1, s) for s in range(1, budget + 1)) <= BRUTE_FORCE_CAP
+    exact = math.comb(len(space) + budget - 1, budget) <= BRUTE_FORCE_CAP
     mode = "brute" if exact else "greedy"
     return information_capacity(prior, space, budget, mode, multiset=True), exact
 
@@ -285,7 +285,7 @@ def markov_size_bound(state: PosteriorState, sample_space: Sequence[int],
     variances = np.maximum(np.diag(prior_cov), 0.0)
     noise = state.noise.vector(space)
 
-    # exact phase: one enumeration pass over small multisets, prefix maxima
+    # exact phase: small budgets, each enumerating the multisets of its size
     k_exact = 0
     total = 0
     while k_exact < min(cap, 64):
@@ -294,10 +294,8 @@ def markov_size_bound(state: PosteriorState, sample_space: Sequence[int],
             break
         total += extra
         k_exact += 1
-    gamma = 0.0
     for size in range(1, k_exact + 1):
-        gamma = max(gamma, _best_grouped_gain(prior_cov, noise, size))
-        if gamma / size <= threshold:
+        if _best_grouped_gain(prior_cov, noise, size) / size <= threshold:
             return size, True
 
     def admissible(budget: int) -> bool:

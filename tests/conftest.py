@@ -262,7 +262,7 @@ def rescoring_bace_reference(state, targets, candidates, policy):
         objectives.append(float(scores[best]))
         mask[best] = True
         if policy.rule in _POSTERIOR_RULES and step < policy.batch_size - 1:
-            bace_update(blocks, best, policy.rho ** 2)
+            bace_update(blocks, best, state.noise.variance_at(cand[best]))
     return tuple(picks), tuple(objectives)
 
 

@@ -32,10 +32,9 @@ from transduct import (
     subsample_targets,
     verify_markov_boundary,
 )
-from transduct.cli import main
-from transduct.config import build_domain, build_policy, parse_config
+from transduct.cli import _runs, _tag, main
+from transduct.config import parse_config
 from transduct.kernels import KernelSpec, Point, gram
-from transduct.selection import run_loop
 from conftest import batch_posterior_oracle, random_corr_gram, random_state
 
 
@@ -135,8 +134,7 @@ class TestCriterion4GreedyBatchGuarantee:
             targets = list(range(12))       # S = first 8 points, inside A
             candidates = list(range(8))
             bace = select_batch(state, targets, candidates,
-                                Policy(rule="itl", batch_size=3, stabilize=False,
-                                       rho=math.sqrt(rho2)))
+                                Policy(rule="itl", batch_size=3, stabilize=False))
             topb = select_batch(state, targets, candidates,
                                 Policy(rule="itl", batch_size=3, batch_mode="topb",
                                        stabilize=False))
@@ -286,19 +284,12 @@ class TestCriterion10SyntheticBenchmark:
             "seeds": list(range(10)),
         }
         config = parse_config(payload, preset="cifar-like")
+        records = _runs(config, jobs=1, timings=False)  # the records `transduct run` writes
         variance_wins = 0
         retrieval_wins = 0
         for seed in range(10):
-            domain = build_domain(config, seed)
-            finals = {}
-            for entry in config.policies:
-                policy = build_policy(entry, config, seed)
-                record = run_loop(domain.prior, domain.target_ids,
-                                  domain.sample_ids, policy, domain.oracle, 50,
-                                  candidate_size=config.hyper["k"],
-                                  relevant=domain.relevant,
-                                  truth=domain.truth_map)
-                finals[entry["rule"]] = record.rounds[-1]
+            finals = {name: records[(_tag(name, i), seed)].rounds[-1]
+                      for i, (name, _) in enumerate(config.policies)}
             variance_wins += (finals["itl"].mean_variance
                               < finals["random"].mean_variance)
             retrieval_wins += (finals["itl"].distinct_relevant

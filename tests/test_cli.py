@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from numpy.random import SeedSequence
 
 import transduct
 from transduct import cli
@@ -13,7 +14,8 @@ from transduct.cli import main
 from transduct.config import PRESETS, build_domain, load_config, parse_config
 from transduct.data import load_embeddings, load_run, load_table, save_embeddings_binary
 from transduct.errors import ConfigError
-from transduct.selection import RULES
+from transduct.kernels import KernelSpec
+from transduct.selection import RULES, Policy
 
 
 def write_config(path, payload):
@@ -145,11 +147,11 @@ class TestConfigValidation:
         ("ablate", "grid", "x", "grid"),
         ("ablate", "grid", [], "grid"),
         ("run", "policies", [{"rule": "itl", "b": "x"}], "policies[0].b"),
-        ("run", "policies", ["random", {"rule": "itl", "rho": "x"}], "policies[1].rho"),
+        ("run", "policies", ["random", {"rule": "itl", "rho": "x"}], "rho"),  # no policy key
         ("run", "policies", [{"rule": "itl", "m": 1.5}], "policies[0].m"),
         ("run", "policies", [{"rule": "itl", "beta": []}], "beta"),  # beta is no policy key
         ("run", "policies", [{"rule": "random", "beta": float("inf")}], "beta"),
-        ("run", "policies", [{"rule": "itl", "rho": float("nan")}], "policies[0].rho"),
+        ("run", "policies", [{"rule": "itl", "rho": float("nan")}], "rho"),
         ("run", "policies", [{"rule": "itl", "bb": 3}], "bb"),
         ("run", "policies", [{"rule": "itl", "name": 7}], "policies[0].name"),
         ("run", "policies", [{"rule": "itl", "batch_mode": "x"}], "policies[0].batch_mode"),
@@ -165,6 +167,23 @@ class TestConfigValidation:
         ("run", "domain.layout.s_cnt", 3, "s_cnt"),
         ("run", "domain.layout.kind", "spiral", "spiral"),
         ("theory", "domain.layout.a_count", 3, "a_count"),
+        ("run", "policies", [{"rule": "itl", "rho": 0.5}], "rho"),
+        ("run", "domain.kernel.lenghtscale", 0.3, "lenghtscale"),
+        ("theory", "domain.kernel.nu", 1.5, "nu"),  # a gaussian kernel has no nu
+        ("run", "domain.kernel.family", "gauss", "domain.kernel.family"),
+        ("run", "domain.kernel", {"lengthscale": 0.3}, "family"),
+        ("run", "domain.path", "e.txt", "path"),  # synthetic domains read no file
+        ("run", "domain", {"source": "embeddings", "path": "e.txt", "s": [0], "a": [1],
+                           "layout": {}}, "layout"),
+        ("run", "domain", {"source": "embeddings", "path": "e.txt", "s": [0], "a": [1],
+                           "kernel": {"family": "embedding", "lengthscale": 2.0}},
+         "lengthscale"),
+        ("run", "policies", [{"rule": "itl", "stabilize": "false"}], "policies[0].stabilize"),
+        ("run", "policies", [{"rule": "itl", "stabilize": 0}], "policies[0].stabilize"),
+        ("theory", "domain.layout.include_s_in_a", "no", "domain.layout.include_s_in_a"),
+        ("run", "policies", ["itl", {"rule": "random", "m": 0}], "policies[1].m"),
+        ("run", "policies", ["itl", {"rule": "ctl", "b": 0}], "policies[1].b"),
+        ("run", "hyper.m", 0, "hyper.m"),
     ])
     def test_bad_section_is_config_error(self, tmp_path, capsys, monkeypatch, command, path,
                                          value, named):
@@ -301,14 +320,30 @@ class TestRunCommand:
     @pytest.mark.parametrize("rule", RULES)
     def test_every_rule_is_reachable(self, tmp_path, rule):
         cfg = base_run_config(policies=[rule], rounds=1, seeds=[0])
-        assert parse_config(cfg).policies == ({"rule": rule},)
+        assert parse_config(cfg).policies == (
+            (rule, Policy(rule=rule, batch_size=2, target_subsample=3)),)
         out = tmp_path / "out"
         assert main(["run", "--config", write_config(tmp_path / "c.json", cfg),
                      "--out", str(out)]) == 0
-        record = load_run(str(out / "records" / f"{cli._tag({'rule': rule}, 0)}_s0.jsonl"))
+        record = load_run(str(out / "records" / f"{cli._tag(rule, 0)}_s0.jsonl"))
         assert record.config["rule"] == rule
         assert record.config["policy"]["beta"] == 1.0  # v1 headers keep the field
+        assert record.config["policy"]["rho"] == record.config["hyper"]["rho"]
         assert len(record.rounds[1].chosen) == 2
+
+    def test_header_keeps_v1_policy_fields(self, tmp_path):
+        # Policy has no rho or beta; the header adds them as v1 records carry them
+        cfg = base_run_config(policies=[{"rule": "itl", "name": "x", "m": None}],
+                              rounds=1, seeds=[4], hyper={"b": 2, "rho": 0.5})
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path / "c.json", cfg),
+                     "--out", str(out)]) == 0
+        header = json.loads((out / "records" / "00-x_s4.jsonl").read_text().splitlines()[0])
+        policy = header["config"]["policy"]
+        assert policy.pop("seed") == SeedSequence([4, cli._stable_tag("x")]).generate_state(1)[0]
+        assert policy == {"rule": "itl", "batch_size": 2, "batch_mode": "bace",
+                          "target_subsample": None, "stabilize": True,
+                          "beta": 1.0, "rho": 0.5}
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", base_run_config(policies=["nope"]))
@@ -473,6 +508,24 @@ class TestDomainBuilders:
         assert set(domain.sample_ids).isdisjoint(domain.target_ids)
         assert set(domain.relevant) <= set(domain.sample_ids)
         assert domain.truth is not None
+
+    @pytest.mark.parametrize("kernel", [
+        {"family": "linear"}, {"family": "gaussian", "lengthscale": 0.4},
+        {"family": "laplace", "lengthscale": 0.4},
+        {"family": "matern", "lengthscale": 0.4, "nu": 1.5}])
+    def test_kernel_takes_its_family_fields(self, kernel):
+        cfg = base_run_config()
+        cfg["domain"]["kernel"] = kernel
+        assert build_domain(parse_config(cfg), seed=0).kernel == KernelSpec(**kernel)
+
+    def test_embedding_kernel_takes_latent_cov(self, tmp_path):
+        emb = tmp_path / "emb.txt"
+        emb.write_text("p=2 n=3\n0,1.0,0.0\n1,0.5,0.5\n2,0.0,1.0\n")
+        kernel = {"family": "embedding", "latent_cov": [[1.0, 0.0], [0.0, 4.0]]}
+        cfg = base_run_config(domain={"source": "embeddings", "path": str(emb), "s": [0, 1],
+                                      "a": [2], "kernel": kernel})
+        domain = build_domain(parse_config(cfg), seed=0)
+        np.testing.assert_array_equal(domain.kernel.latent_cov, kernel["latent_cov"])
 
     def test_one_gram_per_domain(self, monkeypatch):
         calls = []

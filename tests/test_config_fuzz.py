@@ -32,8 +32,10 @@ _ids = st.one_of(st.lists(st.integers(0, 5), min_size=1, max_size=3),
 _box = st.lists(st.lists(st.floats(-1, 2), min_size=2, max_size=2), min_size=2, max_size=2)
 _DOMAIN = st.one_of(
     _dict({"source": st.just("synthetic"),
-           "kernel": _dict({"family": st.sampled_from(["gaussian", "laplace", "linear"])},
-                           {"lengthscale": st.floats(0.1, 2.0)}),
+           "kernel": st.one_of(
+               _dict({"family": st.sampled_from(["gaussian", "laplace"])},
+                     {"lengthscale": st.floats(0.1, 2.0)}),
+               _dict({"family": st.just("linear")})),
            "layout": st.one_of(
                _dict({"kind": st.just("uniform"), "s_count": st.integers(0, 12),
                       "a_count": st.integers(0, 4)},
@@ -46,7 +48,6 @@ _DOMAIN = st.one_of(
 _RULE = st.sampled_from(RULES)
 _POLICY = st.one_of(_RULE, _dict({"rule": _RULE}, {
     "name": st.text("ab -", max_size=3), "b": st.integers(1, 3), "m": st.integers(1, 3),
-    "rho": st.floats(0.01, 3),
     "batch_mode": st.sampled_from(["bace", "topb"]), "stabilize": st.booleans()}))
 _AXES = {"rho": st.floats(0.01, 2), "k": st.integers(1, 12), "m": st.integers(1, 3),
          "M": st.integers(1, 4), "batch_mode": st.sampled_from(["bace", "topb"])}
@@ -65,15 +66,15 @@ _VALID = _dict({"domain": _DOMAIN}, {
 # dotted paths into the config; a number indexes a list
 _PATHS = ["domain", "domain.source", "domain.path", "domain.s", "domain.a", "domain.s.0",
           "domain.kernel", "domain.kernel.family", "domain.kernel.lengthscale",
-          "domain.layout", "domain.layout.kind", "domain.layout.s_count",
-          "domain.layout.a_count", "domain.layout.dim", "domain.layout.box",
-          "domain.layout.step", "domain.layout.a_extra", "domain.layout.extra",
-          "policies", "policies.0", "policies.0.b", "policies.0.m", "policies.0.rho",
-          "policies.0.beta", "policies.0.name", "policies.0.batch_mode", "policies.0.rule",
-          "policies.0.extra", "rounds", "seeds", "seeds.0", "hyper", "hyper.b", "hyper.k",
-          "hyper.m", "hyper.M", "hyper.rho", "hyper.extra", "relevant", "relevant.0",
-          "epsilon", "grid", "grid.rho", "grid.rho.0", "grid.k.0", "grid.m",
-          "grid.batch_mode.0", "grid.extra", "extra"]
+          "domain.kernel.extra", "domain.extra", "domain.layout.include_s_in_a", "domain.layout",
+          "domain.layout.kind", "domain.layout.s_count", "domain.layout.a_count",
+          "domain.layout.dim", "domain.layout.box", "domain.layout.step", "domain.layout.a_extra",
+          "domain.layout.extra", "policies", "policies.0", "policies.0.b", "policies.0.m",
+          "policies.0.rho", "policies.0.beta", "policies.0.name", "policies.0.batch_mode",
+          "policies.0.rule", "policies.0.stabilize", "policies.0.extra", "rounds", "seeds",
+          "seeds.0", "hyper", "hyper.b", "hyper.k", "hyper.m", "hyper.M", "hyper.rho",
+          "hyper.extra", "relevant", "relevant.0", "epsilon", "grid", "grid.rho", "grid.rho.0",
+          "grid.k.0", "grid.m", "grid.batch_mode.0", "grid.extra", "extra"]
 
 
 def _replace(cfg: dict, path: str, value) -> None:

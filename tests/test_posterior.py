@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from transduct import (
+    BudgetError,
     IGQuery,
     InputError,
     KernelMatrix,
@@ -329,6 +330,37 @@ class TestFactorBlockCapacity:
                 expected = capacity_subset_reference(state, cands, budget)
                 got = information_capacity(state, cands, budget, "brute")
                 assert got == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("multiset", [False, True])
+    def test_brute_enumerates_only_the_budget_size(self, rng, monkeypatch, multiset):
+        # an observation never lowers the gain, so the best set has exactly
+        # ``budget`` members and smaller sizes need no enumeration
+        sizes = []
+        enumerate_size = posterior._best_grouped_gain
+
+        def counted(cov, noise, size, **kwargs):
+            sizes.append(size)
+            return enumerate_size(cov, noise, size, **kwargs)
+
+        monkeypatch.setattr(posterior, "_best_grouped_gain", counted)
+        state = random_state(rng, 5, hetero=True)
+        noise = state.noise.vector(state.ids)
+        got = information_capacity(state, list(range(5)), 3, "brute", multiset=multiset)
+        assert sizes == [3]
+        if multiset:
+            smaller = [best_grouped_gain_reference(state.cov, noise, s) for s in (1, 2, 3)]
+            assert got == pytest.approx(max(smaller), rel=1e-12)
+        else:
+            assert got == pytest.approx(capacity_subset_reference(state, range(5), 3),
+                                        rel=1e-9)
+
+    def test_brute_cap_counts_enumerated_multisets(self, rng, monkeypatch):
+        state = random_state(rng, 3, hetero=True)
+        monkeypatch.setattr(posterior, "BRUTE_FORCE_CAP", 10)  # C(3 + 3 - 1, 3) = 10
+        information_capacity(state, [0, 1, 2], 3, "brute", multiset=True)
+        monkeypatch.setattr(posterior, "BRUTE_FORCE_CAP", 9)
+        with pytest.raises(BudgetError, match="10"):
+            information_capacity(state, [0, 1, 2], 3, "brute", multiset=True)
 
     def test_blocks_grow_past_initial_capacity(self, rng):
         prior = random_state(rng, 12, hetero=True)

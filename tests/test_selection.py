@@ -135,8 +135,7 @@ class TestSelectBatch:
     def test_bace_objectives_non_increasing_for_itl(self, rng):
         for _ in range(10):
             state = random_state(rng, 8, unit_diag=True, noise_range=(0.3, 0.3))
-            policy = Policy(rule="itl", batch_size=4, stabilize=False,
-                            rho=math.sqrt(0.3))
+            policy = Policy(rule="itl", batch_size=4, stabilize=False)
             result = select_batch(state, range(8), range(8), policy)
             steps = result.objectives
             assert all(a >= b - 1e-9 for a, b in zip(steps, steps[1:]))
@@ -166,8 +165,7 @@ class TestSelectBatch:
         ])
         state = PosteriorState.from_prior(KernelMatrix(gram, (0, 1, 2, 3)),
                                           NoiseModel.homoscedastic(0.1))
-        policy = Policy(rule="itl", batch_size=2, stabilize=False,
-                        rho=math.sqrt(0.1))
+        policy = Policy(rule="itl", batch_size=2, stabilize=False)
         top = select_batch(state, [3], range(3),
                            Policy(rule="itl", batch_size=2, batch_mode="topb",
                                   stabilize=False))
@@ -200,7 +198,7 @@ def dense_bace(state, targets, candidates, policy):
         remaining.remove(pick)
         j = state.position(pick)
         col = cov[:, j].copy()
-        cov = cov - np.outer(col, col) / (max(cov[j, j], 0.0) + policy.rho ** 2)
+        cov = cov - np.outer(col, col) / (max(cov[j, j], 0.0) + state.noise.variance_at(pick))
         np.fill_diagonal(cov, np.maximum(np.diag(cov), 0.0))
     return tuple(picks), objectives
 
@@ -219,12 +217,35 @@ class TestFactorBaCE:
             b = int(rng.integers(1, 9))
             candidates = sorted(int(c) for c in rng.choice(n, int(rng.integers(b, n + 1)),
                                                            replace=False))
-            policy = Policy(rule=rule, batch_size=b, rho=float(rng.uniform(0.2, 1.5)),
-                            stabilize=bool(rng.integers(0, 2)))
+            policy = Policy(rule=rule, batch_size=b, stabilize=bool(rng.integers(0, 2)))
             got = select_batch(state, targets, candidates, policy)
             picks, objectives = dense_bace(state, targets, candidates, policy)
             assert got.indices == picks
             np.testing.assert_allclose(got.objectives, objectives, rtol=0, atol=1e-12)
+
+
+class TestHeteroscedasticBaCE:
+    def test_itl_picks_equal_stepwise_greedy_batch_gain(self, rng):
+        # BaCE greedily maximises I(f_A; y_B) only when each in-batch downdate
+        # uses the state's noise rho^2(x), as the scores do
+        for _ in range(40):
+            n = int(rng.integers(8, 16))
+            state = random_state(rng, n, hetero=True, noise_range=(0.05, 2.0))
+            targets = sorted(int(t) for t in rng.choice(n, int(rng.integers(2, 6)),
+                                                        replace=False))
+            b = int(rng.integers(2, 5))
+            got = select_batch(state, targets, range(n),
+                               Policy(rule="itl", batch_size=b, stabilize=False))
+            picks, gains, total = [], [], 0.0
+            for _ in range(b):
+                values = {x: batch_information_gain(state, targets, picks + [x])
+                          for x in range(n) if x not in picks}
+                best = max(values, key=values.get)  # the lowest index among ties
+                picks.append(best)
+                gains.append(values[best] - total)
+                total = values[best]
+            assert got.indices == tuple(picks)
+            np.testing.assert_allclose(got.objectives, gains, rtol=1e-7)  # jittered logdets
 
 
 class TestScoreOncePerBatch:
@@ -241,7 +262,7 @@ class TestScoreOncePerBatch:
             b = int(rng.integers(1, 7))
             candidates = sorted(int(c) for c in rng.choice(n, int(rng.integers(b, n + 1)),
                                                            replace=False))
-            policy = Policy(rule=rule, batch_size=b, rho=float(rng.uniform(0.2, 1.5)))
+            policy = Policy(rule=rule, batch_size=b)
             got = select_batch(state, targets, candidates, policy)
             assert (got.indices, got.objectives) == rescoring_bace_reference(
                 state, targets, candidates, policy)
@@ -288,7 +309,7 @@ class TestBruteForceBatch:
             state = PosteriorState.from_prior(gram, noise)
             targets = list(range(12))
             candidates = list(range(8))
-            policy = Policy(rule="itl", batch_size=3, stabilize=False, rho=0.5)
+            policy = Policy(rule="itl", batch_size=3, stabilize=False)
             greedy = select_batch(state, targets, candidates, policy)
             value_greedy = batch_information_gain(state, targets, greedy.indices)
             best = brute_force_batch(state, targets, candidates, 3)
@@ -339,7 +360,7 @@ class TestRunLoop:
 
     def test_round_metrics_and_retrieval(self, rng):
         state, truth, oracle = self._setup(rng)
-        policy = Policy(rule="itl", batch_size=2, seed=3, rho=math.sqrt(0.5))
+        policy = Policy(rule="itl", batch_size=2, seed=3)
         record = run_loop(state, [8, 9], range(8), policy, oracle, 4,
                           relevant=[0, 1, 2, 3], truth=truth)
         assert [e.round for e in record.rounds] == [0, 1, 2, 3, 4]
@@ -380,8 +401,7 @@ class TestRunLoop:
 
     def test_target_subsampling(self, rng):
         state, truth, oracle = self._setup(rng)
-        policy = Policy(rule="itl", batch_size=1, seed=0, target_subsample=2,
-                        rho=math.sqrt(0.5))
+        policy = Policy(rule="itl", batch_size=1, seed=0, target_subsample=2)
         record = run_loop(state, [6, 7, 8, 9], range(6), policy, oracle, 2)
         assert len(record.rounds) == 3
 

@@ -303,6 +303,18 @@ class TestSizeBound:
                 bound = capacity_upper_bound(variances, noise, budget)
                 assert bound >= exact - 1e-9
 
+    def test_capacity_is_exact_when_its_multisets_fit_the_cap(self, rng, monkeypatch):
+        # budget 3 over |S| = 3 enumerates C(5, 3) = 10 multisets; sizes 1..3
+        # together would be 19
+        state = random_state(rng, 3, hetero=True)
+        monkeypatch.setattr(theory, "BRUTE_FORCE_CAP", 10)
+        capacity, exact = theory._capacity_with_mode(state, [0, 1, 2], 3)
+        assert exact is True
+        assert capacity == pytest.approx(best_grouped_gain_reference(
+            state.cov, state.noise.vector(state.ids), 3), rel=1e-12)
+        monkeypatch.setattr(theory, "BRUTE_FORCE_CAP", 9)
+        assert theory._capacity_with_mode(state, [0, 1, 2], 3)[1] is False
+
     def test_exact_small_epsilon_path(self, rng):
         k = KernelMatrix(np.eye(2), (0, 1))
         state = PosteriorState.from_prior(k, NoiseModel.homoscedastic(1.0))
