@@ -16,7 +16,7 @@ A run config is a JSON object with the sections
 
 A policy entry names one of ``selection.RULES``; an override may set b, m,
 batch_mode, stabilize and a display name. Unknown fields are refused (a kernel
-takes its family's alone), and each policy is built once, while parsing.
+takes its family's alone), as is a ``k`` below a ``b``; each policy is built once, while parsing.
 
 Synthetic layouts:
 
@@ -213,6 +213,8 @@ def parse_config(raw: dict, *, preset: str | None = None,
                 sizes[key] = _number(int, entry[key], f"policies[{i}].{key}")
                 if sizes[key] < 1:
                     raise ConfigError(f"field 'policies[{i}].{key}' must be at least 1")
+        if hyper["k"] is not None and hyper["k"] < sizes["b"]:
+            raise ConfigError(f"field 'hyper.k' ({hyper['k']}) is below policies[{i}].b")
         policies.append((name, Policy(
             rule=rule, batch_size=int(sizes["b"]), batch_mode=batch_mode,
             target_subsample=None if sizes["m"] is None else int(sizes["m"]),

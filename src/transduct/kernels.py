@@ -41,7 +41,8 @@ MATERN_ORDERS = (0.5, 1.5, 2.5)
 
 #: Relative jitter added to Gram diagonals before any factorization.
 JITTER_SCALE = 1e-10
-#: Entries per row block of the pairwise distance sums (512 KB of float64).
+#: Entries per row block of the pairwise distance sums and of the Gram check
+#: (512 KB of float64).
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -160,9 +161,10 @@ class KernelMatrix:
             raise InputError("Gram matrix must be square")
         if vals.shape[0] != len(self.ids):
             raise InputError("Gram size does not match the id list")
-        if not np.all(np.isfinite(vals)):
+        rows = max(1, _BLOCK_ENTRIES // max(len(vals), 1))
+        if not all(np.all(np.isfinite(vals[i:i + rows])) for i in range(0, len(vals), rows)):
             raise InputError("Gram matrix contains non-finite entries")
-        if not np.allclose(vals, vals.T, atol=1e-12):
+        if not all(_symmetric_rows(vals, i, i + rows) for i in range(0, len(vals), rows)):
             raise InputError("Gram matrix is not symmetric within 1e-12")
         if np.min(np.diag(vals)) < -1e-12:
             raise InputError("Gram diagonal has negative entries")
@@ -185,14 +187,27 @@ class KernelMatrix:
         return np.array([self.position(i) for i in indices], dtype=np.intp)
 
 
+def _symmetric_rows(vals: np.ndarray, start: int, stop: int) -> bool:
+    """``np.allclose(vals, vals.T, atol=1e-12)`` on the upper triangle of rows
+    start:stop: |a - b| <= atol + rtol |b| holds both ways iff it does at min(|a|, |b|)."""
+    upper = vals[start:stop, start:]
+    lower = vals[start:, start:stop].T
+    if np.array_equal(upper, lower):  # every family's Gram is bit-symmetric
+        return True
+    tol = np.minimum(np.abs(upper), np.abs(lower))
+    tol *= 1e-5  # numpy's default rtol
+    tol += 1e-12
+    return bool(np.all(np.abs(upper - lower) <= tol))
+
+
 def jittered(matrix: np.ndarray) -> np.ndarray:
     """Copy of ``matrix`` with ``JITTER_SCALE * max(diag)`` added to the diagonal."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    out = matrix.copy()
-    if out.size:
-        scale = float(np.max(np.diag(out)))
+    out = np.array(matrix, dtype=np.float64, order="C")
+    diag = out.reshape(-1)[::len(out) + 1]  # a view: the copy is C-contiguous
+    if diag.size:
+        scale = float(diag.max())
         if scale > 0:
-            out[np.diag_indices_from(out)] += JITTER_SCALE * scale
+            diag += JITTER_SCALE * scale
     return out
 
 

@@ -3,7 +3,9 @@
 The conditional covariance is kept in full. A batch of observations
 conditions it in factor form (GPML Alg. 2.1): the observation at j adds the
 column w = (K[:, j] - W W[j, :]^T) / sqrt(K[j, j] - |W[j, :]|^2 + rho^2(x_j))
-to an N x b factor W, and K - W W^T is formed once per batch. This matches
+to an N x b factor W. One GEMM on a transposed copy of W forms W W^T once per
+batch (numpy's SYRK for ``W @ W.T`` is several times slower on threaded
+OpenBLAS); it is subtracted in place and symmetric to round-off. This matches
 batch conditioning from the prior for any observation order.
 Downdates with no observation value yet (BaCE picks, greedy capacity, Markov
 boundaries) append the same column to factor blocks over targets and
@@ -44,25 +46,26 @@ BRUTE_FORCE_CAP = 200_000
 _CHUNK = 256
 
 
-def chol_logdet(matrix: np.ndarray) -> float:
-    """log det of a PSD matrix via Cholesky of its jittered copy."""
-    if matrix.size == 0:
-        return 0.0
+def _cholesky(matrix: np.ndarray) -> np.ndarray:
+    """Cholesky factor of the jittered ``matrix``; NumericError if it fails or is not finite."""
     try:
         chol = np.linalg.cholesky(jittered(matrix))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"Cholesky factorization failed: {exc}") from exc
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+    if not np.isfinite(chol).all():
+        raise NumericError("Cholesky factorization produced non-finite values")
+    return chol
 
 
-def solve_psd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a PSD system after jittering the matrix."""
-    if matrix.size == 0:
-        return np.zeros_like(rhs)
-    try:
-        return np.linalg.solve(jittered(matrix), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"PSD solve failed: {exc}") from exc
+def chol_logdet(matrix: np.ndarray) -> float:
+    """log det of a PSD matrix via Cholesky of its jittered copy (0 when empty)."""
+    return 2.0 * float(np.sum(np.log(np.diag(_cholesky(matrix)))))
+
+
+def whiten(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """L^{-1} rhs for the Cholesky factor L of the jittered ``matrix``: a column z
+    of it has |z|^2 = r^T matrix^{-1} r (GPML Alg. 2.1)."""
+    return np.linalg.inv(_cholesky(matrix)) @ rhs
 
 
 @dataclass(frozen=True)
@@ -154,16 +157,16 @@ def condition_all(state: PosteriorState, observations: Iterable[Observation]) ->
     if not observations:
         return state
     pos = state.positions(obs.index for obs in observations)
-    factor = np.empty((state.cov.shape[0], len(pos)))
+    factor = np.empty((len(pos), state.cov.shape[0]))  # W^T: one contiguous row a column
     mean = state.mean.copy()
     for i, (obs, j) in enumerate(zip(observations, pos)):
-        col = state.cov[:, j] - factor[:, :i] @ factor[j, :i]
+        col = state.cov[:, j] - factor[:i, j] @ factor[:i]
         denom = max(float(col[j]), 0.0) + obs.noise_var
         if not denom > 0:
             raise NumericError("non-positive predictive variance at the observed index")
         mean += col * ((obs.value - mean[j]) / denom)
-        factor[:, i] = col / math.sqrt(denom)
-    cov = factor @ factor.T
+        factor[i] = col / math.sqrt(denom)
+    cov = np.ascontiguousarray(factor.T) @ factor  # GEMM, not SYRK (see above)
     np.subtract(state.cov, cov, out=cov)
     diag = np.diag(cov)
     if np.min(diag) < 0.0:
@@ -250,20 +253,20 @@ def bace_update(blocks: _Blocks, pick: int, rho2: float) -> None:
 
 
 def _itl_scores(blocks: _Blocks, stabilize: bool) -> np.ndarray:
-    """I(f_A; y_x | D) at every candidate x, by the backward formula
-    1/2 log(Var(y_x) / Var(y_x | f_A))."""
+    """I(f_A; y_x | D) at every candidate x: 1/2 log(Var(y_x) / Var(y_x | f_A)), with
+    Var(y_x | f_A) = Var(y_x) - |L^{-1} cov[A, x]|^2 for one Cholesky L of the target block."""
     cov_a = blocks.cov_a()
     block, cross = cov_a[:, :blocks.na], cov_a[:, blocks.na:]
     if stabilize:
         block = block + np.diag(blocks.noise_a)
-    quad = np.sum(cross * solve_psd(block, cross), axis=0)
+    quad = np.sum(whiten(block, cross) ** 2, axis=0)
     noise = blocks.noise_c
     denom = blocks.var()[blocks.na:] + noise
     resid = np.maximum(denom - quad, 1e-300)
     if not stabilize:
         # in-target candidates have exact residual rho^2 (y_x independent of
-        # f_{A \ x} given f_x); bypass the solve round-off for them
-        inside = np.isin(np.asarray(blocks.candidates), np.asarray(blocks.targets))
+        # f_{A \ x} given f_x); bypass the whitening round-off for them
+        inside = (blocks.rows[blocks.na:, None] == blocks.rows[:blocks.na]).any(axis=1)
         resid = np.where(inside, noise, resid)
     return np.maximum(0.5 * np.log(denom / resid), 0.0)
 

@@ -99,15 +99,10 @@ class BatchResult:
 # ---------------------------------------------------------------------------
 
 def _ctl_scores(blocks: _Blocks) -> np.ndarray:
+    """sum_a Cor(f_a, f_x | D) at every candidate x, as one matrix-vector product."""
     var = blocks.var()
-    var_a, var_c = var[:blocks.na], var[blocks.na:]
-    cross = blocks.cov_a()[:, blocks.na:].T
-    denom = np.sqrt(np.maximum(var_c, _DEGENERATE_VAR)[:, None]
-                    * np.maximum(var_a, _DEGENERATE_VAR)[None, :])
-    corr = cross / denom
-    corr[:, var_a < _DEGENERATE_VAR] = 0.0
-    corr[var_c < _DEGENERATE_VAR, :] = 0.0
-    return corr.sum(axis=1)
+    scale = np.where(var < _DEGENERATE_VAR, 0.0, np.maximum(var, _DEGENERATE_VAR) ** -0.5)
+    return scale[blocks.na:] * (scale[:blocks.na] @ blocks.cov_a()[:, blocks.na:])
 
 
 def _prior_cosine_scores(blocks: _Blocks) -> np.ndarray:

@@ -51,7 +51,7 @@ from .posterior import (
     condition,  # noqa: F401  (public name here; tracing tools wrap it)
     condition_all,
     information_capacity,
-    solve_psd,
+    whiten,
 )
 
 _TOL = 1e-9
@@ -174,7 +174,7 @@ def irreducible_uncertainty(prior_gram: KernelMatrix, sample_space: Sequence[int
     px = prior_gram.position(int(x))
     block = prior_gram.values[np.ix_(ps, ps)]
     cross = prior_gram.values[ps, px]
-    eta2 = float(prior_gram.values[px, px]) - float(cross @ solve_psd(block, cross))
+    eta2 = float(prior_gram.values[px, px]) - float(np.sum(whiten(block, cross) ** 2))
     return max(eta2, 0.0)
 
 

@@ -11,9 +11,10 @@ from scipy.spatial.distance import cdist
 from transduct import (BudgetError, IGQuery, KernelMatrix, NoiseModel, Observation, Policy,
                        PosteriorState, batch_information_gain, condition, information_gain,
                        step_uncertainty)
-from transduct.kernels import _matern_of_distance
+from transduct.kernels import _matern_of_distance, jittered
 from transduct.posterior import _Blocks, _itl_scores, bace_update, chol_logdet
-from transduct.selection import _POSTERIOR_RULES, _ctl_scores, _score_candidates
+from transduct.selection import (_DEGENERATE_VAR, _POSTERIOR_RULES, _ctl_scores,
+                                 _score_candidates)
 
 
 def random_corr_gram(rng, n, floor=0.0, ids=None):
@@ -227,6 +228,37 @@ def cdist_gram_reference(spec, points):
     if spec.family == "laplace":
         return np.exp(-cdist(x, x, "cityblock") / spec.lengthscale)
     return _matern_of_distance(cdist(x, x, "euclidean"), spec.lengthscale, spec.nu)
+
+
+def itl_scores_reference(blocks, stabilize):
+    """Backward ITL scores with Var(y_x | f_A) from a general LU solve against
+    the jittered target block, one right-hand side per candidate: the form
+    ``_itl_scores`` had before it whitened with one Cholesky factor."""
+    cov_a = blocks.cov_a()
+    block, cross = cov_a[:, :blocks.na], cov_a[:, blocks.na:]
+    if stabilize:
+        block = block + np.diag(blocks.noise_a)
+    quad = np.sum(cross * np.linalg.solve(jittered(block), cross), axis=0)
+    denom = blocks.var()[blocks.na:] + blocks.noise_c
+    resid = np.maximum(denom - quad, 1e-300)
+    if not stabilize:
+        inside = np.isin(np.asarray(blocks.candidates), np.asarray(blocks.targets))
+        resid = np.where(inside, blocks.noise_c, resid)
+    return np.maximum(0.5 * np.log(denom / resid), 0.0)
+
+
+def ctl_scores_reference(blocks):
+    """CTL scores from the dense |C| x |A| correlation matrix, its degenerate
+    rows and columns zeroed, summed over the targets."""
+    var = blocks.var()
+    var_a, var_c = var[:blocks.na], var[blocks.na:]
+    cross = blocks.cov_a()[:, blocks.na:].T
+    denom = np.sqrt(np.maximum(var_c, _DEGENERATE_VAR)[:, None]
+                    * np.maximum(var_a, _DEGENERATE_VAR)[None, :])
+    corr = cross / denom
+    corr[:, var_a < _DEGENERATE_VAR] = 0.0
+    corr[var_c < _DEGENERATE_VAR, :] = 0.0
+    return corr.sum(axis=1)
 
 
 def score_itl(state, targets, candidate, *, stabilize=False):

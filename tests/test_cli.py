@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -184,6 +185,9 @@ class TestConfigValidation:
         ("run", "policies", ["itl", {"rule": "random", "m": 0}], "policies[1].m"),
         ("run", "policies", ["itl", {"rule": "ctl", "b": 0}], "policies[1].b"),
         ("run", "hyper.m", 0, "hyper.m"),
+        ("run", "hyper.k", 1, "hyper.k"),  # below b = 2
+        ("run", "policies", ["itl", {"rule": "ctl", "b": 21}], "hyper.k"),  # k = 20
+        ("ablate", "grid.k", [20, 1], "hyper.k"),
     ])
     def test_bad_section_is_config_error(self, tmp_path, capsys, monkeypatch, command, path,
                                          value, named):
@@ -344,6 +348,21 @@ class TestRunCommand:
         assert policy == {"rule": "itl", "batch_size": 2, "batch_mode": "bace",
                           "target_subsample": None, "stabilize": True,
                           "beta": 1.0, "rho": 0.5}
+
+    def test_non_finite_target_block_exits_3(self, tmp_path, capsys, monkeypatch):
+        def poisoned_build(config, seed):
+            domain = build_domain(config, seed)
+            cov = domain.prior.cov.copy()
+            pa = domain.prior.positions(domain.target_ids)
+            cov[np.ix_(pa, pa)] = np.nan
+            return replace(domain, prior=replace(domain.prior, cov=cov))
+
+        monkeypatch.setattr(cli, "build_domain", poisoned_build)
+        cfg = write_config(tmp_path / "c.json", base_run_config(policies=["itl"]))
+        with np.errstate(invalid="ignore"):
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "Cholesky factorization produced non-finite" in err and "Traceback" not in err
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", base_run_config(policies=["nope"]))

@@ -220,6 +220,44 @@ class TestSpecsAndModels:
         with pytest.raises(InputError):
             k.position(4)
 
+    @pytest.mark.parametrize("where", ["first", "last"])
+    @pytest.mark.parametrize("mirror", [False, True])
+    @pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6])
+    def test_row_blocked_symmetry_check_agrees_with_allclose(self, rng, where, mirror,
+                                                             factor):
+        # 300 rows make two row blocks of 218 and 82 rows; the first pair spans
+        # both blocks, so the check sees it from one side only
+        n = 300
+        w = rng.standard_normal((n, n))
+        vals = w @ w.T / n
+        vals = (vals + vals.T) / 2.0
+        i, j = (3, 250) if where == "first" else (n - 2, n - 1)
+        if mirror:
+            i, j = j, i
+        ref = vals[j, i]
+        # |a - b| <= 1e-12 + 1e-5 |b| must hold both ways; the smaller of |a|, |b| binds
+        away = 1e-12 + 1e-5 * abs(ref)
+        toward = away / (1 + 1e-5)
+        for delta in (factor * away * np.sign(ref), -factor * toward * np.sign(ref)):
+            off = vals.copy()
+            off[i, j] = ref + delta
+            verdict = bool(np.allclose(off, off.T, atol=1e-12))
+            assert verdict == (factor < 1)  # the cases sit on either side of the tolerance
+            try:
+                KernelMatrix(off, tuple(range(n)))
+                accepted = True
+            except InputError as exc:
+                assert str(exc) == "Gram matrix is not symmetric within 1e-12"
+                accepted = False
+            assert accepted == verdict
+
+    def test_non_finite_entry_is_reported_before_asymmetry(self):
+        vals = np.eye(300)
+        vals[0, 1] = 0.5  # asymmetric in the first row block
+        vals[299, 298] = np.nan  # non-finite in the last
+        with pytest.raises(InputError, match="non-finite"):
+            KernelMatrix(vals, tuple(range(300)))
+
     def test_kernel_distance_identity_gram(self):
         assert kernel_distance(1.0, 1.0, 0.0) == math.sqrt(2.0)
         assert kernel_distance(1.0, 1.0, 1.0) == 0.0

@@ -33,6 +33,8 @@ from conftest import (
     best_grouped_gain_reference,
     capacity_greedy_reference,
     capacity_subset_reference,
+    itl_scores_reference,
+    random_psd_gram,
     random_state,
 )
 
@@ -144,6 +146,71 @@ class TestConditioning:
     def test_empty_batch_is_identity(self):
         state = two_point_state()
         assert condition_all(state, []) is state
+
+    def test_fifty_batches_of_ten_match_prior_recompute(self):
+        # the round loop's shape at N=420: 50 rank-10 updates, compared with
+        # one Cholesky recompute of all 500 observations from the prior
+        rng = np.random.default_rng(11)
+        points = [Point(i, coords=xy) for i, xy in enumerate(rng.uniform(size=(420, 2)))]
+        state = PosteriorState.from_prior(gram(KernelSpec("gaussian", lengthscale=0.2), points),
+                                          NoiseModel.homoscedastic(1.0))
+        observations = [Observation(int(i), float(rng.standard_normal()), 1.0)
+                        for i in rng.integers(0, 420, size=500)]
+        for start in range(0, 500, 10):
+            state = condition_all(state, observations[start:start + 10])
+        prior = state.gram.values
+        pos = [state.position(obs.index) for obs in observations]
+        chol = np.linalg.cholesky(prior[np.ix_(pos, pos)] + np.eye(500))
+        v = solve_triangular(chol, prior[pos, :], lower=True)
+        y = solve_triangular(chol, [obs.value for obs in observations], lower=True)
+        assert np.max(np.abs(state.cov - (prior - v.T @ v))) <= 1e-12
+        assert np.max(np.abs(state.mean - v.T @ y)) <= 1e-12
+
+
+def coincident_state(rng, n, hetero):
+    """A random state over n + 1 ids whose last two are the same point: their
+    Gram rows, columns and noise variances are equal."""
+    base = random_psd_gram(rng, n).values
+    copy = np.r_[np.arange(n), n - 1]
+    gram_ = KernelMatrix(base[np.ix_(copy, copy)], tuple(range(n + 1)))
+    rho2 = rng.uniform(0.01, 1.0, size=n)[copy] if hetero else np.full(n + 1, 0.3)
+    noise = NoiseModel.heteroscedastic({i: float(v) for i, v in enumerate(rho2)})
+    return PosteriorState.from_prior(gram_, noise)
+
+
+class TestITLWhitening:
+    @pytest.mark.parametrize("stabilize", [False, True])
+    def test_matches_lu_solve_reference(self, rng, stabilize):
+        for trial in range(40):
+            n = int(rng.integers(8, 30))
+            if trial % 4 == 3:  # two coincident targets: a singular target block
+                state = coincident_state(rng, n, hetero=bool(trial % 8 == 3))
+                targets = sorted({n - 1, n} | {int(t) for t in rng.choice(n - 1, 3)})
+            else:
+                state = random_state(rng, n, hetero=trial % 2 == 0)
+                targets = sorted(int(t) for t in rng.choice(n, int(rng.integers(1, 8)),
+                                                            replace=False))
+            ids = list(state.ids)
+            if rng.integers(0, 2):
+                observed = rng.choice(ids, size=4)
+                state = condition_all(state, [Observation(int(i), 0.3, 0.2) for i in observed])
+            candidates = sorted(int(c) for c in rng.choice(ids, int(rng.integers(3, len(ids))),
+                                                           replace=False))
+            blocks = posterior._Blocks(state, targets, candidates, 3)
+            for step in range(3):
+                got = posterior._itl_scores(blocks, stabilize)
+                np.testing.assert_allclose(got, itl_scores_reference(blocks, stabilize),
+                                           rtol=1e-12, atol=0)
+                posterior.bace_update(blocks, step, float(blocks.noise_c[step]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_block_is_numeric_error(self, rng, bad):
+        state = random_state(rng, 6)
+        cov = state.cov.copy()
+        cov[1, 2] = cov[2, 1] = bad
+        state = PosteriorState(state.gram, state.noise, cov, state.mean)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            posterior._itl_scores(posterior._Blocks(state, [0, 1, 2], [3, 4, 5]), False)
 
 
 class TestInformationGain:

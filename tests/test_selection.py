@@ -24,8 +24,8 @@ from transduct import (
     subsample_targets,
 )
 from transduct import selection
-from conftest import (random_corr_gram, random_state, rescoring_bace_reference,
-                      score_baseline, score_ctl, score_itl)
+from conftest import (ctl_scores_reference, random_corr_gram, random_state,
+                      rescoring_bace_reference, score_baseline, score_ctl, score_itl)
 
 TWO_POINT = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -83,6 +83,26 @@ class TestScoreCTL:
         state = identity_state(2, rho2=1e-6)
         state = condition(state, Observation(0, 1.0, 1e-6))
         assert score_ctl(state, [1], 0) == 0.0
+
+    def test_matches_dense_correlation_sum(self, rng):
+        for trial in range(40):
+            n = int(rng.integers(8, 30))
+            state = random_state(rng, n, hetero=trial % 2 == 0)
+            if trial % 3:  # near-exact observations leave degenerate variances
+                observed = rng.choice(n, size=3, replace=False)
+                state = condition_all(state, [Observation(int(i), 0.3, 1e-14 if trial % 3 == 2
+                                                          else 0.2) for i in observed])
+            targets = sorted(int(t) for t in rng.choice(n, int(rng.integers(1, 8)),
+                                                        replace=False))
+            candidates = sorted(int(c) for c in rng.choice(n, int(rng.integers(3, n + 1)),
+                                                           replace=False))
+            blocks = selection._Blocks(state, targets, candidates, 3)
+            for step in range(3):
+                # atol: a sum of correlations of both signs can cancel to near 0
+                np.testing.assert_allclose(selection._ctl_scores(blocks),
+                                           ctl_scores_reference(blocks), rtol=1e-12,
+                                           atol=1e-12)
+                selection.bace_update(blocks, step, float(blocks.noise_c[step]))
 
     def test_negative_correlations_compete_unclamped(self):
         values = np.array([[1.0, -0.6, -0.5],
