@@ -252,10 +252,7 @@ class RunRecord:
 
 
 def _atomic_write_text(path: str, payload: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(payload)
-    os.replace(tmp, path)
+    _atomic_write_bytes(path, payload.encode("utf-8"))
 
 
 def _atomic_write_bytes(path: str, payload: bytes) -> None:

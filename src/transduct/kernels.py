@@ -157,8 +157,8 @@ class KernelMatrix:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
-            raise InputError("Gram matrix must be square")
+        if vals.ndim != 2 or vals.shape[0] != vals.shape[1] or not len(vals):
+            raise InputError("Gram matrix must be square and nonempty")
         if vals.shape[0] != len(self.ids):
             raise InputError("Gram size does not match the id list")
         rows = max(1, _BLOCK_ENTRIES // max(len(vals), 1))

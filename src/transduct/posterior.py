@@ -7,13 +7,16 @@ to an N x b factor W. One GEMM on a transposed copy of W forms W W^T once per
 batch (numpy's SYRK for ``W @ W.T`` is several times slower on threaded
 OpenBLAS); it is subtracted in place and symmetric to round-off. This matches
 batch conditioning from the prior for any observation order.
-Downdates with no observation value yet (BaCE picks, greedy capacity, Markov
-boundaries) append the same column to factor blocks over targets and
-candidates (``_Blocks``, ``bace_update``), read by ``_itl_scores``.
+Downdates with no observation value yet append the same column to factor
+blocks over targets and candidates (``_Blocks``, ``bace_update``). Every
+greedy pick is made by one generator, ``greedy``: it takes the argmax of a
+score over the blocks, then downdates them at the pick. BaCE batches, the
+theory rollout, the kappa batch, greedy capacity and Markov boundaries all
+draw their picks from it, scored by ``_itl_scores`` or ``_undirected_scores``.
 
 On top of the state the module computes marginal variances, joint entropies,
-the information gain I(f_A; y_x | D) in its forward (determinant ratio over
-the target block) and backward (``_itl_scores``) forms, the batch gain
+the information gain I(f_A; y_x | D) in its forward (the batch gain of the
+one-point batch [x]) and backward (``_itl_scores``) forms, the batch gain
 I(f_A; y_B | D), and the information capacity
 
     gamma_n = max_{X, |X| <= n} 1/2 log det(I + P_X^{-1} K_XX)
@@ -29,7 +32,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, islice, takewhile
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -271,29 +274,29 @@ def _itl_scores(blocks: _Blocks, stabilize: bool) -> np.ndarray:
     return np.maximum(0.5 * np.log(denom / resid), 0.0)
 
 
-def _undirected_picks(blocks: _Blocks, multiset: bool) -> Iterator[tuple[int, float]]:
-    """Yield (position, gain) of the greedy undirected-ITL pick, argmax of 1/2 log(1 +
-    sigma^2/rho^2) over the candidates of ``blocks`` (no factor columns yet), then
-    downdate at it. Picks repeat only when ``multiset``; an exhausted pool yields -inf."""
-    available = np.ones(len(blocks.candidates), dtype=bool)
-    var = blocks._k_diag[blocks.na:]  # downdated by each new column: O(|C|) a pick
+def _undirected_scores(blocks: _Blocks) -> np.ndarray:
+    """I(f_x; y_x | D) = 1/2 log(1 + sigma^2(x)/rho^2(x)) at every candidate x."""
+    return 0.5 * np.log1p(blocks.var()[blocks.na:] / blocks.noise_c)
+
+
+def greedy(blocks: _Blocks, score: Callable[[_Blocks], np.ndarray], *,
+           multiset: bool = False) -> Iterator[tuple[int, np.ndarray]]:
+    """Greedy picks over the candidates of ``blocks``.
+
+    Yields (position, scores) at the argmax of ``score(blocks)``, lowest
+    position on ties, with earlier picks at -inf unless ``multiset``. The
+    noise-inflated downdate at a pick runs only when the generator is resumed,
+    so ``islice(greedy(...), b)`` never pays for the b-th one.
+    """
+    taken = np.zeros(len(blocks.candidates), dtype=bool)
     while True:
-        gains = np.where(available, np.log1p(np.maximum(var, 0.0) / blocks.noise_c), -np.inf)
-        best = int(np.argmax(gains))
-        yield best, float(gains[best]) / 2
-        bace_update(blocks, best, float(blocks.noise_c[best]))
-        var = var - blocks.w[blocks.na:, blocks.width - 1] ** 2
+        scores = score(blocks)
         if not multiset:
-            available[best] = False
-
-
-def _target_block(state: PosteriorState, targets: Sequence[int],
-                  stabilize: bool) -> tuple[np.ndarray, np.ndarray]:
-    pa = state.positions(targets)
-    block = state.cov[np.ix_(pa, pa)]
-    if stabilize:
-        block = block + np.diag(state.noise.vector(targets))
-    return pa, block
+            scores = np.where(taken, -np.inf, scores)
+        best = int(np.argmax(scores))
+        yield best, scores
+        taken[best] = True
+        bace_update(blocks, best, float(blocks.noise_c[best]))
 
 
 def information_gain(state: PosteriorState, query: IGQuery, *,
@@ -303,18 +306,15 @@ def information_gain(state: PosteriorState, query: IGQuery, *,
     ``stabilize=True`` computes I(y_A; y_x | D_n) instead, which adds the
     target noise variances to the target-block diagonal before inversion;
     this trades a small bias for numerical robustness on near-singular blocks.
-    Forward and backward methods agree to high accuracy on either variant.
+    Forward (the batch gain of the one-point batch [x]) and backward methods
+    agree to high accuracy on either variant.
     """
     rho2 = state.noise.variance_at(query.candidate)
     if not rho2 > 0:
         raise InputError("candidate noise variance must be positive for the gain to exist")
     if query.method == "backward":
         return float(_itl_scores(_Blocks(state, query.targets, [query.candidate]), stabilize)[0])
-    px = state.position(query.candidate)
-    pa, block = _target_block(state, query.targets, stabilize)
-    k_ax = state.cov[pa, px]
-    downdated = block - np.outer(k_ax, k_ax) / (max(float(state.cov[px, px]), 0.0) + rho2)
-    return max(0.5 * (chol_logdet(block) - chol_logdet(downdated)), 0.0)
+    return batch_information_gain(state, query.targets, [query.candidate], stabilize=stabilize)
 
 
 def batch_information_gain(state: PosteriorState, targets: Sequence[int],
@@ -322,7 +322,10 @@ def batch_information_gain(state: PosteriorState, targets: Sequence[int],
     """I(f_A; y_B | D_n) for a (multi)set B of candidate indices."""
     if len(batch) == 0:
         return 0.0
-    pa, block = _target_block(state, targets, stabilize)
+    pa = state.positions(targets)
+    block = state.cov[np.ix_(pa, pa)]
+    if stabilize:
+        block = block + np.diag(state.noise.vector(targets))
     pb = state.positions(batch)
     c_bb = state.cov[np.ix_(pb, pb)] + np.diag(state.noise.vector(batch))
     c_ab = state.cov[np.ix_(pa, pb)]
@@ -393,8 +396,8 @@ def _capacity_brute(state: PosteriorState, candidates: Sequence[int], budget: in
 
 def _capacity_greedy(state: PosteriorState, candidates: Sequence[int], budget: int,
                      multiset: bool) -> float:
-    picks = _undirected_picks(_Blocks(state, (), candidates), multiset)
-    gains = (gain for _, gain in islice(picks, budget))
+    steps = greedy(_Blocks(state, (), candidates), _undirected_scores, multiset=multiset)
+    gains = (float(scores[best]) for best, scores in islice(steps, budget))
     return sum(takewhile(lambda gain: gain > 0.0, gains), 0.0)
 
 

@@ -14,10 +14,14 @@ Rule catalog (higher score wins):
 Batches are built either greedily with conditional-embedding updates ("bace":
 after each pick the remaining candidates are re-scored under the rank-one
 downdate at the pick x, inflated by the state's noise rho^2(x)) or from the
-top-b scores of one pass ("topb"). Ties break toward the lowest index. Scorers
+top-b scores of one pass ("topb"). Ties break toward the lowest index. A BaCE
+batch is the first b steps of ``posterior.greedy``. Cosine's scores ignore
+the picks, so its BaCE batch is its top-b batch and is built as one. Max-dist
+reads only the picks, so the b - 1 downdates it pays for are never read; each
+costs O(|C| b), below its own O(|C| |selected|) distance scoring. Scorers
 read cov[A, A], cov[A, C] and the variances at targets A and candidates C from
-``posterior``'s factor blocks; in-batch downdates (``bace_update``) are factor
-rows over A and C, and the round loop conditions once per batch.
+``posterior``'s factor blocks; in-batch downdates are factor rows over A and
+C, and the round loop conditions once per batch.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -38,10 +42,12 @@ from .posterior import (
     PosteriorState,
     _Blocks,
     _itl_scores,
-    bace_update,
+    _undirected_scores,
+    bace_update,  # noqa: F401  (public name here; tracing tools wrap it)
     batch_information_gain,
     condition,  # noqa: F401  (public name here; tracing tools wrap it)
     condition_all,
+    greedy,
 )
 
 ITL = "itl"
@@ -55,10 +61,6 @@ RANDOM = "random"
 
 RULES = (ITL, CTL, UNCERTAINTY, UNDIRECTED_ITL, MAX_DIST, KMEANS_PP, COSINE, RANDOM)
 TARGET_RULES = frozenset((ITL, CTL, COSINE))
-#: rules whose scores change when the conditional covariance is downdated
-_POSTERIOR_RULES = frozenset((ITL, CTL, UNCERTAINTY, UNDIRECTED_ITL))
-#: rules that BaCE rescores after each in-batch pick; the others score once a batch
-_PICK_DEPENDENT_RULES = _POSTERIOR_RULES | {MAX_DIST}
 
 BRUTE_FORCE_BATCH_CAP = 100_000
 _DEGENERATE_VAR = 1e-12
@@ -137,7 +139,7 @@ def _score_candidates(blocks: _Blocks, policy: Policy,
     if rule == UNCERTAINTY:
         return blocks.var()[blocks.na:]
     if rule == UNDIRECTED_ITL:
-        return 0.5 * np.log1p(blocks.var()[blocks.na:] / blocks.noise_c)
+        return _undirected_scores(blocks)
     if rule == COSINE:
         return _prior_cosine_scores(blocks)
     if rule == MAX_DIST:
@@ -175,28 +177,19 @@ def select_batch(state: PosteriorState, targets: Sequence[int],
     history = _history_indices(state)
     # uncertainty rules never read the target blocks, so no rows are kept for them
     blocks = _Blocks(state, targets if policy.rule in TARGET_RULES else (), cand, b - 1)
-    if policy.batch_mode == "topb":
+    # cosine's scores ignore the picks, so its BaCE batch is its top-b batch
+    if policy.batch_mode == "topb" or policy.rule == COSINE:
         scores = _score_candidates(blocks, policy, history)
         order = np.lexsort((np.array(cand), -scores))[:b]
         return BatchResult(indices=tuple(cand[i] for i in order),
                            objectives=tuple(float(scores[i]) for i in order))
 
-    picked: list[int] = []
+    picked: list[int] = []  # read by max-dist's scores at each step
     objectives: list[float] = []
-    mask = np.zeros(len(cand), dtype=bool)
-    fixed = (None if policy.rule in _PICK_DEPENDENT_RULES
-             else _score_candidates(blocks, policy, history))
-    for step in range(b):
-        scores = fixed if fixed is not None else _score_candidates(
-            blocks, policy, history + picked)
-        scores = np.where(mask, -np.inf, scores)
-        best = int(np.argmax(scores))
+    steps = greedy(blocks, lambda blocks: _score_candidates(blocks, policy, history + picked))
+    for best, scores in islice(steps, b):
         picked.append(cand[best])
         objectives.append(float(scores[best]))
-        mask[best] = True
-        # the downdate after the last pick would never be read
-        if policy.rule in _POSTERIOR_RULES and step < b - 1:
-            bace_update(blocks, best, float(blocks.noise_c[best]))
     return BatchResult(indices=tuple(picked), objectives=tuple(objectives))
 
 

@@ -21,17 +21,19 @@ size exactly n in stacked determinants (``posterior._best_grouped_gain``).
 The one exception to the greedy fallback is the size condition behind b_eps,
 where an underestimate would be unsound; there a certified closed-form upper
 bound (grouped-Hadamard water filling, see ``capacity_upper_bound``) stands in.
-A greedy ITL rollout downdates one of the posterior module's factor blocks
-per pick and keeps its picks, Gamma_n and target variances, which is all the
-checkers read. Markov boundaries and kappa's greedy batch use the same blocks.
+Every greedy pick here comes from ``posterior.greedy`` on one factor block.
+The ITL rollout takes rounds + 1 steps of it with repeats allowed and keeps
+the picks, Gamma_n and target variances, which is all the checkers read.
+Kappa's greedy batch is the same rule without repeats; Markov boundaries pick
+by undirected ITL.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, partial
+from itertools import combinations, islice
 from typing import Sequence
 
 import numpy as np
@@ -45,17 +47,21 @@ from .posterior import (
     _best_grouped_gain,
     _Blocks,
     _itl_scores,
-    _undirected_picks,
+    _undirected_scores,
     bace_update,
     batch_information_gain,
     condition,  # noqa: F401  (public name here; tracing tools wrap it)
     condition_all,
+    greedy,
     information_capacity,
     whiten,
 )
 
 _TOL = 1e-9
 SIZE_BOUND_CAP = 10_000
+
+#: the exact (unstabilized) ITL scores, which every bound is stated for
+_exact_itl = partial(_itl_scores, stabilize=False)
 
 
 @dataclass(frozen=True)
@@ -132,27 +138,6 @@ class BoundCheck:
         return "pass" if self.passed else "fail"
 
 
-def _itl_rollout(state: PosteriorState, targets: tuple[int, ...], space: tuple[int, ...],
-                 rounds: int, multiset: bool) -> Trajectory:
-    """Greedy ITL picks on one factor block, downdated at each pick, with Gamma_n
-    and the target variances after n picks. Picks repeat only when ``multiset``."""
-    blocks = _Blocks(state, targets, space, rounds)
-    taken = np.zeros(len(space), dtype=bool)
-    picks, gains, variances = [], [], []
-    while True:
-        scores = _itl_scores(blocks, stabilize=False)
-        gains.append(float(np.max(scores, initial=0.0)))  # 0 on an empty space
-        variances.append(blocks.var()[:blocks.na])
-        if len(picks) == rounds:
-            return Trajectory(prior=state, targets=targets, sample_space=space,
-                              picks=tuple(picks), gains=tuple(gains),
-                              variances=np.array(variances))
-        best = int(np.argmax(scores if multiset else np.where(taken, -np.inf, scores)))
-        taken[best] = True
-        picks.append(space[best])
-        bace_update(blocks, best, float(blocks.noise_c[best]))
-
-
 def greedy_itl_trajectory(prior: PosteriorState, targets: Sequence[int],
                           sample_space: Sequence[int], rounds: int) -> Trajectory:
     """Roll out the exact greedy rule; observed values are irrelevant to
@@ -161,7 +146,15 @@ def greedy_itl_trajectory(prior: PosteriorState, targets: Sequence[int],
     space = tuple(sorted(int(s) for s in sample_space))
     if not space or rounds < 0:
         raise InputError("the rollout needs a nonempty sample space and rounds >= 0")
-    return _itl_rollout(prior, targets, space, rounds, multiset=True)
+    blocks = _Blocks(prior, targets, space, rounds)
+    picks, gains, variances = [], [], []
+    # step n yields the (n+1)-th pick and Gamma_n; its variances are read before the downdate
+    for best, scores in islice(greedy(blocks, _exact_itl, multiset=True), rounds + 1):
+        picks.append(space[best])
+        gains.append(float(scores[best]))
+        variances.append(blocks.var()[:blocks.na])
+    return Trajectory(prior=prior, targets=targets, sample_space=space, picks=tuple(picks[:-1]),
+                      gains=tuple(gains), variances=np.array(variances))
 
 
 def irreducible_uncertainty(prior_gram: KernelMatrix, sample_space: Sequence[int],
@@ -181,7 +174,7 @@ def irreducible_uncertainty(prior_gram: KernelMatrix, sample_space: Sequence[int
 def step_uncertainty(state: PosteriorState, targets: Sequence[int],
                      sample_space: Sequence[int]) -> float:
     """Gamma_n: the largest exact gain available within the sample space."""
-    return float(np.max(_itl_scores(_Blocks(state, targets, sample_space), stabilize=False)))
+    return float(np.max(_exact_itl(_Blocks(state, targets, sample_space))))
 
 
 def _capacity_with_mode(prior: PosteriorState, space: Sequence[int],
@@ -331,17 +324,15 @@ def markov_boundary(state: PosteriorState, sample_space: Sequence[int], x: int,
     size_bound, exact = markov_size_bound(state, space, epsilon, cap=cap)
 
     prior = PosteriorState.from_prior(state.gram, state.noise)  # shares the Gram
-    picks = _undirected_picks(_Blocks(prior, (), space), multiset=True)
+    picks = greedy(_Blocks(prior, (), space), _undirected_scores, multiset=True)
     check = _Blocks(state, (x,), space)
     members: list[int] = []
-    achieved = float(check.var()[0])
-    while achieved > eta2 + epsilon:
+    while (achieved := float(check.var()[0])) > eta2 + epsilon:
         if len(members) >= cap:
             raise BudgetError(f"markov boundary exceeded the {cap}-point cap")
         best, _ = next(picks)
         members.append(space[best])
         bace_update(check, best, float(check.noise_c[best]))
-        achieved = max(achieved - float(check.w[0, check.width - 1]) ** 2, 0.0)
     return MarkovBoundary(members=tuple(members), epsilon=epsilon,
                           achieved_variance=achieved, irreducible=eta2,
                           size_bound=size_bound, size_bound_exact=exact)
@@ -443,7 +434,8 @@ def submodularity_ratio(state: PosteriorState, targets: Sequence[int],
     combos = sum(math.comb(len(space), j) for j in range(1, k + 1)) * (2 ** k)
     if combos > 50_000:
         raise InputError("submodularity-ratio enumeration is limited to small instances")
-    greedy = _itl_rollout(state, targets, space, min(k, len(space)), multiset=False).picks
+    steps = greedy(_Blocks(state, targets, space, k), _exact_itl)
+    batch = tuple(space[best] for best, _ in islice(steps, min(k, len(space))))
 
     cache: dict[tuple[int, ...], float] = {}
 
@@ -454,8 +446,8 @@ def submodularity_ratio(state: PosteriorState, targets: Sequence[int],
         return cache[key]
 
     ratio = math.inf
-    for b_size in range(0, len(greedy) + 1):
-        for base in combinations(greedy, b_size):
+    for b_size in range(0, len(batch) + 1):
+        for base in combinations(batch, b_size):
             base_value = value(base)
             rest = [s for s in space if s not in base]
             for x_size in range(1, k + 1):

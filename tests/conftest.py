@@ -13,8 +13,11 @@ from transduct import (BudgetError, IGQuery, KernelMatrix, NoiseModel, Observati
                        step_uncertainty)
 from transduct.kernels import _matern_of_distance, jittered
 from transduct.posterior import _Blocks, _itl_scores, bace_update, chol_logdet
-from transduct.selection import (_DEGENERATE_VAR, _POSTERIOR_RULES, _ctl_scores,
-                                 _score_candidates)
+from transduct.selection import (_DEGENERATE_VAR, CTL, ITL, UNCERTAINTY, UNDIRECTED_ITL,
+                                 _ctl_scores, _score_candidates)
+
+#: rules whose scores change when the conditional covariance is downdated
+_POSTERIOR_RULES = frozenset((ITL, CTL, UNCERTAINTY, UNDIRECTED_ITL))
 
 
 def random_corr_gram(rng, n, floor=0.0, ids=None):

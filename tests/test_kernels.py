@@ -251,6 +251,10 @@ class TestSpecsAndModels:
                 accepted = False
             assert accepted == verdict
 
+    def test_empty_gram_is_refused(self):
+        with pytest.raises(InputError, match="nonempty"):
+            KernelMatrix(np.zeros((0, 0)), ())
+
     def test_non_finite_entry_is_reported_before_asymmetry(self):
         vals = np.eye(300)
         vals[0, 1] = 0.5  # asymmetric in the first row block

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from transduct import (
 )
 from transduct import theory
 from transduct.kernels import KernelSpec, Point, gram
+from transduct.posterior import _Blocks, greedy
 from transduct.theory import capacity_upper_bound, check_reducible_schedule
 from conftest import (
     best_grouped_gain_reference,
@@ -135,8 +137,8 @@ class TestRollout:
             prior, targets, space = rollout_instance(rng, layout, hetero=trial % 2 == 1)
             space = sorted(space)[:6]
             k = int(rng.integers(1, 4))
-            picks = theory._itl_rollout(prior, tuple(targets), tuple(space),
-                                        min(k, len(space)), multiset=False).picks
+            steps = greedy(_Blocks(prior, targets, space, k), theory._exact_itl)
+            picks = [space[best] for best, _ in islice(steps, min(k, len(space)))]
             reference, gaps = greedy_batch_reference(prior, targets, space, k)
             assert len(set(picks)) == len(picks) == len(reference)
             # picks agree up to the first near-tie of the reference
