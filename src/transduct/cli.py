@@ -26,7 +26,7 @@ from numpy.random import SeedSequence
 
 from .config import PRESETS, RunConfig, build_domain, load_config, parse_config
 from .data import persist_run, save_table
-from .errors import BudgetError, ConfigError, DataError, InputError, NumericError
+from .errors import BudgetError, ConfigError, InputError, NumericError, TransductError
 from .selection import run_loop
 from .theory import (
     check_gamma_bound,
@@ -128,12 +128,8 @@ def _aggregate(results: dict, config: RunConfig):
                 "objective_sum": [sum(e.objectives) for e in entries],
                 "rmse": [e.rmse for e in entries if e.rmse is not None],
             }
-            for field in _AGG_FIELDS:
-                values = samples[field]
-                if values:
-                    row.extend([float(np.mean(values)), _stderr(values)])
-                else:
-                    row.extend([None, None])
+            for values in map(samples.get, _AGG_FIELDS):
+                row.extend([float(np.mean(values)), _stderr(values)] if values else [None, None])
             agg_rows.append(row)
     return raw_rows, agg_rows
 
@@ -305,15 +301,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetError as exc:
+    except TransductError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (InputError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 4 if isinstance(exc, BudgetError) else 3 if isinstance(exc, NumericError) else 2
 
 
 if __name__ == "__main__":

@@ -3,8 +3,11 @@
 A run config is a JSON object with the sections
 
     domain    {"source": "synthetic", "kernel": {...}, "layout": {...}}
-              or {"source": "embeddings", "path": ..., "s": [...], "a": [...]}
-              (path: a text or binary embedding file, see ``data``)
+              or {"source": "embeddings", "path": ..., "s": ids, "a": ids}
+              (path: a text or binary embedding file, see ``data``; each ids
+              selector is a list of distinct ids in the file, {"first": n}
+              for the file's first n ids, or {"count": n, "from": i} for n ids
+              from position i on, "from" defaulting to 0; every n, i >= 0)
     policies  list of rule names or {"rule": ..., overrides...}
     rounds    number of selection rounds
     seeds     list of integer seeds
@@ -192,6 +195,9 @@ def parse_config(raw: dict, *, preset: str | None = None,
             raise ConfigError(f"unknown layout kind {kind!r}")
         _known_keys(layout, _LAYOUT_KEYS[kind], f"domain.layout ({kind})")
         _typed(layout.get("include_s_in_a", True), bool, "domain.layout.include_s_in_a")
+    else:
+        for key in ("s", "a"):
+            _check_selector(_require(domain, key, "domain"), f"domain.{key}")
 
     policies = []
     for i, entry in enumerate(_typed(raw.get("policies", ["itl"]), list, "policies")):
@@ -302,19 +308,35 @@ def _grid_layout(layout: dict):
     return points, sample_ids, target_ids, sample_ids
 
 
-def _resolve_ids(section, available: Sequence[int], field: str) -> tuple[int, ...]:
+def _check_selector(section, field: str) -> None:
+    """Refuse an id selector (``domain.s``, ``domain.a``) of any other shape
+    than an id list without repeats, {"first": n} or {"count": n, "from": i},
+    or with a negative value."""
     if isinstance(section, dict):
-        if "first" in section:
-            return tuple(available[: _number(int, section["first"], f"{field}.first")])
-        if "count" in section:
-            offset = _number(int, section.get("from", 0), f"{field}.from")
-            return tuple(available[offset: offset + _number(int, section["count"],
-                                                            f"{field}.count")])
-        raise ConfigError(f"field '{field}' must be an id list or use first/count")
-    ids = tuple(_number(int, i, field) for i in _typed(section, list, field))
+        key = "first" if "first" in section else "count"
+        _known_keys(section, (key,) if key == "first" else (key, "from"), field)
+        _require(section, key, field)
+        values = {f"{field}.{name}": [value] for name, value in section.items()}
+    else:
+        values = {field: _typed(section, list, field)}
+    for name, entries in values.items():
+        numbers = [_number(int, value, name) for value in entries]
+        if min(numbers, default=0) < 0:
+            raise ConfigError(f"field {name!r} must be nonnegative")
+        if len(set(numbers)) < len(numbers):
+            repeated = sorted({i for i in numbers if numbers.count(i) > 1})
+            raise ConfigError(f"field {name!r} repeats ids {repeated}")
+
+
+def _resolve_ids(section, available: Sequence[int], field: str) -> tuple[int, ...]:
+    """The ids a selector checked by ``_check_selector`` names in ``available``."""
+    if isinstance(section, dict):
+        start = int(section.get("from", 0))
+        return tuple(available[start: start + int(section.get("first", section.get("count")))])
+    ids = tuple(int(i) for i in section)
     missing = set(ids) - set(available)
     if missing:
-        raise ConfigError(f"field '{field}' references unknown ids {sorted(missing)}")
+        raise ConfigError(f"field {field!r} references unknown ids {sorted(missing)}")
     return ids
 
 
@@ -341,8 +363,8 @@ def build_domain(config: RunConfig, seed: int) -> DomainInstance:
             raise ConfigError(f"cannot read embeddings {path}: {exc}") from exc
         kernel = _kernel_from(config.domain.get("kernel", {"family": "embedding"}))
         ids = [p.index for p in points]
-        sample_ids = _resolve_ids(_require(config.domain, "s", "domain"), ids, "domain.s")
-        target_ids = _resolve_ids(_require(config.domain, "a", "domain"), ids, "domain.a")
+        sample_ids = _resolve_ids(config.domain["s"], ids, "domain.s")
+        target_ids = _resolve_ids(config.domain["a"], ids, "domain.a")
         relevant = ()
     if not sample_ids or not target_ids:
         raise ConfigError("the domain has an empty sample or target space")

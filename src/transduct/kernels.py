@@ -178,13 +178,13 @@ class KernelMatrix:
         return len(self.ids)
 
     def position(self, index: int) -> int:
-        try:
-            return self._pos[index]
-        except KeyError:
-            raise InputError(f"index {index} is not in this Gram matrix") from None
+        return int(self.positions((index,))[0])
 
     def positions(self, indices: Iterable[int]) -> np.ndarray:
-        return np.array([self.position(i) for i in indices], dtype=np.intp)
+        try:
+            return np.fromiter(map(self._pos.__getitem__, indices), dtype=np.intp)
+        except KeyError as exc:
+            raise InputError(f"index {exc.args[0]} is not in this Gram matrix") from None
 
 
 def _symmetric_rows(vals: np.ndarray, start: int, stop: int) -> bool:

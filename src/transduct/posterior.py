@@ -1,18 +1,19 @@
 """Joint Gaussian posterior over a finite domain, and its information metrics.
 
-The conditional covariance is kept in full. A batch of observations
-conditions it in factor form (GPML Alg. 2.1): the observation at j adds the
-column w = (K[:, j] - W W[j, :]^T) / sqrt(K[j, j] - |W[j, :]|^2 + rho^2(x_j))
-to an N x b factor W. One GEMM on a transposed copy of W forms W W^T once per
-batch (numpy's SYRK for ``W @ W.T`` is several times slower on threaded
-OpenBLAS); it is subtracted in place and symmetric to round-off. This matches
-batch conditioning from the prior for any observation order.
-Downdates with no observation value yet append the same column to factor
-blocks over targets and candidates (``_Blocks``, ``bace_update``). Every
-greedy pick is made by one generator, ``greedy``: it takes the argmax of a
-score over the blocks, then downdates them at the pick. BaCE batches, the
-theory rollout, the kappa batch, greedy capacity and Markov boundaries all
-draw their picks from it, scored by ``_itl_scores`` or ``_undirected_scores``.
+The conditional covariance is kept in full. Every conditioning step is one
+noise-inflated rank-one downdate, ``bace_update`` (GPML Alg. 2.1): observing x
+with noise rho^2 appends the row w = (cov[:, x] - W^T W[:, x]) / s, with
+s = sqrt(Var[f_x] + rho^2), to a factor W over the columns of a ``_Blocks``.
+``condition_all`` downdates blocks over the whole domain, moves the mean by
+w (y - mu_x) / s per observation, and subtracts W^T W, formed by one GEMM on a
+transposed copy of W (numpy's SYRK is several times slower on threaded
+OpenBLAS). This matches batch conditioning from the prior in any order.
+Downdates with no value yet keep W over targets and candidates and leave the
+state alone: the batch gain downdates the target block at every point of the
+batch, and ``greedy`` makes every greedy pick (BaCE batches, the theory
+rollout, the kappa batch, greedy capacity and Markov boundaries) as the argmax
+of ``_itl_scores`` or ``_undirected_scores`` over the blocks, then downdates
+them at the pick.
 
 On top of the state the module computes marginal variances, joint entropies,
 the information gain I(f_A; y_x | D) in its forward (the batch gain of the
@@ -159,17 +160,13 @@ def condition_all(state: PosteriorState, observations: Iterable[Observation]) ->
     observations = tuple(observations)
     if not observations:
         return state
-    pos = state.positions(obs.index for obs in observations)
-    factor = np.empty((len(pos), state.cov.shape[0]))  # W^T: one contiguous row a column
+    blocks = _Blocks(state, (), state.ids, len(observations))
     mean = state.mean.copy()
-    for i, (obs, j) in enumerate(zip(observations, pos)):
-        col = state.cov[:, j] - factor[:i, j] @ factor[:i]
-        denom = max(float(col[j]), 0.0) + obs.noise_var
-        if not denom > 0:
-            raise NumericError("non-positive predictive variance at the observed index")
-        mean += col * ((obs.value - mean[j]) / denom)
-        factor[i] = col / math.sqrt(denom)
-    cov = np.ascontiguousarray(factor.T) @ factor  # GEMM, not SYRK (see above)
+    for k, obs in enumerate(observations):
+        j = state.position(obs.index)
+        scale = bace_update(blocks, j, obs.noise_var)
+        mean += blocks.w[k] * ((obs.value - mean[j]) / scale)
+    cov = np.ascontiguousarray(blocks.w.T) @ blocks.w  # GEMM, not SYRK (see above)
     np.subtract(state.cov, cov, out=cov)
     diag = np.diag(cov)
     if np.min(diag) < 0.0:
@@ -193,11 +190,11 @@ def marginal_variance(state: PosteriorState, index: int) -> float:
 class _Blocks:
     """The pieces of the conditional covariance that the scorers read.
 
-    Rows are the targets A followed by the candidates C. Each piece is
-    gathered from ``state.cov`` once, when first read. Downdates that have no
-    observation value yet are factor columns W over these rows, so every block
-    is the state's block minus the matching product of W rows, e.g.
-    cov[A, C] = state.cov[A, C] - W_A W_C^T.
+    Columns are the targets A followed by the candidates C. Each piece is
+    gathered from ``state.cov`` once, when first read. Each downdate appends a
+    row to a factor W over these columns, so every block is the state's block
+    minus the matching product of W columns, e.g.
+    cov[A, C] = state.cov[A, C] - W_A^T W_C.
     """
 
     def __init__(self, state: PosteriorState, targets: Sequence[int],
@@ -206,8 +203,8 @@ class _Blocks:
         self.targets = tuple(targets)
         self.candidates = candidates
         self.na = len(self.targets)
-        self.width = 0  # factor columns in use, out of w.shape[1]
-        self.w = np.empty((self.na + len(candidates), capacity))
+        self.width = 0  # factor rows in use, out of len(w)
+        self.w = np.empty((capacity, self.na + len(candidates)))
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -223,7 +220,7 @@ class _Blocks:
 
     @cached_property
     def _k_a(self) -> np.ndarray:
-        return self.state.cov[np.ix_(self.rows[:self.na], self.rows)]
+        return self.state.cov[self.rows[:self.na, None], self.rows]
 
     @cached_property
     def _k_diag(self) -> np.ndarray:
@@ -231,28 +228,31 @@ class _Blocks:
 
     def cov_a(self) -> np.ndarray:
         """cov[A, A] in the first |A| columns, cov[A, C] after them."""
-        w = self.w[:, :self.width]
-        return self._k_a - w[:self.na] @ w.T
+        w = self.w[:self.width]
+        return self._k_a - w[:, :self.na].T @ w
 
     def var(self) -> np.ndarray:
         """Variances at A then C, clamped at zero."""
-        w = self.w[:, :self.width]
-        return np.maximum(self._k_diag - np.einsum("ij,ij->i", w, w), 0.0)
+        w = self.w[:self.width]
+        return np.maximum(self._k_diag - np.einsum("ij,ij->j", w, w), 0.0)
 
 
-def bace_update(blocks: _Blocks, pick: int, rho2: float) -> None:
+def bace_update(blocks: _Blocks, pick: int, rho2: float) -> float:
     """Noise-inflated rank-one downdate at the candidate in position ``pick``.
 
-    Identical to conditioning except that no observation value exists yet;
-    it appends one factor column to ``blocks`` (doubling the factor when it
-    is full) and leaves the state alone.
+    Appends the factor row of an observation there with noise variance
+    ``rho2`` to ``blocks`` (doubling the factor when it is full) and returns
+    its scale s; conditioning on a value y also moves the mean by w (y - mu) / s.
     """
     k, i = blocks.width, blocks.na + pick
-    if k == blocks.w.shape[1]:
-        blocks.w = np.concatenate((blocks.w, np.empty((len(blocks.w), max(k, 1)))), axis=1)
-    col = blocks.state.cov[blocks.rows, blocks.rows[i]] - blocks.w[:, :k] @ blocks.w[i, :k]
-    blocks.w[:, k] = col / math.sqrt(max(float(col[i]), 0.0) + rho2)
+    if k == len(blocks.w):
+        blocks.w = np.concatenate((blocks.w, np.empty((max(k, 1), blocks.w.shape[1]))))
+    w = blocks.w[:k]
+    col = blocks.state.cov[blocks.rows, blocks.rows[i]] - w[:, i] @ w
+    scale = math.sqrt(max(float(col[i]), 0.0) + rho2)
+    blocks.w[k] = col / scale
     blocks.width = k + 1
+    return scale
 
 
 def _itl_scores(blocks: _Blocks, stabilize: bool) -> np.ndarray:
@@ -319,22 +319,17 @@ def information_gain(state: PosteriorState, query: IGQuery, *,
 
 def batch_information_gain(state: PosteriorState, targets: Sequence[int],
                            batch: Sequence[int], *, stabilize: bool = False) -> float:
-    """I(f_A; y_B | D_n) for a (multi)set B of candidate indices."""
+    """I(f_A; y_B | D_n) for a (multi)set B of candidate indices: half the log
+    determinant of the target block before over after a downdate at every
+    position of B (a repeated index is its own measurement)."""
     if len(batch) == 0:
         return 0.0
-    pa = state.positions(targets)
-    block = state.cov[np.ix_(pa, pa)]
-    if stabilize:
-        block = block + np.diag(state.noise.vector(targets))
-    pb = state.positions(batch)
-    c_bb = state.cov[np.ix_(pb, pb)] + np.diag(state.noise.vector(batch))
-    c_ab = state.cov[np.ix_(pa, pb)]
-    try:
-        downdated = block - c_ab @ np.linalg.solve(c_bb, c_ab.T)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"batch gain solve failed: {exc}") from exc
-    gain = 0.5 * (chol_logdet(block) - chol_logdet(downdated))
-    return max(gain, 0.0)
+    blocks = _Blocks(state, targets, batch, len(batch))
+    noise = np.diag(blocks.noise_a) if stabilize else 0.0
+    before = chol_logdet(blocks._k_a[:, :blocks.na] + noise)
+    for pick, rho2 in enumerate(blocks.noise_c):
+        bace_update(blocks, pick, float(rho2))
+    return max(0.5 * (before - chol_logdet(blocks.cov_a()[:, :blocks.na] + noise)), 0.0)
 
 
 def entropy(state: PosteriorState, indices: Sequence[int]) -> float:

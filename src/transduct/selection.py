@@ -149,10 +149,6 @@ def _score_candidates(blocks: _Blocks, policy: Policy,
     raise InputError(f"rule {rule!r} is not a scored rule")
 
 
-def _history_indices(state: PosteriorState) -> list[int]:
-    return [obs.index for obs in state.history]
-
-
 def select_batch(state: PosteriorState, targets: Sequence[int],
                  candidates: Sequence[int], policy: Policy, *,
                  rng: Generator | None = None) -> BatchResult:
@@ -174,7 +170,7 @@ def select_batch(state: PosteriorState, targets: Sequence[int],
     if policy.rule == KMEANS_PP:
         return _select_kmeanspp(state, cand, b, rng)
 
-    history = _history_indices(state)
+    history = [obs.index for obs in state.history]
     # uncertainty rules never read the target blocks, so no rows are kept for them
     blocks = _Blocks(state, targets if policy.rule in TARGET_RULES else (), cand, b - 1)
     # cosine's scores ignore the picks, so its BaCE batch is its top-b batch
@@ -197,7 +193,7 @@ def _select_kmeanspp(state: PosteriorState, cand: list[int], b: int,
                      rng: Generator) -> BatchResult:
     picked: list[int] = []
     objectives: list[float] = []
-    selected = _history_indices(state)
+    selected = [obs.index for obs in state.history]
     for _ in range(b):
         anchors = selected + picked
         if not anchors:
@@ -236,13 +232,9 @@ def brute_force_batch(state: PosteriorState, targets: Sequence[int],
         value = batch_information_gain(state, targets, combo, stabilize=stabilize)
         if value > best_value + 1e-15:
             best_value, best_combo = value, combo
-    objectives = []
-    previous = 0.0
-    for i in range(1, batch_size + 1):
-        value = batch_information_gain(state, targets, best_combo[:i], stabilize=stabilize)
-        objectives.append(value - previous)
-        previous = value
-    return BatchResult(indices=best_combo, objectives=tuple(objectives))
+    values = [batch_information_gain(state, targets, best_combo[:i], stabilize=stabilize)
+              for i in range(batch_size + 1)]
+    return BatchResult(indices=best_combo, objectives=tuple(np.diff(values).tolist()))
 
 
 def subsample_targets(targets: Sequence[int], m: int,

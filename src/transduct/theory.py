@@ -409,10 +409,7 @@ def check_reducible_schedule(trajectory: Trajectory) -> BoundCheck:
             warn, ok = True, True
         ok_all &= ok
         rows.append({"n": n, "lhs": lhs, "rhs": rhs, "holds": ok})
-    passed: bool | None = ok_all
-    if ok_all and warn:
-        passed = None
-    return BoundCheck(name="reducible-schedule", passed=passed,
+    return BoundCheck(name="reducible-schedule", passed=None if ok_all and warn else ok_all,
                       detail=f"c={c:.6g}, c_prime={c_prime:.6g}", rows=tuple(rows))
 
 

@@ -76,6 +76,24 @@ def batch_posterior_oracle(state, observations):
     return mean, cov
 
 
+def batch_gain_reference(state, targets, batch, *, stabilize=False):
+    """I(f_A; y_B | D) from one LU solve on the noise-inflated batch block:
+    the form ``batch_information_gain`` had before it downdated the target
+    block one position of B at a time."""
+    if len(batch) == 0:
+        return 0.0
+    pa = state.positions(targets)
+    block = state.cov[np.ix_(pa, pa)]
+    if stabilize:
+        block = block + np.diag(state.noise.vector(targets))
+    pb = state.positions(batch)
+    c_bb = state.cov[np.ix_(pb, pb)] + np.diag(state.noise.vector(batch))
+    c_ab = state.cov[np.ix_(pa, pb)]
+    downdated = block - c_ab @ np.linalg.solve(c_bb, c_ab.T)
+    gain = 0.5 * (chol_logdet(block) - chol_logdet(downdated))
+    return max(gain, 0.0)
+
+
 def best_grouped_gain_reference(cov, noise, size):
     """Largest grouped multiset gain of exactly ``size`` picks, scored one
     multiset at a time with one ``slogdet`` on its distinct-point block: the

@@ -574,6 +574,29 @@ class TestDomainBuilders:
         assert domain.sample_ids == (0, 1)
         assert domain.prior.gram.size == 4
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("s", {"first": -3}, "domain.s.first"),
+        ("s", {"first": 4, "bogus": 1}, "bogus"),
+        ("s", {"first": 4, "count": 2}, "count"),
+        ("s", {"count": 3, "from": -4}, "domain.s.from"),
+        ("s", {"from": 2}, "count"),
+        ("s", {"count": "x"}, "domain.s.count"),
+        ("s", "all", "domain.s"),
+        ("a", [10, 10, 11], "domain.a"),
+        ("a", [10, -1], "domain.a"),
+        ("a", [10, 12], "domain.a"),  # the file's ids are 0..11
+    ])
+    def test_bad_id_selector_is_config_error(self, tmp_path, capsys, field, value, named):
+        emb = tmp_path / "emb.txt"
+        emb.write_text("p=2 n=12\n" + "".join(f"{i},{i / 11!r},{1 - i / 11!r}\n"
+                                             for i in range(12)))
+        domain = {"source": "embeddings", "path": str(emb), "s": {"first": 9}, "a": [9, 10, 11]}
+        domain[field] = value
+        path = write_config(tmp_path / "c.json", base_run_config(domain=domain))
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert repr(named) in err and "Traceback" not in err
+
     def test_binary_embeddings_file_gives_identical_outputs(self, tmp_path):
         text = tmp_path / "emb.txt"
         rng = np.random.default_rng(5)

@@ -29,6 +29,7 @@ from transduct import (
 )
 from transduct import posterior
 from conftest import (
+    batch_gain_reference,
     batch_posterior_oracle,
     best_grouped_gain_reference,
     capacity_greedy_reference,
@@ -279,14 +280,34 @@ class TestInformationGain:
         expected = 0.5 * math.log(1.1 / (1.1 - 0.25 / 1.1))
         np.testing.assert_allclose(gain, expected, atol=1e-9)
 
-    def test_singular_batch_block_is_numeric_error(self):
-        # two coincident points measured with negligible noise: c_bb rounds
-        # to [[1, 1], [1, 1]] exactly, which no unjittered solve can invert
+    def test_batch_gain_matches_lu_reference(self, rng):
+        # heteroscedastic multisets, stabilized or not, before and after conditioning
+        for trial in range(60):
+            n = int(rng.integers(4, 14))
+            state = random_state(rng, n, hetero=True)
+            if trial % 2:
+                observed = rng.choice(n, size=int(rng.integers(1, n)))
+                state = condition_all(state, [Observation(int(i), 0.3, state.noise.variance_at(
+                    int(i))) for i in observed])
+            targets = tuple(int(i) for i in rng.choice(n, size=int(rng.integers(1, 5)),
+                                                       replace=False))
+            batch = [int(i) for i in rng.choice(n, size=int(rng.integers(1, 6)))]
+            batch += batch[:1]  # at least one repeated id
+            for stabilize in (False, True):
+                np.testing.assert_allclose(
+                    batch_information_gain(state, targets, batch, stabilize=stabilize),
+                    batch_gain_reference(state, targets, batch, stabilize=stabilize),
+                    rtol=0, atol=1e-12)
+
+    def test_singular_batch_block_gives_the_single_point_gain(self):
+        # two coincident points measured with negligible noise: c_bb rounds to
+        # [[1, 1], [1, 1]], which no unjittered solve can invert, and the pair
+        # tells as much about f_2 as either point alone: 1/2 log(1 / (1 - 0.25))
         values = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
         state = PosteriorState.from_prior(KernelMatrix(values, (0, 1, 2)),
                                           NoiseModel.homoscedastic(1e-300))
-        with pytest.raises(NumericError):
-            batch_information_gain(state, [2], [0, 1])
+        np.testing.assert_allclose(batch_information_gain(state, [2], [0, 1]),
+                                   0.5 * math.log(4.0 / 3.0), rtol=0, atol=1e-12)
 
     def test_query_validation(self):
         with pytest.raises(InputError):
@@ -436,7 +457,7 @@ class TestFactorBlockCapacity:
         picks = [3, 0, 3, 7, 5, 1]
         for pick in picks:
             posterior.bace_update(blocks, pick, prior.noise.variance_at(cands[pick]))
-        assert blocks.width == len(picks) and blocks.w.shape[1] >= len(picks)
+        assert blocks.width == len(picks) and len(blocks.w) >= len(picks)
         observations = [Observation(cands[p], 0.0, prior.noise.variance_at(cands[p]))
                         for p in picks]
         _, cov = batch_posterior_oracle(prior, observations)
