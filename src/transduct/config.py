@@ -332,7 +332,11 @@ def _resolve_ids(section, available: Sequence[int], field: str) -> tuple[int, ..
     """The ids a selector checked by ``_check_selector`` names in ``available``."""
     if isinstance(section, dict):
         start = int(section.get("from", 0))
-        return tuple(available[start: start + int(section.get("first", section.get("count")))])
+        count = int(section.get("first", section.get("count")))
+        if start + count > len(available):
+            raise ConfigError(f"field {field!r} selects {count} points from position {start}, "
+                              f"but the embeddings file has {len(available)} points")
+        return tuple(available[start: start + count])
     ids = tuple(int(i) for i in section)
     missing = set(ids) - set(available)
     if missing:

@@ -42,7 +42,7 @@ MATERN_ORDERS = (0.5, 1.5, 2.5)
 #: Relative jitter added to Gram diagonals before any factorization.
 JITTER_SCALE = 1e-10
 #: Entries per row block of the pairwise distance sums and of the Gram check
-#: (512 KB of float64).
+#: (512 KB of float64), and the live entries of the exhaustive capacity walk.
 _BLOCK_ENTRIES = 1 << 16
 
 

@@ -23,8 +23,10 @@ I(f_A; y_B | D), and the information capacity
     gamma_n = max_{X, |X| <= n} 1/2 log det(I + P_X^{-1} K_XX)
 
 by greedy maximization or exhaustive enumeration. Exhaustive enumeration
-over subsets or multisets scores chunks of them as stacked determinants of
-min(|S|, size) x min(|S|, size) blocks, one batched ``slogdet`` per chunk.
+over subsets or multisets is a depth-first walk over observation counts: by
+the chain rule, k observations of a point are one noise-inflated downdate at
+noise rho^2 / k, so a node's covariance serves every multiset that extends it
+and the cost per multiset does not grow with the budget.
 """
 
 from __future__ import annotations
@@ -32,22 +34,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement, islice, takewhile
+from itertools import islice, takewhile
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import BudgetError, InputError, NumericError
-from .kernels import KernelMatrix, NoiseModel, jittered
+from .kernels import _BLOCK_ENTRIES, KernelMatrix, NoiseModel, jittered
 
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
 
 #: Hard cap on exhaustive enumeration sizes (subsets or multisets).
 BRUTE_FORCE_CAP = 200_000
-
-#: Multisets per stacked determinant call. A chunk holds _CHUNK blocks of
-#: min(|S|, size)^2 floats; larger chunks only raise peak memory.
-_CHUNK = 256
 
 
 def _cholesky(matrix: np.ndarray) -> np.ndarray:
@@ -345,37 +343,114 @@ def _best_grouped_gain(cov: np.ndarray, noise: np.ndarray, size: int, *,
     over every multiset (or, without ``multiset``, every subset) of exactly
     ``size`` candidate positions.
 
-    Repeated independent measurements of the same point enter only through
-    their count, so a multiset is scored on its distinct points (Sylvester's
-    determinant identity). Each is placed in a min(|S|, size) block padded
-    with unpicked points, whose zero count gives an identity row and column,
-    so a chunk of multisets is one stacked determinant. A subset is the
-    multiset whose counts are all one.
+    By the chain rule, 1/2 log det(...) = sum_t 1/2 log(1 + k_t sigma_t^2 / rho_t^2)
+    over the distinct points in increasing order, where k_t is the count of
+    point t and sigma_t^2 its variance after the earlier points: k independent
+    measurements of a point are one measurement at noise rho^2 / k. So the
+    multisets are the leaves of a depth-first walk over observation counts
+    (``_count_walk``), whose nodes are downdated covariances. A subset is the
+    multiset whose counts are all one; subsets of more than half the points
+    are walked as their complements (``_complements``). The walk keeps about
+    ``_BLOCK_ENTRIES`` entries alive: each of the at most min(|S|, size)
+    levels on its path holds one block of its share of them.
     """
-    n = cov.shape[0]
-    width = min(n, size)
-    combos = (combinations_with_replacement if multiset else combinations)(range(n), size)
-    diag = np.arange(width)
-    best = 0.0
-    while True:
-        picks = np.fromiter(islice(combos, _CHUNK), dtype=(np.intp, size))
-        if len(picks) == 0:
-            return best
-        # picks are sorted, so a new distinct point starts wherever they change
-        slot = np.zeros_like(picks)
-        np.cumsum(picks[:, 1:] != picks[:, :-1], axis=1, out=slot[:, 1:])
-        rows = np.arange(len(picks))[:, None]
-        points = np.zeros((len(picks), width), dtype=np.intp)
-        points[rows, slot] = picks
-        counts = np.zeros((len(picks), width))
-        np.add.at(counts, (rows, slot), 1.0)
-        root = np.sqrt(counts / noise[points])
-        stack = cov[points[:, :, None], points[:, None, :]] * (root[:, :, None] * root[:, None, :])
-        stack[:, diag, diag] += 1.0
-        logdet = np.linalg.slogdet(stack)[1]
-        if not np.all(np.isfinite(logdet)):
-            raise NumericError("capacity enumeration produced a non-finite log-determinant")
-        best = max(best, 0.5 * float(np.max(logdet)))
+    offset = 0.0
+    if not multiset and len(noise) < 2 * size <= 2 * len(noise):
+        cov, noise, size, offset = _complements(cov, noise, size)
+    bound = _BLOCK_ENTRIES // max(min(len(noise), size), 1)
+    best = _count_walk(cov[None], noise, np.array([-1]), np.array([size]), np.zeros(1),
+                       multiset, bound)
+    best = offset + float(np.maximum(best, 0.0))
+    if not math.isfinite(best):
+        raise NumericError("capacity enumeration produced a non-finite gain")
+    return best
+
+
+def _complements(cov: np.ndarray, noise: np.ndarray,
+                 size: int) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Covariance, noise, size and offset whose walk over the complements T of
+    the subsets S of ``size`` points scores the subsets.
+
+    With M = I + D^-1/2 K D^-1/2, Jacobi's identity gives det M_SS =
+    det M det (M^-1)_TT, and M^-1 = K' + c I with K' positive semidefinite
+    for c at half a Gershgorin lower bound on the eigenvalues of M^-1, so the
+    walk on (K', c) gains 1/2 log det (M^-1)_TT - |T| / 2 log c.
+    """
+    root = np.sqrt(noise)
+    scaled = np.eye(len(noise)) + cov / np.outer(root, root)
+    try:
+        chol = np.linalg.cholesky(scaled)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"capacity enumeration failed: {exc}") from exc
+    inverse = np.linalg.inv(scaled)
+    shift = 0.5 / np.max(np.sum(np.abs(scaled), axis=1))
+    rest = len(noise) - size
+    offset = float(np.sum(np.log(np.diag(chol)))) + 0.5 * rest * math.log(shift)
+    np.fill_diagonal(inverse, np.diag(inverse) - shift)
+    return (inverse + inverse.T) / 2.0, np.full(len(noise), shift), rest, offset
+
+
+def _count_walk(block: np.ndarray, noise: np.ndarray, last: np.ndarray, left: np.ndarray,
+                gain: np.ndarray, multiset: bool, bound: int) -> np.floating:
+    """Best gain below a block of walk nodes (NaN if any gain read is NaN).
+
+    ``block`` stacks the nodes' covariances over the trailing points whose
+    noise is ``noise``. A node has observed points up to ``last`` (local
+    index, -1 for none), has ``left`` observations to spend on later points
+    and has gained ``gain``. A child observes a later point j exactly k times
+    (k = 1 for subsets): one ``bace_update`` downdate at noise rho_j^2 / k,
+    gaining 1/2 log(1 + k sigma^2(j) / rho_j^2). A child that spends all that
+    is left is a leaf, scored from its parent's variances; one with a single
+    observation left is scored from its own variance vector. The others are
+    downdated over the points after the first pick of their block, in blocks
+    of at most ``bound`` entries, and walked in turn.
+    """
+    p = len(noise)
+    points = np.arange(p)
+    var = np.maximum(np.diagonal(block, axis1=1, axis2=2), 0.0)
+    ratio = var / noise
+    open_ = points > last[:, None]
+    # leaves: the whole remaining budget on one later point
+    last_pick = np.ones(len(left), dtype=bool) if multiset else left == 1
+    leaf = gain[last_pick, None] + 0.5 * np.log1p(left[last_pick, None] * ratio[last_pick])
+    best = np.max(leaf, where=open_[last_pick], initial=-np.inf)
+    # left - 1 observations of point j, then one of the best later point j'
+    pre = np.flatnonzero(left >= 2 if multiset else left == 2)
+    if len(pre):
+        k = left[pre, None] - 1.0
+        rest = block[pre]  # row j becomes the variances after the downdate at j
+        rest /= np.sqrt(var[pre] + noise / k)[:, :, None]
+        np.square(rest, out=rest)
+        np.subtract(var[pre, None, :], rest, out=rest)
+        np.maximum(rest, 0.0, out=rest)
+        rest /= noise
+        extra = np.max(rest, axis=2, where=points[:, None] < points, initial=0.0)
+        del rest  # not held while the children are walked
+        pair = gain[pre, None] + 0.5 * np.log1p(k * ratio[pre]) + 0.5 * np.log1p(extra)
+        best = np.max(pair, where=open_[pre] & (points < p - 1), initial=best)
+    # children with two or more observations left, ordered by point: child t
+    # is the k-th count of pair (pick, row), k = t - ends[pair] + reps[pair] + 1
+    room = points < p - 1 if multiset else points <= p - left[:, None]
+    pick, row = np.nonzero((open_ & room & (left[:, None] >= 3)).T)
+    reps = left[row] - 2 if multiset else np.ones(len(row), dtype=np.intp)
+    ends = np.cumsum(reps)
+    total = int(np.sum(reps))
+    start = 0
+    while start < total:
+        base = pick[np.searchsorted(ends, start, side="right")] + 1
+        # a node costs its covariance, its variance rows and its scalars
+        stop = min(start + max(1, bound // (p - base + 1) ** 2), total)
+        t = np.arange(start, stop)
+        pair = np.searchsorted(ends, t, side="right")
+        r, j, k = row[pair], pick[pair], t - ends[pair] + reps[pair] + 1
+        w = block[r, base:, j] / np.sqrt(var[r, j] + noise[j] / k)[:, None]
+        child = block[r, base:, base:]
+        child -= w[:, :, None] * w[:, None, :]
+        below = _count_walk(child, noise[base:], j - base, left[r] - k,
+                            gain[r] + 0.5 * np.log1p(k * ratio[r, j]), multiset, bound)
+        best = np.maximum(best, below)
+        start = stop
+    return best
 
 
 def _capacity_brute(state: PosteriorState, candidates: Sequence[int], budget: int,
@@ -385,7 +460,8 @@ def _capacity_brute(state: PosteriorState, candidates: Sequence[int], budget: in
     cov = state.cov[np.ix_(pos, pos)]
     total = math.comb(len(candidates) + (budget - 1 if multiset else 0), budget)
     if total > BRUTE_FORCE_CAP:
-        raise BudgetError(f"exhaustive capacity search over {total} subsets exceeds the cap")
+        kind = "multisets" if multiset else "subsets"
+        raise BudgetError(f"exhaustive capacity search over {total} {kind} exceeds the cap")
     return _best_grouped_gain(cov, noise, budget, multiset=multiset)
 
 

@@ -16,8 +16,8 @@ Capacity values inside checkers are exact (exhaustive) whenever the
 enumeration is feasible; otherwise the greedy value is used and the affected
 rows are demoted from failures to warnings, since greedy underestimates the
 capacity and could flag spurious violations. Exhaustive capacities, in the
-checkers and in the exact phase of the size condition, score the multisets of
-size exactly n in stacked determinants (``posterior._best_grouped_gain``).
+checkers and in the exact phase of the size condition, walk the observation
+counts of the multisets of size exactly n (``posterior._best_grouped_gain``).
 The one exception to the greedy fallback is the size condition behind b_eps,
 where an underestimate would be unsound; there a certified closed-form upper
 bound (grouped-Hadamard water filling, see ``capacity_upper_bound``) stands in.

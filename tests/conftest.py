@@ -94,12 +94,13 @@ def batch_gain_reference(state, targets, batch, *, stabilize=False):
     return max(gain, 0.0)
 
 
-def best_grouped_gain_reference(cov, noise, size):
-    """Largest grouped multiset gain of exactly ``size`` picks, scored one
-    multiset at a time with one ``slogdet`` on its distinct-point block: the
-    scalar reference for the stacked enumeration."""
+def best_grouped_gain_reference(cov, noise, size, multiset=True):
+    """Largest grouped multiset (or subset) gain of exactly ``size`` picks,
+    scored one at a time with one ``slogdet`` on its distinct-point block: the
+    scalar reference for the walk over observation counts."""
     best = 0.0
-    for combo in combinations_with_replacement(range(len(noise)), size):
+    combos = combinations_with_replacement if multiset else combinations
+    for combo in combos(range(len(noise)), size):
         counts = np.bincount(combo, minlength=len(noise))
         active = counts > 0
         root = np.sqrt(counts[active] / noise[active])

@@ -597,6 +597,21 @@ class TestDomainBuilders:
         err = capsys.readouterr().err
         assert repr(named) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value, stated", [
+        ({"first": 100}, "100 points from position 0"),
+        ({"count": 4, "from": 10}, "4 points from position 10"),
+    ])
+    def test_selector_past_the_end_is_config_error(self, tmp_path, capsys, value, stated):
+        emb = tmp_path / "emb.txt"
+        emb.write_text("p=2 n=12\n" + "".join(f"{i},{i / 11!r},{1 - i / 11!r}\n"
+                                             for i in range(12)))
+        domain = {"source": "embeddings", "path": str(emb), "s": value, "a": [9, 10, 11]}
+        path = write_config(tmp_path / "c.json", base_run_config(domain=domain))
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "'domain.s'" in err and stated in err and "has 12 points" in err
+        assert "Traceback" not in err
+
     def test_binary_embeddings_file_gives_identical_outputs(self, tmp_path):
         text = tmp_path / "emb.txt"
         rng = np.random.default_rng(5)

@@ -357,21 +357,51 @@ class TestInformationCapacity:
 
 class TestStackedCapacityEnumeration:
     def test_matches_scalar_reference(self, rng, monkeypatch):
-        # chunk 120 fits the 120 multisets of |S|=8, size 3 exactly; the
-        # default 256 sees counts below and above it (792 at |S|=8, size 5)
-        for n in range(2, 9):
+        # a bound of one entry walks one node per block, a few hundred puts
+        # block boundaries inside levels, and the default packs whole levels
+        default = posterior._BLOCK_ENTRIES
+        for n in range(1, 9):
             state = random_state(rng, n, hetero=True)
             noise = state.noise.vector(state.ids)
-            for size in range(1, 7):
-                expected = best_grouped_gain_reference(state.cov, noise, size)
-                for chunk in (256, 120):
-                    monkeypatch.setattr(posterior, "_CHUNK", chunk)
-                    got = posterior._best_grouped_gain(state.cov, noise, size)
+            cases = [(size, True) for size in range(1, 7)]  # |S| < size up to |S| = 5
+            cases += [(size, False) for size in range(max(n - 1, 1), n + 2)]  # subsets near |S|
+            for size, multiset in cases:
+                expected = best_grouped_gain_reference(state.cov, noise, size, multiset)
+                for entries in (1, 300, default):
+                    monkeypatch.setattr(posterior, "_BLOCK_ENTRIES", entries)
+                    got = posterior._best_grouped_gain(state.cov, noise, size,
+                                                       multiset=multiset)
                     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    def test_subsets_near_the_pool_walk_their_complements(self, rng):
+        # |S| = 40 at sizes 38-40: the walk enumerates the 780, 40 and 1
+        # complements instead of descending 38 levels
+        state = random_state(rng, 40, hetero=True)
+        noise = state.noise.vector(state.ids)
+        for size in (38, 39, 40):
+            expected = best_grouped_gain_reference(state.cov, noise, size, multiset=False)
+            got = posterior._best_grouped_gain(state.cov, noise, size, multiset=False)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_two_points_at_a_large_budget(self, rng):
+        # 5001 multisets: the root's 2 x 2 block and one block of its 4998
+        # one-point children score them all, where one determinant per
+        # multiset took seconds
+        state = random_state(rng, 2, hetero=True)
+        noise = state.noise.vector(state.ids)
+        budget = 5000
+        start = time.perf_counter()
+        got = posterior._best_grouped_gain(state.cov, noise, budget)
+        elapsed = time.perf_counter() - start
+        expected = max(
+            0.5 * np.linalg.slogdet(np.eye(2) + state.cov * (np.array([c, budget - c]) / noise))[1]
+            for c in range(budget + 1))
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert elapsed < 0.5
+
     def test_large_sample_space_scores_small_blocks(self, rng):
-        # |S| = 300 at sizes 1 and 2: each multiset is a size x size block,
-        # so a chunk holds kilobytes, not 256 blocks of 300 x 300
+        # |S| = 300 at sizes 1 and 2: the walk scores every multiset from the
+        # root's variances and one 300 x 300 downdate table, no per-multiset block
         state = random_state(rng, 300, hetero=True)
         noise = state.noise.vector(state.ids)
         for size in (1, 2):
@@ -390,8 +420,11 @@ class TestStackedCapacityEnumeration:
         state = random_state(rng, 4, hetero=True)
         cov = state.cov.copy()
         cov[1, 2] = cov[2, 1] = np.nan
-        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-            posterior._best_grouped_gain(cov, state.noise.vector(state.ids), 2)
+        # multisets, subsets walked forward and subsets walked as complements
+        for size, multiset in ((2, True), (2, False), (3, False)):
+            with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+                posterior._best_grouped_gain(cov, state.noise.vector(state.ids), size,
+                                             multiset=multiset)
 
 
 class TestFactorBlockCapacity:
