@@ -14,9 +14,6 @@ from .kernels import (
     KernelSpec,
     NoiseModel,
     Point,
-    cosine_similarity,
-    eval_kernel,
-    gamma_rate_label,
     gram,
 )
 from .posterior import (
@@ -24,14 +21,10 @@ from .posterior import (
     Observation,
     PosteriorState,
     batch_information_gain,
-    beta_n,
     condition,
     condition_all,
-    entropy,
     information_capacity,
     information_gain,
-    marginal_variance,
-    observe,
 )
 from .selection import (
     BatchResult,
@@ -62,11 +55,8 @@ from .theory import (
     check_within_S_bound,
     greedy_itl_trajectory,
     irreducible_uncertainty,
-    log_difference_bounds,
-    loewner_diag_bound,
     markov_boundary,
     markov_size_bound,
-    step_uncertainty,
     submodularity_ratio,
     verify_markov_boundary,
 )

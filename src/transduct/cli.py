@@ -196,6 +196,8 @@ def cmd_theory(args) -> int:
 
 
 def cmd_markov(args) -> int:
+    if args.epsilon is not None and not 0.0 < args.epsilon < math.inf:
+        raise ConfigError(f"--epsilon must be positive and finite, got {args.epsilon!r}")
     config = _load(args)
     domain, prior, epsilon = _theory_instance(config)
     if args.epsilon is not None:
@@ -214,7 +216,7 @@ def cmd_markov(args) -> int:
     }
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "markov.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        json.dump(payload, fh, sort_keys=True, indent=1, allow_nan=False)
     print(f"markov boundary of {args.x}: size {len(boundary.members)} "
           f"(bound {boundary.size_bound}), achieved {boundary.achieved_variance:.6g}")
     return 0

@@ -231,39 +231,6 @@ def _require(point: Point, what: str) -> np.ndarray:
     return value
 
 
-def eval_kernel(spec: KernelSpec, a: Point, b: Point) -> float:
-    """Evaluate k(a, b) for one pair of points.
-
-    Arguments are canonicalized by id so that k(a, b) == k(b, a) bit for bit
-    even for the embedding family, whose quadratic form is order-sensitive
-    in floating point.
-    """
-    if a.index > b.index:
-        a, b = b, a
-    if spec.family == LINEAR:
-        return float(np.dot(_require(a, "coords"), _require(b, "coords")))
-    if spec.family == EMBEDDING:
-        pa, pb = _require(a, "embedding"), _require(b, "embedding")
-        if pa.shape != pb.shape:
-            raise InputError("embedding dimensions differ")
-        if spec.latent_cov is None:
-            return float(np.dot(pa, pb))
-        if spec.latent_cov.shape[0] != pa.size:
-            raise InputError("latent_cov dimension does not match the embeddings")
-        return float(pa @ spec.latent_cov @ pb)
-    xa, xb = _require(a, "coords"), _require(b, "coords")
-    if xa.shape != xb.shape:
-        raise InputError("coordinate dimensions differ")
-    if spec.family == GAUSSIAN:
-        d2 = float(np.dot(xa - xb, xa - xb))
-        return float(math.exp(-d2 / (2.0 * spec.lengthscale ** 2)))
-    if spec.family == LAPLACE:
-        d1 = float(np.sum(np.abs(xa - xb)))
-        return float(math.exp(-d1 / spec.lengthscale))
-    r = math.sqrt(float(np.dot(xa - xb, xa - xb)))
-    return float(_matern_of_distance(np.asarray(r), spec.lengthscale, spec.nu))
-
-
 def _stack(points: Sequence[Point], what: str) -> np.ndarray:
     rows = [_require(p, what) for p in points]
     dims = {r.size for r in rows}
@@ -325,34 +292,3 @@ def gram(spec: KernelSpec, points: Sequence[Point]) -> KernelMatrix:
             k /= scale
             np.exp(k, out=k)
     return KernelMatrix(values=k, ids=ids)
-
-
-def cosine_similarity(a: Point, b: Point) -> float:
-    """Cosine of the angle between two embeddings, in [-1, 1]."""
-    pa, pb = _require(a, "embedding"), _require(b, "embedding")
-    na, nb = float(np.linalg.norm(pa)), float(np.linalg.norm(pb))
-    if na == 0.0 or nb == 0.0:
-        raise InputError("cosine similarity is undefined for zero-norm embeddings")
-    return float(np.clip(np.dot(pa, pb) / (na * nb), -1.0, 1.0))
-
-
-def kernel_distance(k_aa: float, k_bb: float, k_ab: float) -> float:
-    """Kernel-induced distance sqrt(k(a,a) + k(b,b) - 2 k(a,b)), clamped at 0."""
-    return math.sqrt(max(k_aa + k_bb - 2.0 * k_ab, 0.0))
-
-
-_RATE_LABELS = {
-    LINEAR: "O(d log n)",
-    GAUSSIAN: "Õ(log^{d+1} n)",
-    LAPLACE: "Õ(n^{d/(1+d)} log^{1/(1+d)} n)",
-    MATERN: "Õ(n^{d/(2ν+d)} log^{2ν/(2ν+d)} n)",
-    # an embedding kernel is a finite-dimensional linear kernel
-    EMBEDDING: "O(d log n)",
-}
-
-
-def gamma_rate_label(spec: KernelSpec, dim: int) -> str:
-    """Asymptotic information-capacity magnitude for reporting purposes."""
-    if dim < 1:
-        raise InputError("dimension must be at least 1")
-    return _RATE_LABELS[spec.family]

@@ -15,18 +15,18 @@ rollout, the kappa batch, greedy capacity and Markov boundaries) as the argmax
 of ``_itl_scores`` or ``_undirected_scores`` over the blocks, then downdates
 them at the pick.
 
-On top of the state the module computes marginal variances, joint entropies,
-the information gain I(f_A; y_x | D) in its forward (the batch gain of the
-one-point batch [x]) and backward (``_itl_scores``) forms, the batch gain
-I(f_A; y_B | D), and the information capacity
+On top of the state the module computes the information gain I(f_A; y_x | D)
+in its forward (the batch gain of the one-point batch [x]) and backward
+(``_itl_scores``) forms, the batch gain I(f_A; y_B | D), and the information
+capacity over multisets X of the candidates (points may repeat)
 
     gamma_n = max_{X, |X| <= n} 1/2 log det(I + P_X^{-1} K_XX)
 
-by greedy maximization or exhaustive enumeration. Exhaustive enumeration
-over subsets or multisets is a depth-first walk over observation counts: by
-the chain rule, k observations of a point are one noise-inflated downdate at
-noise rho^2 / k, so a node's covariance serves every multiset that extends it
-and the cost per multiset does not grow with the budget.
+by greedy maximization or exhaustive enumeration. Exhaustive enumeration is
+a depth-first walk over observation counts: by the chain rule, k
+observations of a point are one noise-inflated downdate at noise rho^2 / k,
+so a node's covariance serves every multiset that extends it and the cost
+per multiset does not grow with the budget.
 """
 
 from __future__ import annotations
@@ -42,9 +42,8 @@ import numpy as np
 from .errors import BudgetError, InputError, NumericError
 from .kernels import _BLOCK_ENTRIES, KernelMatrix, NoiseModel, jittered
 
-LOG_2PI_E = math.log(2.0 * math.pi * math.e)
-
-#: Hard cap on exhaustive enumeration sizes (subsets or multisets).
+#: Hard cap on the multisets of one exhaustive capacity search, counted as
+#: C(|S| + n - 1, n) for n observations of a sample space S.
 BRUTE_FORCE_CAP = 200_000
 
 
@@ -172,17 +171,6 @@ def condition_all(state: PosteriorState, observations: Iterable[Observation]) ->
     if not (np.all(np.isfinite(cov)) and np.all(np.isfinite(mean))):
         raise NumericError("conditioning produced non-finite values")
     return replace(state, cov=cov, mean=mean, history=state.history + observations)
-
-
-def observe(state: PosteriorState, index: int, value: float) -> PosteriorState:
-    """Condition on a measurement using the domain noise model at ``index``."""
-    return condition(state, Observation(index, value, state.noise.variance_at(index)))
-
-
-def marginal_variance(state: PosteriorState, index: int) -> float:
-    """Var[f(x) | D_n], clamped at zero from below."""
-    j = state.position(index)
-    return max(float(state.cov[j, j]), 0.0)
 
 
 class _Blocks:
@@ -330,77 +318,38 @@ def batch_information_gain(state: PosteriorState, targets: Sequence[int],
     return max(0.5 * (before - chol_logdet(blocks.cov_a()[:, :blocks.na] + noise)), 0.0)
 
 
-def entropy(state: PosteriorState, indices: Sequence[int]) -> float:
-    """Joint differential entropy of f at ``indices`` under the current state."""
-    pos = state.positions(indices)
-    block = state.cov[np.ix_(pos, pos)]
-    return 0.5 * len(indices) * LOG_2PI_E + 0.5 * chol_logdet(block)
-
-
-def _best_grouped_gain(cov: np.ndarray, noise: np.ndarray, size: int, *,
-                       multiset: bool = True) -> float:
+def _best_grouped_gain(cov: np.ndarray, noise: np.ndarray, size: int) -> float:
     """Largest 1/2 log det(I + sqrt(N) K sqrt(N)), N = diag(counts / noise),
-    over every multiset (or, without ``multiset``, every subset) of exactly
-    ``size`` candidate positions.
+    over every multiset of exactly ``size`` candidate positions.
 
     By the chain rule, 1/2 log det(...) = sum_t 1/2 log(1 + k_t sigma_t^2 / rho_t^2)
     over the distinct points in increasing order, where k_t is the count of
     point t and sigma_t^2 its variance after the earlier points: k independent
     measurements of a point are one measurement at noise rho^2 / k. So the
     multisets are the leaves of a depth-first walk over observation counts
-    (``_count_walk``), whose nodes are downdated covariances. A subset is the
-    multiset whose counts are all one; subsets of more than half the points
-    are walked as their complements (``_complements``). The walk keeps about
-    ``_BLOCK_ENTRIES`` entries alive: each of the at most min(|S|, size)
+    (``_count_walk``), whose nodes are downdated covariances. The walk keeps
+    about ``_BLOCK_ENTRIES`` entries alive: each of the at most min(|S|, size)
     levels on its path holds one block of its share of them.
     """
-    offset = 0.0
-    if not multiset and len(noise) < 2 * size <= 2 * len(noise):
-        cov, noise, size, offset = _complements(cov, noise, size)
     bound = _BLOCK_ENTRIES // max(min(len(noise), size), 1)
-    best = _count_walk(cov[None], noise, np.array([-1]), np.array([size]), np.zeros(1),
-                       multiset, bound)
-    best = offset + float(np.maximum(best, 0.0))
+    best = _count_walk(cov[None], noise, np.array([-1]), np.array([size]), np.zeros(1), bound)
+    best = float(np.maximum(best, 0.0))
     if not math.isfinite(best):
         raise NumericError("capacity enumeration produced a non-finite gain")
     return best
 
 
-def _complements(cov: np.ndarray, noise: np.ndarray,
-                 size: int) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Covariance, noise, size and offset whose walk over the complements T of
-    the subsets S of ``size`` points scores the subsets.
-
-    With M = I + D^-1/2 K D^-1/2, Jacobi's identity gives det M_SS =
-    det M det (M^-1)_TT, and M^-1 = K' + c I with K' positive semidefinite
-    for c at half a Gershgorin lower bound on the eigenvalues of M^-1, so the
-    walk on (K', c) gains 1/2 log det (M^-1)_TT - |T| / 2 log c.
-    """
-    root = np.sqrt(noise)
-    scaled = np.eye(len(noise)) + cov / np.outer(root, root)
-    try:
-        chol = np.linalg.cholesky(scaled)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"capacity enumeration failed: {exc}") from exc
-    inverse = np.linalg.inv(scaled)
-    shift = 0.5 / np.max(np.sum(np.abs(scaled), axis=1))
-    rest = len(noise) - size
-    offset = float(np.sum(np.log(np.diag(chol)))) + 0.5 * rest * math.log(shift)
-    np.fill_diagonal(inverse, np.diag(inverse) - shift)
-    return (inverse + inverse.T) / 2.0, np.full(len(noise), shift), rest, offset
-
-
 def _count_walk(block: np.ndarray, noise: np.ndarray, last: np.ndarray, left: np.ndarray,
-                gain: np.ndarray, multiset: bool, bound: int) -> np.floating:
+                gain: np.ndarray, bound: int) -> np.floating:
     """Best gain below a block of walk nodes (NaN if any gain read is NaN).
 
     ``block`` stacks the nodes' covariances over the trailing points whose
     noise is ``noise``. A node has observed points up to ``last`` (local
     index, -1 for none), has ``left`` observations to spend on later points
-    and has gained ``gain``. A child observes a later point j exactly k times
-    (k = 1 for subsets): one ``bace_update`` downdate at noise rho_j^2 / k,
-    gaining 1/2 log(1 + k sigma^2(j) / rho_j^2). A child that spends all that
-    is left is a leaf, scored from its parent's variances; one with a single
+    and has gained ``gain``. A child observes a later point j exactly k times:
+    one ``bace_update`` downdate at noise rho_j^2 / k, gaining
+    1/2 log(1 + k sigma^2(j) / rho_j^2). A child that spends all that is left
+    is a leaf, scored from its parent's variances; one with a single
     observation left is scored from its own variance vector. The others are
     downdated over the points after the first pick of their block, in blocks
     of at most ``bound`` entries, and walked in turn.
@@ -411,11 +360,10 @@ def _count_walk(block: np.ndarray, noise: np.ndarray, last: np.ndarray, left: np
     ratio = var / noise
     open_ = points > last[:, None]
     # leaves: the whole remaining budget on one later point
-    last_pick = np.ones(len(left), dtype=bool) if multiset else left == 1
-    leaf = gain[last_pick, None] + 0.5 * np.log1p(left[last_pick, None] * ratio[last_pick])
-    best = np.max(leaf, where=open_[last_pick], initial=-np.inf)
+    leaf = gain[:, None] + 0.5 * np.log1p(left[:, None] * ratio)
+    best = np.max(leaf, where=open_, initial=-np.inf)
     # left - 1 observations of point j, then one of the best later point j'
-    pre = np.flatnonzero(left >= 2 if multiset else left == 2)
+    pre = np.flatnonzero(left >= 2)
     if len(pre):
         k = left[pre, None] - 1.0
         rest = block[pre]  # row j becomes the variances after the downdate at j
@@ -430,9 +378,8 @@ def _count_walk(block: np.ndarray, noise: np.ndarray, last: np.ndarray, left: np
         best = np.max(pair, where=open_[pre] & (points < p - 1), initial=best)
     # children with two or more observations left, ordered by point: child t
     # is the k-th count of pair (pick, row), k = t - ends[pair] + reps[pair] + 1
-    room = points < p - 1 if multiset else points <= p - left[:, None]
-    pick, row = np.nonzero((open_ & room & (left[:, None] >= 3)).T)
-    reps = left[row] - 2 if multiset else np.ones(len(row), dtype=np.intp)
+    pick, row = np.nonzero((open_ & (points < p - 1) & (left[:, None] >= 3)).T)
+    reps = left[row] - 2
     ends = np.cumsum(reps)
     total = int(np.sum(reps))
     start = 0
@@ -447,57 +394,43 @@ def _count_walk(block: np.ndarray, noise: np.ndarray, last: np.ndarray, left: np
         child = block[r, base:, base:]
         child -= w[:, :, None] * w[:, None, :]
         below = _count_walk(child, noise[base:], j - base, left[r] - k,
-                            gain[r] + 0.5 * np.log1p(k * ratio[r, j]), multiset, bound)
+                            gain[r] + 0.5 * np.log1p(k * ratio[r, j]), bound)
         best = np.maximum(best, below)
         start = stop
     return best
 
 
-def _capacity_brute(state: PosteriorState, candidates: Sequence[int], budget: int,
-                    multiset: bool) -> float:
+def _capacity_brute(state: PosteriorState, candidates: Sequence[int], budget: int) -> float:
     pos = state.positions(candidates)
     noise = state.noise.vector(candidates)
     cov = state.cov[np.ix_(pos, pos)]
-    total = math.comb(len(candidates) + (budget - 1 if multiset else 0), budget)
+    total = math.comb(len(candidates) + budget - 1, budget)
     if total > BRUTE_FORCE_CAP:
-        kind = "multisets" if multiset else "subsets"
-        raise BudgetError(f"exhaustive capacity search over {total} {kind} exceeds the cap")
-    return _best_grouped_gain(cov, noise, budget, multiset=multiset)
+        raise BudgetError(f"exhaustive capacity search over {total} multisets exceeds the cap")
+    return _best_grouped_gain(cov, noise, budget)
 
 
-def _capacity_greedy(state: PosteriorState, candidates: Sequence[int], budget: int,
-                     multiset: bool) -> float:
-    steps = greedy(_Blocks(state, (), candidates), _undirected_scores, multiset=multiset)
+def _capacity_greedy(state: PosteriorState, candidates: Sequence[int], budget: int) -> float:
+    steps = greedy(_Blocks(state, (), candidates), _undirected_scores, multiset=True)
     gains = (float(scores[best]) for best, scores in islice(steps, budget))
     return sum(takewhile(lambda gain: gain > 0.0, gains), 0.0)
 
 
 def information_capacity(state: PosteriorState, candidates: Sequence[int], budget: int,
-                         mode: str = "greedy", *, multiset: bool = False) -> float:
-    """Maximum information obtainable from ``budget`` noisy observations.
+                         mode: str = "greedy") -> float:
+    """Maximum information obtainable from ``budget`` noisy observations of
+    the candidates, repeats allowed.
 
     ``greedy`` returns the value of greedy maximization (a (1 - 1/e)
-    approximation by submodularity); ``brute`` enumerates every candidate
-    subset of size exactly ``budget`` (no smaller set gains more), or every
-    multiset when ``multiset=True``.
+    approximation by submodularity); ``brute`` enumerates every multiset of
+    exactly ``budget`` candidates (no smaller multiset gains more).
     """
+    if mode not in ("greedy", "brute"):
+        raise InputError("mode must be 'greedy' or 'brute'")
     if budget < 0:
         raise InputError("budget must be nonnegative")
     if budget == 0 or not candidates:
         return 0.0
     if mode == "brute":
-        if not multiset and budget > len(candidates):
-            raise InputError("budget exceeds the candidate pool; enable multiset sampling")
-        return _capacity_brute(state, candidates, budget, multiset)
-    if mode == "greedy":
-        return _capacity_greedy(state, candidates, budget, multiset)
-    raise InputError("mode must be 'greedy' or 'brute'")
-
-
-def beta_n(norm_bound: float, rho: float, gamma_n: float, delta: float) -> float:
-    """Confidence-width multiplier B + rho * sqrt(2 (gamma_n + 1 + log(1/delta)))."""
-    if not 0.0 < delta < 1.0:
-        raise InputError("delta must lie in (0, 1)")
-    if norm_bound < 0 or rho < 0 or gamma_n < 0:
-        raise InputError("norm bound, noise scale and capacity must be nonnegative")
-    return norm_bound + rho * math.sqrt(2.0 * (gamma_n + 1.0 + math.log(1.0 / delta)))
+        return _capacity_brute(state, candidates, budget)
+    return _capacity_greedy(state, candidates, budget)

@@ -171,18 +171,12 @@ def irreducible_uncertainty(prior_gram: KernelMatrix, sample_space: Sequence[int
     return max(eta2, 0.0)
 
 
-def step_uncertainty(state: PosteriorState, targets: Sequence[int],
-                     sample_space: Sequence[int]) -> float:
-    """Gamma_n: the largest exact gain available within the sample space."""
-    return float(np.max(_exact_itl(_Blocks(state, targets, sample_space))))
-
-
 def _capacity_with_mode(prior: PosteriorState, space: Sequence[int],
                         budget: int) -> tuple[float, bool]:
     """Capacity over multisets: exact when enumerable, else greedy."""
     exact = math.comb(len(space) + budget - 1, budget) <= BRUTE_FORCE_CAP
     mode = "brute" if exact else "greedy"
-    return information_capacity(prior, space, budget, mode, multiset=True), exact
+    return information_capacity(prior, space, budget, mode), exact
 
 
 def check_gamma_bound(trajectory: Trajectory) -> BoundCheck:
@@ -381,38 +375,6 @@ def check_variance_bound(trajectory: Trajectory, epsilon: float) -> BoundCheck:
                f"eps={epsilon}", rows=tuple(rows))
 
 
-def check_reducible_schedule(trajectory: Trajectory) -> BoundCheck:
-    """Check the schedule eps_n = c gamma_sqrt(n)/sqrt(n): the combined
-    reducible term must stay below (2 sigma^2 + c) gamma_n / sqrt(n)."""
-    prior, constants = trajectory.prior, trajectory.constants
-    lam = max(constants.lambda_min, 0.0)
-    if lam <= 0:
-        return BoundCheck(name="reducible-schedule", passed=None,
-                          detail="sample Gram is singular", rows=())
-    c = (2.0 * len(trajectory.sample_space) ** 2 * constants.sigma_sq ** 2
-         * constants.sigma_tilde_sq / lam ** 2)
-    c_prime = 2.0 * constants.sigma_sq + c
-    # both budgets, isqrt(n) and n, lie in 1..R: one capacity per budget
-    capacity = {budget: _capacity_with_mode(prior, trajectory.sample_space, budget)
-                for budget in range(1, trajectory.rounds + 1)}
-    rows = []
-    ok_all = True
-    warn = False
-    for n in range(1, trajectory.rounds + 1):
-        (gamma_root, exact_root), (gamma_n, exact_n) = capacity[math.isqrt(n)], capacity[n]
-        gamma_step = trajectory.gains[n]
-        lhs = (2.0 * constants.sigma_sq * math.sqrt(n) * gamma_step
-               + c * gamma_root / math.sqrt(n))
-        rhs = c_prime * gamma_n / math.sqrt(n)
-        ok = lhs <= rhs + _TOL
-        if not ok and not (exact_root and exact_n):
-            warn, ok = True, True
-        ok_all &= ok
-        rows.append({"n": n, "lhs": lhs, "rhs": rhs, "holds": ok})
-    return BoundCheck(name="reducible-schedule", passed=None if ok_all and warn else ok_all,
-                      detail=f"c={c:.6g}, c_prime={c_prime:.6g}", rows=tuple(rows))
-
-
 # ---------------------------------------------------------------------------
 # submodularity ratio
 # ---------------------------------------------------------------------------
@@ -457,30 +419,3 @@ def submodularity_ratio(state: PosteriorState, targets: Sequence[int],
                         current = numerator / denominator
                     ratio = min(ratio, current)
     return ratio
-
-
-# ---------------------------------------------------------------------------
-# matrix and scalar inequality utilities
-# ---------------------------------------------------------------------------
-
-def loewner_diag_bound(matrix: np.ndarray) -> bool:
-    """Check A <= n D in the Loewner order for a positive-definite A."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    n = matrix.shape[0]
-    gap = n * np.diag(np.diag(matrix)) - matrix
-    scale = max(1.0, float(np.max(np.abs(matrix))))
-    return bool(np.min(np.linalg.eigvalsh(gap)) >= -1e-10 * scale * n)
-
-
-def log_difference_bounds(a: float, b: float, upper: float,
-                          lower: float | None = None) -> bool:
-    """Check b - a <= M log(b/a), and b - a >= M' log(b/a) when given."""
-    if not (0 < a <= b <= upper):
-        raise InputError("need 0 < a <= b <= M")
-    ratio = math.log(b / a)
-    ok = (b - a) <= upper * ratio + 1e-12
-    if lower is not None:
-        if a < lower:
-            raise InputError("need a >= M'")
-        ok = ok and (b - a) >= lower * ratio - 1e-12
-    return ok

@@ -9,9 +9,8 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from transduct import (BudgetError, IGQuery, KernelMatrix, NoiseModel, Observation, Policy,
-                       PosteriorState, batch_information_gain, condition, information_gain,
-                       step_uncertainty)
-from transduct.kernels import _matern_of_distance, jittered
+                       PosteriorState, batch_information_gain, condition, information_gain)
+from transduct.kernels import _matern_of_distance, _require, jittered
 from transduct.posterior import _Blocks, _itl_scores, bace_update, chol_logdet
 from transduct.selection import (_DEGENERATE_VAR, CTL, ITL, UNCERTAINTY, UNDIRECTED_ITL,
                                  _ctl_scores, _score_candidates)
@@ -94,13 +93,12 @@ def batch_gain_reference(state, targets, batch, *, stabilize=False):
     return max(gain, 0.0)
 
 
-def best_grouped_gain_reference(cov, noise, size, multiset=True):
-    """Largest grouped multiset (or subset) gain of exactly ``size`` picks,
-    scored one at a time with one ``slogdet`` on its distinct-point block: the
-    scalar reference for the walk over observation counts."""
+def best_grouped_gain_reference(cov, noise, size):
+    """Largest grouped multiset gain of exactly ``size`` picks, scored one at
+    a time with one ``slogdet`` on its distinct-point block: the scalar
+    reference for the walk over observation counts."""
     best = 0.0
-    combos = combinations_with_replacement if multiset else combinations
-    for combo in combos(range(len(noise)), size):
+    for combo in combinations_with_replacement(range(len(noise)), size):
         counts = np.bincount(combo, minlength=len(noise))
         active = counts > 0
         root = np.sqrt(counts[active] / noise[active])
@@ -110,37 +108,34 @@ def best_grouped_gain_reference(cov, noise, size, multiset=True):
     return best
 
 
-def capacity_greedy_reference(state, candidates, budget, multiset):
-    """Greedy capacity on a dense copy of the candidate block, downdated by
-    an explicit outer product after each undirected-ITL pick."""
+def capacity_greedy_reference(state, candidates, budget):
+    """Greedy multiset capacity on a dense copy of the candidate block,
+    downdated by an explicit outer product after each undirected-ITL pick."""
     pos = state.positions(candidates)
     noise = state.noise.vector(candidates)
     cov = state.cov[np.ix_(pos, pos)].copy()
-    available = np.ones(len(candidates), dtype=bool)
     total = 0.0
     for _ in range(budget):
         var = np.maximum(np.diag(cov), 0.0)
-        gains = np.where(available, 0.5 * np.log1p(var / noise), -np.inf)
+        gains = 0.5 * np.log1p(var / noise)
         best = int(np.argmax(gains))
         if not np.isfinite(gains[best]) or gains[best] <= 0.0:
             break
         total += float(gains[best])
         col = cov[:, best].copy()
         cov -= np.outer(col, col) / (var[best] + noise[best])
-        if not multiset:
-            available[best] = False
     return total
 
 
-def capacity_subset_reference(state, candidates, budget):
-    """Exhaustive subset capacity, one Cholesky log-determinant of
-    K_XX + P_X per subset X."""
+def capacity_multiset_reference(state, candidates, budget):
+    """Exhaustive multiset capacity, one Cholesky log-determinant of
+    K_XX + P_X per multiset X, a repeated point as repeated rows."""
     pos = state.positions(candidates)
     noise = state.noise.vector(candidates)
     cov = state.cov[np.ix_(pos, pos)]
     best = 0.0
     for size in range(1, budget + 1):
-        for combo in combinations(range(len(candidates)), size):
+        for combo in combinations_with_replacement(range(len(candidates)), size):
             sel = list(combo)
             gain = 0.5 * (chol_logdet(cov[np.ix_(sel, sel)] + np.diag(noise[sel]))
                           - float(np.sum(np.log(noise[sel]))))
@@ -169,6 +164,12 @@ def markov_boundary_reference(state, space, x, floor, epsilon, cap):
         state = condition(state, Observation(space[best], 0.0, float(noise[best])))
         achieved = max(float(state.cov[px, px]), 0.0)
     return tuple(members), achieved
+
+
+def step_uncertainty(state, targets, sample_space):
+    """Gamma_n: the largest exact gain available within the sample space,
+    scored on a fresh factor block of the state."""
+    return float(np.max(_itl_scores(_Blocks(state, targets, sample_space), stabilize=False)))
 
 
 def itl_trajectory_reference(prior, targets, space, rounds):
@@ -239,6 +240,31 @@ def submodularity_ratio_reference(state, targets, space, greedy, k):
                         current = numerator / denominator
                     ratio = min(ratio, current)
     return ratio
+
+
+def eval_kernel(spec, a, b):
+    """k(a, b) for one pair of points from the closed forms: the scalar
+    reference for ``gram``. Arguments are canonicalized by id so that
+    k(a, b) == k(b, a) bit for bit even for the embedding family, whose
+    quadratic form is order-sensitive in floating point."""
+    if a.index > b.index:
+        a, b = b, a
+    if spec.family == "linear":
+        return float(np.dot(_require(a, "coords"), _require(b, "coords")))
+    if spec.family == "embedding":
+        pa, pb = _require(a, "embedding"), _require(b, "embedding")
+        if spec.latent_cov is None:
+            return float(np.dot(pa, pb))
+        return float(pa @ spec.latent_cov @ pb)
+    xa, xb = _require(a, "coords"), _require(b, "coords")
+    if spec.family == "gaussian":
+        d2 = float(np.dot(xa - xb, xa - xb))
+        return float(math.exp(-d2 / (2.0 * spec.lengthscale ** 2)))
+    if spec.family == "laplace":
+        d1 = float(np.sum(np.abs(xa - xb)))
+        return float(math.exp(-d1 / spec.lengthscale))
+    r = math.sqrt(float(np.dot(xa - xb, xa - xb)))
+    return float(_matern_of_distance(np.asarray(r), spec.lengthscale, spec.nu))
 
 
 def cdist_gram_reference(spec, points):

@@ -432,6 +432,15 @@ class TestMarkovCommand:
         assert main(["markov", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--x", "3", "--epsilon", "1e-9"]) == 4
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_bad_epsilon_flag_is_config_error(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path / "t.json", grid_theory_config())
+        out = tmp_path / "o"
+        assert main(["markov", "--config", cfg, "--out", str(out),
+                     "--x", "3", "--epsilon", value]) == 2
+        assert "--epsilon" in capsys.readouterr().err
+        assert not (out / "markov.json").exists()
+
 
 class TestAblateCommand:
     def test_rho_axis_table(self, tmp_path):

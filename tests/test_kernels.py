@@ -9,13 +9,10 @@ from transduct import (
     KernelSpec,
     NoiseModel,
     Point,
-    cosine_similarity,
-    eval_kernel,
-    gamma_rate_label,
     gram,
 )
-from transduct.kernels import jittered, kernel_distance
-from conftest import cdist_gram_reference
+from transduct.kernels import jittered
+from conftest import cdist_gram_reference, eval_kernel
 
 
 def pt(i, coords=None, emb=None):
@@ -148,37 +145,15 @@ class TestGram:
 
 
 class TestCosineSimilarity:
-    def test_parallel(self):
-        assert cosine_similarity(pt(0, emb=[1.0, 0.0]), pt(1, emb=[1.0, 0.0])) == 1.0
-
-    def test_orthogonal(self):
-        assert cosine_similarity(pt(0, emb=[1.0, 0.0]), pt(1, emb=[0.0, 1.0])) == 0.0
-
-    def test_diagonal(self):
-        value = cosine_similarity(pt(0, emb=[1.0, 1.0]), pt(1, emb=[1.0, 0.0]))
-        np.testing.assert_allclose(value, 1.0 / math.sqrt(2.0), rtol=1e-14)
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(InputError):
-            cosine_similarity(pt(0, emb=[0.0, 0.0]), pt(1, emb=[1.0, 0.0]))
-
     def test_embedding_correlation_equals_cosine(self, rng):
         points = [pt(i, emb=rng.standard_normal(4)) for i in range(8)]
         k = gram(KernelSpec("embedding"), points)
         for i in range(8):
             for j in range(8):
+                a, b = points[i].embedding, points[j].embedding
+                cosine = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
                 corr = k.values[i, j] / math.sqrt(k.values[i, i] * k.values[j, j])
-                assert abs(corr - cosine_similarity(points[i], points[j])) < 1e-12
-
-
-class TestGammaRateLabel:
-    def test_table_labels(self):
-        assert gamma_rate_label(KernelSpec("linear"), 3) == "O(d log n)"
-        assert gamma_rate_label(KernelSpec("gaussian"), 2) == "Õ(log^{d+1} n)"
-        assert gamma_rate_label(KernelSpec("matern", nu=1.5), 1) == \
-            "Õ(n^{d/(2ν+d)} log^{2ν/(2ν+d)} n)"
-        assert gamma_rate_label(KernelSpec("laplace"), 1) == \
-            "Õ(n^{d/(1+d)} log^{1/(1+d)} n)"
+                assert abs(corr - cosine) < 1e-12
 
 
 class TestSpecsAndModels:
@@ -261,7 +236,3 @@ class TestSpecsAndModels:
         vals[299, 298] = np.nan  # non-finite in the last
         with pytest.raises(InputError, match="non-finite"):
             KernelMatrix(vals, tuple(range(300)))
-
-    def test_kernel_distance_identity_gram(self):
-        assert kernel_distance(1.0, 1.0, 0.0) == math.sqrt(2.0)
-        assert kernel_distance(1.0, 1.0, 1.0) == 0.0

@@ -1,0 +1,96 @@
+"""Checks on the package as a whole: no library code that only tests read,
+and a README tour that runs against the current API."""
+
+import ast
+import re
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "transduct"
+
+#: Top-level names that nothing in the package reads but that stay as public
+#: entry points, each with where it is used from outside.
+ENTRY_POINTS = {
+    "condition": "acceptance",       # also patched by bench/tracing.py
+    "information_gain": "acceptance",
+    "brute_force_batch": "acceptance",
+    "load_run": "readme",            # reads `transduct run`'s records back
+    "load_table": "readme",          # reads the CLI's tables back
+    "save_embeddings": "readme",     # writes the files `domain.path` reads
+    "save_embeddings_binary": "readme",
+}
+
+
+def readme_tour() -> str:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"## Library tour\s+```python\n(.*?)```", text, re.S)
+    assert match, "README has no library-tour code block"
+    return match.group(1)
+
+
+def acceptance_imports() -> set[str]:
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and (node.module or "").startswith("transduct") for alias in node.names}
+
+
+def unread_definitions() -> list[str]:
+    """Top-level functions and classes of the package that no code in it reads,
+    other than their own bodies (a recursive call is not a reader)."""
+    defined, read = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(f"{path.stem}.{owner}")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != owner:
+                    read.add(name)
+    return [name for name in defined if name.split(".")[1] not in read]
+
+
+class TestNoDeadLibraryCode:
+    def test_every_definition_is_read_or_an_entry_point(self):
+        unread = [name for name in unread_definitions()
+                  if name.split(".")[1] not in ENTRY_POINTS]
+        assert unread == []
+
+    def test_entry_points_are_used_where_they_say(self):
+        imported = acceptance_imports()
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        for name, where in ENTRY_POINTS.items():
+            if where == "acceptance":
+                assert name in imported, name
+            else:
+                assert re.search(rf"\b{name}\b", readme), name
+
+    def test_entry_points_are_unread(self):
+        # a name the package reads needs no entry here
+        unread = {name.split(".")[1] for name in unread_definitions()}
+        assert set(ENTRY_POINTS) <= unread
+
+
+class TestReadmeTour:
+    def test_tour_runs(self):
+        labels = []
+
+        def my_label_source(index):
+            labels.append(index)
+            return float(np.sin(index))
+
+        scope = {"my_label_source": my_label_source}
+        np.random.seed(0)
+        exec(compile(readme_tour(), "README.md", "exec"), scope)
+        state, batch = scope["state"], scope["batch"]
+        assert labels == list(batch.indices) and len(labels) == 5
+        assert state.round == 5
+        assert [obs.index for obs in state.history] == labels

@@ -18,14 +18,11 @@ from transduct import (
     Point,
     PosteriorState,
     batch_information_gain,
-    beta_n,
     condition,
     condition_all,
-    entropy,
     gram,
     information_capacity,
     information_gain,
-    marginal_variance,
 )
 from transduct import posterior
 from conftest import (
@@ -33,7 +30,7 @@ from conftest import (
     batch_posterior_oracle,
     best_grouped_gain_reference,
     capacity_greedy_reference,
-    capacity_subset_reference,
+    capacity_multiset_reference,
     itl_scores_reference,
     random_psd_gram,
     random_state,
@@ -50,7 +47,7 @@ def two_point_state(rho2=0.1):
 class TestConditioning:
     def test_hand_computed_update(self):
         state = condition(two_point_state(), Observation(0, 1.0, 0.1))
-        np.testing.assert_allclose(marginal_variance(state, 1), 1 - 0.25 / 1.1,
+        np.testing.assert_allclose(state.variance_vector([1])[0], 1 - 0.25 / 1.1,
                                    rtol=1e-12)
         # conditional mean at index 1: k10 / (k00 + rho^2) * y
         np.testing.assert_allclose(state.mean_vector([1]), [0.5 / 1.1], rtol=1e-12)
@@ -61,24 +58,24 @@ class TestConditioning:
         assert state.cov is gram.values and not state.cov.flags.writeable
         after = condition(state, Observation(0, 3.0, 0.1))
         np.testing.assert_array_equal(gram.values, np.diag([1.0, 2.0]))
-        assert marginal_variance(after, 0) < 1.0
+        assert after.variance_vector([0])[0] < 1.0
 
     def test_uncorrelated_point_untouched(self):
         gram = KernelMatrix(np.diag([1.0, 2.0]), (0, 1))
         state = PosteriorState.from_prior(gram, NoiseModel.homoscedastic(0.1))
         after = condition(state, Observation(0, 3.0, 0.1))
-        assert marginal_variance(after, 1) == 2.0
+        assert after.variance_vector([1])[0] == 2.0
         assert after.mean_vector([1])[0] == 0.0
 
     def test_repeated_observation_tightens(self):
         once = condition(two_point_state(), Observation(0, 1.0, 0.1))
         twice = condition(once, Observation(0, 1.0, 0.1))
-        assert marginal_variance(twice, 0) < marginal_variance(once, 0)
-        assert marginal_variance(twice, 1) < marginal_variance(once, 1)
+        assert twice.variance_vector([0])[0] < once.variance_vector([0])[0]
+        assert twice.variance_vector([1])[0] < once.variance_vector([1])[0]
 
     def test_near_exact_observation_zeroes_variance(self):
         state = condition(two_point_state(), Observation(0, 1.0, 1e-8))
-        assert marginal_variance(state, 0) < 1e-7
+        assert state.variance_vector([0])[0] < 1e-7
 
     def test_matches_batch_oracle_in_any_order(self, rng):
         for _ in range(20):
@@ -106,7 +103,7 @@ class TestConditioning:
 
     def test_prior_variance_is_kernel_diagonal(self):
         state = two_point_state()
-        assert marginal_variance(state, 0) == 1.0
+        assert state.variance_vector([0])[0] == 1.0
 
     def test_round_counter(self):
         state = two_point_state()
@@ -236,7 +233,7 @@ class TestInformationGain:
             targets = tuple(range(8))
             for x in range(8):
                 gain = information_gain(state, IGQuery(targets, x))
-                expected = 0.5 * math.log1p(marginal_variance(state, x) / 0.2)
+                expected = 0.5 * math.log1p(state.variance_vector([x])[0] / 0.2)
                 np.testing.assert_allclose(gain, expected, atol=1e-7)
 
     def test_forward_backward_agree(self, rng):
@@ -342,17 +339,24 @@ class TestInformationCapacity:
                 assert greedy <= brute + 1e-9
 
     def test_multiset_beats_subsets_when_budget_exceeds_pool(self):
+        # two independent points at rho^2 = 0.5: the best of three observations
+        # repeats one point, 1/2 log((1 + 2 * 2) (1 + 2)), past the whole pool's
+        # 1/2 log(3 * 3)
         gram = KernelMatrix(np.eye(2), (0, 1))
         state = PosteriorState.from_prior(gram, NoiseModel.homoscedastic(0.5))
-        with pytest.raises(InputError):
-            information_capacity(state, [0, 1], 3, "brute")
-        multi = information_capacity(state, [0, 1], 3, "brute", multiset=True)
-        sub = information_capacity(state, [0, 1], 2, "brute")
-        assert multi > sub
+        multi = information_capacity(state, [0, 1], 3, "brute")
+        np.testing.assert_allclose(multi, 0.5 * math.log(15.0), rtol=1e-12)
+        assert multi > 0.5 * math.log(9.0)
 
     def test_zero_budget(self):
         state = two_point_state()
         assert information_capacity(state, [0, 1], 0) == 0.0
+
+    @pytest.mark.parametrize("budget", [0, 3])
+    @pytest.mark.parametrize("candidates", [[], [0, 1]])
+    def test_unknown_mode_is_input_error(self, budget, candidates):
+        with pytest.raises(InputError, match="mode"):
+            information_capacity(two_point_state(), candidates, budget, "bogus")
 
 
 class TestStackedCapacityEnumeration:
@@ -363,25 +367,12 @@ class TestStackedCapacityEnumeration:
         for n in range(1, 9):
             state = random_state(rng, n, hetero=True)
             noise = state.noise.vector(state.ids)
-            cases = [(size, True) for size in range(1, 7)]  # |S| < size up to |S| = 5
-            cases += [(size, False) for size in range(max(n - 1, 1), n + 2)]  # subsets near |S|
-            for size, multiset in cases:
-                expected = best_grouped_gain_reference(state.cov, noise, size, multiset)
+            for size in range(1, 7):  # |S| < size up to |S| = 5
+                expected = best_grouped_gain_reference(state.cov, noise, size)
                 for entries in (1, 300, default):
                     monkeypatch.setattr(posterior, "_BLOCK_ENTRIES", entries)
-                    got = posterior._best_grouped_gain(state.cov, noise, size,
-                                                       multiset=multiset)
+                    got = posterior._best_grouped_gain(state.cov, noise, size)
                     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
-
-    def test_subsets_near_the_pool_walk_their_complements(self, rng):
-        # |S| = 40 at sizes 38-40: the walk enumerates the 780, 40 and 1
-        # complements instead of descending 38 levels
-        state = random_state(rng, 40, hetero=True)
-        noise = state.noise.vector(state.ids)
-        for size in (38, 39, 40):
-            expected = best_grouped_gain_reference(state.cov, noise, size, multiset=False)
-            got = posterior._best_grouped_gain(state.cov, noise, size, multiset=False)
-            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_two_points_at_a_large_budget(self, rng):
         # 5001 multisets: the root's 2 x 2 block and one block of its 4998
@@ -420,68 +411,60 @@ class TestStackedCapacityEnumeration:
         state = random_state(rng, 4, hetero=True)
         cov = state.cov.copy()
         cov[1, 2] = cov[2, 1] = np.nan
-        # multisets, subsets walked forward and subsets walked as complements
-        for size, multiset in ((2, True), (2, False), (3, False)):
+        # size 2 is scored at the root, size 3 below one of its children
+        for size in (2, 3):
             with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-                posterior._best_grouped_gain(cov, state.noise.vector(state.ids), size,
-                                             multiset=multiset)
+                posterior._best_grouped_gain(cov, state.noise.vector(state.ids), size)
 
 
 class TestFactorBlockCapacity:
     @pytest.mark.parametrize("hetero", [False, True])
-    @pytest.mark.parametrize("multiset", [False, True])
-    def test_greedy_matches_dense_reference(self, rng, hetero, multiset):
+    def test_greedy_matches_dense_reference(self, rng, hetero):
         for n in range(2, 12):
             state = random_state(rng, n, hetero=hetero)
             cands = list(range(n))
             for budget in (1, n // 2 + 1, n, n + 3, 20 * n):  # 20 n: factor far wider than |S|
-                expected = capacity_greedy_reference(state, cands, budget, multiset)
-                got = information_capacity(state, cands, budget, "greedy",
-                                           multiset=multiset)
+                expected = capacity_greedy_reference(state, cands, budget)
+                got = information_capacity(state, cands, budget, "greedy")
                 assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("hetero", [False, True])
-    def test_subset_brute_matches_reference(self, rng, hetero):
-        # the reference's Cholesky adds 1e-10 relative jitter; the stacked
-        # kernel's slogdet is exact, hence 1e-9 rather than 1e-12
+    def test_brute_matches_repeated_block_reference(self, rng, hetero):
+        # the reference's Cholesky adds 1e-10 relative jitter; the walk's
+        # downdates do not, hence 1e-9 rather than 1e-12
         for n in range(2, 9):
             state = random_state(rng, n, hetero=hetero)
             cands = list(range(n))
-            for budget in range(1, min(n, 4) + 1):
-                expected = capacity_subset_reference(state, cands, budget)
+            for budget in range(1, 5):  # past |S| for n < 4
+                expected = capacity_multiset_reference(state, cands, budget)
                 got = information_capacity(state, cands, budget, "brute")
                 assert got == pytest.approx(expected, rel=1e-9, abs=0.0)
 
-    @pytest.mark.parametrize("multiset", [False, True])
-    def test_brute_enumerates_only_the_budget_size(self, rng, monkeypatch, multiset):
+    def test_brute_enumerates_only_the_budget_size(self, rng, monkeypatch):
         # an observation never lowers the gain, so the best set has exactly
         # ``budget`` members and smaller sizes need no enumeration
         sizes = []
         enumerate_size = posterior._best_grouped_gain
 
-        def counted(cov, noise, size, **kwargs):
+        def counted(cov, noise, size):
             sizes.append(size)
-            return enumerate_size(cov, noise, size, **kwargs)
+            return enumerate_size(cov, noise, size)
 
         monkeypatch.setattr(posterior, "_best_grouped_gain", counted)
         state = random_state(rng, 5, hetero=True)
         noise = state.noise.vector(state.ids)
-        got = information_capacity(state, list(range(5)), 3, "brute", multiset=multiset)
+        got = information_capacity(state, list(range(5)), 3, "brute")
         assert sizes == [3]
-        if multiset:
-            smaller = [best_grouped_gain_reference(state.cov, noise, s) for s in (1, 2, 3)]
-            assert got == pytest.approx(max(smaller), rel=1e-12)
-        else:
-            assert got == pytest.approx(capacity_subset_reference(state, range(5), 3),
-                                        rel=1e-9)
+        smaller = [best_grouped_gain_reference(state.cov, noise, s) for s in (1, 2, 3)]
+        assert got == pytest.approx(max(smaller), rel=1e-12)
 
     def test_brute_cap_counts_enumerated_multisets(self, rng, monkeypatch):
         state = random_state(rng, 3, hetero=True)
         monkeypatch.setattr(posterior, "BRUTE_FORCE_CAP", 10)  # C(3 + 3 - 1, 3) = 10
-        information_capacity(state, [0, 1, 2], 3, "brute", multiset=True)
+        information_capacity(state, [0, 1, 2], 3, "brute")
         monkeypatch.setattr(posterior, "BRUTE_FORCE_CAP", 9)
         with pytest.raises(BudgetError, match="10"):
-            information_capacity(state, [0, 1, 2], 3, "brute", multiset=True)
+            information_capacity(state, [0, 1, 2], 3, "brute")
 
     def test_blocks_grow_past_initial_capacity(self, rng):
         prior = random_state(rng, 12, hetero=True)
@@ -496,41 +479,3 @@ class TestFactorBlockCapacity:
         _, cov = batch_posterior_oracle(prior, observations)
         rows = prior.positions(targets + tuple(cands))
         np.testing.assert_allclose(blocks.var(), np.diag(cov)[rows], rtol=1e-12, atol=1e-12)
-
-
-class TestEntropy:
-    def test_unit_variance_point(self):
-        state = two_point_state()
-        np.testing.assert_allclose(entropy(state, [0]),
-                                   0.5 * math.log(2 * math.pi * math.e), atol=1e-9)
-
-    def test_independent_points_add(self):
-        gram = KernelMatrix(np.eye(2), (0, 1))
-        state = PosteriorState.from_prior(gram, NoiseModel.homoscedastic(1.0))
-        np.testing.assert_allclose(entropy(state, [0, 1]),
-                                   math.log(2 * math.pi * math.e), atol=1e-9)
-
-    def test_degenerate_variance_is_finite(self):
-        gram = KernelMatrix(np.array([[1e-10]]), (0,))
-        state = PosteriorState.from_prior(gram, NoiseModel.homoscedastic(1.0))
-        value = entropy(state, [0])
-        assert value < -5.0 and math.isfinite(value)
-
-
-class TestBetaN:
-    def test_plugged_example(self):
-        np.testing.assert_allclose(beta_n(0.0, 1.0, 0.0, math.exp(-1.0)), 2.0,
-                                   rtol=1e-12)
-
-    def test_noise_free_limit(self):
-        assert beta_n(5.0, 0.0, 3.0, 0.5) == 5.0
-
-    def test_monotone_in_capacity(self):
-        values = [beta_n(1.0, 1.0, g, 0.1) for g in (0.0, 1.0, 5.0, 20.0)]
-        assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_delta_domain(self):
-        with pytest.raises(InputError):
-            beta_n(1.0, 1.0, 1.0, 0.0)
-        with pytest.raises(InputError):
-            beta_n(1.0, 1.0, 1.0, 1.0)

@@ -20,18 +20,15 @@ from transduct import (
     greedy_itl_trajectory,
     information_capacity,
     irreducible_uncertainty,
-    loewner_diag_bound,
-    log_difference_bounds,
     markov_boundary,
     markov_size_bound,
-    step_uncertainty,
     submodularity_ratio,
     verify_markov_boundary,
 )
 from transduct import theory
 from transduct.kernels import KernelSpec, Point, gram
 from transduct.posterior import _Blocks, greedy
-from transduct.theory import capacity_upper_bound, check_reducible_schedule
+from transduct.theory import capacity_upper_bound
 from conftest import (
     best_grouped_gain_reference,
     greedy_batch_reference,
@@ -39,6 +36,7 @@ from conftest import (
     markov_boundary_reference,
     random_corr_gram,
     random_state,
+    step_uncertainty,
     submodularity_ratio_reference,
 )
 
@@ -300,8 +298,7 @@ class TestSizeBound:
             variances = np.diag(state.gram.values)
             noise = state.noise.vector(state.ids)
             for budget in (1, 2, 3, 4):
-                exact = information_capacity(state, state.ids, budget, "brute",
-                                             multiset=True)
+                exact = information_capacity(state, state.ids, budget, "brute")
                 bound = capacity_upper_bound(variances, noise, budget)
                 assert bound >= exact - 1e-9
 
@@ -375,38 +372,6 @@ class TestVarianceBound:
         assert report.passed is True
         assert report.rows[-1]["max_gap"] < 0.25 * report.rows[0]["max_gap"]
 
-    def test_schedule_check(self, rng):
-        prior = small_state(0.5, 4, rng, rho2=0.5)
-        traj = greedy_itl_trajectory(prior, range(4), range(4), 6)
-        report = check_reducible_schedule(traj)
-        assert report.passed is True
-
-    def test_schedule_computes_each_budget_once(self, rng, monkeypatch):
-        budgets = []
-        capacity = theory.information_capacity
-
-        def counted(state, candidates, budget, *args, **kwargs):
-            budgets.append(budget)
-            return capacity(state, candidates, budget, *args, **kwargs)
-
-        monkeypatch.setattr(theory, "information_capacity", counted)
-        prior = small_state(0.5, 4, rng, rho2=0.5)
-        traj = greedy_itl_trajectory(prior, range(4), range(4), 9)
-        report = check_reducible_schedule(traj)
-        assert sorted(budgets) == list(range(1, 10))
-        # each row still reads the capacities at budgets isqrt(n) and n
-        constants = TheoryConstants.from_state(prior, range(4))
-        c = (2.0 * 16 * constants.sigma_sq ** 2 * constants.sigma_tilde_sq
-             / constants.lambda_min ** 2)
-        for row in report.rows:
-            n = row["n"]
-            root, full = (information_capacity(prior, range(4), b, "brute", multiset=True)
-                          for b in (math.isqrt(n), n))
-            lhs = 2.0 * constants.sigma_sq * math.sqrt(n) * traj.gains[n] + c * root / math.sqrt(n)
-            assert row["lhs"] == pytest.approx(lhs, rel=1e-12)
-            assert row["rhs"] == pytest.approx((2.0 * constants.sigma_sq + c) * full
-                                               / math.sqrt(n), rel=1e-12)
-
 
 class TestSubmodularityRatio:
     def test_at_least_one_when_undirected(self, rng):
@@ -429,32 +394,6 @@ class TestSubmodularityRatio:
         state = random_state(rng, 40, unit_diag=True)
         with pytest.raises(InputError):
             submodularity_ratio(state, range(40), range(40), 4)
-
-
-class TestInequalityUtilities:
-    def test_loewner_identity(self):
-        assert loewner_diag_bound(np.eye(5))
-
-    def test_loewner_random_pd_sweep(self, rng):
-        for _ in range(1000):
-            w = rng.standard_normal((20, 25))
-            matrix = w @ w.T / 25 + 0.05 * np.eye(20)
-            assert loewner_diag_bound(matrix)
-
-    def test_log_difference_equality_case(self):
-        assert log_difference_bounds(1.3, 1.3, 2.0, 1.0)
-
-    def test_log_difference_random_sweep(self, rng):
-        for _ in range(500):
-            a, b = np.sort(rng.uniform(0.1, 5.0, size=2))
-            upper = float(b * rng.uniform(1.0, 2.0))
-            assert log_difference_bounds(float(a), float(b), upper, float(a) * 0.99)
-
-    def test_log_difference_preconditions(self):
-        with pytest.raises(InputError):
-            log_difference_bounds(2.0, 1.0, 3.0)
-        with pytest.raises(InputError):
-            log_difference_bounds(0.5, 1.0, 3.0, 0.8)
 
 
 class TestConstants:
