@@ -17,7 +17,6 @@ from .kernels import (
     gram,
 )
 from .posterior import (
-    IGQuery,
     Observation,
     PosteriorState,
     batch_information_gain,

@@ -126,11 +126,21 @@ def _known_keys(section: dict, allowed: Sequence[str], where: str) -> None:
                           f"allowed: {allowed}")
 
 
+_floats = partial(np.asarray, dtype=float)
+
+
+def _has_bool(value) -> bool:
+    """Whether ``value`` is a boolean or a list holding one at any depth."""
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(_has_bool, value)))
+
+
 def _number(kind: Callable, value, field: str):
     """``kind(value)`` (int, float or a float array), raising ConfigError naming
     ``field``; an int field also rejects a fractional value, a float one a
-    non-finite value."""
+    non-finite value, and every field a boolean (a subclass of int)."""
     try:
+        if _has_bool(value):
+            raise TypeError("boolean value")
         number = kind(value)
         if kind is int and number != float(value):
             raise ValueError("fractional value")
@@ -256,11 +266,14 @@ def parse_config(raw: dict, *, preset: str | None = None,
 
 
 def _kernel_from(section: dict) -> KernelSpec:
+    latent_cov = section.get("latent_cov")
     try:  # parse_config has checked the family and the field names
         return KernelSpec(family=section["family"],
-                          lengthscale=float(section.get("lengthscale", 1.0)),
+                          lengthscale=_number(float, section.get("lengthscale", 1.0),
+                                              "domain.kernel.lengthscale"),
                           nu=section.get("nu"),
-                          latent_cov=section.get("latent_cov"))
+                          latent_cov=None if latent_cov is None else _number(
+                              _floats, latent_cov, "domain.kernel.latent_cov"))
     except Exception as exc:
         raise ConfigError(f"invalid kernel section: {exc}") from exc
 
@@ -277,9 +290,8 @@ def _count(layout: dict, key: str, default: int | None = None) -> int:
 def _uniform_layout(layout: dict, rng: Generator):
     dim, s_count = _count(layout, "dim", 2), _count(layout, "s_count")
     a_count = _count(layout, "a_count")
-    floats = partial(np.asarray, dtype=float)
-    box = _number(floats, layout.get("box", [[0.0, 1.0]] * dim), "domain.layout.box")
-    a_box = _number(floats, layout.get("a_box", box), "domain.layout.a_box")
+    box = _number(_floats, layout.get("box", [[0.0, 1.0]] * dim), "domain.layout.box")
+    a_box = _number(_floats, layout.get("a_box", box), "domain.layout.a_box")
     if (box.shape != (dim, 2) or a_box.shape != (dim, 2)
             or np.any(box[:, 0] > box[:, 1]) or np.any(a_box[:, 0] > a_box[:, 1])):
         raise ConfigError("fields 'domain.layout.box' and 'domain.layout.a_box' must list "

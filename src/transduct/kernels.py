@@ -129,11 +129,6 @@ class NoiseModel:
     def homoscedastic(cls, variance: float) -> "NoiseModel":
         return cls(default=float(variance))
 
-    @classmethod
-    def heteroscedastic(cls, variances: Mapping[int, float],
-                        default: float | None = None) -> "NoiseModel":
-        return cls(default=default, per_index=variances)
-
     def variance_at(self, index: int) -> float:
         if self.per_index is not None and index in self.per_index:
             return float(self.per_index[index])

@@ -16,17 +16,18 @@ of ``_itl_scores`` or ``_undirected_scores`` over the blocks, then downdates
 them at the pick.
 
 On top of the state the module computes the information gain I(f_A; y_x | D)
-in its forward (the batch gain of the one-point batch [x]) and backward
-(``_itl_scores``) forms, the batch gain I(f_A; y_B | D), and the information
+in its backward form (``_itl_scores``), the batch gain I(f_A; y_B | D), whose
+one-point batch [x] is the forward form of the gain, and the information
 capacity over multisets X of the candidates (points may repeat)
 
     gamma_n = max_{X, |X| <= n} 1/2 log det(I + P_X^{-1} K_XX)
 
-by greedy maximization or exhaustive enumeration. Exhaustive enumeration is
-a depth-first walk over observation counts: by the chain rule, k
-observations of a point are one noise-inflated downdate at noise rho^2 / k,
-so a node's covariance serves every multiset that extends it and the cost
-per multiset does not grow with the budget.
+by exhaustive enumeration when its multisets number at most
+``BRUTE_FORCE_CAP``, else by greedy maximization; the capacity reports which.
+Exhaustive enumeration is a depth-first walk over observation counts: by the
+chain rule, k observations of a point are one noise-inflated downdate at
+noise rho^2 / k, so a node's covariance serves every multiset that extends it
+and the cost per multiset does not grow with the budget.
 """
 
 from __future__ import annotations
@@ -39,11 +40,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, InputError, NumericError
+from .errors import InputError, NumericError
 from .kernels import _BLOCK_ENTRIES, KernelMatrix, NoiseModel, jittered
 
-#: Hard cap on the multisets of one exhaustive capacity search, counted as
-#: C(|S| + n - 1, n) for n observations of a sample space S.
+#: Most multisets that an exact capacity enumerates, counted as
+#: C(|S| + n - 1, n) for n observations of a sample space S; past it the
+#: capacity is the greedy value.
 BRUTE_FORCE_CAP = 200_000
 
 
@@ -86,22 +88,6 @@ class Observation:
             raise InputError("observation noise variance must be positive")
         if not math.isfinite(self.value):
             raise InputError("observation value must be finite")
-
-
-@dataclass(frozen=True)
-class IGQuery:
-    """An information-gain query: targets A, candidate x, evaluation method."""
-
-    targets: tuple[int, ...]
-    candidate: int
-    method: str = "backward"
-
-    def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
-        if not self.targets:
-            raise InputError("target set must be nonempty")
-        if self.method not in ("forward", "backward"):
-            raise InputError("method must be 'forward' or 'backward'")
 
 
 @dataclass(frozen=True)
@@ -285,22 +271,22 @@ def greedy(blocks: _Blocks, score: Callable[[_Blocks], np.ndarray], *,
         bace_update(blocks, best, float(blocks.noise_c[best]))
 
 
-def information_gain(state: PosteriorState, query: IGQuery, *,
+def information_gain(state: PosteriorState, targets: Sequence[int], candidate: int, *,
                      stabilize: bool = False) -> float:
-    """I(f_A; y_x | D_n), nonnegative.
+    """I(f_A; y_x | D_n) for a nonempty target set A, nonnegative, by the
+    backward method (``_itl_scores``).
 
     ``stabilize=True`` computes I(y_A; y_x | D_n) instead, which adds the
     target noise variances to the target-block diagonal before inversion;
     this trades a small bias for numerical robustness on near-singular blocks.
-    Forward (the batch gain of the one-point batch [x]) and backward methods
-    agree to high accuracy on either variant.
+    The forward method is ``batch_information_gain(state, targets, [x])``;
+    the two agree to high accuracy on either variant.
     """
-    rho2 = state.noise.variance_at(query.candidate)
-    if not rho2 > 0:
+    if len(targets) == 0:
+        raise InputError("target set must be nonempty")
+    if not state.noise.variance_at(candidate) > 0:
         raise InputError("candidate noise variance must be positive for the gain to exist")
-    if query.method == "backward":
-        return float(_itl_scores(_Blocks(state, query.targets, [query.candidate]), stabilize)[0])
-    return batch_information_gain(state, query.targets, [query.candidate], stabilize=stabilize)
+    return float(_itl_scores(_Blocks(state, targets, [candidate]), stabilize)[0])
 
 
 def batch_information_gain(state: PosteriorState, targets: Sequence[int],
@@ -400,37 +386,29 @@ def _count_walk(block: np.ndarray, noise: np.ndarray, last: np.ndarray, left: np
     return best
 
 
-def _capacity_brute(state: PosteriorState, candidates: Sequence[int], budget: int) -> float:
-    pos = state.positions(candidates)
-    noise = state.noise.vector(candidates)
-    cov = state.cov[np.ix_(pos, pos)]
-    total = math.comb(len(candidates) + budget - 1, budget)
-    if total > BRUTE_FORCE_CAP:
-        raise BudgetError(f"exhaustive capacity search over {total} multisets exceeds the cap")
-    return _best_grouped_gain(cov, noise, budget)
-
-
 def _capacity_greedy(state: PosteriorState, candidates: Sequence[int], budget: int) -> float:
     steps = greedy(_Blocks(state, (), candidates), _undirected_scores, multiset=True)
     gains = (float(scores[best]) for best, scores in islice(steps, budget))
     return sum(takewhile(lambda gain: gain > 0.0, gains), 0.0)
 
 
-def information_capacity(state: PosteriorState, candidates: Sequence[int], budget: int,
-                         mode: str = "greedy") -> float:
+def information_capacity(state: PosteriorState, candidates: Sequence[int],
+                         budget: int) -> tuple[float, bool]:
     """Maximum information obtainable from ``budget`` noisy observations of
-    the candidates, repeats allowed.
+    the candidates, repeats allowed, and whether that value is exact.
 
-    ``greedy`` returns the value of greedy maximization (a (1 - 1/e)
-    approximation by submodularity); ``brute`` enumerates every multiset of
-    exactly ``budget`` candidates (no smaller multiset gains more).
+    It is exact when the C(|S| + n - 1, n) multisets of exactly n = ``budget``
+    candidates (no smaller multiset gains more) are at most
+    ``BRUTE_FORCE_CAP``: the walk of ``_best_grouped_gain`` enumerates them.
+    Otherwise it is the value of greedy maximization, a (1 - 1/e)
+    approximation by submodularity.
     """
-    if mode not in ("greedy", "brute"):
-        raise InputError("mode must be 'greedy' or 'brute'")
     if budget < 0:
         raise InputError("budget must be nonnegative")
     if budget == 0 or not candidates:
-        return 0.0
-    if mode == "brute":
-        return _capacity_brute(state, candidates, budget)
-    return _capacity_greedy(state, candidates, budget)
+        return 0.0, True
+    if math.comb(len(candidates) + budget - 1, budget) > BRUTE_FORCE_CAP:
+        return _capacity_greedy(state, candidates, budget), False
+    pos = state.positions(candidates)
+    cov = state.cov[np.ix_(pos, pos)]
+    return _best_grouped_gain(cov, state.noise.vector(candidates), budget), True

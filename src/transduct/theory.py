@@ -12,12 +12,13 @@ checked on actual trajectories:
     size condition     gamma_k / k <= eps lambda_min^2 / (2 |S|^2 sigma^4 sigma~^2)
     kappa(k)           submodularity ratio of the batch objective
 
-Capacity values inside checkers are exact (exhaustive) whenever the
-enumeration is feasible; otherwise the greedy value is used and the affected
-rows are demoted from failures to warnings, since greedy underestimates the
-capacity and could flag spurious violations. Exhaustive capacities, in the
-checkers and in the exact phase of the size condition, walk the observation
-counts of the multisets of size exactly n (``posterior._best_grouped_gain``).
+Capacity values inside checkers come from ``posterior.information_capacity``,
+which is exact (exhaustive) whenever the enumeration is feasible and says so;
+otherwise it returns the greedy value, and the affected rows are demoted from
+failures to warnings, since greedy underestimates the capacity and could flag
+spurious violations. Exhaustive capacities, in the checkers and in the exact
+phase of the size condition, walk the observation counts of the multisets of
+size exactly n (``posterior._best_grouped_gain``).
 The one exception to the greedy fallback is the size condition behind b_eps,
 where an underestimate would be unsound; there a certified closed-form upper
 bound (grouped-Hadamard water filling, see ``capacity_upper_bound``) stands in.
@@ -41,7 +42,6 @@ import numpy as np
 from .errors import BudgetError, InputError
 from .kernels import KernelMatrix
 from .posterior import (
-    BRUTE_FORCE_CAP,
     Observation,
     PosteriorState,
     _best_grouped_gain,
@@ -58,6 +58,7 @@ from .posterior import (
 )
 
 _TOL = 1e-9
+#: Most observations that the size condition's b_eps and a Markov boundary may take.
 SIZE_BOUND_CAP = 10_000
 
 #: the exact (unstabilized) ITL scores, which every bound is stated for
@@ -171,21 +172,13 @@ def irreducible_uncertainty(prior_gram: KernelMatrix, sample_space: Sequence[int
     return max(eta2, 0.0)
 
 
-def _capacity_with_mode(prior: PosteriorState, space: Sequence[int],
-                        budget: int) -> tuple[float, bool]:
-    """Capacity over multisets: exact when enumerable, else greedy."""
-    exact = math.comb(len(space) + budget - 1, budget) <= BRUTE_FORCE_CAP
-    mode = "brute" if exact else "greedy"
-    return information_capacity(prior, space, budget, mode), exact
-
-
 def check_gamma_bound(trajectory: Trajectory) -> BoundCheck:
     """Check Gamma_{n-1} <= gamma_n / n along an S-inside-A trajectory."""
     rows = []
     hard_fail = warn = False
     for n in range(1, trajectory.rounds + 1):
         gamma_step = trajectory.gains[n - 1]
-        capacity, exact = _capacity_with_mode(trajectory.prior, trajectory.sample_space, n)
+        capacity, exact = information_capacity(trajectory.prior, trajectory.sample_space, n)
         bound = capacity / n
         ok = gamma_step <= bound + _TOL
         rows.append({"n": n, "gamma_step": gamma_step, "capacity": capacity,
@@ -243,10 +236,10 @@ def capacity_upper_bound(variances: np.ndarray, noise: np.ndarray, budget: float
     return best
 
 
-def markov_size_bound(state: PosteriorState, sample_space: Sequence[int],
-                      epsilon: float, *, cap: int = SIZE_BOUND_CAP,
+def markov_size_bound(state: PosteriorState, sample_space: Sequence[int], epsilon: float, *,
                       constants: TheoryConstants | None = None) -> tuple[int, bool]:
-    """Smallest k with gamma_k / k below the size-condition threshold.
+    """Smallest k <= ``SIZE_BOUND_CAP`` with gamma_k / k below the
+    size-condition threshold.
 
     The capacity is always computed from the prior, regardless of the
     state's history. Small budgets are checked exactly by enumeration;
@@ -275,7 +268,7 @@ def markov_size_bound(state: PosteriorState, sample_space: Sequence[int],
     # exact phase: small budgets, each enumerating the multisets of its size
     k_exact = 0
     total = 0
-    while k_exact < min(cap, 64):
+    while k_exact < min(SIZE_BOUND_CAP, 64):
         extra = math.comb(len(space) + k_exact, k_exact + 1)
         if total + extra > 2_000:
             break
@@ -288,9 +281,9 @@ def markov_size_bound(state: PosteriorState, sample_space: Sequence[int],
     def admissible(budget: int) -> bool:
         return capacity_upper_bound(variances, noise, budget) / budget <= threshold
 
-    if not admissible(cap):
-        raise BudgetError(f"size condition needs more than {cap} observations")
-    low, high = max(k_exact, 1), cap
+    if not admissible(SIZE_BOUND_CAP):
+        raise BudgetError(f"size condition needs more than {SIZE_BOUND_CAP} observations")
+    low, high = max(k_exact, 1), SIZE_BOUND_CAP
     if admissible(low):
         return low, False
     while high - low > 1:
@@ -303,7 +296,7 @@ def markov_size_bound(state: PosteriorState, sample_space: Sequence[int],
 
 
 def markov_boundary(state: PosteriorState, sample_space: Sequence[int], x: int,
-                    epsilon: float, *, cap: int = SIZE_BOUND_CAP) -> MarkovBoundary:
+                    epsilon: float) -> MarkovBoundary:
     """Greedily build an approximate Markov boundary of x in S.
 
     Points are added by undirected greedy selection over S (computed from
@@ -315,15 +308,15 @@ def markov_boundary(state: PosteriorState, sample_space: Sequence[int], x: int,
     space = tuple(sorted(int(s) for s in sample_space))
     x = int(x)
     eta2 = irreducible_uncertainty(state.gram, space, x)
-    size_bound, exact = markov_size_bound(state, space, epsilon, cap=cap)
+    size_bound, exact = markov_size_bound(state, space, epsilon)
 
     prior = PosteriorState.from_prior(state.gram, state.noise)  # shares the Gram
     picks = greedy(_Blocks(prior, (), space), _undirected_scores, multiset=True)
     check = _Blocks(state, (x,), space)
     members: list[int] = []
     while (achieved := float(check.var()[0])) > eta2 + epsilon:
-        if len(members) >= cap:
-            raise BudgetError(f"markov boundary exceeded the {cap}-point cap")
+        if len(members) >= SIZE_BOUND_CAP:
+            raise BudgetError(f"markov boundary exceeded the {SIZE_BOUND_CAP}-point cap")
         best, _ = next(picks)
         members.append(space[best])
         bace_update(check, best, float(check.noise_c[best]))
@@ -337,8 +330,7 @@ def verify_markov_boundary(state: PosteriorState, boundary: MarkovBoundary,
     """Re-condition from scratch and confirm the defining inequality."""
     check = condition_all(state, [Observation(index, 0.0, state.noise.variance_at(index))
                                   for index in boundary.members])
-    px = state.position(int(x))
-    achieved = max(float(check.cov[px, px]), 0.0)
+    achieved = float(check.variance_vector([int(x)])[0])
     return achieved <= boundary.irreducible + boundary.epsilon + _TOL
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from transduct import (BudgetError, IGQuery, KernelMatrix, NoiseModel, Observation, Policy,
+from transduct import (BudgetError, KernelMatrix, NoiseModel, Observation, Policy,
                        PosteriorState, batch_information_gain, condition, information_gain)
 from transduct.kernels import _matern_of_distance, _require, jittered
 from transduct.posterior import _Blocks, _itl_scores, bace_update, chol_logdet
@@ -54,7 +54,7 @@ def random_state(rng, n, *, hetero=False, noise_range=(0.01, 1.0),
     if hetero:
         table = {i: float(v) for i, v in
                  enumerate(rng.uniform(noise_range[0], noise_range[1], size=n))}
-        noise = NoiseModel.heteroscedastic(table)
+        noise = NoiseModel(per_index=table)
     else:
         noise = NoiseModel.homoscedastic(float(rng.uniform(*noise_range)))
     return PosteriorState.from_prior(gram, noise)
@@ -311,7 +311,7 @@ def ctl_scores_reference(blocks):
 
 def score_itl(state, targets, candidate, *, stabilize=False):
     """I(f_A; y_x | D_{n-1}) of one candidate via the backward evaluation."""
-    return information_gain(state, IGQuery(tuple(targets), candidate), stabilize=stabilize)
+    return information_gain(state, targets, candidate, stabilize=stabilize)
 
 
 def score_ctl(state, targets, candidate):

@@ -13,7 +13,6 @@ import time
 import numpy as np
 
 from transduct import (
-    IGQuery,
     KernelMatrix,
     NoiseModel,
     Observation,
@@ -56,8 +55,8 @@ class TestCriterion1ForwardBackward:
             n_targets = int(rng.integers(1, min(17, n + 1)))
             targets = tuple(int(i) for i in rng.choice(n, n_targets, replace=False))
             x = int(rng.integers(0, n))
-            fwd = information_gain(state, IGQuery(targets, x, "forward"))
-            bwd = information_gain(state, IGQuery(targets, x, "backward"))
+            fwd = batch_information_gain(state, targets, [x])
+            bwd = information_gain(state, targets, x)
             worst = max(worst, abs(fwd - bwd))
         elapsed = time.perf_counter() - start
         report("criterion-1 forward/backward agreement",

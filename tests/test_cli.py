@@ -130,6 +130,18 @@ class TestConfigValidation:
         ("theory", "domain.layout.step", float("-inf")),
         ("run", "relevant", [999, 3]),  # ids outside the sample space
         ("theory", "relevant", [1, 4]),
+        # a JSON boolean is no number, though Python's bool subclasses int
+        ("run", "rounds", True),
+        ("run", "seeds", [True]),
+        ("run", "relevant", [True]),
+        ("theory", "epsilon", True),
+        ("run", "hyper.b", True),
+        ("theory", "hyper.rho", True),
+        ("run", "domain.layout.s_count", True),
+        ("theory", "domain.layout.a_extra", False),
+        ("run", "domain.layout.box", [[0, True], [0, 1]]),
+        ("theory", "domain.layout.step", True),
+        ("run", "domain.kernel.lengthscale", True),
     ])
     def test_bad_number_is_config_error(self, tmp_path, capsys, command, field, value):
         cfg = base_run_config() if command == "run" else grid_theory_config()
@@ -188,6 +200,9 @@ class TestConfigValidation:
         ("run", "hyper.k", 1, "hyper.k"),  # below b = 2
         ("run", "policies", ["itl", {"rule": "ctl", "b": 21}], "hyper.k"),  # k = 20
         ("ablate", "grid.k", [20, 1], "hyper.k"),
+        ("run", "policies", [{"rule": "itl", "b": True}], "policies[0].b"),
+        ("run", "hyper.m", True, "hyper.m"),
+        ("ablate", "grid.rho", [True], "hyper.rho"),
     ])
     def test_bad_section_is_config_error(self, tmp_path, capsys, monkeypatch, command, path,
                                          value, named):
@@ -554,6 +569,9 @@ class TestDomainBuilders:
                                       "a": [2], "kernel": kernel})
         domain = build_domain(parse_config(cfg), seed=0)
         np.testing.assert_array_equal(domain.kernel.latent_cov, kernel["latent_cov"])
+        kernel["latent_cov"] = [[True, 0.0], [0.0, 4.0]]
+        with pytest.raises(ConfigError, match="'domain.kernel.latent_cov'"):
+            build_domain(parse_config(cfg), seed=0)
 
     def test_one_gram_per_domain(self, monkeypatch):
         calls = []
@@ -594,6 +612,8 @@ class TestDomainBuilders:
         ("a", [10, 10, 11], "domain.a"),
         ("a", [10, -1], "domain.a"),
         ("a", [10, 12], "domain.a"),  # the file's ids are 0..11
+        ("s", {"first": True}, "domain.s.first"),
+        ("a", [True, 10], "domain.a"),
     ])
     def test_bad_id_selector_is_config_error(self, tmp_path, capsys, field, value, named):
         emb = tmp_path / "emb.txt"

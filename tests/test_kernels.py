@@ -179,8 +179,8 @@ class TestSpecsAndModels:
         with pytest.raises(InputError):
             NoiseModel.homoscedastic(0.0)
         with pytest.raises(InputError):
-            NoiseModel.heteroscedastic({0: 0.1, 1: -0.5})
-        model = NoiseModel.heteroscedastic({0: 0.1}, default=0.3)
+            NoiseModel(per_index={0: 0.1, 1: -0.5})
+        model = NoiseModel(per_index={0: 0.1}, default=0.3)
         assert model.variance_at(0) == 0.1
         assert model.variance_at(5) == 0.3
         np.testing.assert_allclose(model.vector([0, 5]), [0.1, 0.3])

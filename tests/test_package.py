@@ -36,32 +36,43 @@ def acceptance_imports() -> set[str]:
             and (node.module or "").startswith("transduct") for alias in node.names}
 
 
+def _reads(node: ast.AST, own: frozenset = frozenset()) -> set[str]:
+    """Names and attributes read under ``node``, except that no definition's
+    body reads the definition itself (a recursive call is not a reader)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        own = own | {node.name}
+    names = set()
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        names.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        names.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        names |= _reads(child, own)
+    return names - own
+
+
 def unread_definitions() -> list[str]:
-    """Top-level functions and classes of the package that no code in it reads,
-    other than their own bodies (a recursive call is not a reader)."""
+    """Top-level functions and classes of the package, and the methods,
+    classmethods and properties of its classes, that no code in it reads.
+    Dunder methods are read by Python itself."""
     defined, read = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= _reads(tree)
         for top in tree.body:
-            owner = getattr(top, "name", None)
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                defined.append(f"{path.stem}.{owner}")
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
-                if name != owner:
-                    read.add(name)
-    return [name for name in defined if name.split(".")[1] not in read]
+                defined.append(f"{path.stem}.{top.name}")
+            if isinstance(top, ast.ClassDef):
+                defined += [f"{path.stem}.{top.name}.{member.name}" for member in top.body
+                            if isinstance(member, ast.FunctionDef)
+                            and not member.name.startswith("__")]
+    return [name for name in defined if name.split(".")[-1] not in read]
 
 
 class TestNoDeadLibraryCode:
     def test_every_definition_is_read_or_an_entry_point(self):
         unread = [name for name in unread_definitions()
-                  if name.split(".")[1] not in ENTRY_POINTS]
+                  if name.split(".")[-1] not in ENTRY_POINTS]
         assert unread == []
 
     def test_entry_points_are_used_where_they_say(self):
@@ -75,7 +86,7 @@ class TestNoDeadLibraryCode:
 
     def test_entry_points_are_unread(self):
         # a name the package reads needs no entry here
-        unread = {name.split(".")[1] for name in unread_definitions()}
+        unread = {name.split(".")[-1] for name in unread_definitions()}
         assert set(ENTRY_POINTS) <= unread
 
 

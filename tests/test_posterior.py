@@ -7,8 +7,6 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from transduct import (
-    BudgetError,
-    IGQuery,
     InputError,
     KernelMatrix,
     KernelSpec,
@@ -172,7 +170,7 @@ def coincident_state(rng, n, hetero):
     copy = np.r_[np.arange(n), n - 1]
     gram_ = KernelMatrix(base[np.ix_(copy, copy)], tuple(range(n + 1)))
     rho2 = rng.uniform(0.01, 1.0, size=n)[copy] if hetero else np.full(n + 1, 0.3)
-    noise = NoiseModel.heteroscedastic({i: float(v) for i, v in enumerate(rho2)})
+    noise = NoiseModel(per_index={i: float(v) for i, v in enumerate(rho2)})
     return PosteriorState.from_prior(gram_, noise)
 
 
@@ -214,25 +212,25 @@ class TestITLWhitening:
 class TestInformationGain:
     def test_hand_computed_backward(self):
         state = two_point_state(0.1)
-        gain = information_gain(state, IGQuery((1,), 0, "backward"))
+        gain = information_gain(state, (1,), 0)
         np.testing.assert_allclose(gain, 0.5 * math.log(1.1 / 0.85), atol=1e-9)
 
     def test_hand_computed_forward(self):
         state = two_point_state(0.1)
-        gain = information_gain(state, IGQuery((1,), 0, "forward"))
+        gain = batch_information_gain(state, (1,), [0])
         np.testing.assert_allclose(gain, 0.5 * math.log(1.1 / 0.85), atol=1e-9)
 
     def test_independent_candidate_gains_nothing(self):
         gram = KernelMatrix(np.diag([1.0, 1.0]), (0, 1))
         state = PosteriorState.from_prior(gram, NoiseModel.homoscedastic(0.1))
-        assert information_gain(state, IGQuery((1,), 0)) <= 1e-12
+        assert information_gain(state, (1,), 0) <= 1e-12
 
     def test_candidate_inside_targets_reduces_to_uncertainty(self, rng):
         for _ in range(10):
             state = random_state(rng, 8, noise_range=(0.2, 0.2))
             targets = tuple(range(8))
             for x in range(8):
-                gain = information_gain(state, IGQuery(targets, x))
+                gain = information_gain(state, targets, x)
                 expected = 0.5 * math.log1p(state.variance_vector([x])[0] / 0.2)
                 np.testing.assert_allclose(gain, expected, atol=1e-7)
 
@@ -244,10 +242,8 @@ class TestInformationGain:
             targets = tuple(int(i) for i in rng.choice(n, size=n_targets, replace=False))
             x = int(rng.integers(0, n))
             for stabilize in (False, True):
-                fwd = information_gain(state, IGQuery(targets, x, "forward"),
-                                       stabilize=stabilize)
-                bwd = information_gain(state, IGQuery(targets, x, "backward"),
-                                       stabilize=stabilize)
+                fwd = batch_information_gain(state, targets, [x], stabilize=stabilize)
+                bwd = information_gain(state, targets, x, stabilize=stabilize)
                 np.testing.assert_allclose(fwd, bwd, atol=1e-8)
 
     def test_zero_iff_conditionally_independent(self, rng):
@@ -256,24 +252,24 @@ class TestInformationGain:
         blocks[3:, 3:] = random_state(rng, 3, unit_diag=True).gram.values
         gram = KernelMatrix(blocks, tuple(range(6)))
         state = PosteriorState.from_prior(gram, NoiseModel.homoscedastic(0.3))
-        assert information_gain(state, IGQuery((3, 4), 0)) <= 1e-10
-        assert information_gain(state, IGQuery((3, 4), 5)) > 1e-4
+        assert information_gain(state, (3, 4), 0) <= 1e-10
+        assert information_gain(state, (3, 4), 5) > 1e-4
 
     def test_chain_rule(self, rng):
         for _ in range(15):
             state = random_state(rng, 10, hetero=True, noise_range=(0.1, 0.8))
             targets = tuple(int(i) for i in rng.choice(10, size=4, replace=False))
             x1, x2 = (int(i) for i in rng.choice(10, size=2, replace=False))
-            first = information_gain(state, IGQuery(targets, x1))
+            first = information_gain(state, targets, x1)
             mid = condition(state, Observation(x1, 0.0, state.noise.variance_at(x1)))
-            second = information_gain(mid, IGQuery(targets, x2))
+            second = information_gain(mid, targets, x2)
             joint = batch_information_gain(state, targets, (x1, x2))
             np.testing.assert_allclose(first + second, joint, atol=1e-8)
 
     def test_stabilized_matches_noisy_target_block(self):
         # adding rho^2 to the target diagonal: 1/2 log(1.1 / (1.1 - 0.25/1.1))
         state = two_point_state(0.1)
-        gain = information_gain(state, IGQuery((1,), 0), stabilize=True)
+        gain = information_gain(state, (1,), 0, stabilize=True)
         expected = 0.5 * math.log(1.1 / (1.1 - 0.25 / 1.1))
         np.testing.assert_allclose(gain, expected, atol=1e-9)
 
@@ -307,34 +303,39 @@ class TestInformationGain:
                                    0.5 * math.log(4.0 / 3.0), rtol=0, atol=1e-12)
 
     def test_query_validation(self):
-        with pytest.raises(InputError):
-            IGQuery((), 0)
-        with pytest.raises(InputError):
-            IGQuery((1,), 0, "sideways")
+        with pytest.raises(InputError, match="target set"):
+            information_gain(two_point_state(), (), 0)
 
 
 class TestInformationCapacity:
-    def test_single_observation_takes_best_point(self):
+    def test_single_observation_takes_best_point(self, monkeypatch):
         gram = KernelMatrix(np.diag([1.0, 4.0]), (0, 1))
         state = PosteriorState.from_prior(gram, NoiseModel.homoscedastic(1.0))
-        expected = 0.5 * math.log(1 + 4.0)
-        for mode in ("greedy", "brute"):
-            np.testing.assert_allclose(
-                information_capacity(state, [0, 1], 1, mode), expected, atol=1e-9)
+        for exact in (True, False):  # a cap of 0 multisets leaves the greedy value
+            if not exact:
+                monkeypatch.setattr(posterior, "BRUTE_FORCE_CAP", 0)
+            np.testing.assert_allclose(information_capacity(state, [0, 1], 1),
+                                       (0.5 * math.log(1 + 4.0), exact), atol=1e-9)
 
-    def test_independent_points_add_up(self):
+    def test_independent_points_add_up(self, monkeypatch):
         gram = KernelMatrix(np.eye(5), tuple(range(5)))
         state = PosteriorState.from_prior(gram, NoiseModel.homoscedastic(1.0))
-        np.testing.assert_allclose(information_capacity(state, list(range(5)), 3),
-                                   1.5 * math.log(2.0), atol=1e-9)
+        for exact in (True, False):
+            if not exact:
+                monkeypatch.setattr(posterior, "BRUTE_FORCE_CAP", 0)
+            np.testing.assert_allclose(information_capacity(state, list(range(5)), 3),
+                                       (1.5 * math.log(2.0), exact), atol=1e-9)
 
-    def test_greedy_approximation_guarantee(self, rng):
+    def test_greedy_approximation_guarantee(self, rng, monkeypatch):
         factor = 1 - 1 / math.e
         for _ in range(10):
             state = random_state(rng, 10, hetero=True, noise_range=(0.2, 1.0))
             for budget in (2, 4):
-                greedy = information_capacity(state, list(range(10)), budget, "greedy")
-                brute = information_capacity(state, list(range(10)), budget, "brute")
+                brute, exact = information_capacity(state, list(range(10)), budget)
+                with monkeypatch.context() as patch:
+                    patch.setattr(posterior, "BRUTE_FORCE_CAP", 0)
+                    greedy, greedy_exact = information_capacity(state, list(range(10)), budget)
+                assert exact and not greedy_exact
                 assert greedy >= factor * brute - 1e-9
                 assert greedy <= brute + 1e-9
 
@@ -344,19 +345,27 @@ class TestInformationCapacity:
         # 1/2 log(3 * 3)
         gram = KernelMatrix(np.eye(2), (0, 1))
         state = PosteriorState.from_prior(gram, NoiseModel.homoscedastic(0.5))
-        multi = information_capacity(state, [0, 1], 3, "brute")
+        multi, exact = information_capacity(state, [0, 1], 3)
+        assert exact
         np.testing.assert_allclose(multi, 0.5 * math.log(15.0), rtol=1e-12)
         assert multi > 0.5 * math.log(9.0)
 
     def test_zero_budget(self):
         state = two_point_state()
-        assert information_capacity(state, [0, 1], 0) == 0.0
+        assert information_capacity(state, [0, 1], 0) == (0.0, True)
 
     @pytest.mark.parametrize("budget", [0, 3])
     @pytest.mark.parametrize("candidates", [[], [0, 1]])
-    def test_unknown_mode_is_input_error(self, budget, candidates):
-        with pytest.raises(InputError, match="mode"):
-            information_capacity(two_point_state(), candidates, budget, "bogus")
+    def test_reports_exactness(self, budget, candidates):
+        # no budget or no candidates gains exactly nothing; C(2 + 3 - 1, 3) = 4
+        # multisets are enumerated
+        value, exact = information_capacity(two_point_state(), candidates, budget)
+        assert exact is True
+        assert (value > 0.0) == (budget > 0 and len(candidates) > 0)
+
+    def test_negative_budget_is_input_error(self):
+        with pytest.raises(InputError, match="budget"):
+            information_capacity(two_point_state(), [0, 1], -1)
 
 
 class TestStackedCapacityEnumeration:
@@ -419,13 +428,15 @@ class TestStackedCapacityEnumeration:
 
 class TestFactorBlockCapacity:
     @pytest.mark.parametrize("hetero", [False, True])
-    def test_greedy_matches_dense_reference(self, rng, hetero):
+    def test_greedy_matches_dense_reference(self, rng, monkeypatch, hetero):
+        monkeypatch.setattr(posterior, "BRUTE_FORCE_CAP", 0)
         for n in range(2, 12):
             state = random_state(rng, n, hetero=hetero)
             cands = list(range(n))
             for budget in (1, n // 2 + 1, n, n + 3, 20 * n):  # 20 n: factor far wider than |S|
                 expected = capacity_greedy_reference(state, cands, budget)
-                got = information_capacity(state, cands, budget, "greedy")
+                got, exact = information_capacity(state, cands, budget)
+                assert not exact
                 assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("hetero", [False, True])
@@ -437,7 +448,8 @@ class TestFactorBlockCapacity:
             cands = list(range(n))
             for budget in range(1, 5):  # past |S| for n < 4
                 expected = capacity_multiset_reference(state, cands, budget)
-                got = information_capacity(state, cands, budget, "brute")
+                got, exact = information_capacity(state, cands, budget)
+                assert exact
                 assert got == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     def test_brute_enumerates_only_the_budget_size(self, rng, monkeypatch):
@@ -453,18 +465,25 @@ class TestFactorBlockCapacity:
         monkeypatch.setattr(posterior, "_best_grouped_gain", counted)
         state = random_state(rng, 5, hetero=True)
         noise = state.noise.vector(state.ids)
-        got = information_capacity(state, list(range(5)), 3, "brute")
+        got, _ = information_capacity(state, list(range(5)), 3)
         assert sizes == [3]
         smaller = [best_grouped_gain_reference(state.cov, noise, s) for s in (1, 2, 3)]
         assert got == pytest.approx(max(smaller), rel=1e-12)
 
     def test_brute_cap_counts_enumerated_multisets(self, rng, monkeypatch):
+        # budget 3 over |S| = 3 enumerates C(5, 3) = 10 multisets; sizes 1..3
+        # together would be 19
         state = random_state(rng, 3, hetero=True)
-        monkeypatch.setattr(posterior, "BRUTE_FORCE_CAP", 10)  # C(3 + 3 - 1, 3) = 10
-        information_capacity(state, [0, 1, 2], 3, "brute")
+        monkeypatch.setattr(posterior, "BRUTE_FORCE_CAP", 10)
+        capacity, exact = information_capacity(state, [0, 1, 2], 3)
+        assert exact is True
+        assert capacity == pytest.approx(best_grouped_gain_reference(
+            state.cov, state.noise.vector(state.ids), 3), rel=1e-12)
         monkeypatch.setattr(posterior, "BRUTE_FORCE_CAP", 9)
-        with pytest.raises(BudgetError, match="10"):
-            information_capacity(state, [0, 1, 2], 3, "brute")
+        greedy, exact = information_capacity(state, [0, 1, 2], 3)
+        assert exact is False
+        assert greedy == pytest.approx(capacity_greedy_reference(state, [0, 1, 2], 3),
+                                       rel=1e-12)
 
     def test_blocks_grow_past_initial_capacity(self, rng):
         prior = random_state(rng, 12, hetero=True)

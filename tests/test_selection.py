@@ -6,7 +6,6 @@ import pytest
 
 from transduct import (
     DataError,
-    IGQuery,
     InputError,
     KernelMatrix,
     NoiseModel,
@@ -451,5 +450,5 @@ class TestRuleRelations:
             for x in range(10):
                 full = score_itl(state, targets, x)
                 singles = np.mean([
-                    information_gain(state, IGQuery((t,), x)) for t in targets])
+                    information_gain(state, (t,), x) for t in targets])
                 assert full >= singles - 1e-8

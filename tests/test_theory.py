@@ -25,7 +25,7 @@ from transduct import (
     submodularity_ratio,
     verify_markov_boundary,
 )
-from transduct import theory
+from transduct import posterior, theory
 from transduct.kernels import KernelSpec, Point, gram
 from transduct.posterior import _Blocks, greedy
 from transduct.theory import capacity_upper_bound
@@ -262,7 +262,10 @@ class TestMarkovBoundary:
         assert len(boundary.members) <= boundary.size_bound
 
 
-    def test_matches_dense_reference(self, rng):
+    def test_matches_dense_reference(self, rng, monkeypatch):
+        # b_eps on these instances runs to ~1e6 observations, past the
+        # default cap; the boundaries themselves stay small
+        monkeypatch.setattr(theory, "SIZE_BOUND_CAP", 10 ** 7)
         nonempty = 0
         for trial in range(40):
             # distinct prior scales: on a symmetric instance two greedy gains
@@ -270,7 +273,7 @@ class TestMarkovBoundary:
             n = int(rng.integers(2, 5))
             scale = rng.uniform(0.7, 1.3, size=n + 1)
             values = random_corr_gram(rng, n + 1, floor=0.6).values * np.outer(scale, scale)
-            noise = (NoiseModel.heteroscedastic(dict(enumerate(rng.uniform(0.3, 1.0, n + 1))))
+            noise = (NoiseModel(per_index=dict(enumerate(rng.uniform(0.3, 1.0, n + 1))))
                      if trial % 2 else NoiseModel.homoscedastic(float(rng.uniform(0.3, 1.0))))
             state = PosteriorState.from_prior(KernelMatrix(values, tuple(range(n + 1))), noise)
             if trial % 4 >= 2:
@@ -278,9 +281,7 @@ class TestMarkovBoundary:
             space, x = tuple(range(n)), n
             floor = irreducible_uncertainty(state.gram, space, x)
             epsilon = float(rng.uniform(0.3, 0.9)) * (float(state.cov[x, x]) - floor)
-            # b_eps on these instances runs to ~1e6 observations, past the
-            # default cap; the boundaries themselves stay small
-            boundary = markov_boundary(state, space, x, epsilon, cap=10 ** 7)
+            boundary = markov_boundary(state, space, x, epsilon)
             members, achieved = markov_boundary_reference(state, space, x, floor, epsilon,
                                                           cap=10 ** 7)
             assert boundary.members == members
@@ -298,21 +299,22 @@ class TestSizeBound:
             variances = np.diag(state.gram.values)
             noise = state.noise.vector(state.ids)
             for budget in (1, 2, 3, 4):
-                exact = information_capacity(state, state.ids, budget, "brute")
+                exact, is_exact = information_capacity(state, state.ids, budget)
+                assert is_exact
                 bound = capacity_upper_bound(variances, noise, budget)
                 assert bound >= exact - 1e-9
 
     def test_capacity_is_exact_when_its_multisets_fit_the_cap(self, rng, monkeypatch):
-        # budget 3 over |S| = 3 enumerates C(5, 3) = 10 multisets; sizes 1..3
-        # together would be 19
+        # the capacity the checkers read: budget 3 over |S| = 3 enumerates
+        # C(5, 3) = 10 multisets; sizes 1..3 together would be 19
         state = random_state(rng, 3, hetero=True)
-        monkeypatch.setattr(theory, "BRUTE_FORCE_CAP", 10)
-        capacity, exact = theory._capacity_with_mode(state, [0, 1, 2], 3)
+        monkeypatch.setattr(posterior, "BRUTE_FORCE_CAP", 10)
+        capacity, exact = theory.information_capacity(state, [0, 1, 2], 3)
         assert exact is True
         assert capacity == pytest.approx(best_grouped_gain_reference(
             state.cov, state.noise.vector(state.ids), 3), rel=1e-12)
-        monkeypatch.setattr(theory, "BRUTE_FORCE_CAP", 9)
-        assert theory._capacity_with_mode(state, [0, 1, 2], 3)[1] is False
+        monkeypatch.setattr(posterior, "BRUTE_FORCE_CAP", 9)
+        assert theory.information_capacity(state, [0, 1, 2], 3)[1] is False
 
     def test_exact_small_epsilon_path(self, rng):
         k = KernelMatrix(np.eye(2), (0, 1))
@@ -400,7 +402,7 @@ class TestConstants:
     def test_from_state(self):
         values = np.array([[1.0, 0.2], [0.2, 0.5]])
         k = KernelMatrix(values, (0, 1))
-        noise = NoiseModel.heteroscedastic({0: 0.1, 1: 1.0})
+        noise = NoiseModel(per_index={0: 0.1, 1: 1.0})
         constants = TheoryConstants.from_state(
             PosteriorState.from_prior(k, noise), [0, 1])
         assert constants.sigma_sq == 1.0
