@@ -5,9 +5,10 @@ noise-inflated rank-one downdate, ``bace_update`` (GPML Alg. 2.1): observing x
 with noise rho^2 appends the row w = (cov[:, x] - W^T W[:, x]) / s, with
 s = sqrt(Var[f_x] + rho^2), to a factor W over the columns of a ``_Blocks``.
 ``condition_all`` downdates blocks over the whole domain, moves the mean by
-w (y - mu_x) / s per observation, and subtracts W^T W, formed by one GEMM on a
-transposed copy of W (numpy's SYRK is several times slower on threaded
-OpenBLAS). This matches batch conditioning from the prior in any order.
+w (y - mu_x) / s per observation, and subtracts W^T W in row blocks of about
+``_BLOCK_ENTRIES`` entries, each formed by a GEMM on a transposed copy of W
+(numpy's SYRK is several times slower on threaded OpenBLAS) and checked while
+in cache. This matches batch conditioning from the prior in any order.
 Downdates with no value yet keep W over targets and candidates and leave the
 state alone: the batch gain downdates the target block at every point of the
 batch, and ``greedy`` makes every greedy pick (BaCE batches, the theory
@@ -126,11 +127,11 @@ class PosteriorState:
         return self.gram.positions(indices)
 
     def variance_vector(self, indices: Sequence[int]) -> np.ndarray:
-        pos = self.positions(indices)
-        return np.maximum(np.diag(self.cov)[pos], 0.0)
+        return self.variance_at(self.positions(indices))
 
-    def mean_vector(self, indices: Sequence[int]) -> np.ndarray:
-        return self.mean[self.positions(indices)]
+    def variance_at(self, pos: np.ndarray) -> np.ndarray:
+        """Variances at domain positions, clamped at zero."""
+        return np.maximum(self.cov[pos, pos], 0.0)
 
 
 def condition(state: PosteriorState, obs: Observation) -> PosteriorState:
@@ -143,19 +144,27 @@ def condition_all(state: PosteriorState, observations: Iterable[Observation]) ->
     observations = tuple(observations)
     if not observations:
         return state
-    blocks = _Blocks(state, (), state.ids, len(observations))
+    blocks = _Domain(state, (), state.ids, len(observations))
     mean = state.mean.copy()
     for k, obs in enumerate(observations):
         j = state.position(obs.index)
         scale = bace_update(blocks, j, obs.noise_var)
         mean += blocks.w[k] * ((obs.value - mean[j]) / scale)
-    cov = np.ascontiguousarray(blocks.w.T) @ blocks.w  # GEMM, not SYRK (see above)
-    np.subtract(state.cov, cov, out=cov)
-    diag = np.diag(cov)
-    if np.min(diag) < 0.0:
-        np.fill_diagonal(cov, np.maximum(diag, 0.0))
-    if not (np.all(np.isfinite(cov)) and np.all(np.isfinite(mean))):
+    if not np.isfinite(mean).all():
         raise NumericError("conditioning produced non-finite values")
+    w = blocks.w
+    wt = np.ascontiguousarray(w.T)  # GEMM, not SYRK (see above)
+    cov = np.empty_like(state.cov)
+    n = len(cov)
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, n, rows):
+        block = cov[start:start + rows]
+        np.matmul(wt[start:start + rows], w, out=block)
+        np.subtract(state.cov[start:start + rows], block, out=block)
+        diag = block.reshape(-1)[start::n + 1]  # the block's part of the diagonal
+        np.maximum(diag, 0.0, out=diag)
+        if not np.isfinite(block).all():
+            raise NumericError("conditioning produced non-finite values")
     return replace(state, cov=cov, mean=mean, history=state.history + observations)
 
 
@@ -208,6 +217,17 @@ class _Blocks:
         w = self.w[:self.width]
         return np.maximum(self._k_diag - np.einsum("ij,ij->j", w, w), 0.0)
 
+    def column(self, i: int) -> np.ndarray:
+        """Column ``i``, read as a row: the state is symmetric."""
+        return self.state.cov[self.rows[i]][self.rows]
+
+
+class _Domain(_Blocks):
+    """The whole domain in position order: no id lookups, rows read in place."""
+
+    def column(self, i: int) -> np.ndarray:
+        return self.state.cov[i]
+
 
 def bace_update(blocks: _Blocks, pick: int, rho2: float) -> float:
     """Noise-inflated rank-one downdate at the candidate in position ``pick``.
@@ -220,7 +240,7 @@ def bace_update(blocks: _Blocks, pick: int, rho2: float) -> float:
     if k == len(blocks.w):
         blocks.w = np.concatenate((blocks.w, np.empty((max(k, 1), blocks.w.shape[1]))))
     w = blocks.w[:k]
-    col = blocks.state.cov[blocks.rows, blocks.rows[i]] - w[:, i] @ w
+    col = blocks.column(i) - w[:, i] @ w
     scale = math.sqrt(max(float(col[i]), 0.0) + rho2)
     blocks.w[k] = col / scale
     blocks.width = k + 1

@@ -17,8 +17,7 @@ downdate at the pick x, inflated by the state's noise rho^2(x)) or from the
 top-b scores of one pass ("topb"). Ties break toward the lowest index. A BaCE
 batch is the first b steps of ``posterior.greedy``. Cosine's scores ignore
 the picks, so its BaCE batch is its top-b batch and is built as one. Max-dist
-reads only the picks, so the b - 1 downdates it pays for are never read; each
-costs O(|C| b), below its own O(|C| |selected|) distance scoring. Scorers
+reads only the picks, so its batches make no downdates. Scorers
 read cov[A, A], cov[A, C] and the variances at targets A and candidates C from
 ``posterior``'s factor blocks; in-batch downdates are factor rows over A and
 C, and the round loop conditions once per batch.
@@ -126,11 +125,9 @@ def _min_sq_distances(state: PosteriorState, candidates: Sequence[int],
     return np.maximum(d2, 0.0).min(axis=1)
 
 
-def _score_candidates(blocks: _Blocks, policy: Policy,
-                      selected: Sequence[int]) -> np.ndarray:
+def _score_candidates(blocks: _Blocks, policy: Policy) -> np.ndarray:
     rule = policy.rule
-    state, targets, candidates = blocks.state, blocks.targets, blocks.candidates
-    if rule in TARGET_RULES and not targets:
+    if rule in TARGET_RULES and not blocks.targets:
         raise InputError(f"rule {rule!r} needs a nonempty target set")
     if rule == ITL:
         return _itl_scores(blocks, policy.stabilize)
@@ -142,10 +139,6 @@ def _score_candidates(blocks: _Blocks, policy: Policy,
         return _undirected_scores(blocks)
     if rule == COSINE:
         return _prior_cosine_scores(blocks)
-    if rule == MAX_DIST:
-        if not selected:
-            return np.zeros(len(candidates))
-        return np.sqrt(_min_sq_distances(state, candidates, selected))
     raise InputError(f"rule {rule!r} is not a scored rule")
 
 
@@ -153,7 +146,7 @@ def select_batch(state: PosteriorState, targets: Sequence[int],
                  candidates: Sequence[int], policy: Policy, *,
                  rng: Generator | None = None) -> BatchResult:
     """Select a batch of ``policy.batch_size`` distinct candidates."""
-    cand = sorted(int(c) for c in candidates)
+    cand = sorted(map(int, candidates))
     if len(set(cand)) != len(cand):
         raise InputError("candidate list contains duplicates")
     b = policy.batch_size
@@ -161,7 +154,7 @@ def select_batch(state: PosteriorState, targets: Sequence[int],
         raise InputError(f"batch size {b} exceeds the candidate pool ({len(cand)})")
     if rng is None:
         rng = default_rng(policy.seed)
-    targets = tuple(int(t) for t in targets)
+    targets = tuple(map(int, targets))
 
     if policy.rule == RANDOM:
         picks = sorted(rng.choice(len(cand), size=b, replace=False).tolist())
@@ -170,22 +163,45 @@ def select_batch(state: PosteriorState, targets: Sequence[int],
     if policy.rule == KMEANS_PP:
         return _select_kmeanspp(state, cand, b, rng)
 
-    history = [obs.index for obs in state.history]
+    if policy.rule == MAX_DIST:
+        return _select_max_dist(state, cand, b, policy.batch_mode == "bace")
+
     # uncertainty rules never read the target blocks, so no rows are kept for them
     blocks = _Blocks(state, targets if policy.rule in TARGET_RULES else (), cand, b - 1)
     # cosine's scores ignore the picks, so its BaCE batch is its top-b batch
     if policy.batch_mode == "topb" or policy.rule == COSINE:
-        scores = _score_candidates(blocks, policy, history)
+        scores = _score_candidates(blocks, policy)
         order = np.lexsort((np.array(cand), -scores))[:b]
         return BatchResult(indices=tuple(cand[i] for i in order),
                            objectives=tuple(float(scores[i]) for i in order))
 
-    picked: list[int] = []  # read by max-dist's scores at each step
+    picked: list[int] = []
     objectives: list[float] = []
-    steps = greedy(blocks, lambda blocks: _score_candidates(blocks, policy, history + picked))
+    steps = greedy(blocks, lambda blocks: _score_candidates(blocks, policy))
     for best, scores in islice(steps, b):
         picked.append(cand[best])
         objectives.append(float(scores[best]))
+    return BatchResult(indices=tuple(picked), objectives=tuple(objectives))
+
+
+def _select_max_dist(state: PosteriorState, cand: list[int], b: int,
+                     greedy_batch: bool) -> BatchResult:
+    """Max-dist batch; in a greedy one each pick lowers the nearest distances
+    to at most the distance to itself."""
+    selected = [obs.index for obs in state.history]
+    d2 = _min_sq_distances(state, cand, selected) if selected else None
+    taken = np.zeros(len(cand), dtype=bool)
+    picked: list[int] = []
+    objectives: list[float] = []
+    for _ in range(b):
+        scores = np.zeros(len(cand)) if d2 is None else np.sqrt(d2)
+        best = int(np.argmax(np.where(taken, -np.inf, scores)))
+        taken[best] = True
+        picked.append(cand[best])
+        objectives.append(float(scores[best]))
+        if greedy_batch:
+            near = _min_sq_distances(state, cand, [cand[best]])
+            d2 = near if d2 is None else np.minimum(d2, near)
     return BatchResult(indices=tuple(picked), objectives=tuple(objectives))
 
 
@@ -271,13 +287,15 @@ def run_loop(state: PosteriorState, targets: Sequence[int],
     rng = default_rng(policy.seed)
     record = RunRecord(config=dict(config or {}))
     retrieved: set[int] = set()
+    at_targets = state.positions(targets)
+    truth_a = None if truth is None else np.array([truth[t] for t in targets])
 
     def metrics(round_no: int, batch: tuple[int, ...], objectives: tuple[float, ...],
                 elapsed: float) -> RoundEntry:
-        var = state.variance_vector(targets)
+        var = state.variance_at(at_targets)
         rmse = None
-        if truth is not None:
-            residual = state.mean_vector(targets) - np.array([truth[t] for t in targets])
+        if truth_a is not None:
+            residual = state.mean[at_targets] - truth_a
             rmse = float(np.sqrt(np.mean(residual ** 2)))
         return RoundEntry(
             round=round_no, chosen=batch, objectives=objectives,

@@ -2,6 +2,7 @@
 
 import functools
 import math
+from dataclasses import replace
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
@@ -9,11 +10,12 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from transduct import (BudgetError, KernelMatrix, NoiseModel, Observation, Policy,
-                       PosteriorState, batch_information_gain, condition, information_gain)
+                       PosteriorState, batch_information_gain, condition, information_gain,
+                       select_batch)
 from transduct.kernels import _matern_of_distance, _require, jittered
 from transduct.posterior import _Blocks, _itl_scores, bace_update, chol_logdet
-from transduct.selection import (_DEGENERATE_VAR, CTL, ITL, UNCERTAINTY, UNDIRECTED_ITL,
-                                 _ctl_scores, _score_candidates)
+from transduct.selection import (_DEGENERATE_VAR, CTL, ITL, MAX_DIST, UNCERTAINTY,
+                                 UNDIRECTED_ITL, _ctl_scores, _score_candidates)
 
 #: rules whose scores change when the conditional covariance is downdated
 _POSTERIOR_RULES = frozenset((ITL, CTL, UNCERTAINTY, UNDIRECTED_ITL))
@@ -319,10 +321,26 @@ def score_ctl(state, targets, candidate):
     return float(_ctl_scores(_Blocks(state, targets, [candidate]))[0])
 
 
+def max_dist_scores_reference(state, candidates, selected):
+    """Each candidate's prior kernel distance to its nearest selected point,
+    sqrt(k(x, x) + k(s, s) - 2 k(x, s)) clamped at 0, one pair at a time; all 0
+    when nothing is selected."""
+    if not selected:
+        return np.zeros(len(candidates))
+    k, pos = state.gram.values, state.gram.position
+    return np.array([math.sqrt(min(max(k[pos(x), pos(x)] + k[pos(s), pos(s)]
+                                       - 2.0 * k[pos(x), pos(s)], 0.0) for s in selected))
+                     for x in candidates])
+
+
 def score_baseline(rule, candidate, *, state, targets=(), selected=()):
-    """One candidate's score under a baseline rule, through the batch scorer."""
-    scores = _score_candidates(_Blocks(state, targets, [candidate]), Policy(rule=rule),
-                               tuple(selected))
+    """One candidate's score under a baseline rule, through the batch scorer;
+    max-dist's batch reads the selected points from the state's history."""
+    if rule == MAX_DIST:
+        history = tuple(Observation(s, 0.0, 1.0) for s in selected)
+        return select_batch(replace(state, history=history), targets, [candidate],
+                            Policy(rule=rule)).objectives[0]
+    scores = _score_candidates(_Blocks(state, targets, [candidate]), Policy(rule=rule))
     return float(scores[0])
 
 
@@ -335,8 +353,11 @@ def rescoring_bace_reference(state, targets, candidates, policy):
     picks, objectives = [], []
     mask = np.zeros(len(cand), dtype=bool)
     for step in range(policy.batch_size):
-        scores = np.where(mask, -np.inf,
-                          _score_candidates(blocks, policy, history + picks))
+        if policy.rule == MAX_DIST:
+            scores = max_dist_scores_reference(state, cand, history + picks)
+        else:
+            scores = _score_candidates(blocks, policy)
+        scores = np.where(mask, -np.inf, scores)
         best = int(np.argmax(scores))
         picks.append(cand[best])
         objectives.append(float(scores[best]))

@@ -1,8 +1,13 @@
 """Checks on the package as a whole: no library code that only tests read,
-and a README tour that runs against the current API."""
+a README tour that runs against the current API, and no heavy import on the
+commands' paths."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -105,3 +110,34 @@ class TestReadmeTour:
         assert labels == list(batch.indices) and len(labels) == 5
         assert state.round == 5
         assert [obs.index for obs in state.history] == labels
+
+
+class TestImportFootprint:
+    def test_commands_do_not_import_numpy_ma(self, tmp_path):
+        # numpy.ma costs about 1.8 MB of resident memory, and np.unique, for
+        # one, imports it; run, theory and markov must not
+        run = {"domain": {"source": "synthetic",
+                          "kernel": {"family": "gaussian", "lengthscale": 0.3},
+                          "layout": {"kind": "uniform", "dim": 2, "s_count": 25, "a_count": 5,
+                                     "a_box": [[0.6, 1.0], [0.6, 1.0]]}},
+               "policies": ["itl", "ctl", "max-dist", "random", "cosine"], "rounds": 3,
+               "seeds": [0], "hyper": {"b": 2, "m": 3, "rho": 1.0, "k": 20}}
+        theory = {"domain": {"source": "synthetic",
+                             "kernel": {"family": "gaussian", "lengthscale": 0.6},
+                             "layout": {"kind": "grid", "s_count": 3, "step": 2.0,
+                                        "a_extra": 2, "include_s_in_a": True}},
+                  "rounds": 5, "seeds": [0], "hyper": {"b": 2, "rho": 0.5}, "epsilon": 0.4}
+        (tmp_path / "run.json").write_text(json.dumps(run), encoding="utf-8")
+        (tmp_path / "theory.json").write_text(json.dumps(theory), encoding="utf-8")
+        script = (
+            "import sys\n"
+            "from transduct.cli import main\n"
+            "codes = [main(['run', '--config', 'run.json', '--out', 'r']),\n"
+            "         main(['theory', '--config', 'theory.json', '--out', 't']),\n"
+            "         main(['markov', '--config', 'theory.json', '--out', 'm', '--x', '3'])]\n"
+            "print(codes, 'numpy.ma' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ class TestConditioning:
         np.testing.assert_allclose(state.variance_vector([1])[0], 1 - 0.25 / 1.1,
                                    rtol=1e-12)
         # conditional mean at index 1: k10 / (k00 + rho^2) * y
-        np.testing.assert_allclose(state.mean_vector([1]), [0.5 / 1.1], rtol=1e-12)
+        np.testing.assert_allclose(state.mean[state.positions([1])], [0.5 / 1.1], rtol=1e-12)
 
     def test_prior_shares_the_read_only_gram(self):
         gram = KernelMatrix(np.diag([1.0, 2.0]), (0, 1))
@@ -63,7 +64,7 @@ class TestConditioning:
         state = PosteriorState.from_prior(gram, NoiseModel.homoscedastic(0.1))
         after = condition(state, Observation(0, 3.0, 0.1))
         assert after.variance_vector([1])[0] == 2.0
-        assert after.mean_vector([1])[0] == 0.0
+        assert after.mean[after.position(1)] == 0.0
 
     def test_repeated_observation_tightens(self):
         once = condition(two_point_state(), Observation(0, 1.0, 0.1))
@@ -138,6 +139,51 @@ class TestConditioning:
         chol = np.linalg.cholesky(prior[np.ix_(pos, pos)] + 1e-8 * np.eye(400))
         v = solve_triangular(chol, prior[pos, :], lower=True)
         assert np.max(np.abs(state.cov - (prior - v.T @ v))) <= 1e-12
+
+    @pytest.mark.parametrize("entries", [1, 25, 64, None])
+    def test_row_blocks_match_prior_recompute(self, rng, monkeypatch, entries):
+        # 11 rows in blocks of 1, 2 (the last one partial), 5 (likewise) and
+        # one block under the default size; the batches repeat indices
+        if entries is not None:
+            monkeypatch.setattr(posterior, "_BLOCK_ENTRIES", entries)
+        state = random_state(rng, 11, hetero=True)
+        observations = [Observation(int(i), float(rng.standard_normal()), float(v))
+                        for i, v in zip([2, 7, 2, 10, 7, 2, 0, 10],
+                                        rng.uniform(0.05, 0.5, size=8))]
+        state = condition_all(condition_all(state, observations[:5]), observations[5:])
+        prior = state.gram.values
+        pos = [state.position(obs.index) for obs in observations]
+        chol = np.linalg.cholesky(prior[np.ix_(pos, pos)]
+                                  + np.diag([obs.noise_var for obs in observations]))
+        v = solve_triangular(chol, prior[pos, :], lower=True)
+        y = solve_triangular(chol, [obs.value for obs in observations], lower=True)
+        assert np.max(np.abs(state.cov - (prior - v.T @ v))) <= 1e-12
+        assert np.max(np.abs(state.mean - v.T @ y)) <= 1e-12
+
+    def test_negative_diagonal_is_clamped_in_every_block(self, rng, monkeypatch):
+        # blocks of 3 rows over 10; every unobserved variance starts below 0
+        monkeypatch.setattr(posterior, "_BLOCK_ENTRIES", 30)
+        state = random_state(rng, 10)
+        cov = state.cov.copy()
+        np.fill_diagonal(cov[1:, 1:], -1e-9)
+        after = condition_all(replace(state, cov=cov), [Observation(0, 1.0, 0.1)])
+        w = cov[0] / math.sqrt(cov[0, 0] + 0.1)
+        expected = cov - np.outer(w, w)
+        np.fill_diagonal(expected[1:, 1:], 0.0)
+        np.testing.assert_allclose(after.cov, expected, rtol=0, atol=1e-12)
+        assert np.all(np.diag(after.cov)[1:] == 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_in_last_partial_block_is_numeric_error(self, rng,
+                                                                      monkeypatch, bad):
+        # blocks of 3 rows over 10: the last block is row 9 alone
+        monkeypatch.setattr(posterior, "_BLOCK_ENTRIES", 30)
+        state = random_state(rng, 10)
+        cov = state.cov.copy()
+        cov[9, 5] = bad  # read by the subtraction only: the downdates read rows 0 and 3
+        state = replace(state, cov=cov)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            condition_all(state, [Observation(0, 1.0, 0.1), Observation(3, -1.0, 0.2)])
 
     def test_empty_batch_is_identity(self):
         state = two_point_state()

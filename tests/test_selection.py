@@ -21,9 +21,10 @@ from transduct import (
     select_batch,
     subsample_targets,
 )
-from transduct import selection
-from conftest import (ctl_scores_reference, random_corr_gram, random_state,
-                      rescoring_bace_reference, score_baseline, score_ctl, score_itl)
+from transduct import posterior, selection
+from conftest import (ctl_scores_reference, max_dist_scores_reference, random_corr_gram,
+                      random_state, rescoring_bace_reference, score_baseline, score_ctl,
+                      score_itl)
 
 TWO_POINT = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -144,6 +145,15 @@ class TestSelectBatch:
             b = select_batch(state, targets, range(5),
                              Policy(rule=rule, batch_size=1, batch_mode="topb"))
             assert a.indices == b.indices
+
+    def test_candidates_and_targets_from_generators(self, rng):
+        state = random_state(rng, 10)
+        for rule in ("itl", "max-dist", "random"):
+            policy = Policy(rule=rule, batch_size=3)
+            expected = select_batch(state, [8, 9], [7, 1, 4, 0, 5], policy)
+            got = select_batch(state, (t for t in (8, 9)), (c for c in (7, 1, 4, 0, 5)),
+                               policy)
+            assert got == expected
 
     def test_identity_gram_ties_break_low(self):
         state = identity_state(6)
@@ -285,6 +295,39 @@ class TestScoreOncePerBatch:
             got = select_batch(state, targets, candidates, policy)
             assert (got.indices, got.objectives) == rescoring_bace_reference(
                 state, targets, candidates, policy)
+
+    def test_max_dist_batches_make_no_downdates(self, rng, monkeypatch):
+        downdates = []
+        update = posterior.bace_update
+
+        def counted(blocks, pick, rho2):
+            downdates.append(pick)
+            return update(blocks, pick, rho2)
+
+        monkeypatch.setattr(posterior, "bace_update", counted)
+        select_batch(random_state(rng, 9), [8], range(8), Policy(rule="itl", batch_size=3))
+        assert len(downdates) == 2  # the counter sees greedy's downdates
+        for _ in range(25):
+            n = int(rng.integers(8, 25))
+            state = random_state(rng, n, hetero=bool(rng.integers(0, 2)))
+            if rng.integers(0, 2):
+                observed = rng.integers(0, n, size=int(rng.integers(1, 6)))
+                state = condition_all(state, [Observation(int(i), 0.3, 0.2) for i in observed])
+            b = int(rng.integers(1, 7))
+            candidates = sorted(int(c) for c in rng.choice(n, int(rng.integers(b, n + 1)),
+                                                           replace=False))
+            downdates.clear()
+            policy = Policy(rule="max-dist", batch_size=b)
+            got = select_batch(state, [], candidates, policy)
+            assert (got.indices, got.objectives) == rescoring_bace_reference(
+                state, [], candidates, policy)
+            topb = select_batch(state, [], candidates, replace(policy, batch_mode="topb"))
+            scores = max_dist_scores_reference(state, candidates,
+                                               [obs.index for obs in state.history])
+            order = np.lexsort((candidates, -scores))[:b]
+            assert topb.indices == tuple(candidates[i] for i in order)
+            assert topb.objectives == tuple(scores[order])
+            assert downdates == []
 
     def test_cosine_scored_once_per_batch(self, rng, monkeypatch):
         calls = []
