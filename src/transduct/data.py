@@ -95,6 +95,8 @@ def _parse_binary(path: str, blob: bytes) -> tuple[np.ndarray, np.ndarray]:
                          f"which does not match the file size {len(blob)}")
     ids = np.frombuffer(blob, dtype="<i8", count=count, offset=offset)
     offset += 8 * count
+    if np.any(ids < 0):
+        raise ParseError(f"{path}: negative id {int(np.min(ids))} in binary file")
     values = np.frombuffer(blob, dtype="<f8", count=count * dim, offset=offset)
     if len(set(ids.tolist())) != count:
         raise ParseError(f"{path}: duplicate ids in binary file")
@@ -113,29 +115,37 @@ def load_embeddings(path: str) -> list[Point]:
     return [Point(index=int(i), embedding=row) for i, row in zip(ids, rows)]
 
 
-def save_embeddings(points: Sequence[Point], path: str) -> None:
-    """Write points (with embeddings) to the text format, bit-exactly."""
-    rows = []
-    dim = None
+def _embedding_dim(points: Sequence[Point]) -> int:
+    """The one embedding dimension of ``points``, which ``load_embeddings``
+    would read back; InputError for anything it would refuse."""
+    if not points:
+        raise InputError("no points to save")
     for point in points:
         if point.embedding is None:
             raise InputError(f"point {point.index} has no embedding to save")
-        if dim is None:
-            dim = point.embedding.size
-        elif point.embedding.size != dim:
-            raise InputError("embedding dimensions are inconsistent")
-        rows.append(f"{point.index}," + ",".join(repr(float(v)) for v in point.embedding))
-    payload = f"p={dim} n={len(rows)}\n" + "\n".join(rows) + ("\n" if rows else "")
-    _atomic_write_text(path, payload)
+    if len({point.embedding.size for point in points}) > 1:
+        raise InputError("embedding dimensions are inconsistent")
+    if len({point.index for point in points}) < len(points):
+        raise InputError("point ids are not unique")
+    return points[0].embedding.size
+
+
+def save_embeddings(points: Sequence[Point], path: str) -> None:
+    """Write points (with embeddings) to the text format, bit-exactly."""
+    dim = _embedding_dim(points)
+    rows = [f"{point.index}," + ",".join(repr(float(v)) for v in point.embedding)
+            for point in points]
+    _atomic_write(path, f"p={dim} n={len(rows)}\n" + "\n".join(rows) + "\n")
 
 
 def save_embeddings_binary(points: Sequence[Point], path: str) -> None:
+    """Write points (with embeddings) to the binary format, bit-exactly."""
+    dim = _embedding_dim(points)
     ids = np.array([p.index for p in points], dtype="<i8")
     matrix = np.stack([p.embedding for p in points]).astype("<f8")
-    blob = (_BINARY_MAGIC
-            + np.array([len(points), matrix.shape[1]], dtype="<i8").tobytes()
+    blob = (_BINARY_MAGIC + np.array([len(points), dim], dtype="<i8").tobytes()
             + ids.tobytes() + matrix.tobytes())
-    _atomic_write_bytes(path, blob)
+    _atomic_write(path, blob)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +253,6 @@ class RunRecord:
 
     config: dict
     rounds: list[RoundEntry] = field(default_factory=list)
-    version: str = RECORD_VERSION
 
     def append(self, entry: RoundEntry) -> None:
         if self.rounds and entry.round <= self.rounds[-1].round:
@@ -251,14 +260,11 @@ class RunRecord:
         self.rounds.append(entry)
 
 
-def _atomic_write_text(path: str, payload: str) -> None:
-    _atomic_write_bytes(path, payload.encode("utf-8"))
-
-
-def _atomic_write_bytes(path: str, payload: bytes) -> None:
+def _atomic_write(path: str, payload: str | bytes) -> None:
+    """Write ``payload`` (text as UTF-8) to ``path`` by renaming a finished temporary file."""
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as handle:
-        handle.write(payload)
+        handle.write(payload.encode("utf-8") if isinstance(payload, str) else payload)
     os.replace(tmp, path)
 
 
@@ -268,9 +274,9 @@ def _dump(payload) -> str:
 
 def persist_run(record: RunRecord, path: str) -> None:
     """Write a run record to ``path`` (atomic rename on completion)."""
-    lines = [_dump({"version": record.version, "config": record.config})]
+    lines = [_dump({"version": RECORD_VERSION, "config": record.config})]
     lines.extend(_dump(entry.to_json()) for entry in record.rounds)
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def save_table(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -285,7 +291,7 @@ def save_table(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> No
 
     lines = ["\t".join(header)]
     lines.extend("\t".join(cell(v) for v in row) for row in rows)
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_table(path: str) -> tuple[list[str], list[list]]:

@@ -89,9 +89,10 @@ class KernelSpec:
             raise InputError(f"unknown kernel family {self.family!r}; choose from {FAMILIES}")
         if self.family in (GAUSSIAN, LAPLACE, MATERN) and not self.lengthscale > 0:
             raise InputError("lengthscale must be positive")
-        if self.family == MATERN:
-            if self.nu not in MATERN_ORDERS:
-                raise InputError(f"matern nu must be one of {MATERN_ORDERS}")
+        if self.family == MATERN and self.nu not in MATERN_ORDERS:
+            raise InputError(f"matern nu must be one of {MATERN_ORDERS}")
+        if self.family != MATERN and self.nu is not None:
+            raise InputError("nu only applies to the matern family")
         if self.latent_cov is not None:
             if self.family != EMBEDDING:
                 raise InputError("latent_cov only applies to the embedding family")

@@ -2,19 +2,20 @@
 
 The conditional covariance is kept in full. Every conditioning step is one
 noise-inflated rank-one downdate, ``bace_update`` (GPML Alg. 2.1): observing x
-with noise rho^2 appends the row w = (cov[:, x] - W^T W[:, x]) / s, with
-s = sqrt(Var[f_x] + rho^2), to a factor W over the columns of a ``_Blocks``.
-``condition_all`` downdates blocks over the whole domain, moves the mean by
-w (y - mu_x) / s per observation, and subtracts W^T W in row blocks of about
-``_BLOCK_ENTRIES`` entries, each formed by a GEMM on a transposed copy of W
-(numpy's SYRK is several times slower on threaded OpenBLAS) and checked while
-in cache. This matches batch conditioning from the prior in any order.
-Downdates with no value yet keep W over targets and candidates and leave the
-state alone: the batch gain downdates the target block at every point of the
-batch, and ``greedy`` makes every greedy pick (BaCE batches, the theory
-rollout, the kappa batch, greedy capacity and Markov boundaries) as the argmax
-of ``_itl_scores`` or ``_undirected_scores`` over the blocks, then downdates
-them at the pick.
+with noise rho^2(x), which only the state's ``NoiseModel`` holds (an
+``Observation`` is an index and a value), appends the row
+w = (cov[:, x] - W^T W[:, x]) / s, with s = sqrt(Var[f_x] + rho^2), to a factor
+W over the columns of a ``_Blocks``. ``condition_all`` downdates blocks over
+the whole domain, moves the mean by w (y - mu_x) / s per observation, and
+subtracts W^T W in row blocks of about ``_BLOCK_ENTRIES`` entries, each formed
+by a GEMM on a transposed copy of W (numpy's SYRK is several times slower on
+threaded OpenBLAS) and checked while in cache. This matches batch conditioning
+from the prior in any order. Downdates with no value yet keep W over targets
+and candidates and leave the state alone: the batch gain downdates the target
+block at every point of the batch, and ``greedy`` makes every greedy pick
+(BaCE batches, the theory rollout, the kappa batch, greedy capacity and Markov
+boundaries) as the argmax of ``_itl_scores`` or ``_undirected_scores`` over
+the blocks, then downdates them at the pick.
 
 On top of the state the module computes the information gain I(f_A; y_x | D)
 in its backward form (``_itl_scores``), the batch gain I(f_A; y_B | D), whose
@@ -74,7 +75,8 @@ def whiten(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Observation:
-    """One noisy measurement y = f(x) + eps at a domain index.
+    """One noisy measurement y = f(x) + eps, eps ~ N(0, rho^2(x)), at a domain
+    index. The noise variance rho^2(x) is the posterior's ``NoiseModel``'s.
 
     Repeated indices are allowed: each observation is an independent noisy
     measurement of the same latent value.
@@ -82,11 +84,8 @@ class Observation:
 
     index: int
     value: float
-    noise_var: float
 
     def __post_init__(self):
-        if not self.noise_var > 0:
-            raise InputError("observation noise variance must be positive")
         if not math.isfinite(self.value):
             raise InputError("observation value must be finite")
 
@@ -102,15 +101,9 @@ class PosteriorState:
     history: tuple[Observation, ...] = ()
 
     @classmethod
-    def from_prior(cls, gram: KernelMatrix, noise: NoiseModel,
-                   mean: np.ndarray | None = None) -> "PosteriorState":
-        if mean is None:
-            mean = np.zeros(gram.size)
-        mean = np.asarray(mean, dtype=np.float64)
-        if mean.shape != (gram.size,):
-            raise InputError("prior mean length does not match the domain")
-        # the Gram's values are read-only, so the prior shares them
-        return cls(gram=gram, noise=noise, cov=gram.values, mean=mean.copy())
+    def from_prior(cls, gram: KernelMatrix, noise: NoiseModel) -> "PosteriorState":
+        """The zero-mean prior; the Gram's values are read-only, so it shares them."""
+        return cls(gram=gram, noise=noise, cov=gram.values, mean=np.zeros(gram.size))
 
     @property
     def round(self) -> int:
@@ -140,7 +133,7 @@ def condition(state: PosteriorState, obs: Observation) -> PosteriorState:
 
 
 def condition_all(state: PosteriorState, observations: Iterable[Observation]) -> PosteriorState:
-    """Condition the posterior on a batch of observations, in order."""
+    """Condition the posterior on observations, in order, at ``state.noise``'s variances."""
     observations = tuple(observations)
     if not observations:
         return state
@@ -148,7 +141,7 @@ def condition_all(state: PosteriorState, observations: Iterable[Observation]) ->
     mean = state.mean.copy()
     for k, obs in enumerate(observations):
         j = state.position(obs.index)
-        scale = bace_update(blocks, j, obs.noise_var)
+        scale = bace_update(blocks, j, state.noise.variance_at(obs.index))
         mean += blocks.w[k] * ((obs.value - mean[j]) / scale)
     if not np.isfinite(mean).all():
         raise NumericError("conditioning produced non-finite values")
@@ -304,8 +297,6 @@ def information_gain(state: PosteriorState, targets: Sequence[int], candidate: i
     """
     if len(targets) == 0:
         raise InputError("target set must be nonempty")
-    if not state.noise.variance_at(candidate) > 0:
-        raise InputError("candidate noise variance must be positive for the gain to exist")
     return float(_itl_scores(_Blocks(state, targets, [candidate]), stabilize)[0])
 
 

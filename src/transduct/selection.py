@@ -17,10 +17,12 @@ downdate at the pick x, inflated by the state's noise rho^2(x)) or from the
 top-b scores of one pass ("topb"). Ties break toward the lowest index. A BaCE
 batch is the first b steps of ``posterior.greedy``. Cosine's scores ignore
 the picks, so its BaCE batch is its top-b batch and is built as one. Max-dist
-reads only the picks, so its batches make no downdates. Scorers
-read cov[A, A], cov[A, C] and the variances at targets A and candidates C from
-``posterior``'s factor blocks; in-batch downdates are factor rows over A and
-C, and the round loop conditions once per batch.
+and kmeans++ read only the picks: they make no downdates and keep the nearest
+distances, which each pick lowers. Scorers read cov[A, A], cov[A, C] and the
+variances at targets A and candidates C from ``posterior``'s factor blocks;
+in-batch downdates are factor rows over A and C, and the round loop
+conditions once per batch on (index, label) observations. All of them read
+rho^2(x) from the state's ``NoiseModel``.
 """
 
 from __future__ import annotations
@@ -207,33 +209,32 @@ def _select_max_dist(state: PosteriorState, cand: list[int], b: int,
 
 def _select_kmeanspp(state: PosteriorState, cand: list[int], b: int,
                      rng: Generator) -> BatchResult:
+    """kmeans++ batch; each pick lowers the nearest squared distances to at
+    most the distance to itself, which is exactly 0 at the pick."""
+    selected = [obs.index for obs in state.history]
+    d2 = _min_sq_distances(state, cand, selected) if selected else None
+    taken = np.zeros(len(cand), dtype=bool)
     picked: list[int] = []
     objectives: list[float] = []
-    selected = [obs.index for obs in state.history]
     for _ in range(b):
-        anchors = selected + picked
-        if not anchors:
-            choice = int(rng.choice(len(cand)))
-            picked.append(cand[choice])
-            objectives.append(0.0)
-            continue
-        d2 = _min_sq_distances(state, cand, anchors)
-        d2[[cand.index(p) for p in picked]] = 0.0
-        total = float(d2.sum())
-        if total > 0:
-            probs = d2 / total
+        if picked:
+            near = _min_sq_distances(state, cand, picked[-1:])
+            d2 = near if d2 is None else np.minimum(d2, near)
+        if d2 is None:
+            choice, objective = int(rng.choice(len(cand))), 0.0
         else:
-            open_slots = np.array([c not in picked for c in cand], dtype=float)
-            probs = open_slots / open_slots.sum()
-        choice = int(rng.choice(len(cand), p=probs))
+            total = float(d2.sum())
+            probs = d2 / total if total > 0 else ~taken / float(np.sum(~taken))
+            choice = int(rng.choice(len(cand), p=probs))
+            objective = float(d2[choice])
+        taken[choice] = True
         picked.append(cand[choice])
-        objectives.append(float(d2[choice]))
+        objectives.append(objective)
     return BatchResult(indices=tuple(picked), objectives=tuple(objectives))
 
 
 def brute_force_batch(state: PosteriorState, targets: Sequence[int],
-                      candidates: Sequence[int], batch_size: int, *,
-                      stabilize: bool = False) -> BatchResult:
+                      candidates: Sequence[int], batch_size: int) -> BatchResult:
     """Exact argmax of I(f_A; y_B | D) over all size-b candidate subsets."""
     cand = sorted(int(c) for c in candidates)
     if batch_size < 1 or batch_size > len(cand):
@@ -245,10 +246,10 @@ def brute_force_batch(state: PosteriorState, targets: Sequence[int],
     best_value = -1.0
     best_combo: tuple[int, ...] = ()
     for combo in combinations(cand, batch_size):
-        value = batch_information_gain(state, targets, combo, stabilize=stabilize)
+        value = batch_information_gain(state, targets, combo)
         if value > best_value + 1e-15:
             best_value, best_combo = value, combo
-    values = [batch_information_gain(state, targets, best_combo[:i], stabilize=stabilize)
+    values = [batch_information_gain(state, targets, best_combo[:i])
               for i in range(batch_size + 1)]
     return BatchResult(indices=best_combo, objectives=tuple(np.diff(values).tolist()))
 
@@ -325,7 +326,7 @@ def run_loop(state: PosteriorState, targets: Sequence[int],
                 raise
             except Exception as exc:
                 raise DataError(f"oracle failed for index {index}: {exc}") from exc
-            observations.append(Observation(index, value, state.noise.variance_at(index)))
+            observations.append(Observation(index, value))
         state = condition_all(state, observations)
         retrieved.update(i for i in batch.indices if i in relevant)
         record.append(metrics(round_no, batch.indices, batch.objectives,

@@ -328,8 +328,7 @@ def markov_boundary(state: PosteriorState, sample_space: Sequence[int], x: int,
 def verify_markov_boundary(state: PosteriorState, boundary: MarkovBoundary,
                            x: int) -> bool:
     """Re-condition from scratch and confirm the defining inequality."""
-    check = condition_all(state, [Observation(index, 0.0, state.noise.variance_at(index))
-                                  for index in boundary.members])
+    check = condition_all(state, [Observation(index, 0.0) for index in boundary.members])
     achieved = float(check.variance_vector([int(x)])[0])
     return achieved <= boundary.irreducible + boundary.epsilon + _TOL
 

@@ -15,7 +15,8 @@ from transduct import (BudgetError, KernelMatrix, NoiseModel, Observation, Polic
 from transduct.kernels import _matern_of_distance, _require, jittered
 from transduct.posterior import _Blocks, _itl_scores, bace_update, chol_logdet
 from transduct.selection import (_DEGENERATE_VAR, CTL, ITL, MAX_DIST, UNCERTAINTY,
-                                 UNDIRECTED_ITL, _ctl_scores, _score_candidates)
+                                 UNDIRECTED_ITL, _ctl_scores, _min_sq_distances,
+                                 _score_candidates)
 
 #: rules whose scores change when the conditional covariance is downdated
 _POSTERIOR_RULES = frozenset((ITL, CTL, UNCERTAINTY, UNDIRECTED_ITL))
@@ -63,12 +64,13 @@ def random_state(rng, n, *, hetero=False, noise_range=(0.01, 1.0),
 
 
 def batch_posterior_oracle(state, observations):
-    """From-scratch batch conditioning of the prior: the independent oracle
-    for the rank-one update path."""
+    """From-scratch batch conditioning of the prior, each observation at the
+    noise the state's model gives its index: the independent oracle for the
+    rank-one update path."""
     prior = state.gram.values
     pos = [state.position(obs.index) for obs in observations]
     y = np.array([obs.value for obs in observations])
-    noise = np.diag([obs.noise_var for obs in observations])
+    noise = np.diag(state.noise.vector([obs.index for obs in observations]))
     k_dx = prior[:, pos]
     k_xx = prior[np.ix_(pos, pos)] + noise
     solve = np.linalg.solve(k_xx, np.eye(len(pos)))
@@ -163,7 +165,7 @@ def markov_boundary_reference(state, space, x, floor, epsilon, cap):
         members.append(space[best])
         col = sel_cov[:, best].copy()
         sel_cov -= np.outer(col, col) / (var[best] + noise[best])
-        state = condition(state, Observation(space[best], 0.0, float(noise[best])))
+        state = condition(state, Observation(space[best], 0.0))
         achieved = max(float(state.cov[px, px]), 0.0)
     return tuple(members), achieved
 
@@ -187,8 +189,7 @@ def itl_trajectory_reference(prior, targets, space, rounds):
         pick = space[int(np.argmax(_itl_scores(_Blocks(state, targets, space),
                                                stabilize=False)))]
         picks.append(pick)
-        states.append(condition(state, Observation(pick, 0.0,
-                                                   state.noise.variance_at(pick))))
+        states.append(condition(state, Observation(pick, 0.0)))
     gains = [step_uncertainty(state, targets, space) for state in states]
     variances = np.array([state.variance_vector(targets) for state in states])
     return tuple(picks), gains, variances
@@ -337,11 +338,39 @@ def score_baseline(rule, candidate, *, state, targets=(), selected=()):
     """One candidate's score under a baseline rule, through the batch scorer;
     max-dist's batch reads the selected points from the state's history."""
     if rule == MAX_DIST:
-        history = tuple(Observation(s, 0.0, 1.0) for s in selected)
+        history = tuple(Observation(s, 0.0) for s in selected)
         return select_batch(replace(state, history=history), targets, [candidate],
                             Policy(rule=rule)).objectives[0]
     scores = _score_candidates(_Blocks(state, targets, [candidate]), Policy(rule=rule))
     return float(scores[0])
+
+
+def kmeanspp_reference(state, cand, b, rng):
+    """kmeans++ batch that recomputes every candidate's squared distance to
+    every anchor (history and picks) at each pick and zeroes the picks by
+    ``cand.index``: the form ``_select_kmeanspp`` had before it kept the
+    nearest distances."""
+    picked, objectives = [], []
+    selected = [obs.index for obs in state.history]
+    for _ in range(b):
+        anchors = selected + picked
+        if not anchors:
+            choice = int(rng.choice(len(cand)))
+            picked.append(cand[choice])
+            objectives.append(0.0)
+            continue
+        d2 = _min_sq_distances(state, cand, anchors)
+        d2[[cand.index(p) for p in picked]] = 0.0
+        total = float(d2.sum())
+        if total > 0:
+            probs = d2 / total
+        else:
+            open_slots = np.array([c not in picked for c in cand], dtype=float)
+            probs = open_slots / open_slots.sum()
+        choice = int(rng.choice(len(cand), p=probs))
+        picked.append(cand[choice])
+        objectives.append(float(d2[choice]))
+    return tuple(picked), tuple(objectives)
 
 
 def rescoring_bace_reference(state, targets, candidates, policy):

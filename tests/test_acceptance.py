@@ -73,10 +73,8 @@ class TestCriterion2ConditioningOracle:
             n = int(rng.integers(6, 33))
             state = random_state(rng, n, hetero=True, noise_range=(0.05, 1.0))
             count = int(rng.integers(1, 31))
-            observations = [
-                Observation(int(rng.integers(0, n)), float(rng.standard_normal()),
-                            float(rng.uniform(0.05, 1.0)))
-                for _ in range(count)]
+            observations = [Observation(int(rng.integers(0, n)), float(rng.standard_normal()))
+                            for _ in range(count)]
             mean_oracle, cov_oracle = batch_posterior_oracle(state, observations)
             for _ in range(3):
                 order = rng.permutation(count)
@@ -110,8 +108,7 @@ class TestCriterion3UndirectedReduction:
                 if itl_pick != unc_pick:
                     mismatches += 1
                     break
-                obs = Observation(itl_pick, float(rng.standard_normal()),
-                                  state.noise.variance_at(itl_pick))
+                obs = Observation(itl_pick, float(rng.standard_normal()))
                 a_state = condition(a_state, obs)
                 b_state = condition(b_state, obs)
         report("criterion-3 undirected reduction",

@@ -98,6 +98,30 @@ class TestEmbeddingFiles:
         with pytest.raises(ParseError, match="binary"):
             load_embeddings(str(path))
 
+    def test_binary_negative_id_is_parse_error_naming_the_file(self, tmp_path, rng):
+        points = [Point(i, embedding=rng.standard_normal(2)) for i in range(3)]
+        path = tmp_path / "emb.bin"
+        save_embeddings_binary(points, str(path))
+        blob = bytearray(path.read_bytes())
+        first_id = len(b"TDEMB1\n") + 16
+        blob[first_id + 8:first_id + 16] = np.array([-4], dtype="<i8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match=r"emb\.bin: negative id -4"):
+            load_embeddings(str(path))
+
+    @pytest.mark.parametrize("save", [save_embeddings, save_embeddings_binary])
+    @pytest.mark.parametrize("points, message", [
+        ([], "no points"),
+        ([Point(0, embedding=[1.0, 2.0]), Point(1, embedding=[1.0])], "dimensions"),
+        ([Point(0, embedding=[1.0]), Point(1, coords=[1.0])], "point 1 has no embedding"),
+        ([Point(3, embedding=[1.0]), Point(3, embedding=[2.0])], "not unique"),
+    ], ids=["empty", "mixed-dims", "no-embedding", "duplicate-ids"])
+    def test_writers_refuse_what_the_reader_would(self, tmp_path, save, points, message):
+        path = tmp_path / "emb.out"
+        with pytest.raises(InputError, match=message):
+            save(points, str(path))
+        assert not path.exists()
+
 
 def draw_truth(spec, grid, seed):
     return sample_gp_truth(spec, grid, seed, prior=gram(spec, grid))

@@ -169,6 +169,12 @@ class TestSpecsAndModels:
         with pytest.raises(InputError):
             KernelSpec("embedding", latent_cov=np.array([[1.0, 0.0], [0.0, -1.0]]))
 
+    @pytest.mark.parametrize("family", ["linear", "gaussian", "laplace", "embedding"])
+    def test_nu_only_for_matern(self, family):
+        with pytest.raises(InputError, match="nu only applies to the matern family"):
+            KernelSpec(family, nu=2.5)
+        assert KernelSpec("matern", nu=2.5).nu == 2.5
+
     def test_point_needs_a_representation(self):
         with pytest.raises(InputError):
             Point(0)

@@ -45,7 +45,7 @@ def two_point_state(rho2=0.1):
 
 class TestConditioning:
     def test_hand_computed_update(self):
-        state = condition(two_point_state(), Observation(0, 1.0, 0.1))
+        state = condition(two_point_state(), Observation(0, 1.0))
         np.testing.assert_allclose(state.variance_vector([1])[0], 1 - 0.25 / 1.1,
                                    rtol=1e-12)
         # conditional mean at index 1: k10 / (k00 + rho^2) * y
@@ -55,34 +55,33 @@ class TestConditioning:
         gram = KernelMatrix(np.diag([1.0, 2.0]), (0, 1))
         state = PosteriorState.from_prior(gram, NoiseModel.homoscedastic(0.1))
         assert state.cov is gram.values and not state.cov.flags.writeable
-        after = condition(state, Observation(0, 3.0, 0.1))
+        after = condition(state, Observation(0, 3.0))
         np.testing.assert_array_equal(gram.values, np.diag([1.0, 2.0]))
         assert after.variance_vector([0])[0] < 1.0
 
     def test_uncorrelated_point_untouched(self):
         gram = KernelMatrix(np.diag([1.0, 2.0]), (0, 1))
         state = PosteriorState.from_prior(gram, NoiseModel.homoscedastic(0.1))
-        after = condition(state, Observation(0, 3.0, 0.1))
+        after = condition(state, Observation(0, 3.0))
         assert after.variance_vector([1])[0] == 2.0
         assert after.mean[after.position(1)] == 0.0
 
     def test_repeated_observation_tightens(self):
-        once = condition(two_point_state(), Observation(0, 1.0, 0.1))
-        twice = condition(once, Observation(0, 1.0, 0.1))
+        once = condition(two_point_state(), Observation(0, 1.0))
+        twice = condition(once, Observation(0, 1.0))
         assert twice.variance_vector([0])[0] < once.variance_vector([0])[0]
         assert twice.variance_vector([1])[0] < once.variance_vector([1])[0]
 
     def test_near_exact_observation_zeroes_variance(self):
-        state = condition(two_point_state(), Observation(0, 1.0, 1e-8))
+        state = condition(two_point_state(1e-8), Observation(0, 1.0))
         assert state.variance_vector([0])[0] < 1e-7
 
     def test_matches_batch_oracle_in_any_order(self, rng):
         for _ in range(20):
             state = random_state(rng, 12, hetero=True)
             count = int(rng.integers(1, 10))
-            observations = [Observation(int(rng.integers(0, 12)),
-                                        float(rng.standard_normal()), float(v))
-                            for v in rng.uniform(0.05, 0.5, size=count)]
+            observations = [Observation(int(rng.integers(0, 12)), float(rng.standard_normal()))
+                            for _ in range(count)]
             mean_oracle, cov_oracle = batch_posterior_oracle(state, observations)
             for _ in range(3):
                 order = rng.permutation(count)
@@ -95,8 +94,7 @@ class TestConditioning:
         for _ in range(25):
             idx = int(rng.integers(0, 10))
             before = np.maximum(np.diag(state.cov), 0.0)
-            state = condition(state, Observation(idx, float(rng.standard_normal()),
-                                                 state.noise.variance_at(idx)))
+            state = condition(state, Observation(idx, float(rng.standard_normal())))
             after = np.maximum(np.diag(state.cov), 0.0)
             assert np.all(after <= before + 1e-12)
 
@@ -107,14 +105,13 @@ class TestConditioning:
     def test_round_counter(self):
         state = two_point_state()
         assert state.round == 0
-        assert condition(state, Observation(0, 0.0, 0.1)).round == 1
+        assert condition(state, Observation(0, 0.0)).round == 1
 
     def test_batch_matches_sequential_with_repeats(self, rng):
         for _ in range(20):
             state = random_state(rng, 15, hetero=True)
-            observations = [Observation(int(i), float(rng.standard_normal()), float(v))
-                            for i, v in zip(rng.integers(0, 5, size=12),
-                                            rng.uniform(0.01, 0.5, size=12))]
+            observations = [Observation(int(i), float(rng.standard_normal()))
+                            for i in rng.integers(0, 5, size=12)]
             batch = condition_all(state, observations)
             sequential = state
             for obs in observations:
@@ -130,7 +127,7 @@ class TestConditioning:
         points = [Point(i, coords=xy) for i, xy in enumerate(rng.uniform(size=(60, 2)))]
         state = PosteriorState.from_prior(gram(KernelSpec("gaussian", lengthscale=0.2), points),
                                           NoiseModel.homoscedastic(1e-8))
-        observations = [Observation(int(i), float(rng.standard_normal()), 1e-8)
+        observations = [Observation(int(i), float(rng.standard_normal()))
                         for i in rng.integers(0, 60, size=400)]
         for start in range(0, 400, 10):
             state = condition_all(state, observations[start:start + 10])
@@ -147,14 +144,13 @@ class TestConditioning:
         if entries is not None:
             monkeypatch.setattr(posterior, "_BLOCK_ENTRIES", entries)
         state = random_state(rng, 11, hetero=True)
-        observations = [Observation(int(i), float(rng.standard_normal()), float(v))
-                        for i, v in zip([2, 7, 2, 10, 7, 2, 0, 10],
-                                        rng.uniform(0.05, 0.5, size=8))]
+        observations = [Observation(i, float(rng.standard_normal()))
+                        for i in [2, 7, 2, 10, 7, 2, 0, 10]]
         state = condition_all(condition_all(state, observations[:5]), observations[5:])
         prior = state.gram.values
         pos = [state.position(obs.index) for obs in observations]
-        chol = np.linalg.cholesky(prior[np.ix_(pos, pos)]
-                                  + np.diag([obs.noise_var for obs in observations]))
+        chol = np.linalg.cholesky(prior[np.ix_(pos, pos)] + np.diag(
+            state.noise.vector([obs.index for obs in observations])))
         v = solve_triangular(chol, prior[pos, :], lower=True)
         y = solve_triangular(chol, [obs.value for obs in observations], lower=True)
         assert np.max(np.abs(state.cov - (prior - v.T @ v))) <= 1e-12
@@ -163,10 +159,10 @@ class TestConditioning:
     def test_negative_diagonal_is_clamped_in_every_block(self, rng, monkeypatch):
         # blocks of 3 rows over 10; every unobserved variance starts below 0
         monkeypatch.setattr(posterior, "_BLOCK_ENTRIES", 30)
-        state = random_state(rng, 10)
+        state = random_state(rng, 10, noise_range=(0.1, 0.1))
         cov = state.cov.copy()
         np.fill_diagonal(cov[1:, 1:], -1e-9)
-        after = condition_all(replace(state, cov=cov), [Observation(0, 1.0, 0.1)])
+        after = condition_all(replace(state, cov=cov), [Observation(0, 1.0)])
         w = cov[0] / math.sqrt(cov[0, 0] + 0.1)
         expected = cov - np.outer(w, w)
         np.fill_diagonal(expected[1:, 1:], 0.0)
@@ -183,7 +179,47 @@ class TestConditioning:
         cov[9, 5] = bad  # read by the subtraction only: the downdates read rows 0 and 3
         state = replace(state, cov=cov)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-            condition_all(state, [Observation(0, 1.0, 0.1), Observation(3, -1.0, 0.2)])
+            condition_all(state, [Observation(0, 1.0), Observation(3, -1.0)])
+
+    def test_observation_is_an_index_and_a_value(self):
+        with pytest.raises(TypeError):
+            Observation(0, 1.0, 0.1)  # the noise belongs to the state's NoiseModel
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InputError, match="finite"):
+                Observation(0, bad)
+
+    def test_hetero_batch_with_repeats_reads_noise_from_the_model(self, rng):
+        for _ in range(10):
+            state = random_state(rng, 8, hetero=True, noise_range=(0.05, 2.0))
+            indices = rng.permutation(np.repeat(np.arange(4), [2, 3, 2, 3]))
+            observations = [Observation(int(i), float(rng.standard_normal())) for i in indices]
+            mean_oracle, cov_oracle = batch_posterior_oracle(state, observations)
+            got = condition_all(state, observations)
+            np.testing.assert_allclose(got.mean, mean_oracle, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(got.cov, cov_oracle, rtol=0, atol=1e-10)
+            # k observations of x at rho^2(x) are one at rho^2(x) / k of their mean value
+            counts = np.bincount(indices, minlength=8)
+            pooled = NoiseModel(per_index={i: state.noise.variance_at(i) / max(counts[i], 1)
+                                           for i in state.ids})
+            once = condition_all(replace(state, noise=pooled), [
+                Observation(i, float(np.mean([o.value for o in observations if o.index == i])))
+                for i in range(4)])
+            np.testing.assert_allclose(got.cov, once.cov, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(got.mean, once.mean, rtol=0, atol=1e-10)
+
+    def test_index_without_noise_is_input_error_and_state_unchanged(self, rng):
+        state = random_state(rng, 6, hetero=True)
+        state = condition_all(state, [Observation(2, 0.4)])  # a writable covariance
+        table = dict(state.noise.per_index)
+        del table[4]
+        state = replace(state, noise=NoiseModel(per_index=table))
+        cov, mean = state.cov.copy(), state.mean.copy()
+        with pytest.raises(InputError, match="no noise variance configured for index 4"):
+            condition_all(state, [Observation(1, 0.5), Observation(4, -0.2)])
+        with pytest.raises(InputError, match="index 4"):
+            information_gain(state, (0, 1), 4)
+        assert np.array_equal(state.cov, cov) and np.array_equal(state.mean, mean)
+        assert [obs.index for obs in state.history] == [2]
 
     def test_empty_batch_is_identity(self):
         state = two_point_state()
@@ -196,7 +232,7 @@ class TestConditioning:
         points = [Point(i, coords=xy) for i, xy in enumerate(rng.uniform(size=(420, 2)))]
         state = PosteriorState.from_prior(gram(KernelSpec("gaussian", lengthscale=0.2), points),
                                           NoiseModel.homoscedastic(1.0))
-        observations = [Observation(int(i), float(rng.standard_normal()), 1.0)
+        observations = [Observation(int(i), float(rng.standard_normal()))
                         for i in rng.integers(0, 420, size=500)]
         for start in range(0, 500, 10):
             state = condition_all(state, observations[start:start + 10])
@@ -235,7 +271,7 @@ class TestITLWhitening:
             ids = list(state.ids)
             if rng.integers(0, 2):
                 observed = rng.choice(ids, size=4)
-                state = condition_all(state, [Observation(int(i), 0.3, 0.2) for i in observed])
+                state = condition_all(state, [Observation(int(i), 0.3) for i in observed])
             candidates = sorted(int(c) for c in rng.choice(ids, int(rng.integers(3, len(ids))),
                                                            replace=False))
             blocks = posterior._Blocks(state, targets, candidates, 3)
@@ -307,7 +343,7 @@ class TestInformationGain:
             targets = tuple(int(i) for i in rng.choice(10, size=4, replace=False))
             x1, x2 = (int(i) for i in rng.choice(10, size=2, replace=False))
             first = information_gain(state, targets, x1)
-            mid = condition(state, Observation(x1, 0.0, state.noise.variance_at(x1)))
+            mid = condition(state, Observation(x1, 0.0))
             second = information_gain(mid, targets, x2)
             joint = batch_information_gain(state, targets, (x1, x2))
             np.testing.assert_allclose(first + second, joint, atol=1e-8)
@@ -326,8 +362,7 @@ class TestInformationGain:
             state = random_state(rng, n, hetero=True)
             if trial % 2:
                 observed = rng.choice(n, size=int(rng.integers(1, n)))
-                state = condition_all(state, [Observation(int(i), 0.3, state.noise.variance_at(
-                    int(i))) for i in observed])
+                state = condition_all(state, [Observation(int(i), 0.3) for i in observed])
             targets = tuple(int(i) for i in rng.choice(n, size=int(rng.integers(1, 5)),
                                                        replace=False))
             batch = [int(i) for i in rng.choice(n, size=int(rng.integers(1, 6)))]
@@ -539,8 +574,7 @@ class TestFactorBlockCapacity:
         for pick in picks:
             posterior.bace_update(blocks, pick, prior.noise.variance_at(cands[pick]))
         assert blocks.width == len(picks) and len(blocks.w) >= len(picks)
-        observations = [Observation(cands[p], 0.0, prior.noise.variance_at(cands[p]))
-                        for p in picks]
+        observations = [Observation(cands[p], 0.0) for p in picks]
         _, cov = batch_posterior_oracle(prior, observations)
         rows = prior.positions(targets + tuple(cands))
         np.testing.assert_allclose(blocks.var(), np.diag(cov)[rows], rtol=1e-12, atol=1e-12)

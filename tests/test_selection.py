@@ -22,9 +22,9 @@ from transduct import (
     subsample_targets,
 )
 from transduct import posterior, selection
-from conftest import (ctl_scores_reference, max_dist_scores_reference, random_corr_gram,
-                      random_state, rescoring_bace_reference, score_baseline, score_ctl,
-                      score_itl)
+from conftest import (ctl_scores_reference, kmeanspp_reference, max_dist_scores_reference,
+                      random_corr_gram, random_state, rescoring_bace_reference,
+                      score_baseline, score_ctl, score_itl)
 
 TWO_POINT = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -81,17 +81,20 @@ class TestScoreCTL:
 
     def test_degenerate_variance_scores_zero(self):
         state = identity_state(2, rho2=1e-6)
-        state = condition(state, Observation(0, 1.0, 1e-6))
+        state = condition(state, Observation(0, 1.0))
         assert score_ctl(state, [1], 0) == 0.0
 
     def test_matches_dense_correlation_sum(self, rng):
         for trial in range(40):
             n = int(rng.integers(8, 30))
             state = random_state(rng, n, hetero=trial % 2 == 0)
-            if trial % 3:  # near-exact observations leave degenerate variances
+            if trial % 3:
                 observed = rng.choice(n, size=3, replace=False)
-                state = condition_all(state, [Observation(int(i), 0.3, 1e-14 if trial % 3 == 2
-                                                          else 0.2) for i in observed])
+                if trial % 3 == 2:  # near-exact observations leave degenerate variances
+                    table = {i: state.noise.variance_at(i) for i in state.ids}
+                    table.update((int(i), 1e-14) for i in observed)
+                    state = replace(state, noise=NoiseModel(per_index=table))
+                state = condition_all(state, [Observation(int(i), 0.3) for i in observed])
             targets = sorted(int(t) for t in rng.choice(n, int(rng.integers(1, 8)),
                                                         replace=False))
             candidates = sorted(int(c) for c in rng.choice(n, int(rng.integers(3, n + 1)),
@@ -240,7 +243,7 @@ class TestFactorBaCE:
             state = random_state(rng, n, hetero=bool(rng.integers(0, 2)))
             if rng.integers(0, 2):
                 observed = rng.integers(0, n, size=5)
-                state = condition_all(state, [Observation(int(i), 0.3, 0.2) for i in observed])
+                state = condition_all(state, [Observation(int(i), 0.3) for i in observed])
             targets = sorted(int(t) for t in rng.choice(n, int(rng.integers(1, 9)),
                                                         replace=False))
             b = int(rng.integers(1, 9))
@@ -285,7 +288,7 @@ class TestScoreOncePerBatch:
             state = random_state(rng, n, hetero=bool(rng.integers(0, 2)))
             if rng.integers(0, 2):
                 observed = rng.integers(0, n, size=4)
-                state = condition_all(state, [Observation(int(i), 0.3, 0.2) for i in observed])
+                state = condition_all(state, [Observation(int(i), 0.3) for i in observed])
             targets = sorted(int(t) for t in rng.choice(n, int(rng.integers(1, 6)),
                                                         replace=False))
             b = int(rng.integers(1, 7))
@@ -312,7 +315,7 @@ class TestScoreOncePerBatch:
             state = random_state(rng, n, hetero=bool(rng.integers(0, 2)))
             if rng.integers(0, 2):
                 observed = rng.integers(0, n, size=int(rng.integers(1, 6)))
-                state = condition_all(state, [Observation(int(i), 0.3, 0.2) for i in observed])
+                state = condition_all(state, [Observation(int(i), 0.3) for i in observed])
             b = int(rng.integers(1, 7))
             candidates = sorted(int(c) for c in rng.choice(n, int(rng.integers(b, n + 1)),
                                                            replace=False))
@@ -342,6 +345,29 @@ class TestScoreOncePerBatch:
         result = select_batch(state, [10, 11], range(10), Policy(rule="cosine", batch_size=5))
         assert len(result.indices) == 5
         assert calls == [10]
+
+
+class TestKMeansPP:
+    def test_matches_recomputing_reference(self, rng):
+        # with and without a history; every fourth instance has all points at
+        # one location, so every distance is 0 and the draw is uniform
+        for trial in range(60):
+            n = int(rng.integers(6, 25))
+            state = random_state(rng, n, unit_diag=bool(trial % 2))
+            if trial % 4 == 3:
+                state = replace(state, gram=KernelMatrix(np.ones((n, n)), state.ids),
+                                cov=np.ones((n, n)))
+            if trial % 3:
+                observed = rng.integers(0, n, size=int(rng.integers(1, 5)))
+                state = condition_all(state, [Observation(int(i), 0.0) for i in observed])
+            b = int(rng.integers(1, 7))
+            candidates = sorted(int(c) for c in rng.choice(n, int(rng.integers(b, n + 1)),
+                                                           replace=False))
+            seed = int(rng.integers(0, 2 ** 31))
+            got = select_batch(state, [], candidates,
+                               Policy(rule="kmeans++", batch_size=b, seed=seed))
+            assert (got.indices, got.objectives) == kmeanspp_reference(
+                state, candidates, b, np.random.default_rng(seed))
 
 
 class TestBruteForceBatch:
@@ -482,7 +508,7 @@ class TestRuleRelations:
                     unc_state, targets, targets,
                     Policy(rule="uncertainty")).indices[0]
                 assert itl_pick == unc_pick
-                obs = Observation(itl_pick, 0.0, 0.4)
+                obs = Observation(itl_pick, 0.0)
                 itl_state = condition(itl_state, obs)
                 unc_state = condition(unc_state, obs)
 

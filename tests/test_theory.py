@@ -68,8 +68,7 @@ class TestIrreducibleUncertainty:
         floors = [irreducible_uncertainty(state.gram, space, x) for x in range(8)]
         for _ in range(30):
             idx = int(rng.integers(0, 5))
-            state = condition(state, Observation(idx, 0.0,
-                                                 state.noise.variance_at(idx)))
+            state = condition(state, Observation(idx, 0.0))
             for x in range(8):
                 assert state.variance_vector([x])[0] >= floors[x] - 1e-9
 
@@ -85,7 +84,7 @@ class TestStepUncertainty:
         gram_m = random_corr_gram(rng, 4, floor=0.3)
         state = PosteriorState.from_prior(gram_m, NoiseModel.homoscedastic(0.5))
         for sweep in range(150):
-            state = condition(state, Observation(sweep % 4, 0.0, 0.5))
+            state = condition(state, Observation(sweep % 4, 0.0))
         # every posterior variance is ~ rho^2/37, so the best gain is ~1/74
         assert step_uncertainty(state, range(4), range(4)) < 0.02
 
@@ -256,7 +255,7 @@ class TestMarkovBoundary:
 
     def test_validity_after_history(self, rng):
         state = small_state(0.5, 3, rng)
-        state = condition(state, Observation(0, 0.4, 0.5))
+        state = condition(state, Observation(0, 0.4))
         boundary = markov_boundary(state, range(3), 1, 0.5)
         assert verify_markov_boundary(state, boundary, 1)
         assert len(boundary.members) <= boundary.size_bound
@@ -277,7 +276,7 @@ class TestMarkovBoundary:
                      if trial % 2 else NoiseModel.homoscedastic(float(rng.uniform(0.3, 1.0))))
             state = PosteriorState.from_prior(KernelMatrix(values, tuple(range(n + 1))), noise)
             if trial % 4 >= 2:
-                state = condition(state, Observation(0, 0.7, noise.variance_at(0)))
+                state = condition(state, Observation(0, 0.7))
             space, x = tuple(range(n)), n
             floor = irreducible_uncertainty(state.gram, space, x)
             epsilon = float(rng.uniform(0.3, 0.9)) * (float(state.cov[x, x]) - floor)
