@@ -29,11 +29,13 @@ from .data import persist_run, save_table
 from .errors import BudgetError, ConfigError, InputError, NumericError, TransductError
 from .selection import run_loop
 from .theory import (
+    TheoryConstants,
     check_gamma_bound,
     check_variance_bound,
     check_within_S_bound,
     greedy_itl_trajectory,
     markov_boundary,
+    markov_size_bound,
     submodularity_ratio,
     verify_markov_boundary,
 )
@@ -168,11 +170,13 @@ def cmd_theory(args) -> int:
     domain, prior, epsilon = _theory_instance(config)
     if not set(domain.sample_ids) <= set(domain.target_ids):
         raise InputError("theory checks require the sample space inside the target space")
+    # the size condition behind b_eps is the only check that refuses an
+    # epsilon, so it runs before the rollout and every capacity enumeration
+    constants = TheoryConstants.from_state(prior, domain.sample_ids)
+    size_bound = markov_size_bound(prior, domain.sample_ids, epsilon, constants=constants)
     trajectory = greedy_itl_trajectory(prior, domain.target_ids, domain.sample_ids,
-                                       config.rounds)
-    # the variance bound's size condition refuses an infeasible epsilon, so it
-    # runs before the capacity enumeration of the step-gain check
-    variance = check_variance_bound(trajectory, epsilon)
+                                       config.rounds, constants=constants)
+    variance = check_variance_bound(trajectory, epsilon, size_bound)
     checks = [check_gamma_bound(trajectory), check_within_S_bound(trajectory), variance]
     rows = [[c.name, c.status, c.detail] for c in checks]
     if len(domain.sample_ids) <= 10:

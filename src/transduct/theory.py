@@ -22,6 +22,16 @@ size exactly n (``posterior._best_grouped_gain``).
 The one exception to the greedy fallback is the size condition behind b_eps,
 where an underestimate would be unsound; there a certified closed-form upper
 bound (grouped-Hadamard water filling, see ``capacity_upper_bound``) stands in.
+
+The size condition is the only check that can refuse an epsilon, so it runs
+first: ``transduct theory`` sizes b_eps before the rollout, and
+``markov_boundary`` before eta_S^2(x) or any pick. An infeasible epsilon then
+costs no rollout, no eta_S^2 and no capacity enumeration. The condition's
+exact phase is skipped when one greedy capacity proves it futile: the
+information gain of a multiset is monotone submodular (Nemhauser, Wolsey &
+Fisher 1978), so gamma_k / k never rises with k, and a greedy value above the
+threshold at the largest exact budget puts every smaller budget above it too.
+
 Every greedy pick here comes from ``posterior.greedy`` on one factor block.
 The ITL rollout takes rounds + 1 steps of it with repeats allowed and keeps
 the picks, Gamma_n and target variances, which is all the checkers read.
@@ -33,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import combinations, islice
 from typing import Sequence
 
@@ -46,6 +56,7 @@ from .posterior import (
     PosteriorState,
     _best_grouped_gain,
     _Blocks,
+    _capacity_greedy,
     _itl_scores,
     _undirected_scores,
     bace_update,
@@ -112,15 +123,11 @@ class Trajectory:
     picks: tuple[int, ...]
     gains: tuple[float, ...]
     variances: np.ndarray
+    constants: TheoryConstants  # the prior's, over the sample space
 
     @property
     def rounds(self) -> int:
         return len(self.picks)
-
-    @cached_property
-    def constants(self) -> TheoryConstants:
-        """The prior's scale constants over the sample space, computed once."""
-        return TheoryConstants.from_state(self.prior, self.sample_space)
 
 
 @dataclass(frozen=True)
@@ -140,13 +147,17 @@ class BoundCheck:
 
 
 def greedy_itl_trajectory(prior: PosteriorState, targets: Sequence[int],
-                          sample_space: Sequence[int], rounds: int) -> Trajectory:
+                          sample_space: Sequence[int], rounds: int, *,
+                          constants: TheoryConstants | None = None) -> Trajectory:
     """Roll out the exact greedy rule; observed values are irrelevant to
-    every variance-based quantity, so none are drawn."""
+    every variance-based quantity, so none are drawn. ``constants`` are the
+    prior's over the sample space, when the caller has them."""
     targets = tuple(int(t) for t in targets)
     space = tuple(sorted(int(s) for s in sample_space))
     if not space or rounds < 0:
         raise InputError("the rollout needs a nonempty sample space and rounds >= 0")
+    if constants is None:
+        constants = TheoryConstants.from_state(prior, space)
     blocks = _Blocks(prior, targets, space, rounds)
     picks, gains, variances = [], [], []
     # step n yields the (n+1)-th pick and Gamma_n; its variances are read before the downdate
@@ -155,7 +166,7 @@ def greedy_itl_trajectory(prior: PosteriorState, targets: Sequence[int],
         gains.append(float(scores[best]))
         variances.append(blocks.var()[:blocks.na])
     return Trajectory(prior=prior, targets=targets, sample_space=space, picks=tuple(picks[:-1]),
-                      gains=tuple(gains), variances=np.array(variances))
+                      gains=tuple(gains), variances=np.array(variances), constants=constants)
 
 
 def irreducible_uncertainty(prior_gram: KernelMatrix, sample_space: Sequence[int],
@@ -242,11 +253,17 @@ def markov_size_bound(state: PosteriorState, sample_space: Sequence[int], epsilo
     size-condition threshold.
 
     The capacity is always computed from the prior, regardless of the
-    state's history. Small budgets are checked exactly by enumeration;
-    beyond that the certified water-filling upper bound stands in, which
-    can only enlarge the reported k (never produce an unsound one).
-    ``constants`` are the prior's over the sample space, when the caller has
-    them. Returns (k, exact).
+    state's history. Small budgets k <= k_exact are checked exactly by
+    enumeration, unless the greedy capacity of k_exact observations, over
+    k_exact, already exceeds threshold + ``_TOL``. Greedy is a lower bound on
+    gamma_{k_exact}, and gamma_s / s >= gamma_{k_exact} / k_exact for every
+    s <= k_exact, because the gain is monotone submodular over multisets (an
+    optimal multiset of size k + 1 has a point whose removal loses at most
+    gamma_{k+1} / (k + 1)); so then no exact budget passes. Beyond k_exact
+    the certified water-filling upper bound stands in, which can only
+    enlarge the reported k (never produce an unsound one). ``constants`` are
+    the prior's over the sample space, when the caller has them. Returns
+    (k, exact).
     """
     if not epsilon > 0:
         raise InputError("epsilon must be positive")
@@ -254,9 +271,8 @@ def markov_size_bound(state: PosteriorState, sample_space: Sequence[int], epsilo
     if constants is None:
         constants = TheoryConstants.from_state(state, space)
     lam = max(constants.lambda_min, 0.0)
-    threshold = (epsilon * lam ** 2
-                 / (2.0 * len(space) ** 2 * constants.sigma_sq ** 2
-                    * constants.sigma_tilde_sq))
+    scale = 2.0 * len(space) ** 2 * constants.sigma_sq ** 2 * constants.sigma_tilde_sq
+    threshold = epsilon * lam ** 2 / scale if scale > 0 else 0.0  # scale is 0 on a zero prior
     if threshold <= 0:
         raise BudgetError("size condition is vacuous: the sample Gram is singular")
 
@@ -274,7 +290,9 @@ def markov_size_bound(state: PosteriorState, sample_space: Sequence[int], epsilo
             break
         total += extra
         k_exact += 1
-    for size in range(1, k_exact + 1):
+    prior = PosteriorState.from_prior(state.gram, state.noise)  # shares the Gram
+    futile = k_exact > 0 and _capacity_greedy(prior, space, k_exact) / k_exact > threshold + _TOL
+    for size in range(1, 0 if futile else k_exact + 1):
         if _best_grouped_gain(prior_cov, noise, size) / size <= threshold:
             return size, True
 
@@ -302,13 +320,15 @@ def markov_boundary(state: PosteriorState, sample_space: Sequence[int], x: int,
     Points are added by undirected greedy selection over S (computed from
     the prior, so the boundary is valid for any observation history) until
     the current state, downdated at the picks, has Var(f_x | D_n, y_B) <= eta_S^2(x) + eps.
+    The size condition runs first, so an infeasible epsilon is refused
+    before eta_S^2(x) factors K_SS.
     """
     if not epsilon > 0:
         raise InputError("epsilon must be positive")
     space = tuple(sorted(int(s) for s in sample_space))
     x = int(x)
-    eta2 = irreducible_uncertainty(state.gram, space, x)
     size_bound, exact = markov_size_bound(state, space, epsilon)
+    eta2 = irreducible_uncertainty(state.gram, space, x)
 
     prior = PosteriorState.from_prior(state.gram, state.noise)  # shares the Gram
     picks = greedy(_Blocks(prior, (), space), _undirected_scores, multiset=True)
@@ -333,24 +353,26 @@ def verify_markov_boundary(state: PosteriorState, boundary: MarkovBoundary,
     return achieved <= boundary.irreducible + boundary.epsilon + _TOL
 
 
-def check_variance_bound(trajectory: Trajectory, epsilon: float) -> BoundCheck:
+def check_variance_bound(trajectory: Trajectory, epsilon: float,
+                         size_bound: tuple[int, bool] | None = None) -> BoundCheck:
     """Check the explicit form of the marginal-variance bound.
 
     For every round n and target x:
         sigma_n^2(x) <= 2 sigma^2 b_eps Gamma_n + eta_S^2(x) + eps,
-    with b_eps from the size condition and Gamma_n measured on the
-    trajectory. Rows also carry the reducible gap max_x(sigma_n^2 - eta^2)
-    for convergence reporting.
+    with (b_eps, exact) from the size condition, ``size_bound`` when the
+    caller has sized it already, and Gamma_n measured on the trajectory.
+    Rows also carry the reducible gap max_x(sigma_n^2 - eta^2) for
+    convergence reporting.
     """
     prior, constants = trajectory.prior, trajectory.constants
-    size_bound, exact = markov_size_bound(prior, trajectory.sample_space, epsilon,
-                                          constants=constants)
+    b_eps, exact = size_bound or markov_size_bound(prior, trajectory.sample_space, epsilon,
+                                                   constants=constants)
     eta = np.array([irreducible_uncertainty(prior.gram, trajectory.sample_space, x)
                     for x in trajectory.targets])
     rows = []
     ok_all = True
     for n, (gamma_step, var) in enumerate(zip(trajectory.gains, trajectory.variances)):
-        reducible = 2.0 * constants.sigma_sq * size_bound * gamma_step
+        reducible = 2.0 * constants.sigma_sq * b_eps * gamma_step
         slack = reducible + eta + epsilon - var
         ok = bool(np.min(slack) >= -_TOL)
         ok_all &= ok
@@ -362,7 +384,7 @@ def check_variance_bound(trajectory: Trajectory, epsilon: float) -> BoundCheck:
     # never mask a spurious violation; the check stays a hard pass/fail
     return BoundCheck(
         name="explicit-variance-bound", passed=ok_all,
-        detail=f"b_eps={size_bound} ({'exact' if exact else 'certified upper bound'}), "
+        detail=f"b_eps={b_eps} ({'exact' if exact else 'certified upper bound'}), "
                f"eps={epsilon}", rows=tuple(rows))
 
 

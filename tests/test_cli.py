@@ -10,7 +10,7 @@ import pytest
 from numpy.random import SeedSequence
 
 import transduct
-from transduct import cli
+from transduct import cli, theory
 from transduct.cli import main
 from transduct.config import PRESETS, build_domain, load_config, parse_config
 from transduct.data import load_embeddings, load_run, load_table, save_embeddings_binary
@@ -412,6 +412,25 @@ class TestTheoryCommand:
         cfg = write_config(tmp_path / "t.json", grid_theory_config(epsilon=1e-9))
         assert main(["theory", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
+    def test_infeasible_epsilon_refused_before_the_rollout(self, tmp_path, monkeypatch):
+        def rollout(*args, **kwargs):
+            raise AssertionError("the rollout ran before the size condition")
+
+        monkeypatch.setattr(cli, "greedy_itl_trajectory", rollout)
+        cfg = write_config(tmp_path / "t.json", grid_theory_config(epsilon=1e-9))
+        assert main(["theory", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+
+    @pytest.mark.parametrize("command", [["theory"], ["markov", "--x", "0"]])
+    def test_zero_prior_is_a_budget_error(self, tmp_path, capsys, command):
+        # a linear kernel on the single grid point 0 has an all-zero Gram
+        cfg = grid_theory_config(epsilon=1.0)
+        cfg["domain"]["kernel"] = {"family": "linear"}
+        cfg["domain"]["layout"].update(s_count=1, a_extra=0)
+        path = write_config(tmp_path / "t.json", cfg)
+        assert main([command[0], "--config", path, "--out", str(tmp_path / "o"),
+                     *command[1:]]) == 4
+        assert "size condition is vacuous" in capsys.readouterr().err
+
     def test_sample_gram_spectrum_computed_once(self, tmp_path, monkeypatch):
         calls = []
         eigvalsh = np.linalg.eigvalsh
@@ -443,6 +462,15 @@ class TestMarkovCommand:
         assert len(payload["members"]) <= payload["size_bound"]
 
     def test_budget_exit_code(self, tmp_path):
+        cfg = write_config(tmp_path / "t.json", grid_theory_config())
+        assert main(["markov", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--x", "3", "--epsilon", "1e-9"]) == 4
+
+    def test_infeasible_epsilon_refused_before_the_floor(self, tmp_path, monkeypatch):
+        def floor(*args):
+            raise AssertionError("eta_S^2(x) was factored before the size condition")
+
+        monkeypatch.setattr(theory, "irreducible_uncertainty", floor)
         cfg = write_config(tmp_path / "t.json", grid_theory_config())
         assert main(["markov", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--x", "3", "--epsilon", "1e-9"]) == 4

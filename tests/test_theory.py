@@ -354,6 +354,57 @@ class TestSizeBound:
         with pytest.raises(InputError):
             markov_size_bound(state, range(3), 0.0)
 
+    def test_zero_prior_is_vacuous_not_a_division_error(self):
+        state = PosteriorState.from_prior(KernelMatrix(np.zeros((2, 2)), (0, 1)),
+                                          NoiseModel.homoscedastic(0.25))
+        with pytest.raises(BudgetError, match="vacuous"):
+            markov_size_bound(state, [0, 1], 1.0)
+
+    def test_greedy_certificate_keeps_every_result(self, rng, monkeypatch):
+        walks = []
+        walk = theory._best_grouped_gain
+        monkeypatch.setattr(theory, "_best_grouped_gain",
+                            lambda *args: walks.append(args[2]) or walk(*args))
+        cases = []
+        for hetero in (False, True):
+            for n in (2, 3, 4, 6):
+                state = random_state(rng, n, hetero=hetero, unit_diag=True, floor=0.5,
+                                     noise_range=(0.2, 1.0))
+                cases += [(state, float(epsilon)) for epsilon in np.geomspace(1e-2, 1e4, 10)]
+
+        def outcomes():
+            results = []
+            for state, epsilon in cases:
+                try:
+                    results.append(markov_size_bound(state, state.ids, epsilon))
+                except BudgetError as exc:
+                    results.append(str(exc))
+            return results
+
+        certified = outcomes()
+        certified_walks = len(walks)
+        # without the certificate the exact phase always scans
+        monkeypatch.setattr(theory, "_capacity_greedy", lambda *args: 0.0)
+        walks.clear()
+        assert outcomes() == certified
+        assert certified_walks < len(walks)
+        kinds = {r[1] if isinstance(r, tuple) else "refused" for r in certified}
+        assert kinds == {True, False, "refused"}
+
+    def test_capacity_ratio_never_rises_and_greedy_stays_below(self, rng):
+        # gamma_k / k is nonincreasing (monotone submodular gain) and greedy is
+        # a lower bound: together they certify skipping the exact phase
+        for trial in range(40):
+            n = int(rng.integers(2, 7))
+            state = random_state(rng, n, hetero=bool(trial % 2), noise_range=(0.05, 1.0))
+            noise = state.noise.vector(state.ids)
+            previous = math.inf
+            for k in range(1, 7):
+                gamma = posterior._best_grouped_gain(state.cov, noise, k)
+                assert gamma / k <= previous * (1 + 1e-12)
+                assert posterior._capacity_greedy(state, state.ids, k) <= gamma * (1 + 1e-12)
+                previous = gamma / k
+
 
 class TestVarianceBound:
     def test_random_instances_hold(self, rng):
