@@ -37,6 +37,7 @@ Synthetic layouts:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -181,8 +182,10 @@ def parse_config(raw: dict, *, preset: str | None = None,
             number = _number(float if key == "rho" else int, hyper[key], f"hyper.{key}")
             if isinstance(hyper[key], str):  # JSON numbers stay as written in record headers
                 hyper[key] = number
-    if not hyper["rho"] > 0:
-        raise ConfigError("field 'hyper.rho' must be positive")
+    rho = float(hyper["rho"])
+    if not (rho > 0 and 0 < rho * rho < math.inf):  # rho^2 is the noise variance
+        raise ConfigError(f"field 'hyper.rho' must be positive with a positive, finite "
+                          f"square, got {hyper['rho']!r}")
     for key in ("b", "m"):
         if hyper[key] is not None and hyper[key] < 1:
             raise ConfigError(f"field 'hyper.{key}' must be at least 1")
@@ -243,6 +246,8 @@ def parse_config(raw: dict, *, preset: str | None = None,
     seed_list = tuple(_number(int, s, "seeds") for s in seeds)
     if not seed_list:
         raise ConfigError("field 'seeds' must be nonempty")
+    if min(seed_list) < 0:
+        raise ConfigError(f"field 'seeds' must be nonnegative, got {min(seed_list)}")
     rounds = _number(int, raw.get("rounds", 0), "rounds")
     if rounds < 0:
         raise ConfigError("field 'rounds' must be nonnegative")

@@ -89,6 +89,9 @@ class KernelSpec:
             raise InputError(f"unknown kernel family {self.family!r}; choose from {FAMILIES}")
         if self.family in (GAUSSIAN, LAPLACE, MATERN) and not self.lengthscale > 0:
             raise InputError("lengthscale must be positive")
+        if self.family == GAUSSIAN and not 0 < self.lengthscale * self.lengthscale < math.inf:
+            raise InputError(f"gaussian lengthscale {self.lengthscale!r} needs a positive, "
+                             "finite square")
         if self.family == MATERN and self.nu not in MATERN_ORDERS:
             raise InputError(f"matern nu must be one of {MATERN_ORDERS}")
         if self.family != MATERN and self.nu is not None:

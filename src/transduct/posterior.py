@@ -12,15 +12,16 @@ by a GEMM on a transposed copy of W (numpy's SYRK is several times slower on
 threaded OpenBLAS) and checked while in cache. This matches batch conditioning
 from the prior in any order. Downdates with no value yet keep W over targets
 and candidates and leave the state alone: the batch gain downdates the target
-block at every point of the batch, and ``greedy`` makes every greedy pick
-(BaCE batches, the theory rollout, the kappa batch, greedy capacity and Markov
-boundaries) as the argmax of ``_itl_scores`` or ``_undirected_scores`` over
-the blocks, then downdates them at the pick.
+block at every point of the batch, and ``greedy`` is the pick stream of
+every rule that downdates (BaCE batches, the theory rollout, the kappa batch,
+greedy capacity and Markov boundaries): the argmax of ``_itl_scores`` or
+``_undirected_scores`` over the blocks, then the downdate at the pick.
 
-On top of the state the module computes the information gain I(f_A; y_x | D)
-in its backward form (``_itl_scores``), the batch gain I(f_A; y_B | D), whose
-one-point batch [x] is the forward form of the gain, and the information
-capacity over multisets X of the candidates (points may repeat)
+On top of the state the module computes the exact information gain
+I(f_A; y_x | D) in its backward form (``_itl_scores``), the exact batch gain
+I(f_A; y_B | D), whose one-point batch [x] is the forward form of the gain,
+and the information capacity over multisets X of the candidates (points may
+repeat)
 
     gamma_n = max_{X, |X| <= n} 1/2 log det(I + P_X^{-1} K_XX)
 
@@ -284,35 +285,28 @@ def greedy(blocks: _Blocks, score: Callable[[_Blocks], np.ndarray], *,
         bace_update(blocks, best, float(blocks.noise_c[best]))
 
 
-def information_gain(state: PosteriorState, targets: Sequence[int], candidate: int, *,
-                     stabilize: bool = False) -> float:
+def information_gain(state: PosteriorState, targets: Sequence[int], candidate: int) -> float:
     """I(f_A; y_x | D_n) for a nonempty target set A, nonnegative, by the
-    backward method (``_itl_scores``).
-
-    ``stabilize=True`` computes I(y_A; y_x | D_n) instead, which adds the
-    target noise variances to the target-block diagonal before inversion;
-    this trades a small bias for numerical robustness on near-singular blocks.
-    The forward method is ``batch_information_gain(state, targets, [x])``;
-    the two agree to high accuracy on either variant.
+    backward method (``_itl_scores``). The forward method is
+    ``batch_information_gain(state, targets, [x])``; the two agree to high accuracy.
     """
     if len(targets) == 0:
         raise InputError("target set must be nonempty")
-    return float(_itl_scores(_Blocks(state, targets, [candidate]), stabilize)[0])
+    return float(_itl_scores(_Blocks(state, targets, [candidate]), False)[0])
 
 
 def batch_information_gain(state: PosteriorState, targets: Sequence[int],
-                           batch: Sequence[int], *, stabilize: bool = False) -> float:
+                           batch: Sequence[int]) -> float:
     """I(f_A; y_B | D_n) for a (multi)set B of candidate indices: half the log
     determinant of the target block before over after a downdate at every
     position of B (a repeated index is its own measurement)."""
     if len(batch) == 0:
         return 0.0
     blocks = _Blocks(state, targets, batch, len(batch))
-    noise = np.diag(blocks.noise_a) if stabilize else 0.0
-    before = chol_logdet(blocks._k_a[:, :blocks.na] + noise)
+    before = chol_logdet(blocks._k_a[:, :blocks.na])
     for pick, rho2 in enumerate(blocks.noise_c):
         bace_update(blocks, pick, float(rho2))
-    return max(0.5 * (before - chol_logdet(blocks.cov_a()[:, :blocks.na] + noise)), 0.0)
+    return max(0.5 * (before - chol_logdet(blocks.cov_a()[:, :blocks.na])), 0.0)
 
 
 def _best_grouped_gain(cov: np.ndarray, noise: np.ndarray, size: int) -> float:

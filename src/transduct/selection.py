@@ -11,14 +11,16 @@ Rule catalog (higher score wins):
     cosine            mean prior correlation between x and the targets
     random            uniform over the candidate pool
 
-Batches are built either greedily with conditional-embedding updates ("bace":
-after each pick the remaining candidates are re-scored under the rank-one
-downdate at the pick x, inflated by the state's noise rho^2(x)) or from the
-top-b scores of one pass ("topb"). Ties break toward the lowest index. A BaCE
-batch is the first b steps of ``posterior.greedy``. Cosine's scores ignore
-the picks, so its BaCE batch is its top-b batch and is built as one. Max-dist
-and kmeans++ read only the picks: they make no downdates and keep the nearest
-distances, which each pick lowers. Scorers read cov[A, A], cov[A, C] and the
+Every batch is the first b picks of its rule's pick stream, a generator of
+(position, scores) that updates only when asked for its next pick, so the
+b-th pick pays for no update. A BaCE batch ("bace": after each pick the
+remaining candidates are re-scored under the rank-one downdate at the pick
+x, inflated by the state's noise rho^2(x)) streams ``posterior.greedy``. A
+top-b batch ("topb") streams one pass's scores in descending order, as does
+cosine's BaCE batch, since its scores ignore the picks; random streams one
+sorted draw. Max-dist and kmeans++ read only the picks: their streams make
+no downdates and keep the nearest distances, which each pick lowers. Ties
+break toward the lowest index. Scorers read cov[A, A], cov[A, C] and the
 variances at targets A and candidates C from ``posterior``'s factor blocks;
 in-batch downdates are factor rows over A and C, and the round loop
 conditions once per batch on (index, label) observations. All of them read
@@ -30,8 +32,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations, islice
-from typing import Callable, Iterable, Sequence
+from itertools import combinations, islice, repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.random import Generator, default_rng
@@ -147,7 +149,8 @@ def _score_candidates(blocks: _Blocks, policy: Policy) -> np.ndarray:
 def select_batch(state: PosteriorState, targets: Sequence[int],
                  candidates: Sequence[int], policy: Policy, *,
                  rng: Generator | None = None) -> BatchResult:
-    """Select a batch of ``policy.batch_size`` distinct candidates."""
+    """Select a batch of ``policy.batch_size`` distinct candidates: the first
+    b picks of the rule's pick stream."""
     cand = sorted(map(int, candidates))
     if len(set(cand)) != len(cand):
         raise InputError("candidate list contains duplicates")
@@ -159,78 +162,62 @@ def select_batch(state: PosteriorState, targets: Sequence[int],
     targets = tuple(map(int, targets))
 
     if policy.rule == RANDOM:
-        picks = sorted(rng.choice(len(cand), size=b, replace=False).tolist())
-        return BatchResult(indices=tuple(cand[i] for i in picks), objectives=(0.0,) * b)
-
-    if policy.rule == KMEANS_PP:
-        return _select_kmeanspp(state, cand, b, rng)
-
-    if policy.rule == MAX_DIST:
-        return _select_max_dist(state, cand, b, policy.batch_mode == "bace")
-
-    # uncertainty rules never read the target blocks, so no rows are kept for them
-    blocks = _Blocks(state, targets if policy.rule in TARGET_RULES else (), cand, b - 1)
-    # cosine's scores ignore the picks, so its BaCE batch is its top-b batch
-    if policy.batch_mode == "topb" or policy.rule == COSINE:
-        scores = _score_candidates(blocks, policy)
-        order = np.lexsort((np.array(cand), -scores))[:b]
-        return BatchResult(indices=tuple(cand[i] for i in order),
-                           objectives=tuple(float(scores[i]) for i in order))
-
-    picked: list[int] = []
-    objectives: list[float] = []
-    steps = greedy(blocks, lambda blocks: _score_candidates(blocks, policy))
-    for best, scores in islice(steps, b):
-        picked.append(cand[best])
-        objectives.append(float(scores[best]))
-    return BatchResult(indices=tuple(picked), objectives=tuple(objectives))
+        draw = sorted(rng.choice(len(cand), size=b, replace=False).tolist())
+        steps = zip(draw, repeat(np.zeros(len(cand))))
+    elif policy.rule == KMEANS_PP:
+        steps = _kmeanspp_picks(state, cand, rng)
+    elif policy.rule == MAX_DIST:
+        steps = _max_dist_picks(state, cand, policy.batch_mode == "bace")
+    else:
+        # uncertainty rules never read the target blocks, so no rows are kept for them
+        blocks = _Blocks(state, targets if policy.rule in TARGET_RULES else (), cand, b - 1)
+        if policy.batch_mode == "topb" or policy.rule == COSINE:
+            # cosine's scores ignore the picks, so its BaCE batch is its top-b batch
+            scores = _score_candidates(blocks, policy)
+            steps = zip(np.lexsort((np.array(cand), -scores)), repeat(scores))
+        else:
+            steps = greedy(blocks, lambda blocks: _score_candidates(blocks, policy))
+    indices, objectives = zip(*[(cand[i], float(scores[i])) for i, scores in islice(steps, b)])
+    return BatchResult(indices=indices, objectives=objectives)
 
 
-def _select_max_dist(state: PosteriorState, cand: list[int], b: int,
-                     greedy_batch: bool) -> BatchResult:
-    """Max-dist batch; in a greedy one each pick lowers the nearest distances
-    to at most the distance to itself."""
+def _max_dist_picks(state: PosteriorState, cand: list[int],
+                    lower: bool) -> Iterator[tuple[int, np.ndarray]]:
+    """Max-dist picks: the farthest open candidate from the nearest observed
+    point; with ``lower`` (a greedy batch) each pick counts as observed for
+    the picks after it."""
     selected = [obs.index for obs in state.history]
     d2 = _min_sq_distances(state, cand, selected) if selected else None
     taken = np.zeros(len(cand), dtype=bool)
-    picked: list[int] = []
-    objectives: list[float] = []
-    for _ in range(b):
+    while True:
         scores = np.zeros(len(cand)) if d2 is None else np.sqrt(d2)
         best = int(np.argmax(np.where(taken, -np.inf, scores)))
+        yield best, scores
         taken[best] = True
-        picked.append(cand[best])
-        objectives.append(float(scores[best]))
-        if greedy_batch:
+        if lower:
             near = _min_sq_distances(state, cand, [cand[best]])
             d2 = near if d2 is None else np.minimum(d2, near)
-    return BatchResult(indices=tuple(picked), objectives=tuple(objectives))
 
 
-def _select_kmeanspp(state: PosteriorState, cand: list[int], b: int,
-                     rng: Generator) -> BatchResult:
-    """kmeans++ batch; each pick lowers the nearest squared distances to at
-    most the distance to itself, which is exactly 0 at the pick."""
+def _kmeanspp_picks(state: PosteriorState, cand: list[int],
+                    rng: Generator) -> Iterator[tuple[int, np.ndarray]]:
+    """kmeans++ picks, each drawn with probability proportional to the
+    squared distance to the nearest observed point or earlier pick, which is
+    exactly 0 at a pick."""
     selected = [obs.index for obs in state.history]
     d2 = _min_sq_distances(state, cand, selected) if selected else None
     taken = np.zeros(len(cand), dtype=bool)
-    picked: list[int] = []
-    objectives: list[float] = []
-    for _ in range(b):
-        if picked:
-            near = _min_sq_distances(state, cand, picked[-1:])
-            d2 = near if d2 is None else np.minimum(d2, near)
+    while True:
         if d2 is None:
-            choice, objective = int(rng.choice(len(cand))), 0.0
+            choice, scores = int(rng.choice(len(cand))), np.zeros(len(cand))
         else:
             total = float(d2.sum())
             probs = d2 / total if total > 0 else ~taken / float(np.sum(~taken))
-            choice = int(rng.choice(len(cand), p=probs))
-            objective = float(d2[choice])
+            choice, scores = int(rng.choice(len(cand), p=probs)), d2
+        yield choice, scores
         taken[choice] = True
-        picked.append(cand[choice])
-        objectives.append(objective)
-    return BatchResult(indices=tuple(picked), objectives=tuple(objectives))
+        near = _min_sq_distances(state, cand, [cand[choice]])
+        d2 = near if d2 is None else np.minimum(d2, near)
 
 
 def brute_force_batch(state: PosteriorState, targets: Sequence[int],

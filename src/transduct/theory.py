@@ -69,7 +69,7 @@ from .posterior import (
 )
 
 _TOL = 1e-9
-#: Most observations that the size condition's b_eps and a Markov boundary may take.
+#: Most observations that the size condition's b_eps, a Markov boundary and a rollout may take.
 SIZE_BOUND_CAP = 10_000
 
 #: the exact (unstabilized) ITL scores, which every bound is stated for
@@ -151,11 +151,14 @@ def greedy_itl_trajectory(prior: PosteriorState, targets: Sequence[int],
                           constants: TheoryConstants | None = None) -> Trajectory:
     """Roll out the exact greedy rule; observed values are irrelevant to
     every variance-based quantity, so none are drawn. ``constants`` are the
-    prior's over the sample space, when the caller has them."""
+    prior's over the sample space, when the caller has them. More than
+    ``SIZE_BOUND_CAP`` rounds are refused before the factor rows are allocated."""
     targets = tuple(int(t) for t in targets)
     space = tuple(sorted(int(s) for s in sample_space))
     if not space or rounds < 0:
         raise InputError("the rollout needs a nonempty sample space and rounds >= 0")
+    if rounds > SIZE_BOUND_CAP:
+        raise BudgetError(f"the rollout's {rounds} rounds exceed the {SIZE_BOUND_CAP}-round cap")
     if constants is None:
         constants = TheoryConstants.from_state(prior, space)
     blocks = _Blocks(prior, targets, space, rounds)

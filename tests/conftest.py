@@ -312,9 +312,9 @@ def ctl_scores_reference(blocks):
     return corr.sum(axis=1)
 
 
-def score_itl(state, targets, candidate, *, stabilize=False):
+def score_itl(state, targets, candidate):
     """I(f_A; y_x | D_{n-1}) of one candidate via the backward evaluation."""
-    return information_gain(state, targets, candidate, stabilize=stabilize)
+    return information_gain(state, targets, candidate)
 
 
 def score_ctl(state, targets, candidate):
@@ -348,7 +348,7 @@ def score_baseline(rule, candidate, *, state, targets=(), selected=()):
 def kmeanspp_reference(state, cand, b, rng):
     """kmeans++ batch that recomputes every candidate's squared distance to
     every anchor (history and picks) at each pick and zeroes the picks by
-    ``cand.index``: the form ``_select_kmeanspp`` had before it kept the
+    ``cand.index``: the form the kmeans++ batch had before it kept the
     nearest distances."""
     picked, objectives = [], []
     selected = [obs.index for obs in state.history]

@@ -232,7 +232,7 @@ class TestConfigValidation:
         assert "empty sample or target space" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command, seeds", [("run", "a"), ("ablate", "1,b"),
-                                                ("theory", "0,x")])
+                                                ("theory", "0,x"), ("run", "-1")])
     def test_bad_seed_override_is_config_error(self, tmp_path, capsys, command, seeds):
         cfg = (grid_theory_config() if command == "theory"
                else base_run_config(grid={"rho": [1.0]}))
@@ -241,6 +241,26 @@ class TestConfigValidation:
                      "--seeds", seeds]) == 2
         err = capsys.readouterr().err
         assert "'seeds'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, path, value, code, named", [
+        ("run", "seeds", [-1], 2, "'seeds'"),
+        ("theory", "seeds", [0, -1], 2, "'seeds'"),
+        ("run", "hyper.rho", 1e200, 2, "'hyper.rho'"),  # rho^2 overflows
+        ("run", "hyper.rho", 1e-200, 2, "'hyper.rho'"),  # rho^2 is 0
+        ("run", "domain.kernel.lengthscale", 1e300, 2, "gaussian lengthscale"),
+        ("theory", "domain.kernel.lengthscale", 1e300, 2, "gaussian lengthscale"),
+        ("run", "domain.kernel.lengthscale", 1e-200, 2, "gaussian lengthscale"),  # square 0
+        ("run", "domain.kernel", {"family": "laplace", "lengthscale": 1e300}, 0, ""),
+        ("run", "domain.kernel", {"family": "matern", "lengthscale": 1e300, "nu": 2.5}, 0, ""),
+        ("theory", "rounds", 10 ** 9, 4, "rounds"),  # refused before any allocation
+    ])
+    def test_extreme_values_keep_the_exit_code_contract(self, tmp_path, capsys, command, path,
+                                                        value, code, named):
+        cfg = grid_theory_config() if command == "theory" else base_run_config()
+        config_path = write_config(tmp_path / "c.json", set_field(cfg, path, value))
+        assert main([command, "--config", config_path, "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
 
     def test_unknown_top_level_key_is_config_error(self, tmp_path, capsys):
         cfg = base_run_config(round=50)

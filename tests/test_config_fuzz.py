@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from transduct.cli import main
 from transduct.selection import RULES
 
-JUNK = st.sampled_from(["x", "3", None, True, [], {}, 2.5, float("nan"), float("inf"), 0, -1])
+JUNK = st.sampled_from(["x", "3", None, True, [], {}, 2.5, float("nan"), float("inf"), 0, -1,
+                        1e200, 1e-200])
 
 
 def _dict(required, optional=None):

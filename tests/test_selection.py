@@ -347,6 +347,29 @@ class TestScoreOncePerBatch:
         assert calls == [10]
 
 
+class TestPickStreams:
+    def test_distances_lowered_only_before_a_next_pick(self, rng, monkeypatch):
+        calls = []
+        distances = selection._min_sq_distances
+
+        def counted(state, candidates, selected):
+            calls.append(len(selected))
+            return distances(state, candidates, selected)
+
+        monkeypatch.setattr(selection, "_min_sq_distances", counted)
+        state = condition_all(random_state(rng, 20),
+                              [Observation(i, 0.3) for i in (3, 11, 17)])
+        for b in (1, 2, 5):
+            # one call from the history, then one per pick that another pick follows
+            for policy, expected in [(Policy(rule="max-dist", batch_size=b), b),
+                                     (Policy(rule="kmeans++", batch_size=b, seed=b), b),
+                                     (Policy(rule="max-dist", batch_size=b,
+                                             batch_mode="topb"), 1)]:
+                calls.clear()
+                assert len(select_batch(state, [], range(20), policy).indices) == b
+                assert calls == [3] + [1] * (expected - 1)
+
+
 class TestKMeansPP:
     def test_matches_recomputing_reference(self, rng):
         # with and without a history; every fourth instance has all points at
