@@ -307,9 +307,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TransductError as exc:
+    except (TransductError, MemoryError) as exc:  # e.g. an oversized layout numpy refuses
         print(f"error: {exc}", file=sys.stderr)
-        return 4 if isinstance(exc, BudgetError) else 3 if isinstance(exc, NumericError) else 2
+        budget = isinstance(exc, (BudgetError, MemoryError))
+        return 4 if budget else 3 if isinstance(exc, NumericError) else 2
 
 
 if __name__ == "__main__":

@@ -18,10 +18,10 @@ greedy capacity and Markov boundaries): the argmax of ``_itl_scores`` or
 ``_undirected_scores`` over the blocks, then the downdate at the pick.
 
 On top of the state the module computes the exact information gain
-I(f_A; y_x | D) in its backward form (``_itl_scores``), the exact batch gain
-I(f_A; y_B | D), whose one-point batch [x] is the forward form of the gain,
-and the information capacity over multisets X of the candidates (points may
-repeat)
+I(f_A; y_x | D) in its backward form (``_itl_scores``, from the variances of
+the blocks and of their twin), the exact batch gain I(f_A; y_B | D), whose
+one-point batch [x] is the forward form of the gain, and the information
+capacity over multisets X of the candidates (points may repeat)
 
     gamma_n = max_{X, |X| <= n} 1/2 log det(I + P_X^{-1} K_XX)
 
@@ -36,6 +36,7 @@ and the cost per multiset does not grow with the budget.
 from __future__ import annotations
 
 import math
+from copy import copy
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice, takewhile
@@ -44,7 +45,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InputError, NumericError
-from .kernels import _BLOCK_ENTRIES, KernelMatrix, NoiseModel, jittered
+from .kernels import _BLOCK_ENTRIES, JITTER_SCALE, KernelMatrix, NoiseModel, jittered
 
 #: Most multisets that an exact capacity enumerates, counted as
 #: C(|S| + n - 1, n) for n observations of a sample space S; past it the
@@ -52,26 +53,15 @@ from .kernels import _BLOCK_ENTRIES, KernelMatrix, NoiseModel, jittered
 BRUTE_FORCE_CAP = 200_000
 
 
-def _cholesky(matrix: np.ndarray) -> np.ndarray:
-    """Cholesky factor of the jittered ``matrix``; NumericError if it fails or is not finite."""
+def chol_logdet(matrix: np.ndarray) -> float:
+    """log det of a PSD matrix via Cholesky of its jittered copy (0 when empty)."""
     try:
         chol = np.linalg.cholesky(jittered(matrix))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"Cholesky factorization failed: {exc}") from exc
     if not np.isfinite(chol).all():
         raise NumericError("Cholesky factorization produced non-finite values")
-    return chol
-
-
-def chol_logdet(matrix: np.ndarray) -> float:
-    """log det of a PSD matrix via Cholesky of its jittered copy (0 when empty)."""
-    return 2.0 * float(np.sum(np.log(np.diag(_cholesky(matrix)))))
-
-
-def whiten(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """L^{-1} rhs for the Cholesky factor L of the jittered ``matrix``: a column z
-    of it has |z|^2 = r^T matrix^{-1} r (GPML Alg. 2.1)."""
-    return np.linalg.inv(_cholesky(matrix)) @ rhs
+    return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
 @dataclass(frozen=True)
@@ -169,7 +159,7 @@ class _Blocks:
     gathered from ``state.cov`` once, when first read. Each downdate appends a
     row to a factor W over these columns, so every block is the state's block
     minus the matching product of W columns, e.g.
-    cov[A, C] = state.cov[A, C] - W_A^T W_C.
+    cov[A, C] = state.cov[A, C] - W_A^T W_C. ITL scoring adds a ``_twin``.
     """
 
     def __init__(self, state: PosteriorState, targets: Sequence[int],
@@ -180,18 +170,19 @@ class _Blocks:
         self.na = len(self.targets)
         self.width = 0  # factor rows in use, out of len(w)
         self.w = np.empty((capacity, self.na + len(candidates)))
+        self.twin: _Blocks | None = None
 
     @cached_property
     def rows(self) -> np.ndarray:
         return self.state.positions(self.targets + tuple(self.candidates))
 
     @cached_property
-    def noise_a(self) -> np.ndarray:
-        return self.state.noise.vector(self.targets)
-
-    @cached_property
     def noise_c(self) -> np.ndarray:
         return self.state.noise.vector(self.candidates)
+
+    @cached_property
+    def inside(self) -> np.ndarray:  # whether each candidate is also a target
+        return (self.rows[self.na:, None] == self.rows[:self.na]).any(axis=1)
 
     @cached_property
     def _k_a(self) -> np.ndarray:
@@ -227,10 +218,17 @@ def bace_update(blocks: _Blocks, pick: int, rho2: float) -> float:
     """Noise-inflated rank-one downdate at the candidate in position ``pick``.
 
     Appends the factor row of an observation there with noise variance
-    ``rho2`` to ``blocks`` (doubling the factor when it is full) and returns
-    its scale s; conditioning on a value y also moves the mean by w (y - mu) / s.
+    ``rho2`` to ``blocks`` and to its twin, and returns its scale s;
+    conditioning on a value y also moves the mean by w (y - mu) / s.
     """
-    k, i = blocks.width, blocks.na + pick
+    if blocks.twin is not None:
+        _downdate(blocks.twin, blocks.na + pick, rho2)
+    return _downdate(blocks, blocks.na + pick, rho2)
+
+
+def _downdate(blocks: _Blocks, i: int, rho2: float) -> float:
+    """``bace_update``'s row at column ``i`` of ``blocks`` alone; a full factor doubles."""
+    k = blocks.width
     if k == len(blocks.w):
         blocks.w = np.concatenate((blocks.w, np.empty((max(k, 1), blocks.w.shape[1]))))
     w = blocks.w[:k]
@@ -241,22 +239,37 @@ def bace_update(blocks: _Blocks, pick: int, rho2: float) -> float:
     return scale
 
 
+def _twin(blocks: _Blocks, noise: np.ndarray) -> _Blocks:
+    """A copy of ``blocks`` also downdated at every target a, at ``noise[a]`` plus
+    j = ``JITTER_SCALE`` times the largest prior variance over A, which conditioning
+    does not change; its rows at the targets are the Cholesky factor of
+    cov[A, A] + diag(noise) + j I."""
+    pa = blocks.rows[:blocks.na]
+    jitter = JITTER_SCALE * np.max(blocks.state.gram.values[pa, pa], initial=0.0)
+    twin = copy(blocks)  # shares the state, the rows and the gathered pieces
+    twin.w = np.concatenate((blocks.w, np.empty((blocks.na, blocks.w.shape[1]))))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot is caught below
+        for a, rho2 in enumerate(noise):
+            _downdate(twin, a, float(rho2 + jitter))
+    if not np.isfinite(twin.w[blocks.width:twin.width]).all():
+        raise NumericError("Cholesky factorization produced non-finite values")
+    return twin
+
+
 def _itl_scores(blocks: _Blocks, stabilize: bool) -> np.ndarray:
-    """I(f_A; y_x | D) at every candidate x: 1/2 log(Var(y_x) / Var(y_x | f_A)), with
-    Var(y_x | f_A) = Var(y_x) - |L^{-1} cov[A, x]|^2 for one Cholesky L of the target block."""
-    cov_a = blocks.cov_a()
-    block, cross = cov_a[:, :blocks.na], cov_a[:, blocks.na:]
-    if stabilize:
-        block = block + np.diag(blocks.noise_a)
-    quad = np.sum(whiten(block, cross) ** 2, axis=0)
+    """I(f_A; y_x | D) at every candidate x: 1/2 log(Var(y_x | D) / Var(y_x | D, f_A)),
+    the second read from the twin, built on first use at noise j on the targets,
+    or rho^2_a + j when ``stabilize`` puts y_A in place of f_A."""
     noise = blocks.noise_c
     denom = blocks.var()[blocks.na:] + noise
-    resid = np.maximum(denom - quad, 1e-300)
+    if blocks.twin is None:
+        noise_a = blocks.state.noise.vector(blocks.targets) if stabilize else np.zeros(blocks.na)
+        blocks.twin = _twin(blocks, noise_a)
+    resid = blocks.twin.var()[blocks.na:] + noise
     if not stabilize:
         # in-target candidates have exact residual rho^2 (y_x independent of
-        # f_{A \ x} given f_x); bypass the whitening round-off for them
-        inside = (blocks.rows[blocks.na:, None] == blocks.rows[:blocks.na]).any(axis=1)
-        resid = np.where(inside, noise, resid)
+        # f_{A \ x} given f_x); bypass the jitter's residue for them
+        resid = np.where(blocks.inside, noise, resid)
     return np.maximum(0.5 * np.log(denom / resid), 0.0)
 
 

@@ -32,7 +32,8 @@ information gain of a multiset is monotone submodular (Nemhauser, Wolsey &
 Fisher 1978), so gamma_k / k never rises with k, and a greedy value above the
 threshold at the largest exact budget puts every smaller budget above it too.
 
-Every greedy pick here comes from ``posterior.greedy`` on one factor block.
+Every greedy pick here comes from ``posterior.greedy`` on one factor block,
+and eta_S^2 at every target from one set of noise-free downdates at S.
 The ITL rollout takes rounds + 1 steps of it with repeats allowed and keeps
 the picks, Gamma_n and target variances, which is all the checkers read.
 Kappa's greedy batch is the same rule without repeats; Markov boundaries pick
@@ -50,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError, InputError
-from .kernels import KernelMatrix
+from .kernels import KernelMatrix, NoiseModel
 from .posterior import (
     Observation,
     PosteriorState,
@@ -64,8 +65,8 @@ from .posterior import (
     condition,  # noqa: F401  (public name here; tracing tools wrap it)
     condition_all,
     greedy,
+    _twin,
     information_capacity,
-    whiten,
 )
 
 _TOL = 1e-9
@@ -173,17 +174,13 @@ def greedy_itl_trajectory(prior: PosteriorState, targets: Sequence[int],
 
 
 def irreducible_uncertainty(prior_gram: KernelMatrix, sample_space: Sequence[int],
-                            x: int) -> float:
-    """Var[f_x | f_S]: the noiseless conditional variance given all of S."""
-    space = [int(s) for s in sample_space]
-    if int(x) in space:
-        return 0.0
-    ps = prior_gram.positions(space)
-    px = prior_gram.position(int(x))
-    block = prior_gram.values[np.ix_(ps, ps)]
-    cross = prior_gram.values[ps, px]
-    eta2 = float(prior_gram.values[px, px]) - float(np.sum(whiten(block, cross) ** 2))
-    return max(eta2, 0.0)
+                            points: Sequence[int]) -> np.ndarray:
+    """Var[f_x | f_S] at every x of ``points`` (0 on S): noise-free downdates at S,
+    at the jitter of K_SS, whose rows are its jittered Cholesky factor."""
+    prior = PosteriorState.from_prior(prior_gram, NoiseModel.homoscedastic(1.0))  # noise unread
+    blocks = _Blocks(prior, sample_space, points)
+    eta2 = _twin(blocks, np.zeros(blocks.na)).var()[blocks.na:]
+    return np.where(blocks.inside, 0.0, eta2)
 
 
 def check_gamma_bound(trajectory: Trajectory) -> BoundCheck:
@@ -331,7 +328,7 @@ def markov_boundary(state: PosteriorState, sample_space: Sequence[int], x: int,
     space = tuple(sorted(int(s) for s in sample_space))
     x = int(x)
     size_bound, exact = markov_size_bound(state, space, epsilon)
-    eta2 = irreducible_uncertainty(state.gram, space, x)
+    eta2 = float(irreducible_uncertainty(state.gram, space, [x])[0])
 
     prior = PosteriorState.from_prior(state.gram, state.noise)  # shares the Gram
     picks = greedy(_Blocks(prior, (), space), _undirected_scores, multiset=True)
@@ -370,8 +367,7 @@ def check_variance_bound(trajectory: Trajectory, epsilon: float,
     prior, constants = trajectory.prior, trajectory.constants
     b_eps, exact = size_bound or markov_size_bound(prior, trajectory.sample_space, epsilon,
                                                    constants=constants)
-    eta = np.array([irreducible_uncertainty(prior.gram, trajectory.sample_space, x)
-                    for x in trajectory.targets])
+    eta = irreducible_uncertainty(prior.gram, trajectory.sample_space, trajectory.targets)
     rows = []
     ok_all = True
     for n, (gamma_step, var) in enumerate(zip(trajectory.gains, trajectory.variances)):

@@ -12,7 +12,7 @@ from scipy.spatial.distance import cdist
 from transduct import (BudgetError, KernelMatrix, NoiseModel, Observation, Policy,
                        PosteriorState, batch_information_gain, condition, information_gain,
                        select_batch)
-from transduct.kernels import _matern_of_distance, _require, jittered
+from transduct.kernels import JITTER_SCALE, _matern_of_distance, _require
 from transduct.posterior import _Blocks, _itl_scores, bace_update, chol_logdet
 from transduct.selection import (_DEGENERATE_VAR, CTL, ITL, MAX_DIST, UNCERTAINTY,
                                  UNDIRECTED_ITL, _ctl_scores, _min_sq_distances,
@@ -282,14 +282,17 @@ def cdist_gram_reference(spec, points):
 
 
 def itl_scores_reference(blocks, stabilize):
-    """Backward ITL scores with Var(y_x | f_A) from a general LU solve against
-    the jittered target block, one right-hand side per candidate: the form
-    ``_itl_scores`` had before it whitened with one Cholesky factor."""
+    """Backward ITL scores with Var(y_x | D, f_A) from a general LU solve
+    against the target block, one right-hand side per candidate. The block is
+    regularised as the objective regularises it: j I, for j = JITTER_SCALE
+    times the largest prior variance over A, plus diag(rho^2_A) when stabilized."""
     cov_a = blocks.cov_a()
     block, cross = cov_a[:, :blocks.na], cov_a[:, blocks.na:]
-    if stabilize:
-        block = block + np.diag(blocks.noise_a)
-    quad = np.sum(cross * np.linalg.solve(jittered(block), cross), axis=0)
+    pa = blocks.rows[:blocks.na]
+    jitter = JITTER_SCALE * max(float(np.max(blocks.state.gram.values[pa, pa])), 0.0)
+    noise_a = blocks.state.noise.vector(blocks.targets) if stabilize else np.zeros(blocks.na)
+    block = block + np.diag(jitter + noise_a)
+    quad = np.sum(cross * np.linalg.solve(block, cross), axis=0)
     denom = blocks.var()[blocks.na:] + blocks.noise_c
     resid = np.maximum(denom - quad, 1e-300)
     if not stabilize:

@@ -253,6 +253,9 @@ class TestConfigValidation:
         ("run", "domain.kernel", {"family": "laplace", "lengthscale": 1e300}, 0, ""),
         ("run", "domain.kernel", {"family": "matern", "lengthscale": 1e300, "nu": 2.5}, 0, ""),
         ("theory", "rounds", 10 ** 9, 4, "rounds"),  # refused before any allocation
+        # numpy refuses the 14.6 TiB and 7.28 TiB layouts before touching memory
+        ("run", "domain.layout.s_count", 10 ** 12, 4, "Unable to allocate 14.6 TiB"),
+        ("theory", "domain.layout.s_count", 10 ** 12, 4, "Unable to allocate 7.28 TiB"),
     ])
     def test_extreme_values_keep_the_exit_code_contract(self, tmp_path, capsys, command, path,
                                                         value, code, named):

@@ -259,6 +259,10 @@ def coincident_state(rng, n, hetero):
 class TestITLWhitening:
     @pytest.mark.parametrize("stabilize", [False, True])
     def test_matches_lu_solve_reference(self, rng, stabilize):
+        # compares the residual Var(y_x | D, f_A) = (sigma^2 + rho^2) e^{-2 score},
+        # not the score: 1/2 log(denom / resid) has relative condition number
+        # 1 / (2 score) in resid, so a near-zero score amplifies the last bits
+        # of two residuals that agree to round-off
         for trial in range(40):
             n = int(rng.integers(8, 30))
             if trial % 4 == 3:  # two coincident targets: a singular target block
@@ -277,8 +281,10 @@ class TestITLWhitening:
             blocks = posterior._Blocks(state, targets, candidates, 3)
             for step in range(3):
                 got = posterior._itl_scores(blocks, stabilize)
-                np.testing.assert_allclose(got, itl_scores_reference(blocks, stabilize),
-                                           rtol=1e-12, atol=0)
+                want = itl_scores_reference(blocks, stabilize)
+                denom = blocks.var()[blocks.na:] + blocks.noise_c
+                np.testing.assert_allclose(denom * np.exp(-2.0 * got),
+                                           denom * np.exp(-2.0 * want), rtol=1e-12, atol=0)
                 posterior.bace_update(blocks, step, float(blocks.noise_c[step]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -289,6 +295,14 @@ class TestITLWhitening:
         state = PosteriorState(state.gram, state.noise, cov, state.mean)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
             posterior._itl_scores(posterior._Blocks(state, [0, 1, 2], [3, 4, 5]), False)
+
+    def test_zero_target_block_is_numeric_error(self):
+        # no prior variance over A leaves the exact objective no regulariser: the
+        # twin's zero pivots are a NumericError, not a division warning
+        state = PosteriorState.from_prior(KernelMatrix(np.diag([1.0, 0.0, 0.0]), (0, 1, 2)),
+                                          NoiseModel.homoscedastic(0.1))
+        with pytest.raises(NumericError, match="non-finite"):
+            information_gain(state, (1, 2), 0)
 
 
 class TestInformationGain:

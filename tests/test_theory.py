@@ -4,6 +4,8 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transduct import (
     BudgetError,
@@ -11,17 +13,20 @@ from transduct import (
     KernelMatrix,
     NoiseModel,
     Observation,
+    Policy,
     PosteriorState,
     TheoryConstants,
     check_gamma_bound,
     check_variance_bound,
     check_within_S_bound,
     condition,
+    condition_all,
     greedy_itl_trajectory,
     information_capacity,
     irreducible_uncertainty,
     markov_boundary,
     markov_size_bound,
+    select_batch,
     submodularity_ratio,
     verify_markov_boundary,
 )
@@ -35,6 +40,7 @@ from conftest import (
     itl_trajectory_reference,
     markov_boundary_reference,
     random_corr_gram,
+    random_psd_gram,
     random_state,
     step_uncertainty,
     submodularity_ratio_reference,
@@ -51,21 +57,21 @@ def small_state(floor, n, rng, rho2=0.5):
 class TestIrreducibleUncertainty:
     def test_zero_inside_sample_space(self, rng):
         k = random_corr_gram(rng, 5)
-        assert irreducible_uncertainty(k, [0, 1, 2], 1) == 0.0
+        assert irreducible_uncertainty(k, [0, 1, 2], [1])[0] == 0.0
 
     def test_independent_point_keeps_prior_variance(self):
         k = KernelMatrix(np.diag([1.0, 2.0]), (0, 1))
-        np.testing.assert_allclose(irreducible_uncertainty(k, [0], 1), 2.0)
+        np.testing.assert_allclose(irreducible_uncertainty(k, [0], [1]), [2.0])
 
     def test_hand_computed(self):
         k = KernelMatrix(TWO_POINT, (0, 1))
-        np.testing.assert_allclose(irreducible_uncertainty(k, [0], 1), 0.75,
+        np.testing.assert_allclose(irreducible_uncertainty(k, [0], [1]), [0.75],
                                    atol=1e-9)
 
     def test_floor_under_posterior_variance(self, rng):
         state = random_state(rng, 8, unit_diag=True, noise_range=(0.2, 0.8))
         space = list(range(5))
-        floors = [irreducible_uncertainty(state.gram, space, x) for x in range(8)]
+        floors = [irreducible_uncertainty(state.gram, space, [x])[0] for x in range(8)]
         for _ in range(30):
             idx = int(rng.integers(0, 5))
             state = condition(state, Observation(idx, 0.0))
@@ -169,6 +175,64 @@ class TestRollout:
             greedy_itl_trajectory(prior, range(4), [], 3)
         with pytest.raises(InputError):
             greedy_itl_trajectory(prior, range(4), range(4), -1)
+
+
+def permuted_pair(seed):
+    """One random conditioned posterior over ids 0..n-1 built twice: once in id
+    order and once with the domain's points in a random order, the same ids
+    keeping the same Gram values, noise and observations. Also returns
+    disjoint targets and a sample space."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 16))
+    values = random_psd_gram(rng, n).values
+    noise = NoiseModel(per_index={i: float(v) for i, v in enumerate(rng.uniform(0.05, 1, n))})
+    observed = [Observation(int(i), float(rng.standard_normal()))
+                for i in rng.integers(0, n, size=int(rng.integers(0, 5)))]
+    order = rng.permutation(n)
+    states = [condition_all(PosteriorState.from_prior(KernelMatrix(values[np.ix_(p, p)], p),
+                                                      noise), observed)
+              for p in (np.arange(n), order)]
+    ids = [int(i) for i in rng.permutation(n)]
+    cut = int(rng.integers(2, n - 2))
+    return rng, states, ids[:cut], ids[cut:]
+
+
+class TestOneDowndatePrimitive:
+    def test_itl_and_floors_make_no_factorization(self, rng, monkeypatch):
+        # every variance they read comes from downdates of one factor and its twin
+        prior, targets, space = rollout_instance(rng, "disjoint", hetero=True)
+        constants = TheoryConstants.from_state(prior, space)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg was called")
+
+        for name in ("inv", "cholesky", "solve"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for stabilize in (False, True):
+            policy = Policy(rule="itl", batch_size=3, stabilize=stabilize)
+            assert len(select_batch(prior, targets, space, policy).indices) == 3
+        traj = greedy_itl_trajectory(prior, targets, space, 6, constants=constants)
+        assert traj.rounds == 6
+        floors = irreducible_uncertainty(prior.gram, space, targets + space[:1])
+        assert floors.shape == (len(targets) + 1,) and floors[-1] == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_point_order_leaves_itl_picks_unchanged(self, seed):
+        # a metamorphic relation: ids, not positions, name the points
+        rng, (base, shuffled), targets, space = permuted_pair(seed)
+        b = int(rng.integers(2, min(len(space), 4) + 1))
+        for stabilize in (False, True):
+            policy = Policy(rule="itl", batch_size=b, stabilize=stabilize)
+            want = select_batch(base, targets, space, policy)
+            got = select_batch(shuffled, targets, space, policy)
+            assert got.indices == want.indices
+            np.testing.assert_allclose(got.objectives, want.objectives, rtol=1e-12, atol=0)
+        rounds = int(rng.integers(1, 12))
+        want = greedy_itl_trajectory(base, targets, space, rounds)
+        got = greedy_itl_trajectory(shuffled, targets, space, rounds)
+        assert got.picks == want.picks
+        np.testing.assert_allclose(got.gains, want.gains, rtol=1e-12, atol=0)
 
 
 class TestGammaBound:
@@ -278,7 +342,7 @@ class TestMarkovBoundary:
             if trial % 4 >= 2:
                 state = condition(state, Observation(0, 0.7))
             space, x = tuple(range(n)), n
-            floor = irreducible_uncertainty(state.gram, space, x)
+            floor = float(irreducible_uncertainty(state.gram, space, [x])[0])
             epsilon = float(rng.uniform(0.3, 0.9)) * (float(state.cov[x, x]) - floor)
             boundary = markov_boundary(state, space, x, epsilon)
             members, achieved = markov_boundary_reference(state, space, x, floor, epsilon,
