@@ -145,8 +145,8 @@ _AGG_HEADER = ["policy", "round", "n_seeds"] + [
 
 def cmd_run(args) -> int:
     config = _load(args)
-    os.makedirs(os.path.join(args.out, "records"), exist_ok=True)
     results = _runs(config, args.jobs, args.timings)
+    os.makedirs(os.path.join(args.out, "records"), exist_ok=True)  # a failed run leaves none
     for (tag, seed), record in sorted(results.items()):
         persist_run(record, os.path.join(args.out, "records", f"{tag}_s{seed}.jsonl"))
     raw_rows, agg_rows = _aggregate(results, config)

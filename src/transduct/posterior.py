@@ -30,7 +30,10 @@ by exhaustive enumeration when its multisets number at most
 Exhaustive enumeration is a depth-first walk over observation counts: by the
 chain rule, k observations of a point are one noise-inflated downdate at
 noise rho^2 / k, so a node's covariance serves every multiset that extends it
-and the cost per multiset does not grow with the budget.
+and the cost per multiset does not grow with the budget. The walk is a branch
+and bound: the greedy multiset's gain is its first incumbent, and a
+grouped-Hadamard bound drops every subtree that cannot beat it, with a
+margin that keeps the value bit-identical to the full enumeration.
 """
 
 from __future__ import annotations
@@ -322,7 +325,8 @@ def batch_information_gain(state: PosteriorState, targets: Sequence[int],
     return max(0.5 * (before - chol_logdet(blocks.cov_a()[:, :blocks.na])), 0.0)
 
 
-def _best_grouped_gain(cov: np.ndarray, noise: np.ndarray, size: int) -> float:
+def _best_grouped_gain(cov: np.ndarray, noise: np.ndarray, size: int,
+                       floor: float = -math.inf) -> float:
     """Largest 1/2 log det(I + sqrt(N) K sqrt(N)), N = diag(counts / noise),
     over every multiset of exactly ``size`` candidate positions.
 
@@ -334,9 +338,18 @@ def _best_grouped_gain(cov: np.ndarray, noise: np.ndarray, size: int) -> float:
     (``_count_walk``), whose nodes are downdated covariances. The walk keeps
     about ``_BLOCK_ENTRIES`` entries alive: each of the at most min(|S|, size)
     levels on its path holds one block of its share of them.
+
+    ``floor`` is the gain of some multiset of at most ``size`` points, such as
+    the greedy one. The walk drops every child whose grouped-Hadamard bound
+    g + m/2 log(1 + r q / m) is below it (proof at ``_count_walk``) and
+    returns the same value as without it. Pruning may skip entries, so a
+    non-finite ``cov`` is refused before the walk.
     """
-    bound = _BLOCK_ENTRIES // max(min(len(noise), size), 1)
-    best = _count_walk(cov[None], noise, np.array([-1]), np.array([size]), np.zeros(1), bound)
+    if not np.isfinite(cov).all():
+        raise NumericError("capacity enumeration read a non-finite covariance")
+    entries = _BLOCK_ENTRIES // max(min(len(noise), size), 1)
+    best = _count_walk(cov[None], noise, np.array([-1]), np.array([size]), np.zeros(1),
+                       entries, floor)
     best = float(np.maximum(best, 0.0))
     if not math.isfinite(best):
         raise NumericError("capacity enumeration produced a non-finite gain")
@@ -344,8 +357,9 @@ def _best_grouped_gain(cov: np.ndarray, noise: np.ndarray, size: int) -> float:
 
 
 def _count_walk(block: np.ndarray, noise: np.ndarray, last: np.ndarray, left: np.ndarray,
-                gain: np.ndarray, bound: int) -> np.floating:
-    """Best gain below a block of walk nodes (NaN if any gain read is NaN).
+                gain: np.ndarray, entries: int, cut: float) -> np.floating:
+    """Best gain below a block of walk nodes (NaN if any gain read is NaN),
+    pruned at the incumbent ``cut``.
 
     ``block`` stacks the nodes' covariances over the trailing points whose
     noise is ``noise``. A node has observed points up to ``last`` (local
@@ -356,7 +370,25 @@ def _count_walk(block: np.ndarray, noise: np.ndarray, last: np.ndarray, left: np
     is a leaf, scored from its parent's variances; one with a single
     observation left is scored from its own variance vector. The others are
     downdated over the points after the first pick of their block, in blocks
-    of at most ``bound`` entries, and walked in turn.
+    of at most ``entries`` entries, and walked in turn.
+
+    Branch and bound: a child with gain g and r = left - k observations still
+    to place on the m' points after j gains at most
+
+        g + m/2 log(1 + r q / m),  m = min(r, m'),
+
+    where q is the largest sigma^2 / rho^2 over those points at the parent.
+    (1) By Hadamard's inequality on grouped counts, the r observations gain at
+    most sum_t 1/2 log(1 + r_t sigma_t^2 / rho_t^2) over their at most m
+    distinct points t, with sigma_t^2 the child's variances. (2) Conditioning
+    only lowers variances, so each sigma_t^2 / rho_t^2 <= q. (3) log(1 + x) is
+    concave, so an even spread of the r counts is the best case, and
+    m/2 log(1 + r q / m) grows with the number of points m. Before a
+    block of children is expanded, every child whose bound is below
+    cut - 1e-9 |cut| is dropped; ``cut`` rises to the best leaf or pair of
+    the nodes and to the value of each walked subtree. The margin keeps
+    rounding from pruning the argmax leaf, so the value is the unpruned one.
+    A NaN ``cut`` prunes nothing.
     """
     p = len(noise)
     points = np.arange(p)
@@ -365,49 +397,71 @@ def _count_walk(block: np.ndarray, noise: np.ndarray, last: np.ndarray, left: np
     open_ = points > last[:, None]
     # leaves: the whole remaining budget on one later point
     leaf = gain[:, None] + 0.5 * np.log1p(left[:, None] * ratio)
-    best = np.max(leaf, where=open_, initial=-np.inf)
+    best = np.where(open_, leaf, -np.inf).max()
+    if left[0] < 2:  # a root with one observation; every other node has two or more left
+        return best
     # left - 1 observations of point j, then one of the best later point j'
-    pre = np.flatnonzero(left >= 2)
-    if len(pre):
-        k = left[pre, None] - 1.0
-        rest = block[pre]  # row j becomes the variances after the downdate at j
-        rest /= np.sqrt(var[pre] + noise / k)[:, :, None]
-        np.square(rest, out=rest)
-        np.subtract(var[pre, None, :], rest, out=rest)
-        np.maximum(rest, 0.0, out=rest)
-        rest /= noise
-        extra = np.max(rest, axis=2, where=points[:, None] < points, initial=0.0)
-        del rest  # not held while the children are walked
-        pair = gain[pre, None] + 0.5 * np.log1p(k * ratio[pre]) + 0.5 * np.log1p(extra)
-        best = np.max(pair, where=open_[pre] & (points < p - 1), initial=best)
+    k = left[:, None] - 1.0
+    rest = block / np.sqrt(var + noise / k)[:, :, None]  # row j: variances after a downdate at j
+    np.square(rest, out=rest)
+    np.subtract(var[:, None, :], rest, out=rest)
+    np.maximum(rest, 0.0, out=rest)
+    rest /= noise
+    extra = np.where(points[:, None] < points, rest, 0.0).max(axis=2)
+    del rest  # not held while the children are walked
+    pair = gain[:, None] + 0.5 * np.log1p(k * ratio) + 0.5 * np.log1p(extra)
+    inner = open_ & (points < p - 1)
+    best = np.maximum(best, np.where(inner, pair, -np.inf).max())
     # children with two or more observations left, ordered by point: child t
     # is the k-th count of pair (pick, row), k = t - ends[pair] + reps[pair] + 1
-    pick, row = np.nonzero((open_ & (points < p - 1) & (left[:, None] >= 3)).T)
+    pick, row = np.nonzero((inner & (left[:, None] >= 3)).T)
+    if not len(pick):
+        return best
     reps = left[row] - 2
     ends = np.cumsum(reps)
-    total = int(np.sum(reps))
+    # the bound's q and m' for each pair: the largest ratio after the pick, and
+    # the number of points after it
+    top = np.maximum.accumulate(ratio[:, ::-1], axis=1)[:, ::-1]  # largest ratio from i on
+    q, after = top[row, pick + 1], p - 1 - pick
+    cut = max(cut, best)
     start = 0
-    while start < total:
+    while start < ends[-1]:
         base = pick[np.searchsorted(ends, start, side="right")] + 1
         # a node costs its covariance, its variance rows and its scalars
-        stop = min(start + max(1, bound // (p - base + 1) ** 2), total)
+        stop = min(start + max(1, entries // (p - base + 1) ** 2), ends[-1])
         t = np.arange(start, stop)
+        start = stop
         pair = np.searchsorted(ends, t, side="right")
         r, j, k = row[pair], pick[pair], t - ends[pair] + reps[pair] + 1
+        spare = left[r] - k
+        m = np.minimum(spare, after[pair])
+        g = gain[r] + 0.5 * np.log1p(k * ratio[r, j])
+        keep = ~(g + 0.5 * m * np.log1p(spare / m * q[pair]) < cut - 1e-9 * abs(cut))
+        if not keep.all():
+            r, j, k, spare, g = r[keep], j[keep], k[keep], spare[keep], g[keep]
+            if not len(r):
+                continue
+        base = j[0] + 1
         w = block[r, base:, j] / np.sqrt(var[r, j] + noise[j] / k)[:, None]
         child = block[r, base:, base:]
         child -= w[:, :, None] * w[:, None, :]
-        below = _count_walk(child, noise[base:], j - base, left[r] - k,
-                            gain[r] + 0.5 * np.log1p(k * ratio[r, j]), bound)
+        below = _count_walk(child, noise[base:], j - base, spare, g, entries, cut)
         best = np.maximum(best, below)
-        start = stop
+        cut = max(cut, below)
     return best
 
 
-def _capacity_greedy(state: PosteriorState, candidates: Sequence[int], budget: int) -> float:
-    steps = greedy(_Blocks(state, (), candidates), _undirected_scores, multiset=True)
+def _greedy_gains(state: PosteriorState, candidates: Sequence[int], budget: int) -> list[float]:
+    """Gains of the first ``budget`` greedy multiset picks by undirected ITL, up
+    to the first that gains nothing; the sum of the first n is the greedy
+    capacity of n observations."""
+    steps = greedy(_Blocks(state, (), candidates, budget), _undirected_scores, multiset=True)
     gains = (float(scores[best]) for best, scores in islice(steps, budget))
-    return sum(takewhile(lambda gain: gain > 0.0, gains), 0.0)
+    return list(takewhile(lambda gain: gain > 0.0, gains))
+
+
+def _capacity_greedy(state: PosteriorState, candidates: Sequence[int], budget: int) -> float:
+    return sum(_greedy_gains(state, candidates, budget), 0.0)
 
 
 def information_capacity(state: PosteriorState, candidates: Sequence[int],
@@ -417,9 +471,11 @@ def information_capacity(state: PosteriorState, candidates: Sequence[int],
 
     It is exact when the C(|S| + n - 1, n) multisets of exactly n = ``budget``
     candidates (no smaller multiset gains more) are at most
-    ``BRUTE_FORCE_CAP``: the walk of ``_best_grouped_gain`` enumerates them.
-    Otherwise it is the value of greedy maximization, a (1 - 1/e)
-    approximation by submodularity.
+    ``BRUTE_FORCE_CAP``: the walk of ``_best_grouped_gain`` enumerates them,
+    from budget 3 on pruned below the gain of the greedy multiset of
+    min(n, |S|) picks (more observations never lower the gain). Otherwise it
+    is the value of greedy maximization, a (1 - 1/e) approximation by
+    submodularity.
     """
     if budget < 0:
         raise InputError("budget must be nonnegative")
@@ -429,4 +485,7 @@ def information_capacity(state: PosteriorState, candidates: Sequence[int],
         return _capacity_greedy(state, candidates, budget), False
     pos = state.positions(candidates)
     cov = state.cov[np.ix_(pos, pos)]
-    return _best_grouped_gain(cov, state.noise.vector(candidates), budget), True
+    floor = -math.inf  # walks below budget 3 have no children to prune
+    if budget >= 3:  # each greedy step reads every earlier factor row, so stop at |S| picks
+        floor = _capacity_greedy(state, candidates, min(budget, len(candidates)))
+    return _best_grouped_gain(cov, state.noise.vector(candidates), budget, floor), True

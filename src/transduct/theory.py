@@ -18,7 +18,9 @@ otherwise it returns the greedy value, and the affected rows are demoted from
 failures to warnings, since greedy underestimates the capacity and could flag
 spurious violations. Exhaustive capacities, in the checkers and in the exact
 phase of the size condition, walk the observation counts of the multisets of
-size exactly n (``posterior._best_grouped_gain``).
+size exactly n (``posterior._best_grouped_gain``), pruned below the greedy
+multiset's gain; the exact phase reads that floor for every size from the
+prefix sums of the one greedy run behind its futility certificate.
 The one exception to the greedy fallback is the size condition behind b_eps,
 where an underestimate would be unsound; there a certified closed-form upper
 bound (grouped-Hadamard water filling, see ``capacity_upper_bound``) stands in.
@@ -45,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 from typing import Sequence
 
 import numpy as np
@@ -57,7 +59,7 @@ from .posterior import (
     PosteriorState,
     _best_grouped_gain,
     _Blocks,
-    _capacity_greedy,
+    _greedy_gains,
     _itl_scores,
     _undirected_scores,
     bace_update,
@@ -291,9 +293,13 @@ def markov_size_bound(state: PosteriorState, sample_space: Sequence[int], epsilo
         total += extra
         k_exact += 1
     prior = PosteriorState.from_prior(state.gram, state.noise)  # shares the Gram
-    futile = k_exact > 0 and _capacity_greedy(prior, space, k_exact) / k_exact > threshold + _TOL
+    # one greedy run: its total is the certificate, its prefix sums the walks' incumbents
+    gains = _greedy_gains(prior, space, k_exact)
+    futile = k_exact > 0 and sum(gains, 0.0) / k_exact > threshold + _TOL
+    floors = list(accumulate(gains, initial=0.0))
     for size in range(1, 0 if futile else k_exact + 1):
-        if _best_grouped_gain(prior_cov, noise, size) / size <= threshold:
+        floor = floors[min(size, len(floors) - 1)]
+        if _best_grouped_gain(prior_cov, noise, size, floor) / size <= threshold:
             return size, True
 
     def admissible(budget: int) -> bool:

@@ -264,6 +264,8 @@ class TestConfigValidation:
         assert main([command, "--config", config_path, "--out", str(tmp_path / "o")]) == code
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+        if code:  # a refused command leaves no output behind
+            assert not (tmp_path / "o").exists()
 
     def test_unknown_top_level_key_is_config_error(self, tmp_path, capsys):
         cfg = base_run_config(round=50)
@@ -401,6 +403,7 @@ class TestRunCommand:
             assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert "Cholesky factorization produced non-finite" in err and "Traceback" not in err
+        assert not (tmp_path / "o" / "records").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", base_run_config(policies=["nope"]))

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from transduct import (
@@ -24,6 +26,7 @@ from transduct import (
     information_gain,
 )
 from transduct import posterior
+from transduct.config import build_domain, parse_config
 from conftest import (
     batch_gain_reference,
     batch_posterior_oracle,
@@ -522,6 +525,98 @@ class TestStackedCapacityEnumeration:
                 posterior._best_grouped_gain(cov, state.noise.vector(state.ids), size)
 
 
+def grid8_prior():
+    """The prior of the benchmark's theory-grid8 instance: 8 sample points
+    2.0 apart, gaussian lengthscale 0.6, rho 0.5."""
+    config = parse_config({
+        "domain": {"source": "synthetic", "kernel": {"family": "gaussian", "lengthscale": 0.6},
+                   "layout": {"kind": "grid", "s_count": 8, "step": 2.0, "a_extra": 3,
+                              "include_s_in_a": True}},
+        "rounds": 8, "seeds": [0], "epsilon": 1.0, "hyper": {"rho": 0.5}})
+    domain = build_domain(config, 0)
+    pos = domain.prior.positions(domain.sample_ids)
+    return domain.prior, domain.sample_ids, domain.prior.cov[np.ix_(pos, pos)]
+
+
+def unpruned_walk(monkeypatch):
+    """``_best_grouped_gain`` with pruning off at every level: no bound is below
+    a NaN incumbent."""
+    walk = posterior._count_walk
+    monkeypatch.setattr(posterior, "_count_walk", lambda *args: walk(*args[:-1], math.nan))
+
+
+class TestCapacityBranchAndBound:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["diagonal", "linear", "gaussian"]),
+           hetero=st.booleans(), n=st.integers(1, 7), size=st.integers(1, 7))
+    # identity Grams whose greedy sum rounds above the walk's optimum
+    @example(seed=0, kind="diagonal", hetero=False, n=2, size=6)
+    @example(seed=6, kind="diagonal", hetero=False, n=3, size=4)
+    @example(seed=4, kind="diagonal", hetero=False, n=5, size=5)
+    def test_pruned_walk_is_bit_identical(self, seed, kind, hetero, n, size):
+        # a diagonal Gram with one noise level is where the greedy incumbent,
+        # the bound and the optimum coincide, so a prune without its margin
+        # drops the argmax leaf there
+        rng = np.random.default_rng(seed)
+        if kind == "diagonal":
+            values = np.diag(rng.uniform(0.5, 2.0, n)) if hetero else np.eye(n)
+        elif kind == "linear":
+            x = rng.standard_normal((n, int(rng.integers(1, 4))))
+            values = x @ x.T
+        else:
+            x = rng.uniform(0.0, 3.0, (n, 1))
+            values = np.exp(-0.5 * (x - x.T) ** 2 / rng.uniform(0.2, 2.0) ** 2)
+        ids = tuple(range(n))
+        noise = (NoiseModel(per_index=dict(zip(ids, rng.uniform(0.01, 1.0, n).tolist())))
+                 if hetero else NoiseModel.homoscedastic(float(rng.uniform(0.01, 1.0))))
+        state = PosteriorState.from_prior(KernelMatrix(values, ids), noise)
+        rho2 = noise.vector(ids)
+        floor = posterior._capacity_greedy(state, ids, size)
+        pruned = posterior._best_grouped_gain(state.cov, rho2, size, floor)
+        assert pruned == posterior._best_grouped_gain(state.cov, rho2, size)
+        with pytest.MonkeyPatch.context() as patch:
+            unpruned_walk(patch)
+            assert pruned == posterior._best_grouped_gain(state.cov, rho2, size, floor)
+        assert pruned == pytest.approx(best_grouped_gain_reference(state.cov, rho2, size),
+                                       rel=1e-12, abs=1e-15)
+
+    def test_grid8_walk_visits_few_nodes(self, monkeypatch):
+        # the theory-grid8 prior at budget 8: 1716 nodes in 12 calls unpruned;
+        # the greedy incumbent is optimal there and the bound prunes every
+        # child off the optimal path
+        prior, space, cov = grid8_prior()
+        walk, nodes = posterior._count_walk, []
+        monkeypatch.setattr(posterior, "_count_walk",
+                            lambda block, *args: nodes.append(len(block)) or walk(block, *args))
+        capacity, exact = information_capacity(prior, space, 8)
+        assert exact and sum(nodes) <= 50
+        unpruned_walk(monkeypatch)
+        assert capacity == information_capacity(prior, space, 8)[0]
+
+    def test_incumbent_stops_at_the_sample_space_size(self, rng):
+        # a greedy step reads every earlier factor row, so a greedy of n picks
+        # costs O(n^2 |S|): at |S| = 2 and n = 20,000 that is seconds against
+        # a walk of milliseconds
+        state = random_state(rng, 2, hetero=True)
+        start = time.perf_counter()
+        capacity, exact = information_capacity(state, [0, 1], 20_000)
+        assert time.perf_counter() - start < 0.5
+        assert exact
+        assert capacity == posterior._best_grouped_gain(state.cov, state.noise.vector([0, 1]),
+                                                        20_000)
+
+    def test_non_finite_entry_in_a_pruned_subtree_is_numeric_error(self):
+        # cov[7, 6] is read only by children that observe point 6 with two or
+        # more observations left; at budget 8 the bound prunes all of them
+        prior, space, cov = grid8_prior()
+        cov = cov.copy()
+        cov[7, 6] = np.nan
+        floor = posterior._capacity_greedy(prior, space, 8)
+        with pytest.raises(NumericError):
+            posterior._best_grouped_gain(cov, prior.noise.vector(space), 8, floor)
+
+
 class TestFactorBlockCapacity:
     @pytest.mark.parametrize("hetero", [False, True])
     def test_greedy_matches_dense_reference(self, rng, monkeypatch, hetero):
@@ -554,9 +649,9 @@ class TestFactorBlockCapacity:
         sizes = []
         enumerate_size = posterior._best_grouped_gain
 
-        def counted(cov, noise, size):
+        def counted(cov, noise, size, floor):
             sizes.append(size)
-            return enumerate_size(cov, noise, size)
+            return enumerate_size(cov, noise, size, floor)
 
         monkeypatch.setattr(posterior, "_best_grouped_gain", counted)
         state = random_state(rng, 5, hetero=True)

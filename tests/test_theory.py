@@ -448,7 +448,7 @@ class TestSizeBound:
         certified = outcomes()
         certified_walks = len(walks)
         # without the certificate the exact phase always scans
-        monkeypatch.setattr(theory, "_capacity_greedy", lambda *args: 0.0)
+        monkeypatch.setattr(theory, "_greedy_gains", lambda *args: [])
         walks.clear()
         assert outcomes() == certified
         assert certified_walks < len(walks)
