@@ -15,7 +15,10 @@ and candidates and leave the state alone: the batch gain downdates the target
 block at every point of the batch, and ``greedy`` is the pick stream of
 every rule that downdates (BaCE batches, the theory rollout, the kappa batch,
 greedy capacity and Markov boundaries): the argmax of ``_itl_scores`` or
-``_undirected_scores`` over the blocks, then the downdate at the pick.
+``_undirected_scores`` over the blocks, then the downdate at the pick. The
+same downdate also updates the running variances and cov[A, :] that the
+scorers read, so a rescore reads O(width) numbers and makes no pass over W;
+each downdate still forms W[:, x]^T W, so n picks cost O(n^2 width).
 
 On top of the state the module computes the exact information gain
 I(f_A; y_x | D) in its backward form (``_itl_scores``, from the variances of
@@ -158,11 +161,14 @@ def condition_all(state: PosteriorState, observations: Iterable[Observation]) ->
 class _Blocks:
     """The pieces of the conditional covariance that the scorers read.
 
-    Columns are the targets A followed by the candidates C. Each piece is
-    gathered from ``state.cov`` once, when first read. Each downdate appends a
-    row to a factor W over these columns, so every block is the state's block
-    minus the matching product of W columns, e.g.
-    cov[A, C] = state.cov[A, C] - W_A^T W_C. ITL scoring adds a ``_twin``.
+    Columns are the targets A followed by the candidates C. Each downdate
+    appends a row w to a factor W over these columns, so every block is the
+    state's block minus the matching product of W columns, e.g.
+    cov[A, C] = state.cov[A, C] - W_A^T W_C. The scorers read two running
+    pieces, the unclamped variances over A and C and cov[A, A and C]. Each is
+    formed on first read, from the state's block minus the rows so far, and
+    from then on each downdate subtracts w^2 and w_A w^T from it, so a read
+    makes no pass over W. ITL scoring adds a ``_twin``.
     """
 
     def __init__(self, state: PosteriorState, targets: Sequence[int],
@@ -174,6 +180,8 @@ class _Blocks:
         self.width = 0  # factor rows in use, out of len(w)
         self.w = np.empty((capacity, self.na + len(candidates)))
         self.twin: _Blocks | None = None
+        self._var: np.ndarray | None = None  # the running pieces, unformed
+        self._cov_a: np.ndarray | None = None
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -191,27 +199,29 @@ class _Blocks:
     def _k_a(self) -> np.ndarray:
         return self.state.cov[self.rows[:self.na, None], self.rows]
 
-    @cached_property
-    def _k_diag(self) -> np.ndarray:
-        return self.state.cov[self.rows, self.rows]
-
     def cov_a(self) -> np.ndarray:
-        """cov[A, A] in the first |A| columns, cov[A, C] after them."""
-        w = self.w[:self.width]
-        return self._k_a - w[:, :self.na].T @ w
+        """cov[A, A] in the first |A| columns, cov[A, C] after them; the running
+        piece itself, which the next downdate changes."""
+        if self._cov_a is None:
+            w = self.w[:self.width]
+            self._cov_a = self._k_a - w[:, :self.na].T @ w
+        return self._cov_a
 
     def var(self) -> np.ndarray:
         """Variances at A then C, clamped at zero."""
-        w = self.w[:self.width]
-        return np.maximum(self._k_diag - np.einsum("ij,ij->j", w, w), 0.0)
+        if self._var is None:
+            w = self.w[:self.width]
+            self._var = self.state.cov[self.rows, self.rows] - np.einsum("ij,ij->j", w, w)
+        return np.maximum(self._var, 0.0)
 
     def column(self, i: int) -> np.ndarray:
-        """Column ``i``, read as a row: the state is symmetric."""
+        """Column ``i`` of the state, read as a row: the state is symmetric."""
         return self.state.cov[self.rows[i]][self.rows]
 
 
 class _Domain(_Blocks):
-    """The whole domain in position order: no id lookups, rows read in place."""
+    """The whole domain in position order: no id lookups, rows read in place.
+    Conditioning never reads the running pieces, so they are never formed."""
 
     def column(self, i: int) -> np.ndarray:
         return self.state.cov[i]
@@ -221,24 +231,33 @@ def bace_update(blocks: _Blocks, pick: int, rho2: float) -> float:
     """Noise-inflated rank-one downdate at the candidate in position ``pick``.
 
     Appends the factor row of an observation there with noise variance
-    ``rho2`` to ``blocks`` and to its twin, and returns its scale s;
-    conditioning on a value y also moves the mean by w (y - mu) / s.
+    ``rho2`` to ``blocks`` and to its twin, both from one read of the state's
+    column, and returns the blocks' scale s; conditioning on a value y also
+    moves the mean by w (y - mu) / s.
     """
+    i = blocks.na + pick
+    column = blocks.column(i)
     if blocks.twin is not None:
-        _downdate(blocks.twin, blocks.na + pick, rho2)
-    return _downdate(blocks, blocks.na + pick, rho2)
+        _downdate(blocks.twin, i, rho2, column)
+    return _downdate(blocks, i, rho2, column)
 
 
-def _downdate(blocks: _Blocks, i: int, rho2: float) -> float:
-    """``bace_update``'s row at column ``i`` of ``blocks`` alone; a full factor doubles."""
+def _downdate(blocks: _Blocks, i: int, rho2: float, column: np.ndarray) -> float:
+    """``bace_update``'s row at column ``i`` of ``blocks`` alone, from the
+    state's ``column`` there; it updates the running pieces already formed,
+    and a full factor doubles."""
     k = blocks.width
     if k == len(blocks.w):
         blocks.w = np.concatenate((blocks.w, np.empty((max(k, 1), blocks.w.shape[1]))))
-    w = blocks.w[:k]
-    col = blocks.column(i) - w[:, i] @ w
-    scale = math.sqrt(max(float(col[i]), 0.0) + rho2)
-    blocks.w[k] = col / scale
+    w, row = blocks.w[:k], blocks.w[k]
+    np.subtract(column, w[:, i] @ w, out=row)
+    scale = math.sqrt(max(float(row[i]), 0.0) + rho2)
+    row /= scale
     blocks.width = k + 1
+    if blocks._var is not None:
+        blocks._var -= row * row
+    if blocks._cov_a is not None:
+        blocks._cov_a -= row[:blocks.na, None] * row
     return scale
 
 
@@ -246,14 +265,15 @@ def _twin(blocks: _Blocks, noise: np.ndarray) -> _Blocks:
     """A copy of ``blocks`` also downdated at every target a, at ``noise[a]`` plus
     j = ``JITTER_SCALE`` times the largest prior variance over A, which conditioning
     does not change; its rows at the targets are the Cholesky factor of
-    cov[A, A] + diag(noise) + j I."""
+    cov[A, A] + diag(noise) + j I. It forms running pieces of its own."""
     pa = blocks.rows[:blocks.na]
     jitter = JITTER_SCALE * np.max(blocks.state.gram.values[pa, pa], initial=0.0)
     twin = copy(blocks)  # shares the state, the rows and the gathered pieces
+    twin._var = twin._cov_a = None
     twin.w = np.concatenate((blocks.w, np.empty((blocks.na, blocks.w.shape[1]))))
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot is caught below
         for a, rho2 in enumerate(noise):
-            _downdate(twin, a, float(rho2 + jitter))
+            _downdate(twin, a, float(rho2 + jitter), twin.column(a))
     if not np.isfinite(twin.w[blocks.width:twin.width]).all():
         raise NumericError("Cholesky factorization produced non-finite values")
     return twin
@@ -286,7 +306,8 @@ def greedy(blocks: _Blocks, score: Callable[[_Blocks], np.ndarray], *,
     """Greedy picks over the candidates of ``blocks``.
 
     Yields (position, scores) at the argmax of ``score(blocks)``, lowest
-    position on ties, with earlier picks at -inf unless ``multiset``. The
+    position on ties, with earlier picks at -inf unless ``multiset``; every
+    ``score`` returns a fresh array, which the picks mask in place. The
     noise-inflated downdate at a pick runs only when the generator is resumed,
     so ``islice(greedy(...), b)`` never pays for the b-th one.
     """
@@ -294,7 +315,7 @@ def greedy(blocks: _Blocks, score: Callable[[_Blocks], np.ndarray], *,
     while True:
         scores = score(blocks)
         if not multiset:
-            scores = np.where(taken, -np.inf, scores)
+            scores[taken] = -np.inf
         best = int(np.argmax(scores))
         yield best, scores
         taken[best] = True

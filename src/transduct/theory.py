@@ -238,15 +238,12 @@ def capacity_upper_bound(variances: np.ndarray, noise: np.ndarray, budget: float
     if rates.size == 0 or budget <= 0:
         return 0.0
     inv = 1.0 / rates
-    best = 0.0
-    prefix = 0.0
-    for active in range(1, rates.size + 1):
-        prefix += inv[active - 1]
-        level = (budget + prefix) / active
-        if level < inv[active - 1]:
-            break
-        best = 0.5 * float(np.sum(np.log(level * rates[:active])))
-    return best
+    # the water level with the first k points active, for every k; the
+    # optimum keeps the points before the first level below its 1/rate
+    levels = (budget + np.cumsum(inv)) / np.arange(1, rates.size + 1)
+    below = np.flatnonzero(levels < inv)
+    active = below[0] if below.size else rates.size
+    return 0.5 * float(np.sum(np.log(levels[active - 1] * rates[:active])))
 
 
 def markov_size_bound(state: PosteriorState, sample_space: Sequence[int], epsilon: float, *,

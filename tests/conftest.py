@@ -131,6 +131,25 @@ def capacity_greedy_reference(state, candidates, budget):
     return total
 
 
+def capacity_upper_bound_reference(variances, noise, budget):
+    """Water-filling bound by a loop over the active count: the form
+    ``capacity_upper_bound`` had before it read every level from one cumsum."""
+    rates = np.sort(np.maximum(variances, 0.0) / noise)[::-1]
+    rates = rates[rates > 0]
+    if rates.size == 0 or budget <= 0:
+        return 0.0
+    inv = 1.0 / rates
+    best = 0.0
+    prefix = 0.0
+    for active in range(1, rates.size + 1):
+        prefix += inv[active - 1]
+        level = (budget + prefix) / active
+        if level < inv[active - 1]:
+            break
+        best = 0.5 * float(np.sum(np.log(level * rates[:active])))
+    return best
+
+
 def capacity_multiset_reference(state, candidates, budget):
     """Exhaustive multiset capacity, one Cholesky log-determinant of
     K_XX + P_X per multiset X, a repeated point as repeated rows."""
@@ -281,19 +300,30 @@ def cdist_gram_reference(spec, points):
     return _matern_of_distance(cdist(x, x, "euclidean"), spec.lengthscale, spec.nu)
 
 
+def blocks_reference(blocks):
+    """The clamped variances at A then C and cov[A, A then C] of a factor block,
+    recomputed from the state's covariance minus every factor row: the
+    reference for the running pieces that ``var`` and ``cov_a`` read."""
+    w = blocks.w[:blocks.width]
+    rows, na = blocks.rows, blocks.na
+    cov = blocks.state.cov
+    var = np.maximum(cov[rows, rows] - np.sum(w * w, axis=0), 0.0)
+    return var, cov[np.ix_(rows[:na], rows)] - w[:, :na].T @ w
+
+
 def itl_scores_reference(blocks, stabilize):
     """Backward ITL scores with Var(y_x | D, f_A) from a general LU solve
     against the target block, one right-hand side per candidate. The block is
     regularised as the objective regularises it: j I, for j = JITTER_SCALE
     times the largest prior variance over A, plus diag(rho^2_A) when stabilized."""
-    cov_a = blocks.cov_a()
+    var, cov_a = blocks_reference(blocks)
     block, cross = cov_a[:, :blocks.na], cov_a[:, blocks.na:]
     pa = blocks.rows[:blocks.na]
     jitter = JITTER_SCALE * max(float(np.max(blocks.state.gram.values[pa, pa])), 0.0)
     noise_a = blocks.state.noise.vector(blocks.targets) if stabilize else np.zeros(blocks.na)
     block = block + np.diag(jitter + noise_a)
     quad = np.sum(cross * np.linalg.solve(block, cross), axis=0)
-    denom = blocks.var()[blocks.na:] + blocks.noise_c
+    denom = var[blocks.na:] + blocks.noise_c
     resid = np.maximum(denom - quad, 1e-300)
     if not stabilize:
         inside = np.isin(np.asarray(blocks.candidates), np.asarray(blocks.targets))
@@ -304,9 +334,9 @@ def itl_scores_reference(blocks, stabilize):
 def ctl_scores_reference(blocks):
     """CTL scores from the dense |C| x |A| correlation matrix, its degenerate
     rows and columns zeroed, summed over the targets."""
-    var = blocks.var()
+    var, cov_a = blocks_reference(blocks)
     var_a, var_c = var[:blocks.na], var[blocks.na:]
-    cross = blocks.cov_a()[:, blocks.na:].T
+    cross = cov_a[:, blocks.na:].T
     denom = np.sqrt(np.maximum(var_c, _DEGENERATE_VAR)[:, None]
                     * np.maximum(var_a, _DEGENERATE_VAR)[None, :])
     corr = cross / denom

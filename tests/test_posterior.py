@@ -2,6 +2,7 @@ import math
 import time
 import tracemalloc
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from transduct import (
     NumericError,
     Observation,
     Point,
+    Policy,
     PosteriorState,
     batch_information_gain,
     condition,
@@ -24,9 +26,11 @@ from transduct import (
     gram,
     information_capacity,
     information_gain,
+    select_batch,
 )
 from transduct import posterior
 from transduct.config import build_domain, parse_config
+from transduct.kernels import JITTER_SCALE
 from conftest import (
     batch_gain_reference,
     batch_posterior_oracle,
@@ -677,14 +681,80 @@ class TestFactorBlockCapacity:
                                        rel=1e-12)
 
     def test_blocks_grow_past_initial_capacity(self, rng):
+        # the running pieces of the blocks and of the ITL twin match the dense
+        # oracle after every pick, across the factor's growth
         prior = random_state(rng, 12, hetero=True)
         targets, cands = (9, 10, 11), list(range(9))
-        blocks = posterior._Blocks(prior, targets, cands, 1)
-        picks = [3, 0, 3, 7, 5, 1]
-        for pick in picks:
-            posterior.bace_update(blocks, pick, prior.noise.variance_at(cands[pick]))
-        assert blocks.width == len(picks) and len(blocks.w) >= len(picks)
-        observations = [Observation(cands[p], 0.0) for p in picks]
-        _, cov = batch_posterior_oracle(prior, observations)
         rows = prior.positions(targets + tuple(cands))
-        np.testing.assert_allclose(blocks.var(), np.diag(cov)[rows], rtol=1e-12, atol=1e-12)
+        pa = rows[:len(targets)]
+        jitter = JITTER_SCALE * float(np.max(prior.gram.values[pa, pa]))
+        picks = [3, 0, 3, 7, 5, 1]
+        for stabilize in (False, True):
+            blocks = posterior._Blocks(prior, targets, cands, 1)
+            posterior._itl_scores(blocks, stabilize)  # forms the variances, then the twin
+            # the twin observes every target at the noise of its row there
+            table = {i: prior.noise.variance_at(i) for i in prior.ids}
+            table.update((t, table[t] * stabilize + jitter) for t in targets)
+            at_targets = [Observation(t, 0.0) for t in targets]
+            for step, pick in enumerate(picks, 1):
+                posterior.bace_update(blocks, pick, prior.noise.variance_at(cands[pick]))
+                observations = [Observation(cands[p], 0.0) for p in picks[:step]]
+                _, cov = batch_posterior_oracle(prior, observations)
+                np.testing.assert_allclose(blocks.var(), np.diag(cov)[rows],
+                                           rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(blocks.cov_a(), cov[np.ix_(pa, rows)],
+                                           rtol=1e-12, atol=1e-12)
+                _, cov = batch_posterior_oracle(
+                    replace(prior, noise=NoiseModel(per_index=table)), observations + at_targets)
+                np.testing.assert_allclose(blocks.twin.var(), np.maximum(np.diag(cov)[rows], 0.0),
+                                           rtol=1e-12, atol=1e-12)
+            assert blocks.width == len(picks) and len(blocks.w) >= len(picks)
+
+
+class TestRunningPieces:
+    def test_conditioning_forms_no_running_pieces(self, rng, monkeypatch):
+        made = []
+
+        class Spy(posterior._Domain):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(posterior, "_Domain", Spy)
+        state = random_state(rng, 10, hetero=True)
+        condition_all(state, [Observation(i, 0.1) for i in (2, 5, 2)])
+        assert len(made) == 1
+        assert made[0]._var is None and made[0]._cov_a is None
+
+    def test_itl_batch_reads_each_column_once(self, rng, monkeypatch):
+        # |A| columns for the twin's rows at the targets, then one per
+        # downdate, shared by the blocks and the twin
+        reads = []
+        column = posterior._Blocks.column
+
+        def counted(blocks, i):
+            reads.append(i)
+            return column(blocks, i)
+
+        monkeypatch.setattr(posterior._Blocks, "column", counted)
+        state = random_state(rng, 20, hetero=True)
+        targets, cands = (17, 18, 19), list(range(15))
+        for b in (1, 4, 7):
+            reads.clear()
+            select_batch(state, targets, cands, Policy(rule="itl", batch_size=b))
+            assert len(reads) == len(targets) + b - 1
+
+    def test_long_greedy_sums_to_its_multisets_gain(self, rng):
+        # 5000 running subtractions keep the greedy's sum of gains at the
+        # log-determinant of the multiset it picked
+        state = random_state(rng, 2, hetero=True)
+        budget = 5000
+        steps = posterior.greedy(posterior._Blocks(state, (), [0, 1], budget),
+                                 posterior._undirected_scores, multiset=True)
+        picks, gains = zip(*[(best, float(scores[best]))
+                             for best, scores in islice(steps, budget)])
+        counts = np.bincount(picks, minlength=2)
+        root = np.sqrt(counts / state.noise.vector([0, 1]))
+        _, logdet = np.linalg.slogdet(np.eye(2) + state.cov * np.outer(root, root))
+        assert math.fsum(gains) == pytest.approx(0.5 * logdet, rel=1e-11, abs=0.0)
+        assert posterior._capacity_greedy(state, [0, 1], budget) == sum(gains, 0.0)

@@ -36,6 +36,7 @@ from transduct.posterior import _Blocks, greedy
 from transduct.theory import capacity_upper_bound
 from conftest import (
     best_grouped_gain_reference,
+    capacity_upper_bound_reference,
     greedy_batch_reference,
     itl_trajectory_reference,
     markov_boundary_reference,
@@ -218,12 +219,15 @@ class TestOneDowndatePrimitive:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1))
-    def test_point_order_leaves_itl_picks_unchanged(self, seed):
+    def test_point_order_leaves_bace_picks_unchanged(self, seed):
         # a metamorphic relation: ids, not positions, name the points
         rng, (base, shuffled), targets, space = permuted_pair(seed)
         b = int(rng.integers(2, min(len(space), 4) + 1))
-        for stabilize in (False, True):
-            policy = Policy(rule="itl", batch_size=b, stabilize=stabilize)
+        policies = [Policy(rule="itl", batch_size=b, stabilize=stabilize)
+                    for stabilize in (False, True)]
+        policies += [Policy(rule=rule, batch_size=b)
+                     for rule in ("ctl", "uncertainty", "undirected-itl")]
+        for policy in policies:
             want = select_batch(base, targets, space, policy)
             got = select_batch(shuffled, targets, space, policy)
             assert got.indices == want.indices
@@ -366,6 +370,23 @@ class TestSizeBound:
                 assert is_exact
                 bound = capacity_upper_bound(variances, noise, budget)
                 assert bound >= exact - 1e-9
+
+    def test_capacity_upper_bound_matches_loop_reference(self, rng):
+        # zero and negative variances, budget 0, and budgets small enough that
+        # the level drops below 1/rate at the second point
+        breaks = set()
+        for trial in range(3000):
+            n = int(rng.integers(1, 12))
+            variances = rng.uniform(-0.2, 2.0, n) * (rng.random(n) < 0.8)
+            noise = rng.uniform(0.01, 1.0, n)
+            budget = (0, 1e-3, int(rng.integers(1, 50)), float(rng.uniform(0, 3)))[trial % 4]
+            got = capacity_upper_bound(variances, noise, budget)
+            assert got == capacity_upper_bound_reference(variances, noise, budget)
+            positive = variances > 0
+            inv = np.sort(noise[positive] / variances[positive])
+            # two points active puts the level below 1/rate of the second
+            breaks.add(budget > 0 and len(inv) > 1 and budget + inv[0] < inv[1])
+        assert breaks == {False, True}
 
     def test_capacity_is_exact_when_its_multisets_fit_the_cap(self, rng, monkeypatch):
         # the capacity the checkers read: budget 3 over |S| = 3 enumerates
