@@ -5,7 +5,8 @@ Subcommands: run, theory, markov, ablate. Common flags: --config, --out,
 --seeds, --preset, --jobs. ``run`` and ``ablate`` build each seed's domain
 once and run every parsed policy on it; ``--jobs N`` runs up to N seeds in
 parallel threads. Verbosity via the TRANSDUCT_LOG environment variable. Exit codes:
-0 success, 2 config error, 3 numeric error, 4 budget error.
+0 success, 2 config error (also an ``--out`` that is not a directory, or
+outputs that cannot be written), 3 numeric error, 4 budget error.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from numpy.random import SeedSequence
 
 from .config import PRESETS, RunConfig, build_domain, load_config, parse_config
-from .data import persist_run, save_table
+from .data import _atomic_write, persist_run, save_table
 from .errors import BudgetError, ConfigError, InputError, NumericError, TransductError
 from .selection import run_loop
 from .theory import (
@@ -192,8 +193,8 @@ def cmd_theory(args) -> int:
     save_table(os.path.join(args.out, "theory_diagnostics.tsv"),
                ["check", "status", "detail"], rows)
     detail = {c.name: list(c.rows) for c in checks}
-    with open(os.path.join(args.out, "theory_rows.json"), "w", encoding="utf-8") as fh:
-        json.dump(detail, fh, sort_keys=True, indent=1, default=float)
+    _atomic_write(os.path.join(args.out, "theory_rows.json"),
+                  json.dumps(detail, sort_keys=True, indent=1, default=float))
     for name, status, text in rows:
         print(f"{name}: {status} ({text})")
     return 0
@@ -219,8 +220,8 @@ def cmd_markov(args) -> int:
         "verified": bool(valid),
     }
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "markov.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1, allow_nan=False)
+    _atomic_write(os.path.join(args.out, "markov.json"),
+                  json.dumps(payload, sort_keys=True, indent=1, allow_nan=False))
     print(f"markov boundary of {args.x}: size {len(boundary.members)} "
           f"(bound {boundary.size_bound}), achieved {boundary.achieved_variance:.6g}")
     return 0
@@ -306,8 +307,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise ConfigError(f"--out {args.out} exists and is not a directory")
         return args.func(args)
-    except (TransductError, MemoryError) as exc:  # e.g. an oversized layout numpy refuses
+    # MemoryError: e.g. an oversized layout numpy refuses; OSError: outputs not written
+    except (TransductError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         budget = isinstance(exc, (BudgetError, MemoryError))
         return 4 if budget else 3 if isinstance(exc, NumericError) else 2

@@ -84,11 +84,8 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class DomainInstance:
-    """A realized domain: points, prior state, spaces, labels."""
+    """A realized domain: prior state, spaces, labels."""
 
-    points: tuple[Point, ...]
-    kernel: KernelSpec
-    noise: NoiseModel
     prior: PosteriorState
     sample_ids: tuple[int, ...]
     target_ids: tuple[int, ...]
@@ -99,11 +96,11 @@ class DomainInstance:
     @property
     def oracle(self) -> Callable[[int], float]:
         """A fresh label oracle: every run on this domain draws the same noise."""
-        return labeled_oracle(self.truth, self.noise, self.oracle_seed)
+        return labeled_oracle(self.truth, self.prior.noise, self.oracle_seed)
 
     @property
     def truth_map(self) -> dict[int, float]:
-        return {p.index: float(v) for p, v in zip(self.truth.points, self.truth.values)}
+        return {i: float(v) for i, v in zip(self.truth.ids, self.truth.values)}
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -395,10 +392,9 @@ def build_domain(config: RunConfig, seed: int) -> DomainInstance:
         if outside:
             raise ConfigError(f"field 'relevant' lists ids outside the sample space: {outside}")
     prior_gram = gram(kernel, points)
-    truth = sample_gp_truth(kernel, points, int(keys[1]), prior=prior_gram)
-    prior = PosteriorState.from_prior(prior_gram, noise)
-    return DomainInstance(points=tuple(points), kernel=kernel, noise=noise,
-                          prior=prior, sample_ids=tuple(sample_ids),
-                          target_ids=tuple(target_ids), relevant=tuple(relevant),
-                          truth=truth, oracle_seed=int(keys[2]))
+    return DomainInstance(prior=PosteriorState.from_prior(prior_gram, noise),
+                          sample_ids=tuple(sample_ids), target_ids=tuple(target_ids),
+                          relevant=tuple(relevant),
+                          truth=sample_gp_truth(prior_gram, int(keys[1])),
+                          oracle_seed=int(keys[2]))
 

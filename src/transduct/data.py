@@ -30,7 +30,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import DataError, InputError, NumericError, ParseError
-from .kernels import KernelMatrix, KernelSpec, NoiseModel, Point, jittered
+from .kernels import KernelMatrix, NoiseModel, Point, jittered
 from .kernels import gram  # noqa: F401  (public name here; tracing tools wrap it)
 
 RECORD_VERSION = "v1"
@@ -154,16 +154,14 @@ def save_embeddings_binary(points: Sequence[Point], path: str) -> None:
 
 @dataclass(frozen=True)
 class SyntheticTruth:
-    """A function sampled from the zero-mean prior over a fixed grid."""
+    """A function sampled from the zero-mean prior: its value at each id."""
 
-    kernel: KernelSpec
-    points: tuple[Point, ...]
+    ids: tuple[int, ...]
     values: np.ndarray
-    seed: int
 
 
 def _covariance_factor(matrix: np.ndarray) -> np.ndarray:
-    if matrix.size and float(np.max(np.diag(matrix))) == 0.0:
+    if float(np.max(np.diag(matrix))) == 0.0:
         return np.zeros_like(matrix)
     try:
         return np.linalg.cholesky(jittered(matrix))
@@ -174,24 +172,16 @@ def _covariance_factor(matrix: np.ndarray) -> np.ndarray:
         return eigvecs * np.sqrt(np.maximum(eigvals, 0.0))
 
 
-def sample_gp_truth(spec: KernelSpec, grid: Sequence[Point], seed: int, *,
-                    prior: KernelMatrix) -> SyntheticTruth:
-    """Draw f* ~ N(0, K) over the grid via a seeded Cholesky transform,
-    where ``prior`` is K = ``gram(spec, grid)``, built once by the caller."""
-    if not grid:
-        raise InputError("grid must be nonempty")
-    if prior.ids != tuple(p.index for p in grid):
-        raise InputError("the prior Gram's ids do not match the grid")
-    factor = _covariance_factor(prior.values)
-    draw = default_rng(seed).standard_normal(len(grid))
-    return SyntheticTruth(kernel=spec, points=tuple(grid),
-                          values=factor @ draw, seed=seed)
+def sample_gp_truth(prior: KernelMatrix, seed: int) -> SyntheticTruth:
+    """Draw f* ~ N(0, K) over the prior Gram K's ids via a seeded Cholesky transform."""
+    draw = default_rng(seed).standard_normal(prior.size)
+    return SyntheticTruth(ids=prior.ids, values=_covariance_factor(prior.values) @ draw)
 
 
 def labeled_oracle(truth: SyntheticTruth, noise: NoiseModel,
                    seed: int) -> Callable[[int], float]:
     """Label provider y = f*(x) + eps with fresh seeded noise per query."""
-    lookup = {p.index: float(v) for p, v in zip(truth.points, truth.values)}
+    lookup = {i: float(v) for i, v in zip(truth.ids, truth.values)}
     rng = default_rng(seed)
 
     def oracle(index: int) -> float:

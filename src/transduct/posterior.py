@@ -138,11 +138,11 @@ def condition_all(state: PosteriorState, observations: Iterable[Observation]) ->
     mean = state.mean.copy()
     for k, obs in enumerate(observations):
         j = state.position(obs.index)
-        scale = bace_update(blocks, j, state.noise.variance_at(obs.index))
+        scale = bace_update(blocks, j)
         mean += blocks.w[k] * ((obs.value - mean[j]) / scale)
     if not np.isfinite(mean).all():
         raise NumericError("conditioning produced non-finite values")
-    w = blocks.w
+    w = blocks.w[:blocks.width]
     wt = np.ascontiguousarray(w.T)  # GEMM, not SYRK (see above)
     cov = np.empty_like(state.cov)
     n = len(cov)
@@ -227,15 +227,16 @@ class _Domain(_Blocks):
         return self.state.cov[i]
 
 
-def bace_update(blocks: _Blocks, pick: int, rho2: float) -> float:
+def bace_update(blocks: _Blocks, pick: int) -> float:
     """Noise-inflated rank-one downdate at the candidate in position ``pick``.
 
-    Appends the factor row of an observation there with noise variance
-    ``rho2`` to ``blocks`` and to its twin, both from one read of the state's
-    column, and returns the blocks' scale s; conditioning on a value y also
-    moves the mean by w (y - mu) / s.
+    Appends the factor row of an observation there, at the noise variance
+    ``blocks.noise_c[pick]``, to ``blocks`` and to its twin, both from one read
+    of the state's column, and returns the blocks' scale s; conditioning on a
+    value y also moves the mean by w (y - mu) / s.
     """
     i = blocks.na + pick
+    rho2 = float(blocks.noise_c[pick])
     column = blocks.column(i)
     if blocks.twin is not None:
         _downdate(blocks.twin, i, rho2, column)
@@ -319,7 +320,7 @@ def greedy(blocks: _Blocks, score: Callable[[_Blocks], np.ndarray], *,
         best = int(np.argmax(scores))
         yield best, scores
         taken[best] = True
-        bace_update(blocks, best, float(blocks.noise_c[best]))
+        bace_update(blocks, best)
 
 
 def information_gain(state: PosteriorState, targets: Sequence[int], candidate: int) -> float:
@@ -341,8 +342,8 @@ def batch_information_gain(state: PosteriorState, targets: Sequence[int],
         return 0.0
     blocks = _Blocks(state, targets, batch, len(batch))
     before = chol_logdet(blocks._k_a[:, :blocks.na])
-    for pick, rho2 in enumerate(blocks.noise_c):
-        bace_update(blocks, pick, float(rho2))
+    for pick in range(len(batch)):
+        bace_update(blocks, pick)
     return max(0.5 * (before - chol_logdet(blocks.cov_a()[:, :blocks.na])), 0.0)
 
 
@@ -386,7 +387,7 @@ def _count_walk(block: np.ndarray, noise: np.ndarray, last: np.ndarray, left: np
     noise is ``noise``. A node has observed points up to ``last`` (local
     index, -1 for none), has ``left`` observations to spend on later points
     and has gained ``gain``. A child observes a later point j exactly k times:
-    one ``bace_update`` downdate at noise rho_j^2 / k, gaining
+    one noise-inflated rank-one downdate at noise rho_j^2 / k, gaining
     1/2 log(1 + k sigma^2(j) / rho_j^2). A child that spends all that is left
     is a leaf, scored from its parent's variances; one with a single
     observation left is scored from its own variance vector. The others are

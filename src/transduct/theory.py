@@ -342,7 +342,7 @@ def markov_boundary(state: PosteriorState, sample_space: Sequence[int], x: int,
             raise BudgetError(f"markov boundary exceeded the {SIZE_BOUND_CAP}-point cap")
         best, _ = next(picks)
         members.append(space[best])
-        bace_update(check, best, float(check.noise_c[best]))
+        bace_update(check, best)
     return MarkovBoundary(members=tuple(members), epsilon=epsilon,
                           achieved_variance=achieved, irreducible=eta2,
                           size_bound=size_bound, size_bound_exact=exact)
@@ -400,6 +400,8 @@ def submodularity_ratio(state: PosteriorState, targets: Sequence[int],
 
     Minimizes sum_x Delta(x | B) / Delta(X | B) over subsets B of the greedy
     batch and disjoint candidate sets X with |X| <= k, with 0/0 taken as 1.
+    A one-point X has the same float expression above and below, so its
+    ratio is exactly 1: the minimum starts there and enumerates |X| >= 2.
     """
     space = tuple(sorted(int(s) for s in sample_space))
     targets = tuple(int(t) for t in targets)
@@ -408,6 +410,8 @@ def submodularity_ratio(state: PosteriorState, targets: Sequence[int],
     combos = sum(math.comb(len(space), j) for j in range(1, k + 1)) * (2 ** k)
     if combos > 50_000:
         raise InputError("submodularity-ratio enumeration is limited to small instances")
+    if k == 1:
+        return 1.0
     steps = greedy(_Blocks(state, targets, space, k), _exact_itl)
     batch = tuple(space[best] for best, _ in islice(steps, min(k, len(space))))
 
@@ -419,12 +423,12 @@ def submodularity_ratio(state: PosteriorState, targets: Sequence[int],
             cache[key] = batch_information_gain(state, targets, key)
         return cache[key]
 
-    ratio = math.inf
+    ratio = 1.0
     for b_size in range(0, len(batch) + 1):
         for base in combinations(batch, b_size):
             base_value = value(base)
             rest = [s for s in space if s not in base]
-            for x_size in range(1, k + 1):
+            for x_size in range(2, k + 1):
                 for group in combinations(rest, x_size):
                     numerator = sum(value(base + (x,)) - base_value for x in group)
                     denominator = value(base + group) - base_value

@@ -425,7 +425,7 @@ def rescoring_bace_reference(state, targets, candidates, policy):
         objectives.append(float(scores[best]))
         mask[best] = True
         if policy.rule in _POSTERIOR_RULES and step < policy.batch_size - 1:
-            bace_update(blocks, best, state.noise.variance_at(cand[best]))
+            bace_update(blocks, best)
     return tuple(picks), tuple(objectives)
 
 

@@ -15,7 +15,7 @@ from transduct.cli import main
 from transduct.config import PRESETS, build_domain, load_config, parse_config
 from transduct.data import load_embeddings, load_run, load_table, save_embeddings_binary
 from transduct.errors import ConfigError
-from transduct.kernels import KernelSpec
+from transduct.kernels import KernelSpec, Point, gram
 from transduct.selection import RULES, Policy
 
 
@@ -611,9 +611,11 @@ class TestDomainBuilders:
         {"family": "laplace", "lengthscale": 0.4},
         {"family": "matern", "lengthscale": 0.4, "nu": 1.5}])
     def test_kernel_takes_its_family_fields(self, kernel):
-        cfg = base_run_config()
+        cfg = grid_theory_config()
         cfg["domain"]["kernel"] = kernel
-        assert build_domain(parse_config(cfg), seed=0).kernel == KernelSpec(**kernel)
+        points = [Point(i, coords=[2.0 * i]) for i in range(5)]  # the grid layout's
+        np.testing.assert_array_equal(build_domain(parse_config(cfg), seed=0).prior.gram.values,
+                                      gram(KernelSpec(**kernel), points).values)
 
     def test_embedding_kernel_takes_latent_cov(self, tmp_path):
         emb = tmp_path / "emb.txt"
@@ -622,7 +624,9 @@ class TestDomainBuilders:
         cfg = base_run_config(domain={"source": "embeddings", "path": str(emb), "s": [0, 1],
                                       "a": [2], "kernel": kernel})
         domain = build_domain(parse_config(cfg), seed=0)
-        np.testing.assert_array_equal(domain.kernel.latent_cov, kernel["latent_cov"])
+        spec = KernelSpec("embedding", latent_cov=np.array(kernel["latent_cov"]))
+        np.testing.assert_array_equal(domain.prior.gram.values,
+                                      gram(spec, load_embeddings(str(emb))).values)
         kernel["latent_cov"] = [[True, 0.0], [0.0, 4.0]]
         with pytest.raises(ConfigError, match="'domain.kernel.latent_cov'"):
             build_domain(parse_config(cfg), seed=0)
@@ -723,6 +727,71 @@ class TestDomainBuilders:
         monkeypatch.setenv("TRANSDUCT_LOG", "debug")
         cfg = write_config(tmp_path / "c.json", base_run_config(rounds=1, seeds=[0]))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def command_argv(tmp_path, command):
+    """A small valid invocation of ``command``, without ``--out``."""
+    payload = {"run": base_run_config(), "ablate": base_run_config(grid={"rho": [0.5]}),
+               "theory": grid_theory_config(), "markov": grid_theory_config()}[command]
+    argv = [command, "--config", write_config(tmp_path / "c.json", payload)]
+    return argv + (["--x", "3"] if command == "markov" else [])
+
+
+COMMANDS = ("run", "theory", "markov", "ablate")
+
+
+class TestOutputContract:
+    @pytest.fixture
+    def no_domain(self, monkeypatch):
+        def build(config, seed):
+            raise AssertionError("a domain was built")
+        monkeypatch.setattr(cli, "build_domain", build)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_naming_a_file_exits_2_before_any_domain(self, tmp_path, capsys, no_domain,
+                                                          command):
+        argv = command_argv(tmp_path, command)
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        before = sorted(os.listdir(tmp_path))
+        assert main(argv + ["--out", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith("error: --out")
+        assert taken.read_text() == "kept" and sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_2_before_any_domain(self, tmp_path, capsys, no_domain,
+                                                       command, jobs):
+        argv = command_argv(tmp_path, command) + ["--out", str(tmp_path / "o"), "--jobs", jobs]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: --jobs")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
+        (tmp_path / "file").write_text("")
+        argv = command_argv(tmp_path, command) + ["--out", str(tmp_path / "file" / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_json_outputs_are_written_atomically(self, tmp_path, monkeypatch):
+        written = []
+
+        def atomic_write(path, payload, _write=cli._atomic_write):
+            written.append(os.path.basename(path))
+            _write(path, payload)
+
+        monkeypatch.setattr(cli, "_atomic_write", atomic_write)
+        for command in ("theory", "markov"):
+            out = tmp_path / command
+            assert main(command_argv(tmp_path, command) + ["--out", str(out)]) == 0
+            assert sorted(p.name for p in out.iterdir()) == sorted(
+                ["theory_diagnostics.tsv", "theory_rows.json"] if command == "theory"
+                else ["markov.json"])
+        assert written == ["theory_rows.json", "markov.json"]
+        rows = (tmp_path / "theory" / "theory_rows.json").read_text()
+        assert rows == json.dumps(json.loads(rows), sort_keys=True, indent=1)
 
 
 def run_python(code):

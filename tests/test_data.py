@@ -124,7 +124,7 @@ class TestEmbeddingFiles:
 
 
 def draw_truth(spec, grid, seed):
-    return sample_gp_truth(spec, grid, seed, prior=gram(spec, grid))
+    return sample_gp_truth(gram(spec, grid), seed)
 
 
 class TestSyntheticTruth:
@@ -166,14 +166,16 @@ class TestSyntheticTruth:
         prior = gram(spec, grid)
         expected = (np.linalg.cholesky(jittered(prior.values))
                     @ np.random.default_rng(7).standard_normal(len(grid)))
-        truth = sample_gp_truth(spec, grid, 7, prior=prior)
+        truth = sample_gp_truth(prior, 7)
         assert truth.values.tobytes() == expected.tobytes()
 
-    def test_prior_gram_over_other_ids_is_refused(self, rng):
+    def test_truth_is_keyed_by_the_prior_ids(self, rng):
         spec = KernelSpec("gaussian", 0.5)
         grid = [Point(i, coords=rng.uniform(0, 1, 2)) for i in range(4)]
-        with pytest.raises(InputError):
-            sample_gp_truth(spec, grid, 0, prior=gram(spec, grid[::-1]))
+        truth = draw_truth(spec, grid[::-1], 3)
+        assert truth.ids == (3, 2, 1, 0)
+        oracle = labeled_oracle(truth, NoiseModel.homoscedastic(1e-12), seed=0)
+        np.testing.assert_allclose([oracle(i) for i in truth.ids], truth.values, atol=1e-5)
 
 
 class TestLabeledOracle:

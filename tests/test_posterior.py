@@ -292,7 +292,7 @@ class TestITLWhitening:
                 denom = blocks.var()[blocks.na:] + blocks.noise_c
                 np.testing.assert_allclose(denom * np.exp(-2.0 * got),
                                            denom * np.exp(-2.0 * want), rtol=1e-12, atol=0)
-                posterior.bace_update(blocks, step, float(blocks.noise_c[step]))
+                posterior.bace_update(blocks, step)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_target_block_is_numeric_error(self, rng, bad):
@@ -697,7 +697,7 @@ class TestFactorBlockCapacity:
             table.update((t, table[t] * stabilize + jitter) for t in targets)
             at_targets = [Observation(t, 0.0) for t in targets]
             for step, pick in enumerate(picks, 1):
-                posterior.bace_update(blocks, pick, prior.noise.variance_at(cands[pick]))
+                posterior.bace_update(blocks, pick)
                 observations = [Observation(cands[p], 0.0) for p in picks[:step]]
                 _, cov = batch_posterior_oracle(prior, observations)
                 np.testing.assert_allclose(blocks.var(), np.diag(cov)[rows],
@@ -725,6 +725,21 @@ class TestRunningPieces:
         condition_all(state, [Observation(i, 0.1) for i in (2, 5, 2)])
         assert len(made) == 1
         assert made[0]._var is None and made[0]._cov_a is None
+
+    def test_conditioning_folds_only_the_rows_it_wrote(self, rng, monkeypatch):
+        # a factor with spare rows, filled with NaN, must leave the result alone
+        class Spare(posterior._Domain):
+            def __init__(self, state, targets, candidates, capacity):
+                super().__init__(state, targets, candidates, capacity + 3)
+                self.w.fill(np.nan)
+
+        state = random_state(rng, 10, hetero=True)
+        observations = [Observation(i, 0.1 * i) for i in (2, 5, 2)]
+        want = condition_all(state, observations)
+        monkeypatch.setattr(posterior, "_Domain", Spare)
+        got = condition_all(state, observations)
+        assert got.cov.tobytes() == want.cov.tobytes()
+        assert got.mean.tobytes() == want.mean.tobytes()
 
     def test_itl_batch_reads_each_column_once(self, rng, monkeypatch):
         # |A| columns for the twin's rows at the targets, then one per

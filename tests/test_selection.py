@@ -105,7 +105,7 @@ class TestScoreCTL:
                 np.testing.assert_allclose(selection._ctl_scores(blocks),
                                            ctl_scores_reference(blocks), rtol=1e-12,
                                            atol=1e-12)
-                selection.bace_update(blocks, step, float(blocks.noise_c[step]))
+                selection.bace_update(blocks, step)
 
     def test_negative_correlations_compete_unclamped(self):
         values = np.array([[1.0, -0.6, -0.5],
@@ -303,9 +303,9 @@ class TestScoreOncePerBatch:
         downdates = []
         update = posterior.bace_update
 
-        def counted(blocks, pick, rho2):
+        def counted(blocks, pick):
             downdates.append(pick)
-            return update(blocks, pick, rho2)
+            return update(blocks, pick)
 
         monkeypatch.setattr(posterior, "bace_update", counted)
         select_batch(random_state(rng, 9), [8], range(8), Policy(rule="itl", batch_size=3))

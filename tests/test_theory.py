@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -32,7 +33,8 @@ from transduct import (
 )
 from transduct import posterior, theory
 from transduct.kernels import KernelSpec, Point, gram
-from transduct.posterior import _Blocks, greedy
+from transduct.posterior import _Blocks, _itl_scores, _undirected_scores, bace_update, greedy
+from transduct.selection import _ctl_scores
 from transduct.theory import capacity_upper_bound
 from conftest import (
     best_grouped_gain_reference,
@@ -237,6 +239,99 @@ class TestOneDowndatePrimitive:
         got = greedy_itl_trajectory(shuffled, targets, space, rounds)
         assert got.picks == want.picks
         np.testing.assert_allclose(got.gains, want.gains, rtol=1e-12, atol=0)
+
+
+def scaled_prior(values, rho2, scale):
+    """The prior over ids 0..n-1 with Gram ``scale * values`` and noise ``scale * rho2``."""
+    return PosteriorState.from_prior(
+        KernelMatrix(scale * values, tuple(range(len(values)))),
+        NoiseModel(per_index={i: scale * float(v) for i, v in enumerate(rho2)}))
+
+
+def scaled_pair(seed, c):
+    """One random conditioned posterior built twice: as drawn, and with its
+    prior Gram and every noise variance multiplied by ``c`` (the observed
+    values by sqrt(c), which no variance reads). Also returns targets and a
+    sample space that share up to two ids."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 16))
+    values = random_psd_gram(rng, n).values
+    rho2 = rng.uniform(0.05, 1, n)
+    observed = [(int(i), float(rng.standard_normal()))
+                for i in rng.integers(0, n, size=int(rng.integers(0, 5)))]
+    states = [condition_all(scaled_prior(values, rho2, scale),
+                            [Observation(i, math.sqrt(scale) * y) for i, y in observed])
+              for scale in (1.0, c)]
+    ids = [int(i) for i in rng.permutation(n)]
+    cut = int(rng.integers(2, n - 2))
+    return rng, states, ids[:cut + int(rng.integers(0, 3))], ids[cut:]
+
+
+class TestScaleInvariance:
+    # a metamorphic relation: rho^2(x) enters ITL, CTL and the capacity only
+    # through sigma^2 / rho^2, so scaling the prior Gram and every noise
+    # variance by c (exact in binary for 0.25 and 4, rounded for 3) leaves
+    # them unchanged and multiplies every variance by c
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), c=st.sampled_from([0.25, 4.0, 3.0]))
+    def test_scores_are_scale_free_and_variances_scale(self, seed, c):
+        rng, states, targets, space = scaled_pair(seed, c)
+        for score in (partial(_itl_scores, stabilize=False), partial(_itl_scores, stabilize=True),
+                      _undirected_scores, _ctl_scores):
+            base, scaled = (_Blocks(state, targets, space) for state in states)
+            for _ in range(3):
+                np.testing.assert_allclose(score(scaled), score(base), rtol=1e-12, atol=1e-14)
+                np.testing.assert_allclose(scaled.var(), c * base.var(), rtol=1e-12,
+                                           atol=c * 1e-14)
+                pick = int(rng.integers(len(space)))  # any downdate keeps the relation
+                bace_update(base, pick)
+                bace_update(scaled, pick)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), c=st.sampled_from([0.25, 4.0, 3.0]))
+    def test_picks_and_capacity_are_scale_free(self, seed, c):
+        rng, (base, scaled), targets, space = scaled_pair(seed, c)
+        b = int(rng.integers(2, min(len(space), 4) + 1))
+        policies = [Policy(rule="itl", batch_size=b, stabilize=stabilize)
+                    for stabilize in (False, True)]
+        policies += [Policy(rule=rule, batch_size=b)
+                     for rule in ("ctl", "undirected-itl", "uncertainty")]
+        for policy in policies:
+            want = select_batch(base, targets, space, policy)
+            got = select_batch(scaled, targets, space, policy)
+            assert got.indices == want.indices
+            unit = c if policy.rule == "uncertainty" else 1.0
+            np.testing.assert_allclose(got.objectives, unit * np.array(want.objectives),
+                                       rtol=1e-12, atol=unit * 1e-14)
+        rounds = int(rng.integers(1, 12))
+        want, got = (greedy_itl_trajectory(state, targets, space, rounds)
+                     for state in (base, scaled))
+        assert got.picks == want.picks
+        np.testing.assert_allclose(got.gains, want.gains, rtol=1e-12, atol=1e-14)
+        for budget in (1, 2, 4, 60):  # 60 is past BRUTE_FORCE_CAP from |S| = 5 on
+            (value, exact), (scaled_value, scaled_exact) = (
+                information_capacity(state, space, budget) for state in (base, scaled))
+            assert scaled_exact == exact
+            np.testing.assert_allclose(scaled_value, value, rtol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), c=st.sampled_from([0.25, 4.0, 3.0]))
+    def test_size_bound_is_unchanged_when_epsilon_scales_too(self, seed, c):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 7))
+        values = random_corr_gram(rng, n, floor=0.5).values
+        rho2 = rng.uniform(0.05, 1, n)
+        # from 0.05 to 200: exact sizes, certified sizes and refusals
+        epsilon = float(np.exp(rng.uniform(np.log(0.05), np.log(200.0))))
+        outcomes = []
+        for scale in (1.0, c):
+            try:
+                outcomes.append(markov_size_bound(scaled_prior(values, rho2, scale), range(n),
+                                                  scale * epsilon))
+            except BudgetError:
+                outcomes.append("refused")
+        assert outcomes[1] == outcomes[0]
 
 
 class TestGammaBound:
@@ -526,6 +621,26 @@ class TestSubmodularityRatio:
         state = small_state(0.3, 8, rng)
         kappa = submodularity_ratio(state, [6, 7], range(5), 2)
         assert kappa > 0.0
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_the_full_enumeration_bit_for_bit(self, rng, k):
+        # the reference also enumerates the one-point sets, each a ratio of exactly 1
+        for trial in range(12):
+            layout = ("inside", "disjoint", "partial")[trial % 3]
+            prior, targets, space = rollout_instance(rng, layout, hetero=trial % 2 == 1)
+            space = sorted(space)[:6]
+            steps = greedy(_Blocks(prior, targets, space, k), theory._exact_itl)
+            batch = tuple(space[best] for best, _ in islice(steps, min(k, len(space))))
+            assert repr(submodularity_ratio(prior, targets, space, k)) == repr(
+                submodularity_ratio_reference(prior, targets, space, batch, k))
+
+    def test_one_point_sets_compute_no_batch_gain(self, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a batch gain was computed")
+
+        monkeypatch.setattr(theory, "batch_information_gain", refuse)
+        prior, targets, space = rollout_instance(rng, "partial", hetero=True)
+        assert submodularity_ratio(prior, targets, sorted(space)[:6], 1) == 1.0
 
     def test_size_limit(self, rng):
         state = random_state(rng, 40, unit_diag=True)
