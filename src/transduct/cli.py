@@ -12,6 +12,7 @@ outputs that cannot be written), 3 numeric error, 4 budget error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import logging
@@ -25,7 +26,8 @@ from dataclasses import asdict, replace
 import numpy as np
 from numpy.random import SeedSequence
 
-from .config import PRESETS, RunConfig, build_domain, load_config, parse_config
+from .config import (PRESETS, RunConfig, build_domain, build_prior, load_config, parse_config,
+                     seed_keys)
 from .data import _atomic_write, persist_run, save_table
 from .errors import BudgetError, ConfigError, InputError, NumericError, TransductError
 from .selection import run_loop
@@ -158,37 +160,36 @@ def cmd_run(args) -> int:
 
 
 def _theory_instance(config: RunConfig):
-    domain = build_domain(config, config.seeds[0])
-    prior = domain.prior
+    prior, sample_ids, target_ids, _ = build_prior(config, seed_keys(config.seeds[0]))
     epsilon = config.epsilon
     if epsilon is None:
         epsilon = 0.05 * float(np.max(np.diag(prior.gram.values)))
-    return domain, prior, epsilon
+    return prior, sample_ids, target_ids, epsilon
 
 
 def cmd_theory(args) -> int:
     config = _load(args)
-    domain, prior, epsilon = _theory_instance(config)
-    if not set(domain.sample_ids) <= set(domain.target_ids):
+    prior, sample_ids, target_ids, epsilon = _theory_instance(config)
+    if not set(sample_ids) <= set(target_ids):
         raise InputError("theory checks require the sample space inside the target space")
     # the size condition behind b_eps is the only check that refuses an
     # epsilon, so it runs before the rollout and every capacity enumeration
-    constants = TheoryConstants.from_state(prior, domain.sample_ids)
-    size_bound = markov_size_bound(prior, domain.sample_ids, epsilon, constants=constants)
-    trajectory = greedy_itl_trajectory(prior, domain.target_ids, domain.sample_ids,
+    constants = TheoryConstants.from_state(prior, sample_ids)
+    size_bound = markov_size_bound(prior, sample_ids, epsilon, constants=constants)
+    trajectory = greedy_itl_trajectory(prior, target_ids, sample_ids,
                                        config.rounds, constants=constants)
     variance = check_variance_bound(trajectory, epsilon, size_bound)
     checks = [check_gamma_bound(trajectory), check_within_S_bound(trajectory), variance]
     rows = [[c.name, c.status, c.detail] for c in checks]
-    if len(domain.sample_ids) <= 10:
-        kappa = submodularity_ratio(prior, domain.target_ids, domain.sample_ids,
+    if len(sample_ids) <= 10:
+        kappa = submodularity_ratio(prior, target_ids, sample_ids,
                                     min(int(config.hyper["b"]), 4))
         rows.append(["submodularity-ratio",
                      "pass" if kappa >= 1.0 - 1e-9 else "info",
                      f"kappa={kappa!r}"])
     else:
         rows.append(["submodularity-ratio", "warn",
-                     f"skipped: |S|={len(domain.sample_ids)} exceeds enumeration limit"])
+                     f"skipped: |S|={len(sample_ids)} exceeds enumeration limit"])
     os.makedirs(args.out, exist_ok=True)
     save_table(os.path.join(args.out, "theory_diagnostics.tsv"),
                ["check", "status", "detail"], rows)
@@ -204,10 +205,10 @@ def cmd_markov(args) -> int:
     if args.epsilon is not None and not 0.0 < args.epsilon < math.inf:
         raise ConfigError(f"--epsilon must be positive and finite, got {args.epsilon!r}")
     config = _load(args)
-    domain, prior, epsilon = _theory_instance(config)
+    prior, sample_ids, _, epsilon = _theory_instance(config)
     if args.epsilon is not None:
         epsilon = args.epsilon
-    boundary = markov_boundary(prior, domain.sample_ids, args.x, epsilon)
+    boundary = markov_boundary(prior, sample_ids, args.x, epsilon)
     valid = verify_markov_boundary(prior, boundary, args.x)
     payload = {
         "x": args.x,
@@ -266,46 +267,35 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: main may be called many times
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="transduct",
         description="Transductive active data selection benchmarks and diagnostics.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", required=True, help="path to a JSON run config")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seeds", default=None, help="comma-separated seed list override")
-        p.add_argument("--preset", default=None, choices=sorted(PRESETS),
-                       help="hyperparameter preset")
-        p.add_argument("--jobs", type=int, default=1, help="seeds to run in parallel")
-        p.add_argument("--timings", action="store_true",
-                       help="record real wall times (breaks byte-determinism)")
-
-    run_p = sub.add_parser("run", help="execute selection runs and write metrics")
-    common(run_p)
-    run_p.set_defaults(func=cmd_run)
-
-    theory_p = sub.add_parser("theory", help="run the bound checkers")
-    common(theory_p)
-    theory_p.set_defaults(func=cmd_theory)
-
-    markov_p = sub.add_parser("markov", help="compute an approximate Markov boundary")
-    common(markov_p)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="path to a JSON run config")
+    common.add_argument("--out", default="out", help="output directory")
+    common.add_argument("--seeds", default=None, help="comma-separated seed list override")
+    common.add_argument("--preset", default=None, choices=sorted(PRESETS),
+                        help="hyperparameter preset")
+    common.add_argument("--jobs", type=int, default=1, help="seeds to run in parallel")
+    common.add_argument("--timings", action="store_true",
+                        help="record real wall times (breaks byte-determinism)")
+    for name, func, text in (("run", cmd_run, "execute selection runs and write metrics"),
+                             ("theory", cmd_theory, "run the bound checkers"),
+                             ("markov", cmd_markov, "compute an approximate Markov boundary"),
+                             ("ablate", cmd_ablate, "cross-product parameter study")):
+        sub.add_parser(name, parents=[common], help=text).set_defaults(func=func)
+    markov_p = sub.choices["markov"]
     markov_p.add_argument("--x", type=int, required=True, help="query index")
     markov_p.add_argument("--epsilon", type=float, default=None, help="tolerance")
-    markov_p.set_defaults(func=cmd_markov)
-
-    ablate_p = sub.add_parser("ablate", help="cross-product parameter study")
-    common(ablate_p)
-    ablate_p.set_defaults(func=cmd_ablate)
     return parser
 
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")

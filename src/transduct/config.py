@@ -358,9 +358,9 @@ def _resolve_ids(section, available: Sequence[int], field: str) -> tuple[int, ..
     return ids
 
 
-def build_domain(config: RunConfig, seed: int) -> DomainInstance:
-    """Realize the configured domain for one seed."""
-    keys = SeedSequence(seed).generate_state(4)
+def build_prior(config: RunConfig, keys: np.ndarray
+                ) -> tuple[PosteriorState, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The prior state and the sample, target and relevant ids for a seed's ``seed_keys``."""
     noise = NoiseModel.homoscedastic(float(config.hyper["rho"]) ** 2)
     source = config.domain["source"]
     if source == "synthetic":
@@ -391,10 +391,20 @@ def build_domain(config: RunConfig, seed: int) -> DomainInstance:
         outside = sorted(set(relevant) - set(sample_ids))
         if outside:
             raise ConfigError(f"field 'relevant' lists ids outside the sample space: {outside}")
-    prior_gram = gram(kernel, points)
-    return DomainInstance(prior=PosteriorState.from_prior(prior_gram, noise),
-                          sample_ids=tuple(sample_ids), target_ids=tuple(target_ids),
-                          relevant=tuple(relevant),
-                          truth=sample_gp_truth(prior_gram, int(keys[1])),
+    return (PosteriorState.from_prior(gram(kernel, points), noise),
+            tuple(sample_ids), tuple(target_ids), tuple(relevant))
+
+
+def seed_keys(seed: int) -> np.ndarray:
+    """A seed's domain keys: [0] places the points, [1] draws the truth, [2] seeds the oracle."""
+    return SeedSequence(seed).generate_state(4)
+
+
+def build_domain(config: RunConfig, seed: int) -> DomainInstance:
+    """Realize the configured domain for one seed."""
+    keys = seed_keys(seed)
+    prior, sample_ids, target_ids, relevant = build_prior(config, keys)
+    return DomainInstance(prior=prior, sample_ids=sample_ids, target_ids=target_ids,
+                          relevant=relevant, truth=sample_gp_truth(prior.gram, int(keys[1])),
                           oracle_seed=int(keys[2]))
 

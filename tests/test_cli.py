@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -207,7 +208,8 @@ class TestConfigValidation:
     def test_bad_section_is_config_error(self, tmp_path, capsys, monkeypatch, command, path,
                                          value, named):
         builds = []
-        monkeypatch.setattr(cli, "build_domain", lambda *a: builds.append(a))
+        for builder in ("build_domain", "build_prior"):
+            monkeypatch.setattr(cli, builder, lambda *a: builds.append(a))
         cfg = (grid_theory_config() if command == "theory"
                else base_run_config(grid={"rho": [1.0]}))
         config_path = write_config(tmp_path / "c.json", set_field(cfg, path, value))
@@ -745,7 +747,8 @@ class TestOutputContract:
     def no_domain(self, monkeypatch):
         def build(config, seed):
             raise AssertionError("a domain was built")
-        monkeypatch.setattr(cli, "build_domain", build)
+        for builder in ("build_domain", "build_prior"):
+            monkeypatch.setattr(cli, builder, build)
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_out_naming_a_file_exits_2_before_any_domain(self, tmp_path, capsys, no_domain,
@@ -792,6 +795,86 @@ class TestOutputContract:
         assert written == ["theory_rows.json", "markov.json"]
         rows = (tmp_path / "theory" / "theory_rows.json").read_text()
         assert rows == json.dumps(json.loads(rows), sort_keys=True, indent=1)
+
+
+class TestOneParserPerProcess:
+    @pytest.fixture
+    def fresh_parser(self):
+        cli._build_parser.cache_clear()
+        yield
+        cli._build_parser.cache_clear()
+
+    def test_two_calls_construct_one_parser(self, tmp_path, monkeypatch, fresh_parser):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        argv = command_argv(tmp_path, "theory") + ["--out", str(tmp_path / "o")]
+        assert main(argv) == 0 and main(argv) == 0
+        assert built.count("transduct") == 1
+
+    def test_calls_in_one_process_equal_lone_calls(self, tmp_path, monkeypatch, capsys,
+                                                   fresh_parser):
+        parsed = []
+        parse = argparse.ArgumentParser.parse_args
+
+        def recording_parse(self, *args, **kwargs):
+            namespace = parse(self, *args, **kwargs)
+            parsed.append(dict(vars(namespace)))
+            return namespace
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording_parse)
+        theory_cfg = write_config(tmp_path / "theory.json", grid_theory_config())
+        run_cfg = write_config(tmp_path / "run.json", base_run_config())
+        oversized = write_config(tmp_path / "ablate.json", base_run_config(
+            policies=["itl"], seeds=list(range(60)),
+            grid={"rho": [0.1, 1.0], "k": list(range(1, 12))}))
+        calls = [["markov", "--config", theory_cfg, "--x", "3", "--epsilon", "0.1"],
+                 ["markov", "--config", theory_cfg, "--x", "3"],
+                 ["theory", "--config", theory_cfg, "--preset", "cifar-like"],
+                 ["run", "--config", run_cfg],
+                 ["run", "--config", run_cfg, "--jobs", "two"],
+                 ["ablate", "--config", oversized]]
+
+        def observe(argv, where):
+            """Exit code, printed text, parsed arguments and written files of one call."""
+            where.mkdir(parents=True)
+            monkeypatch.chdir(where)  # every call writes to a relative --out
+            parsed.clear()
+            try:
+                code = main(argv + ["--out", "o"])
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            files = {str(p.relative_to(where)): p.read_bytes()
+                     for p in sorted(where.rglob("*")) if p.is_file()}
+            return code, capsys.readouterr(), list(parsed), files
+
+        lone = []
+        for i, argv in enumerate(calls):
+            cli._build_parser.cache_clear()
+            lone.append(observe(argv, tmp_path / "lone" / str(i)))
+        cli._build_parser.cache_clear()
+        in_turn = [observe(argv, tmp_path / "in-turn" / str(i)) for i, argv in enumerate(calls)]
+        assert [c[0] for c in lone] == [0, 0, 0, 0, ("SystemExit", 2), 4]
+        assert [c[2][0]["epsilon"] for c in lone[:2]] == [0.1, None]
+        assert [c[2][0]["preset"] for c in lone[2:4]] == ["cifar-like", None]
+        assert "error: ablation grid expands to" in lone[5][1].err
+        for i, (alone, after) in enumerate(zip(lone, in_turn)):
+            assert after == alone, calls[i]
+
+    def test_theory_and_markov_draw_no_truth(self, tmp_path, monkeypatch):
+        def draw(*args):
+            raise AssertionError("a truth was drawn")
+
+        monkeypatch.setattr("transduct.config.sample_gp_truth", draw)
+        for command in ("theory", "markov"):
+            assert main(command_argv(tmp_path, command) + ["--out", str(tmp_path / command)]) == 0
+        with pytest.raises(AssertionError, match="a truth was drawn"):  # run still draws one
+            main(command_argv(tmp_path, "run") + ["--out", str(tmp_path / "run")])
 
 
 def run_python(code):

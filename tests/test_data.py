@@ -129,10 +129,8 @@ def draw_truth(spec, grid, seed):
 
 class TestSyntheticTruth:
     def test_single_point_moments(self):
-        spec = KernelSpec("linear")
-        grid = [Point(0, coords=[1.0])]
-        draws = np.array([draw_truth(spec, grid, seed).values[0]
-                          for seed in range(100_000)])
+        prior = gram(KernelSpec("linear"), [Point(0, coords=[1.0])])  # built once
+        draws = np.array([sample_gp_truth(prior, seed).values[0] for seed in range(100_000)])
         assert abs(draws.var() - 1.0) < 0.02
 
     def test_degenerate_kernel_gives_zero(self):
