@@ -13,7 +13,6 @@ from .kernels import (
     KernelMatrix,
     KernelSpec,
     NoiseModel,
-    Point,
     gram,
 )
 from .posterior import (

@@ -3,8 +3,10 @@
 A run config is a JSON object with the sections
 
     domain    {"source": "synthetic", "kernel": {...}, "layout": {...}}
-              or {"source": "embeddings", "path": ..., "s": ids, "a": ids}
-              (path: a text or binary embedding file, see ``data``; each ids
+              or {"source": "embeddings", "path": ..., "s": ids, "a": ids,
+                  "kernel": {...}}
+              (path: a text or binary embedding file, see ``data``; kernel:
+              any family, {"family": "embedding"} when omitted; each ids
               selector is a list of distinct ids in the file, {"first": n}
               for the file's first n ids, or {"count": n, "from": i} for n ids
               from position i on, "from" defaulting to 0; every n, i >= 0)
@@ -20,6 +22,11 @@ A run config is a JSON object with the sections
 A policy entry names one of ``selection.RULES``; an override may set b, m,
 batch_mode, stabilize and a display name. Unknown fields are refused (a kernel
 takes its family's alone), as is a ``k`` below a ``b``; each policy is built once, while parsing.
+
+Either source realizes a domain as ids plus one feature matrix, row i for
+id i, which every kernel family reads: a layout's ids are 0..N-1 with S
+first and its rows are the points' coordinates, an embeddings file's are
+its own ids and rows.
 
 Synthetic layouts:
 
@@ -47,7 +54,7 @@ from numpy.random import Generator, SeedSequence, default_rng
 
 from .data import SyntheticTruth, labeled_oracle, load_embeddings, sample_gp_truth
 from .errors import ConfigError
-from .kernels import KernelSpec, NoiseModel, Point, gram
+from .kernels import KernelSpec, NoiseModel, gram
 from .posterior import PosteriorState
 from .selection import RULES, Policy
 
@@ -300,13 +307,11 @@ def _uniform_layout(layout: dict, rng: Generator):
                           "finite [low, high] per dimension")
     s_coords = rng.uniform(box[:, 0], box[:, 1], size=(s_count, dim))
     a_coords = rng.uniform(a_box[:, 0], a_box[:, 1], size=(a_count, dim))
-    points = [Point(i, coords=s_coords[i]) for i in range(s_count)]
-    points += [Point(s_count + j, coords=a_coords[j]) for j in range(a_count)]
     sample_ids = tuple(range(s_count))
     target_ids = tuple(range(s_count, s_count + a_count))
     inside = np.all((s_coords >= a_box[:, 0]) & (s_coords <= a_box[:, 1]), axis=1)
     relevant = tuple(int(i) for i in np.where(inside)[0])
-    return points, sample_ids, target_ids, relevant
+    return np.concatenate((s_coords, a_coords)), sample_ids, target_ids, relevant
 
 
 def _grid_layout(layout: dict):
@@ -315,11 +320,10 @@ def _grid_layout(layout: dict):
     step = _number(float, layout.get("step", 1.0), "domain.layout.step")
     include_s = layout.get("include_s_in_a", True)
     coords = start + step * np.arange(s_count + a_extra)
-    points = [Point(i, coords=[coords[i]]) for i in range(s_count + a_extra)]
     sample_ids = tuple(range(s_count))
     extras = tuple(range(s_count, s_count + a_extra))
     target_ids = (sample_ids + extras) if include_s else extras
-    return points, sample_ids, target_ids, sample_ids
+    return coords[:, None], sample_ids, target_ids, sample_ids
 
 
 def _check_selector(section, field: str) -> None:
@@ -369,18 +373,18 @@ def build_prior(config: RunConfig, keys: np.ndarray
         if layout.get("kind", "uniform") == "uniform":
             if "a_count" not in layout and config.hyper["M"] is not None:
                 layout["a_count"] = int(config.hyper["M"])
-            points, sample_ids, target_ids, relevant = _uniform_layout(
+            features, sample_ids, target_ids, relevant = _uniform_layout(
                 layout, default_rng(int(keys[0])))
         else:
-            points, sample_ids, target_ids, relevant = _grid_layout(layout)
+            features, sample_ids, target_ids, relevant = _grid_layout(layout)
+        ids = range(len(features))
     else:
         path = _typed(_require(config.domain, "path", "domain"), str, "domain.path")
         try:
-            points = load_embeddings(path)
+            ids, features = load_embeddings(path)
         except OSError as exc:
             raise ConfigError(f"cannot read embeddings {path}: {exc}") from exc
         kernel = _kernel_from(config.domain.get("kernel", {"family": "embedding"}))
-        ids = [p.index for p in points]
         sample_ids = _resolve_ids(config.domain["s"], ids, "domain.s")
         target_ids = _resolve_ids(config.domain["a"], ids, "domain.a")
         relevant = ()
@@ -391,7 +395,7 @@ def build_prior(config: RunConfig, keys: np.ndarray
         outside = sorted(set(relevant) - set(sample_ids))
         if outside:
             raise ConfigError(f"field 'relevant' lists ids outside the sample space: {outside}")
-    return (PosteriorState.from_prior(gram(kernel, points), noise),
+    return (PosteriorState.from_prior(gram(kernel, ids, features), noise),
             tuple(sample_ids), tuple(target_ids), tuple(relevant))
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import DataError, InputError, NumericError, ParseError
-from .kernels import KernelMatrix, NoiseModel, Point, jittered
+from .kernels import KernelMatrix, NoiseModel, _feature_matrix, _positions, jittered
 from .kernels import gram  # noqa: F401  (public name here; tracing tools wrap it)
 
 RECORD_VERSION = "v1"
@@ -83,7 +83,7 @@ def _parse_text(path: str, blob: bytes) -> tuple[list[int], np.ndarray]:
     return ids, np.array(rows, dtype=np.float64).reshape(count, dim)
 
 
-def _parse_binary(path: str, blob: bytes) -> tuple[np.ndarray, np.ndarray]:
+def _parse_binary(path: str, blob: bytes) -> tuple[list[int], np.ndarray]:
     offset = len(_BINARY_MAGIC)
     if len(blob) < offset + 16:
         raise ParseError(f"{path}: binary embedding file ends inside its header")
@@ -102,49 +102,39 @@ def _parse_binary(path: str, blob: bytes) -> tuple[np.ndarray, np.ndarray]:
         raise ParseError(f"{path}: duplicate ids in binary file")
     if not np.all(np.isfinite(values)):
         raise ParseError(f"{path}: non-finite values in binary file")
-    return ids, values.reshape(count, dim)
+    return ids.tolist(), values.reshape(count, dim)
 
 
-def load_embeddings(path: str) -> list[Point]:
+def load_embeddings(path: str) -> tuple[list[int], np.ndarray]:
     """Read an embedding file, text or binary (told apart by the magic), into
-    domain points."""
+    its ids and the (count, dim) matrix whose row i embeds ids[i]."""
     with open(path, "rb") as handle:
         blob = handle.read()
     parse = _parse_binary if blob.startswith(_BINARY_MAGIC) else _parse_text
-    ids, rows = parse(path, blob)
-    return [Point(index=int(i), embedding=row) for i, row in zip(ids, rows)]
+    return parse(path, blob)
 
 
-def _embedding_dim(points: Sequence[Point]) -> int:
-    """The one embedding dimension of ``points``, which ``load_embeddings``
-    would read back; InputError for anything it would refuse."""
-    if not points:
-        raise InputError("no points to save")
-    for point in points:
-        if point.embedding is None:
-            raise InputError(f"point {point.index} has no embedding to save")
-    if len({point.embedding.size for point in points}) > 1:
-        raise InputError("embedding dimensions are inconsistent")
-    if len({point.index for point in points}) < len(points):
-        raise InputError("point ids are not unique")
-    return points[0].embedding.size
+def _checked(ids: Sequence[int], features) -> tuple[tuple[int, ...], np.ndarray]:
+    """``ids`` and ``features`` as ``load_embeddings`` would read them back;
+    InputError for anything it would refuse."""
+    matrix = _feature_matrix(ids, features)
+    ids = tuple(int(i) for i in ids)
+    _positions(ids)
+    return ids, matrix
 
 
-def save_embeddings(points: Sequence[Point], path: str) -> None:
-    """Write points (with embeddings) to the text format, bit-exactly."""
-    dim = _embedding_dim(points)
-    rows = [f"{point.index}," + ",".join(repr(float(v)) for v in point.embedding)
-            for point in points]
-    _atomic_write(path, f"p={dim} n={len(rows)}\n" + "\n".join(rows) + "\n")
+def save_embeddings(ids: Sequence[int], features, path: str) -> None:
+    """Write ids and their (N, d) embeddings to the text format, bit-exactly."""
+    ids, matrix = _checked(ids, features)
+    rows = [f"{index}," + ",".join(map(repr, row)) for index, row in zip(ids, matrix.tolist())]
+    _atomic_write(path, f"p={matrix.shape[1]} n={len(rows)}\n" + "\n".join(rows) + "\n")
 
 
-def save_embeddings_binary(points: Sequence[Point], path: str) -> None:
-    """Write points (with embeddings) to the binary format, bit-exactly."""
-    dim = _embedding_dim(points)
-    ids = np.array([p.index for p in points], dtype="<i8")
-    matrix = np.stack([p.embedding for p in points]).astype("<f8")
-    blob = (_BINARY_MAGIC + np.array([len(points), dim], dtype="<i8").tobytes()
-            + ids.tobytes() + matrix.tobytes())
+def save_embeddings_binary(ids: Sequence[int], features, path: str) -> None:
+    """Write ids and their (N, d) embeddings to the binary format, bit-exactly."""
+    ids, matrix = _checked(ids, features)
+    blob = (_BINARY_MAGIC + np.array(matrix.shape, dtype="<i8").tobytes()
+            + np.array(ids, dtype="<i8").tobytes() + matrix.astype("<f8").tobytes())
     _atomic_write(path, blob)
 
 

@@ -1,6 +1,8 @@
-"""Kernel families, noise models, and Gram construction on finite point sets.
+"""Kernel families, noise models, and Gram construction on finite domains.
 
-Supported families and their closed forms (``h`` is the lengthscale,
+A domain is a list of distinct nonnegative ids and an (N, d) feature matrix
+whose row i belongs to id i; every family reads the same rows. Supported
+families and their closed forms (``h`` is the lengthscale,
 ``r2 = ||x - x'||_2``, ``r1 = ||x - x'||_1``):
 
     linear      k(x, x') = x^T x'
@@ -9,7 +11,7 @@ Supported families and their closed forms (``h`` is the lengthscale,
     matern      nu = 1/2:  exp(-r2 / h)
                 nu = 3/2:  (1 + sqrt(3) r2 / h) exp(-sqrt(3) r2 / h)
                 nu = 5/2:  (1 + sqrt(5) r2 / h + 5 r2^2 / (3 h^2)) exp(-sqrt(5) r2 / h)
-    embedding   k(x, x') = phi(x)^T Sigma phi(x')   (Sigma = I when omitted)
+    embedding   k(x, x') = x^T Sigma x'   (Sigma = I when omitted: the linear kernel)
 
 Only half-integer Matern orders with closed forms are supported; general
 Bessel evaluation is out of scope.  The laplace family uses the L1 norm,
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -44,35 +47,6 @@ JITTER_SCALE = 1e-10
 #: Entries per row block of the pairwise distance sums and of the Gram check
 #: (512 KB of float64), and the live entries of the exhaustive capacity walk.
 _BLOCK_ENTRIES = 1 << 16
-
-
-def _as_vector(value, name: str) -> np.ndarray | None:
-    if value is None:
-        return None
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InputError(f"{name} must be a nonempty 1-D vector")
-    if not np.all(np.isfinite(arr)):
-        raise InputError(f"{name} contains non-finite values")
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True)
-class Point:
-    """A domain element: integer id plus coordinates and/or an embedding."""
-
-    index: int
-    coords: np.ndarray | None = None
-    embedding: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise InputError("point index must be non-negative")
-        object.__setattr__(self, "coords", _as_vector(self.coords, "coords"))
-        object.__setattr__(self, "embedding", _as_vector(self.embedding, "embedding"))
-        if self.coords is None and self.embedding is None:
-            raise InputError(f"point {self.index} needs coords or an embedding")
 
 
 @dataclass(frozen=True)
@@ -143,12 +117,15 @@ class NoiseModel:
     def vector(self, ids: Sequence[int]) -> np.ndarray:
         if self.per_index is None:
             return np.full(len(ids), float(self.default))
-        return np.array([self.variance_at(i) for i in ids], dtype=np.float64)
+        values = list(map(self.per_index.get, ids, repeat(self.default)))
+        if self.default is None and None in values:
+            raise InputError(f"no noise variance configured for index {ids[values.index(None)]}")
+        return np.array(values, dtype=np.float64)
 
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Dense symmetric Gram matrix over an ordered list of point ids."""
+    """Dense symmetric Gram matrix over an ordered list of distinct nonnegative ids."""
 
     values: np.ndarray
     ids: tuple[int, ...]
@@ -167,10 +144,12 @@ class KernelMatrix:
             raise InputError("Gram matrix is not symmetric within 1e-12")
         if np.min(np.diag(vals)) < -1e-12:
             raise InputError("Gram diagonal has negative entries")
+        ids = tuple(int(i) for i in self.ids)
+        pos = _positions(ids)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "ids", tuple(int(i) for i in self.ids))
-        object.__setattr__(self, "_pos", {i: p for p, i in enumerate(self.ids)})
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "_pos", pos)
 
     @property
     def size(self) -> int:
@@ -184,6 +163,16 @@ class KernelMatrix:
             return np.fromiter(map(self._pos.__getitem__, indices), dtype=np.intp)
         except KeyError as exc:
             raise InputError(f"index {exc.args[0]} is not in this Gram matrix") from None
+
+
+def _positions(ids: tuple[int, ...]) -> dict[int, int]:
+    """Each id's position in the nonempty ``ids``; InputError for a negative or repeated id."""
+    if min(ids) < 0:
+        raise InputError(f"ids must be nonnegative, got {min(ids)}")
+    pos = {i: p for p, i in enumerate(ids)}
+    if len(pos) < len(ids):
+        raise InputError(f"ids repeat: {sorted({i for p, i in enumerate(ids) if pos[i] != p})}")
+    return pos
 
 
 def _symmetric_rows(vals: np.ndarray, start: int, stop: int) -> bool:
@@ -223,21 +212,6 @@ def _matern_of_distance(r: np.ndarray, lengthscale: float, nu: float) -> np.ndar
     raise InputError(f"unsupported matern order {nu}")
 
 
-def _require(point: Point, what: str) -> np.ndarray:
-    value = getattr(point, what)
-    if value is None:
-        raise InputError(f"point {point.index} is missing {what}")
-    return value
-
-
-def _stack(points: Sequence[Point], what: str) -> np.ndarray:
-    rows = [_require(p, what) for p in points]
-    dims = {r.size for r in rows}
-    if len(dims) != 1:
-        raise InputError(f"{what} dimensions are inconsistent across the domain: {sorted(dims)}")
-    return np.stack(rows)
-
-
 def _pairwise_sum(x: np.ndarray, term) -> np.ndarray:
     """D[i, j] = sum_k term(x[i, k] - x[j, k]), summed over k in order.
 
@@ -258,36 +232,41 @@ def _pairwise_sum(x: np.ndarray, term) -> np.ndarray:
     return total
 
 
-def gram(spec: KernelSpec, points: Sequence[Point]) -> KernelMatrix:
-    """Build the Gram matrix K[i, j] = k(points[i], points[j])."""
-    if not points:
-        raise InputError("cannot build a Gram matrix over an empty point list")
-    ids = tuple(p.index for p in points)
-    if spec.family == LINEAR:
-        x = _stack(points, "coords")
-        k = x @ x.T
-        k = (k + k.T) / 2.0
-    elif spec.family == EMBEDDING:
-        phi = _stack(points, "embedding")
+def _feature_matrix(ids: Sequence[int], features) -> np.ndarray:
+    """``features`` as a float (N, d) matrix with one row per id, N, d >= 1, all finite."""
+    try:
+        x = np.array(features, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"features must be a numeric (N, d) matrix: {exc}") from None
+    if x.ndim != 2 or not x.size or len(x) != len(ids):
+        raise InputError(f"features must be a nonempty (N, d) matrix with one row per id; "
+                         f"got shape {x.shape} for {len(ids)} ids")
+    if not np.all(np.isfinite(x)):
+        raise InputError("features contain non-finite values")
+    return x
+
+
+def gram(spec: KernelSpec, ids: Sequence[int], features) -> KernelMatrix:
+    """Build the Gram matrix K[i, j] = k(features[i], features[j]) over ``ids``."""
+    x = _feature_matrix(ids, features)
+    if spec.family in (LINEAR, EMBEDDING):
         if spec.latent_cov is None:
-            k = phi @ phi.T
+            k = x @ x.T
         else:
-            if spec.latent_cov.shape[0] != phi.shape[1]:
-                raise InputError("latent_cov dimension does not match the embeddings")
-            k = phi @ spec.latent_cov @ phi.T
+            if spec.latent_cov.shape[0] != x.shape[1]:
+                raise InputError("latent_cov dimension does not match the features")
+            k = x @ spec.latent_cov @ x.T
         k = (k + k.T) / 2.0
+    elif spec.family == MATERN:
+        r = _pairwise_sum(x, np.square)
+        k = _matern_of_distance(np.sqrt(r, out=r), spec.lengthscale, spec.nu)
     else:
-        x = _stack(points, "coords")
-        if spec.family == MATERN:
-            r = _pairwise_sum(x, np.square)
-            k = _matern_of_distance(np.sqrt(r, out=r), spec.lengthscale, spec.nu)
+        # exp(-d / scale), in place
+        if spec.family == GAUSSIAN:
+            k, scale = _pairwise_sum(x, np.square), 2.0 * spec.lengthscale ** 2
         else:
-            # exp(-d / scale), in place
-            if spec.family == GAUSSIAN:
-                k, scale = _pairwise_sum(x, np.square), 2.0 * spec.lengthscale ** 2
-            else:
-                k, scale = _pairwise_sum(x, np.abs), spec.lengthscale
-            np.negative(k, out=k)
-            k /= scale
-            np.exp(k, out=k)
+            k, scale = _pairwise_sum(x, np.abs), spec.lengthscale
+        np.negative(k, out=k)
+        k /= scale
+        np.exp(k, out=k)
     return KernelMatrix(values=k, ids=ids)

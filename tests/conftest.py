@@ -12,7 +12,7 @@ from scipy.spatial.distance import cdist
 from transduct import (BudgetError, KernelMatrix, NoiseModel, Observation, Policy,
                        PosteriorState, batch_information_gain, condition, information_gain,
                        select_batch)
-from transduct.kernels import JITTER_SCALE, _matern_of_distance, _require
+from transduct.kernels import JITTER_SCALE, _matern_of_distance
 from transduct.posterior import _Blocks, _itl_scores, bace_update, chol_logdet
 from transduct.selection import (_DEGENERATE_VAR, CTL, ITL, MAX_DIST, UNCERTAINTY,
                                  UNDIRECTED_ITL, _ctl_scores, _min_sq_distances,
@@ -264,21 +264,16 @@ def submodularity_ratio_reference(state, targets, space, greedy, k):
     return ratio
 
 
-def eval_kernel(spec, a, b):
-    """k(a, b) for one pair of points from the closed forms: the scalar
-    reference for ``gram``. Arguments are canonicalized by id so that
-    k(a, b) == k(b, a) bit for bit even for the embedding family, whose
+def eval_kernel(spec, xa, xb):
+    """k(xa, xb) for one pair of feature vectors from the closed forms: the
+    scalar reference for ``gram``. Arguments are put in lexicographic order
+    so that k(a, b) == k(b, a) bit for bit even with a ``latent_cov``, whose
     quadratic form is order-sensitive in floating point."""
-    if a.index > b.index:
-        a, b = b, a
-    if spec.family == "linear":
-        return float(np.dot(_require(a, "coords"), _require(b, "coords")))
-    if spec.family == "embedding":
-        pa, pb = _require(a, "embedding"), _require(b, "embedding")
+    xa, xb = sorted((np.asarray(xa, dtype=float), np.asarray(xb, dtype=float)), key=tuple)
+    if spec.family in ("linear", "embedding"):
         if spec.latent_cov is None:
-            return float(np.dot(pa, pb))
-        return float(pa @ spec.latent_cov @ pb)
-    xa, xb = _require(a, "coords"), _require(b, "coords")
+            return float(np.dot(xa, xb))
+        return float(xa @ spec.latent_cov @ xb)
     if spec.family == "gaussian":
         d2 = float(np.dot(xa - xb, xa - xb))
         return float(math.exp(-d2 / (2.0 * spec.lengthscale ** 2)))
@@ -289,10 +284,10 @@ def eval_kernel(spec, a, b):
     return float(_matern_of_distance(np.asarray(r), spec.lengthscale, spec.nu))
 
 
-def cdist_gram_reference(spec, points):
-    """Gram values of a distance family on scipy's ``cdist``, the runtime's
-    distance kernel before it became numpy-only (scipy is a test dependency)."""
-    x = np.stack([p.coords for p in points])
+def cdist_gram_reference(spec, x):
+    """Gram values of a distance family over the rows of ``x`` on scipy's
+    ``cdist``, the runtime's distance kernel before it became numpy-only
+    (scipy is a test dependency)."""
     if spec.family == "gaussian":
         return np.exp(-cdist(x, x, "sqeuclidean") / (2.0 * spec.lengthscale ** 2))
     if spec.family == "laplace":

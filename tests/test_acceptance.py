@@ -33,7 +33,7 @@ from transduct import (
 )
 from transduct.cli import _runs, _tag, main
 from transduct.config import parse_config
-from transduct.kernels import KernelSpec, Point, gram
+from transduct.kernels import KernelSpec, gram
 from conftest import batch_posterior_oracle, random_corr_gram, random_state
 
 
@@ -171,8 +171,8 @@ class TestCriterion5TheoremAsTest:
         all_pass = True
         for trial in range(3):
             spacing = float(rng.uniform(0.3, 0.5))
-            points = [Point(i, coords=[spacing * i]) for i in range(12)]
-            k = gram(KernelSpec("gaussian", lengthscale=0.5), points)
+            k = gram(KernelSpec("gaussian", lengthscale=0.5), range(12),
+                     spacing * np.arange(12.0)[:, None])
             prior = PosteriorState.from_prior(k, NoiseModel.homoscedastic(0.3))
             traj = greedy_itl_trajectory(prior, range(12), range(12), 200)
             rep = check_within_S_bound(traj)
@@ -183,9 +183,8 @@ class TestCriterion5TheoremAsTest:
 
 class TestCriterion6ExplicitVarianceBound:
     def test_extrapolation_grid(self):
-        points = [Point(i, coords=[2.0 * i]) for i in range(3)]
-        points += [Point(3, coords=[4.6]), Point(4, coords=[5.2])]
-        k = gram(KernelSpec("gaussian", lengthscale=0.6), points)
+        k = gram(KernelSpec("gaussian", lengthscale=0.6), range(5),
+                 [[0.0], [2.0], [4.0], [4.6], [5.2]])
         prior = PosteriorState.from_prior(k, NoiseModel.homoscedastic(0.25))
         traj = greedy_itl_trajectory(prior, range(5), range(3), 500)
         rep = check_variance_bound(traj, 0.05)
@@ -230,8 +229,7 @@ class TestCriterion8EquivalenceTriad:
             dim = int(rng.integers(3, 8))
             emb = np.abs(rng.standard_normal((21, dim)))  # nonneg correlations
             emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-            points = [Point(i, embedding=emb[i]) for i in range(21)]
-            k = gram(KernelSpec("embedding"), points)   # Sigma = I
+            k = gram(KernelSpec("embedding"), range(21), emb)   # Sigma = I
             rho2 = float(rng.uniform(0.1, 1.0))
             state = PosteriorState.from_prior(k, NoiseModel.homoscedastic(rho2))
             target = [20]

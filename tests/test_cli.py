@@ -14,9 +14,10 @@ import transduct
 from transduct import cli, theory
 from transduct.cli import main
 from transduct.config import PRESETS, build_domain, load_config, parse_config
-from transduct.data import load_embeddings, load_run, load_table, save_embeddings_binary
+from transduct.data import (load_embeddings, load_run, load_table, save_embeddings,
+                            save_embeddings_binary)
 from transduct.errors import ConfigError
-from transduct.kernels import KernelSpec, Point, gram
+from transduct.kernels import KernelSpec, gram
 from transduct.selection import RULES, Policy
 
 
@@ -615,9 +616,9 @@ class TestDomainBuilders:
     def test_kernel_takes_its_family_fields(self, kernel):
         cfg = grid_theory_config()
         cfg["domain"]["kernel"] = kernel
-        points = [Point(i, coords=[2.0 * i]) for i in range(5)]  # the grid layout's
+        coords = [[2.0 * i] for i in range(5)]  # the grid layout's
         np.testing.assert_array_equal(build_domain(parse_config(cfg), seed=0).prior.gram.values,
-                                      gram(KernelSpec(**kernel), points).values)
+                                      gram(KernelSpec(**kernel), range(5), coords).values)
 
     def test_embedding_kernel_takes_latent_cov(self, tmp_path):
         emb = tmp_path / "emb.txt"
@@ -628,7 +629,7 @@ class TestDomainBuilders:
         domain = build_domain(parse_config(cfg), seed=0)
         spec = KernelSpec("embedding", latent_cov=np.array(kernel["latent_cov"]))
         np.testing.assert_array_equal(domain.prior.gram.values,
-                                      gram(spec, load_embeddings(str(emb))).values)
+                                      gram(spec, *load_embeddings(str(emb))).values)
         kernel["latent_cov"] = [[True, 0.0], [0.0, 4.0]]
         with pytest.raises(ConfigError, match="'domain.kernel.latent_cov'"):
             build_domain(parse_config(cfg), seed=0)
@@ -636,9 +637,9 @@ class TestDomainBuilders:
     def test_one_gram_per_domain(self, monkeypatch):
         calls = []
         for module in (transduct.config, transduct.data):
-            def counted(spec, points, _gram=module.gram):
-                calls.append(len(points))
-                return _gram(spec, points)
+            def counted(spec, ids, features, _gram=module.gram):
+                calls.append(len(ids))
+                return _gram(spec, ids, features)
             monkeypatch.setattr(module, "gram", counted)
         domain = build_domain(parse_config(base_run_config()), seed=0)
         assert calls == [domain.prior.gram.size]
@@ -660,6 +661,37 @@ class TestDomainBuilders:
         domain = build_domain(config, seed=0)
         assert domain.sample_ids == (0, 1)
         assert domain.prior.gram.size == 4
+
+    @pytest.mark.parametrize("kernel", [
+        {"family": "gaussian", "lengthscale": 0.5}, {"family": "laplace", "lengthscale": 0.5},
+        {"family": "matern", "lengthscale": 0.5, "nu": 2.5}, {"family": "linear"}])
+    @pytest.mark.parametrize("suffix", ["txt", "bin"])
+    def test_any_kernel_family_reads_an_embeddings_file(self, tmp_path, kernel, suffix):
+        emb = tmp_path / f"emb.{suffix}"
+        ids, features = [5, 0, 7, 2, 9, 4], np.random.default_rng(3).standard_normal((6, 3))
+        (save_embeddings if suffix == "txt" else save_embeddings_binary)(ids, features, str(emb))
+        domain = {"source": "embeddings", "path": str(emb), "s": {"first": 4},
+                  "a": {"first": 6}, "kernel": kernel}  # theory needs S inside A
+        prior = build_domain(parse_config(base_run_config(domain=domain)), seed=0).prior
+        assert prior.ids == tuple(ids)
+        assert np.array_equal(prior.gram.values, gram(KernelSpec(**kernel), ids, features).values)
+        runs = [("run", base_run_config(domain=domain, rounds=2))]
+        if kernel["family"] != "linear":  # 4 sample points in 3 dimensions: theory exits 4
+            runs.append(("theory", grid_theory_config(domain=domain, rounds=2)))
+        for command, payload in runs:
+            path = write_config(tmp_path / f"{command}.json", payload)
+            assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
+
+    def test_overflowing_grid_step_exits_2(self, tmp_path, capsys):
+        cfg = grid_theory_config()
+        cfg["domain"]["layout"]["step"] = 1e308  # 1e308 * 2 is inf
+        for command in ("run", "theory"):
+            path = write_config(tmp_path / "c.json", cfg)
+            with np.errstate(over="ignore"):
+                code = main([command, "--config", path, "--out", str(tmp_path / command)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "non-finite" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("field, value, named", [
         ("s", {"first": -3}, "domain.s.first"),
@@ -708,7 +740,7 @@ class TestDomainBuilders:
             f"{i}," + ",".join(repr(float(v)) for v in rng.standard_normal(3)) + "\n"
             for i in range(12)))
         binary = tmp_path / "emb.bin"
-        save_embeddings_binary(load_embeddings(str(text)), str(binary))
+        save_embeddings_binary(*load_embeddings(str(text)), str(binary))
         assert binary.read_bytes().startswith(b"TDEMB1\n")
         outs = []
         for path in (text, binary):

@@ -7,7 +7,6 @@ from transduct import (
     KernelSpec,
     NoiseModel,
     ParseError,
-    Point,
     RoundEntry,
     RunRecord,
     labeled_oracle,
@@ -30,9 +29,9 @@ class TestEmbeddingFiles:
     def test_two_row_file(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("p=2 n=2\n0,1.0,2.0\n1,-0.5,1e-3\n")
-        points = load_embeddings(str(path))
-        assert [p.index for p in points] == [0, 1]
-        np.testing.assert_allclose(points[1].embedding, [-0.5, 1e-3])
+        ids, matrix = load_embeddings(str(path))
+        assert ids == [0, 1]
+        np.testing.assert_array_equal(matrix, [[1.0, 2.0], [-0.5, 1e-3]])
 
     def test_duplicate_id_names_offender(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -59,24 +58,32 @@ class TestEmbeddingFiles:
             load_embeddings(str(path))
 
     def test_round_trip_is_bit_exact(self, tmp_path, rng):
-        points = [Point(i, embedding=rng.standard_normal(5)
-                        * 10.0 ** float(rng.integers(-8, 8)))
-                  for i in range(20)]
+        features = np.stack([rng.standard_normal(5) * 10.0 ** float(rng.integers(-8, 8))
+                             for _ in range(20)])
+        ids = rng.permutation(40)[:20]
         path = tmp_path / "emb.txt"
-        save_embeddings(points, str(path))
-        loaded = load_embeddings(str(path))
-        for a, b in zip(points, loaded):
-            assert a.index == b.index
-            assert np.array_equal(a.embedding, b.embedding)
+        save_embeddings(ids, features, str(path))
+        loaded_ids, loaded = load_embeddings(str(path))
+        assert loaded_ids == ids.tolist()
+        assert np.array_equal(loaded, features)
 
     def test_binary_round_trip(self, tmp_path, rng):
-        points = [Point(i, embedding=rng.standard_normal(300)) for i in range(7)]
+        features = rng.standard_normal((7, 300))
+        ids = rng.permutation(40)[:7]
         path = tmp_path / "emb.bin"
-        save_embeddings_binary(points, str(path))
-        loaded = load_embeddings(str(path))
-        for a, b in zip(points, loaded):
-            assert a.index == b.index
-            assert np.array_equal(a.embedding, b.embedding)
+        save_embeddings_binary(ids, features, str(path))
+        loaded_ids, loaded = load_embeddings(str(path))
+        assert loaded_ids == ids.tolist()
+        assert np.array_equal(loaded, features)
+
+    def test_writers_write_the_documented_bytes(self, tmp_path):
+        ids, features = (2, 0), [[1.5, -0.25], [1e-300, 3]]
+        save_embeddings(ids, features, str(tmp_path / "emb.txt"))
+        assert (tmp_path / "emb.txt").read_text() == "p=2 n=2\n2,1.5,-0.25\n0,1e-300,3.0\n"
+        save_embeddings_binary(ids, features, str(tmp_path / "emb.bin"))
+        assert (tmp_path / "emb.bin").read_bytes() == (
+            b"TDEMB1\n" + np.array([2, 2, 2, 0], dtype="<i8").tobytes()
+            + np.array([1.5, -0.25, 1e-300, 3.0], dtype="<f8").tobytes())
 
     def test_binary_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "not.bin"
@@ -90,18 +97,16 @@ class TestEmbeddingFiles:
     @pytest.mark.parametrize("cut", [slice(0, 10), slice(0, -8), None],
                              ids=["short-header", "short-body", "trailing-bytes"])
     def test_binary_size_must_match_header(self, tmp_path, rng, cut):
-        points = [Point(i, embedding=rng.standard_normal(3)) for i in range(4)]
         path = tmp_path / "emb.bin"
-        save_embeddings_binary(points, str(path))
+        save_embeddings_binary(range(4), rng.standard_normal((4, 3)), str(path))
         blob = path.read_bytes()
         path.write_bytes(blob + b"\0" * 8 if cut is None else blob[cut])
         with pytest.raises(ParseError, match="binary"):
             load_embeddings(str(path))
 
     def test_binary_negative_id_is_parse_error_naming_the_file(self, tmp_path, rng):
-        points = [Point(i, embedding=rng.standard_normal(2)) for i in range(3)]
         path = tmp_path / "emb.bin"
-        save_embeddings_binary(points, str(path))
+        save_embeddings_binary(range(3), rng.standard_normal((3, 2)), str(path))
         blob = bytearray(path.read_bytes())
         first_id = len(b"TDEMB1\n") + 16
         blob[first_id + 8:first_id + 16] = np.array([-4], dtype="<i8").tobytes()
@@ -110,67 +115,68 @@ class TestEmbeddingFiles:
             load_embeddings(str(path))
 
     @pytest.mark.parametrize("save", [save_embeddings, save_embeddings_binary])
-    @pytest.mark.parametrize("points, message", [
-        ([], "no points"),
-        ([Point(0, embedding=[1.0, 2.0]), Point(1, embedding=[1.0])], "dimensions"),
-        ([Point(0, embedding=[1.0]), Point(1, coords=[1.0])], "point 1 has no embedding"),
-        ([Point(3, embedding=[1.0]), Point(3, embedding=[2.0])], "not unique"),
-    ], ids=["empty", "mixed-dims", "no-embedding", "duplicate-ids"])
-    def test_writers_refuse_what_the_reader_would(self, tmp_path, save, points, message):
+    @pytest.mark.parametrize("ids, features, message", [
+        ([], np.zeros((0, 2)), "nonempty"),
+        ([0, 1], np.zeros((2, 0)), "nonempty"),
+        ([0, 1], [[1.0, 2.0], [1.0]], "numeric"),
+        ([0, 1, 2], [[1.0], [2.0]], "one row per id"),
+        ([0, -2], [[1.0], [2.0]], "nonnegative"),
+        ([3, 3], [[1.0], [2.0]], r"ids repeat: \[3\]"),
+        ([0, 1], [[1.0], [np.inf]], "non-finite"),
+    ], ids=["empty", "no-columns", "mixed-dims", "missing-row", "negative-id",
+            "duplicate-ids", "non-finite"])
+    def test_writers_refuse_what_the_reader_would(self, tmp_path, save, ids, features,
+                                                  message):
         path = tmp_path / "emb.out"
         with pytest.raises(InputError, match=message):
-            save(points, str(path))
+            save(ids, features, str(path))
         assert not path.exists()
 
 
-def draw_truth(spec, grid, seed):
-    return sample_gp_truth(gram(spec, grid), seed)
+def draw_truth(spec, features, seed):
+    return sample_gp_truth(gram(spec, range(len(features)), features), seed)
 
 
 class TestSyntheticTruth:
     def test_single_point_moments(self):
-        prior = gram(KernelSpec("linear"), [Point(0, coords=[1.0])])  # built once
+        prior = gram(KernelSpec("linear"), [0], [[1.0]])  # built once
         draws = np.array([sample_gp_truth(prior, seed).values[0] for seed in range(100_000)])
         assert abs(draws.var() - 1.0) < 0.02
 
     def test_degenerate_kernel_gives_zero(self):
         spec = KernelSpec("linear")
-        truth = draw_truth(spec, [Point(0, coords=[0.0])], 3)
+        truth = draw_truth(spec, [[0.0]], 3)
         assert truth.values[0] == 0.0
 
     def test_seeded_reproducibility(self, rng):
         spec = KernelSpec("gaussian", 0.5)
-        grid = [Point(i, coords=rng.uniform(0, 1, 2)) for i in range(6)]
+        grid = rng.uniform(0, 1, (6, 2))
         a = draw_truth(spec, grid, 42)
         b = draw_truth(spec, grid, 42)
         assert np.array_equal(a.values, b.values)
 
     def test_covariance_moment_check(self, rng):
         spec = KernelSpec("gaussian", 0.7)
-        grid = [Point(i, coords=rng.uniform(0, 1, 1)) for i in range(5)]
-        from transduct import gram
-
-        k = gram(spec, grid).values
+        prior = gram(spec, range(5), rng.uniform(0, 1, (5, 1)))  # built once
+        k = prior.values
         n = 10_000
-        draws = np.stack([draw_truth(spec, grid, seed).values
-                          for seed in range(n)])
+        draws = np.stack([sample_gp_truth(prior, seed).values for seed in range(n)])
         empirical = draws.T @ draws / n
         stderr = np.sqrt((np.outer(np.diag(k), np.diag(k)) + k ** 2) / n)
         assert np.all(np.abs(empirical - k) <= 5 * stderr)
 
     def test_draw_is_the_seeded_cholesky_transform_bit_for_bit(self, rng):
         spec = KernelSpec("matern", 0.4, nu=1.5)
-        grid = [Point(i, coords=rng.uniform(0, 1, 2)) for i in range(30)]
-        prior = gram(spec, grid)
+        prior = gram(spec, range(30), rng.uniform(0, 1, (30, 2)))
         expected = (np.linalg.cholesky(jittered(prior.values))
-                    @ np.random.default_rng(7).standard_normal(len(grid)))
+                    @ np.random.default_rng(7).standard_normal(30))
         truth = sample_gp_truth(prior, 7)
         assert truth.values.tobytes() == expected.tobytes()
 
     def test_truth_is_keyed_by_the_prior_ids(self, rng):
         spec = KernelSpec("gaussian", 0.5)
-        grid = [Point(i, coords=rng.uniform(0, 1, 2)) for i in range(4)]
-        truth = draw_truth(spec, grid[::-1], 3)
+        grid = rng.uniform(0, 1, (4, 2))
+        truth = sample_gp_truth(gram(spec, [3, 2, 1, 0], grid[::-1]), 3)
         assert truth.ids == (3, 2, 1, 0)
         oracle = labeled_oracle(truth, NoiseModel.homoscedastic(1e-12), seed=0)
         np.testing.assert_allclose([oracle(i) for i in truth.ids], truth.values, atol=1e-5)
@@ -179,19 +185,18 @@ class TestSyntheticTruth:
 class TestLabeledOracle:
     def test_tiny_noise_recovers_truth(self, rng):
         spec = KernelSpec("gaussian", 0.5)
-        grid = [Point(i, coords=rng.uniform(0, 1, 1)) for i in range(3)]
-        truth = draw_truth(spec, grid, 1)
+        truth = draw_truth(spec, rng.uniform(0, 1, (3, 1)), 1)
         oracle = labeled_oracle(truth, NoiseModel.homoscedastic(1e-12), seed=2)
         np.testing.assert_allclose(oracle(0), truth.values[0], atol=1e-5)
 
     def test_noise_variance_matches_model(self):
-        truth = draw_truth(KernelSpec("linear"), [Point(0, coords=[2.0])], 0)
+        truth = draw_truth(KernelSpec("linear"), [[2.0]], 0)
         oracle = labeled_oracle(truth, NoiseModel.homoscedastic(0.49), seed=5)
         draws = np.array([oracle(0) for _ in range(10_000)])
         assert abs(draws.var() - 0.49) < 0.03
 
     def test_noise_is_serially_uncorrelated(self):
-        truth = draw_truth(KernelSpec("linear"), [Point(0, coords=[1.5])], 0)
+        truth = draw_truth(KernelSpec("linear"), [[1.5]], 0)
         oracle = labeled_oracle(truth, NoiseModel.homoscedastic(1.0), seed=7)
         n = 10_000
         draws = np.array([oracle(0) for _ in range(n)]) - truth.values[0]
@@ -199,13 +204,13 @@ class TestLabeledOracle:
         assert abs(lag1) < 3 / np.sqrt(n)
 
     def test_seeded_determinism(self):
-        truth = draw_truth(KernelSpec("linear"), [Point(0, coords=[1.0])], 0)
+        truth = draw_truth(KernelSpec("linear"), [[1.0]], 0)
         a = labeled_oracle(truth, NoiseModel.homoscedastic(0.3), seed=11)
         b = labeled_oracle(truth, NoiseModel.homoscedastic(0.3), seed=11)
         assert [a(0) for _ in range(5)] == [b(0) for _ in range(5)]
 
     def test_unknown_index(self):
-        truth = draw_truth(KernelSpec("linear"), [Point(0, coords=[1.0])], 0)
+        truth = draw_truth(KernelSpec("linear"), [[1.0]], 0)
         oracle = labeled_oracle(truth, NoiseModel.homoscedastic(0.3), seed=1)
         with pytest.raises(DataError):
             oracle(99)

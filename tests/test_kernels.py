@@ -8,44 +8,39 @@ from transduct import (
     KernelMatrix,
     KernelSpec,
     NoiseModel,
-    Point,
     gram,
 )
 from transduct.kernels import jittered
 from conftest import cdist_gram_reference, eval_kernel
 
 
-def pt(i, coords=None, emb=None):
-    return Point(i, coords=coords, embedding=emb)
-
-
 class TestEvalKernel:
     def test_linear_self_dot(self):
         spec = KernelSpec("linear")
-        assert eval_kernel(spec, pt(0, [1.0, 2.0]), pt(1, [1.0, 2.0])) == 5.0
+        assert eval_kernel(spec, [1.0, 2.0], [1.0, 2.0]) == 5.0
 
     def test_gaussian_at_zero_distance(self):
         spec = KernelSpec("gaussian", lengthscale=1.0)
-        assert eval_kernel(spec, pt(0, [0.0]), pt(1, [0.0])) == 1.0
+        assert eval_kernel(spec, [0.0], [0.0]) == 1.0
 
     def test_matern_half_equals_exponential(self):
         spec = KernelSpec("matern", lengthscale=1.0, nu=0.5)
-        value = eval_kernel(spec, pt(0, [0.0]), pt(1, [1.0]))
+        value = eval_kernel(spec, [0.0], [1.0])
         np.testing.assert_allclose(value, math.exp(-1.0), rtol=1e-14)
 
     def test_gaussian_lengthscale(self):
         spec = KernelSpec("gaussian", lengthscale=2.0)
-        value = eval_kernel(spec, pt(0, [0.0]), pt(1, [3.0]))
+        value = eval_kernel(spec, [0.0], [3.0])
         np.testing.assert_allclose(value, math.exp(-9.0 / 8.0), rtol=1e-14)
 
     def test_laplace_uses_l1(self):
         spec = KernelSpec("laplace", lengthscale=1.0)
-        value = eval_kernel(spec, pt(0, [0.0, 0.0]), pt(1, [1.0, 1.0]))
+        value = eval_kernel(spec, [0.0, 0.0], [1.0, 1.0])
         np.testing.assert_allclose(value, math.exp(-2.0), rtol=1e-14)
 
     def test_matern_orders(self):
         r = 0.7
-        a, b = pt(0, [0.0]), pt(1, [r])
+        a, b = [0.0], [r]
         k32 = eval_kernel(KernelSpec("matern", 1.0, nu=1.5), a, b)
         np.testing.assert_allclose(
             k32, (1 + math.sqrt(3) * r) * math.exp(-math.sqrt(3) * r), rtol=1e-14)
@@ -57,8 +52,7 @@ class TestEvalKernel:
     def test_embedding_with_latent_cov(self):
         sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
         spec = KernelSpec("embedding", latent_cov=sigma)
-        a, b = pt(0, emb=[1.0, 0.0]), pt(1, emb=[0.0, 1.0])
-        np.testing.assert_allclose(eval_kernel(spec, a, b), 0.5, rtol=1e-14)
+        np.testing.assert_allclose(eval_kernel(spec, [1.0, 0.0], [0.0, 1.0]), 0.5, rtol=1e-14)
 
     def test_symmetry_is_exact(self, rng):
         sigma = rng.standard_normal((4, 4))
@@ -67,46 +61,48 @@ class TestEvalKernel:
                  KernelSpec("laplace", 1.3), KernelSpec("matern", 0.9, nu=1.5),
                  KernelSpec("embedding"), KernelSpec("embedding", latent_cov=sigma)]
         for _ in range(50):
-            va, vb = rng.standard_normal(4), rng.standard_normal(4)
-            a = Point(3, coords=va, embedding=va)
-            b = Point(11, coords=vb, embedding=vb)
+            a, b = rng.standard_normal(4), rng.standard_normal(4)
             for spec in specs:
                 assert eval_kernel(spec, a, b) == eval_kernel(spec, b, a)
-
-    def test_missing_field_is_input_error(self):
-        with pytest.raises(InputError):
-            eval_kernel(KernelSpec("gaussian"), pt(0, emb=[1.0]), pt(1, emb=[1.0]))
-        with pytest.raises(InputError):
-            eval_kernel(KernelSpec("embedding"), pt(0, [1.0]), pt(1, [1.0]))
 
 
 class TestGram:
     def test_orthonormal_embeddings(self):
-        points = [pt(0, emb=[1.0, 0.0]), pt(1, emb=[0.0, 1.0])]
-        k = gram(KernelSpec("embedding"), points)
+        k = gram(KernelSpec("embedding"), [0, 1], [[1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_allclose(k.values, np.eye(2), atol=1e-15)
 
     def test_gaussian_two_points(self):
-        k = gram(KernelSpec("gaussian", 1.0), [pt(0, [0.0]), pt(1, [1.0])])
+        k = gram(KernelSpec("gaussian", 1.0), [0, 1], [[0.0], [1.0]])
         expected = np.array([[1.0, math.exp(-0.5)], [math.exp(-0.5), 1.0]])
         np.testing.assert_allclose(k.values, expected, rtol=1e-14)
 
     def test_single_point(self):
-        k = gram(KernelSpec("linear"), [pt(0, [2.0, 1.0])])
+        k = gram(KernelSpec("linear"), [0], [[2.0, 1.0]])
         np.testing.assert_allclose(k.values, [[5.0]])
 
     def test_matches_eval_kernel_entrywise(self, rng):
-        points = [pt(i, coords=rng.standard_normal(3),
-                     emb=rng.standard_normal(5)) for i in range(6)]
+        sigma = rng.standard_normal((3, 3))
+        x = rng.standard_normal((6, 3))
         for spec in (KernelSpec("gaussian", 0.8), KernelSpec("laplace", 1.1),
                      KernelSpec("matern", 1.0, nu=2.5), KernelSpec("linear"),
-                     KernelSpec("embedding")):
-            k = gram(spec, points)
+                     KernelSpec("embedding"), KernelSpec("embedding", latent_cov=sigma @ sigma.T)):
+            k = gram(spec, range(6), x)
+            assert k.ids == tuple(range(6))
             for i in range(6):
                 for j in range(6):
                     np.testing.assert_allclose(
-                        k.values[i, j], eval_kernel(spec, points[i], points[j]),
+                        k.values[i, j], eval_kernel(spec, x[i], x[j]),
                         rtol=1e-12, atol=1e-12)
+
+    def test_every_family_reads_the_same_features(self, rng):
+        x = rng.standard_normal((7, 3))
+        ids = [4, 0, 9, 2, 7, 1, 3]
+        linear = gram(KernelSpec("linear"), ids, x)
+        assert np.array_equal(gram(KernelSpec("embedding"), ids, x).values, linear.values)
+        for spec in (KernelSpec("gaussian", 0.8), KernelSpec("matern", 1.0, nu=1.5)):
+            k = gram(spec, ids, x)
+            assert k.ids == tuple(ids)
+            assert np.array_equal(k.values, cdist_gram_reference(spec, x))
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 32])
     @pytest.mark.parametrize("family,nu", [("gaussian", None), ("laplace", None),
@@ -117,40 +113,69 @@ class TestGram:
         scale = dim if family == "laplace" else math.sqrt(dim)
         for spread in (1e-3, 1.0, 40.0):
             # 300 rows span two row blocks of the distance sums, the second partial
-            points = [pt(i, coords=rng.standard_normal(dim) * spread) for i in range(300)]
+            x = rng.standard_normal((300, dim)) * spread
             spec = KernelSpec(family, 0.7 * scale * spread, nu=nu)
-            assert np.array_equal(gram(spec, points).values,
-                                  cdist_gram_reference(spec, points))
+            assert np.array_equal(gram(spec, range(300), x).values,
+                                  cdist_gram_reference(spec, x))
 
     def test_jittered_gram_admits_cholesky_up_to_512(self, rng):
-        points = [pt(i, coords=rng.uniform(0, 1, size=2)) for i in range(512)]
+        x = rng.uniform(0, 1, size=(512, 2))
         for spec in (KernelSpec("gaussian", 0.3), KernelSpec("laplace", 0.5),
                      KernelSpec("matern", 0.4, nu=1.5)):
-            k = gram(spec, points)
+            k = gram(spec, range(512), x)
             np.linalg.cholesky(jittered(k.values))
 
     def test_matern_half_equals_laplace_gram_on_1d(self, rng):
-        points = [pt(i, coords=rng.standard_normal(1)) for i in range(20)]
-        k_m = gram(KernelSpec("matern", 0.9, nu=0.5), points)
-        k_l = gram(KernelSpec("laplace", 0.9), points)
+        x = rng.standard_normal((20, 1))
+        k_m = gram(KernelSpec("matern", 0.9, nu=0.5), range(20), x)
+        k_l = gram(KernelSpec("laplace", 0.9), range(20), x)
         np.testing.assert_allclose(k_m.values, k_l.values, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            gram(KernelSpec("gaussian", 1.0), [pt(0, [0.0]), pt(1, [0.0, 1.0])])
+        with pytest.raises(InputError, match="numeric"):
+            gram(KernelSpec("gaussian", 1.0), [0, 1], [[0.0], [0.0, 1.0]])
+        with pytest.raises(InputError, match="latent_cov dimension"):
+            gram(KernelSpec("embedding", latent_cov=np.eye(3)), [0, 1], np.ones((2, 2)))
 
-    def test_empty_domain(self):
-        with pytest.raises(InputError):
-            gram(KernelSpec("linear"), [])
+    @pytest.mark.parametrize("ids, features", [
+        ([], np.zeros((0, 2))),
+        ([0, 1], np.zeros((2, 0))),
+        ([0, 1], [0.0, 1.0]),
+        ([0, 1], np.zeros((3, 1))),
+        ([0, 1, 2], np.zeros((2, 1))),
+    ], ids=["no-rows", "no-columns", "one-dimensional", "extra-row", "missing-row"])
+    def test_features_must_be_a_nonempty_matrix_with_one_row_per_id(self, ids, features):
+        for family in ("linear", "gaussian"):
+            with pytest.raises(InputError, match="nonempty"):
+                gram(KernelSpec(family), ids, features)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_are_refused(self, bad):
+        for family in ("embedding", "laplace"):
+            with pytest.raises(InputError, match="non-finite"):
+                gram(KernelSpec(family), [0, 1], [[0.0, 1.0], [bad, 2.0]])
+
+    def test_negative_id_is_refused(self):
+        with pytest.raises(InputError, match="nonnegative, got -1"):
+            gram(KernelSpec("gaussian"), [0, -1], [[0.0], [1.0]])
+        with pytest.raises(InputError, match="nonnegative"):
+            KernelMatrix(np.eye(1), (-1,))
+
+    def test_repeated_ids_are_refused(self):
+        # one of two points sharing an id could never be scored or observed
+        with pytest.raises(InputError, match=r"ids repeat: \[0\]"):
+            gram(KernelSpec("gaussian"), [0, 0, 1], [[0.0], [5.0], [0.1]])
+        with pytest.raises(InputError, match=r"ids repeat: \[3, 9\]"):
+            KernelMatrix(np.eye(5), (9, 3, 9, 3, 9))
 
 
 class TestCosineSimilarity:
     def test_embedding_correlation_equals_cosine(self, rng):
-        points = [pt(i, emb=rng.standard_normal(4)) for i in range(8)]
-        k = gram(KernelSpec("embedding"), points)
+        x = rng.standard_normal((8, 4))
+        k = gram(KernelSpec("embedding"), range(8), x)
         for i in range(8):
             for j in range(8):
-                a, b = points[i].embedding, points[j].embedding
+                a, b = x[i], x[j]
                 cosine = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
                 corr = k.values[i, j] / math.sqrt(k.values[i, i] * k.values[j, j])
                 assert abs(corr - cosine) < 1e-12
@@ -175,12 +200,6 @@ class TestSpecsAndModels:
             KernelSpec(family, nu=2.5)
         assert KernelSpec("matern", nu=2.5).nu == 2.5
 
-    def test_point_needs_a_representation(self):
-        with pytest.raises(InputError):
-            Point(0)
-        with pytest.raises(InputError):
-            Point(-1, coords=[0.0])
-
     def test_noise_model(self):
         with pytest.raises(InputError):
             NoiseModel.homoscedastic(0.0)
@@ -190,6 +209,23 @@ class TestSpecsAndModels:
         assert model.variance_at(0) == 0.1
         assert model.variance_at(5) == 0.3
         np.testing.assert_allclose(model.vector([0, 5]), [0.1, 0.3])
+
+    @pytest.mark.parametrize("default", [None, 0.3])
+    def test_noise_vector_is_the_per_index_variances(self, rng, default):
+        table = {int(i): float(v) for i, v in zip(rng.permutation(40)[:25],
+                                                   rng.uniform(0.1, 2.0, 25))}
+        table[7] = 1  # an int variance reads as a float
+        model = NoiseModel(default=default, per_index=table)
+        ids = list(table)[::-1] if default is None else list(range(40))[::-1]
+        vector = model.vector(ids)
+        assert vector.dtype == np.float64
+        assert vector.tolist() == [model.variance_at(i) for i in ids]
+        padded = [*ids[:3], 99, *ids[3:]]  # 99 is in no table
+        if default is None:
+            with pytest.raises(InputError, match="no noise variance configured for index 99"):
+                model.vector(padded)
+        else:
+            assert model.vector(padded).tolist() == [model.variance_at(i) for i in padded]
 
     def test_kernel_matrix_validation(self):
         with pytest.raises(InputError):

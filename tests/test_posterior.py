@@ -17,7 +17,6 @@ from transduct import (
     NoiseModel,
     NumericError,
     Observation,
-    Point,
     Policy,
     PosteriorState,
     batch_information_gain,
@@ -131,8 +130,8 @@ class TestConditioning:
         # 400 observations at rho^2 = 1e-8 in batches of 10, as the round loop
         # conditions them; the reference is one Cholesky recompute from the prior
         rng = np.random.default_rng(7)
-        points = [Point(i, coords=xy) for i, xy in enumerate(rng.uniform(size=(60, 2)))]
-        state = PosteriorState.from_prior(gram(KernelSpec("gaussian", lengthscale=0.2), points),
+        state = PosteriorState.from_prior(gram(KernelSpec("gaussian", lengthscale=0.2), range(60),
+                                               rng.uniform(size=(60, 2))),
                                           NoiseModel.homoscedastic(1e-8))
         observations = [Observation(int(i), float(rng.standard_normal()))
                         for i in rng.integers(0, 60, size=400)]
@@ -236,8 +235,8 @@ class TestConditioning:
         # the round loop's shape at N=420: 50 rank-10 updates, compared with
         # one Cholesky recompute of all 500 observations from the prior
         rng = np.random.default_rng(11)
-        points = [Point(i, coords=xy) for i, xy in enumerate(rng.uniform(size=(420, 2)))]
-        state = PosteriorState.from_prior(gram(KernelSpec("gaussian", lengthscale=0.2), points),
+        state = PosteriorState.from_prior(gram(KernelSpec("gaussian", lengthscale=0.2), range(420),
+                                               rng.uniform(size=(420, 2))),
                                           NoiseModel.homoscedastic(1.0))
         observations = [Observation(int(i), float(rng.standard_normal()))
                         for i in rng.integers(0, 420, size=500)]

@@ -56,16 +56,15 @@ class TestScoreITL:
 
 class TestScoreCTL:
     def test_single_target_prior_equals_cosine(self, rng):
-        from transduct import Point, gram as build_gram
+        from transduct import gram as build_gram
         from transduct.kernels import KernelSpec
 
-        points = [Point(i, embedding=rng.standard_normal(4)) for i in range(6)]
-        k = build_gram(KernelSpec("embedding"), points)
+        emb = rng.standard_normal((6, 4))
+        k = build_gram(KernelSpec("embedding"), range(6), emb)
         state = PosteriorState.from_prior(k, NoiseModel.homoscedastic(0.5))
-        anchor = points[0].embedding
+        anchor = emb[0]
         for x in range(1, 6):
-            emb = points[x].embedding
-            cosine = np.dot(emb, anchor) / (np.linalg.norm(emb) * np.linalg.norm(anchor))
+            cosine = np.dot(emb[x], anchor) / (np.linalg.norm(emb[x]) * np.linalg.norm(anchor))
             np.testing.assert_allclose(score_ctl(state, [0], x), cosine, atol=1e-12)
 
     def test_self_correlation(self):

@@ -32,7 +32,7 @@ from transduct import (
     verify_markov_boundary,
 )
 from transduct import posterior, theory
-from transduct.kernels import KernelSpec, Point, gram
+from transduct.kernels import KernelSpec, gram
 from transduct.posterior import _Blocks, _itl_scores, _undirected_scores, bace_update, greedy
 from transduct.selection import _ctl_scores
 from transduct.theory import capacity_upper_bound
@@ -363,8 +363,8 @@ class TestWithinSampleBound:
         assert 1.0 <= 2 * constants.sigma_tilde_sq * gamma0 + 1e-9
 
     def test_gaussian_grid_200_rounds(self, rng):
-        points = [Point(i, coords=[0.35 * i]) for i in range(12)]
-        k = gram(KernelSpec("gaussian", lengthscale=0.5), points)
+        k = gram(KernelSpec("gaussian", lengthscale=0.5), range(12),
+                 0.35 * np.arange(12.0)[:, None])
         prior = PosteriorState.from_prior(k, NoiseModel.homoscedastic(0.3))
         traj = greedy_itl_trajectory(prior, range(12), range(12), 200)
         report = check_within_S_bound(traj)
@@ -595,9 +595,8 @@ class TestVarianceBound:
             assert report.passed is True
 
     def test_extrapolation_grid_gap_shrinks(self):
-        points = [Point(i, coords=[2.0 * i]) for i in range(3)]
-        points += [Point(3, coords=[4.6]), Point(4, coords=[5.4])]
-        k = gram(KernelSpec("gaussian", lengthscale=0.6), points)
+        k = gram(KernelSpec("gaussian", lengthscale=0.6), range(5),
+                 [[0.0], [2.0], [4.0], [4.6], [5.4]])
         prior = PosteriorState.from_prior(k, NoiseModel.homoscedastic(0.25))
         traj = greedy_itl_trajectory(prior, range(5), range(3), 60)
         report = check_variance_bound(traj, 0.05)
