@@ -319,7 +319,10 @@ def _grid_layout(layout: dict):
     start = _number(float, layout.get("start", 0.0), "domain.layout.start")
     step = _number(float, layout.get("step", 1.0), "domain.layout.step")
     include_s = layout.get("include_s_in_a", True)
-    coords = start + step * np.arange(s_count + a_extra)
+    with np.errstate(over="ignore"):
+        coords = start + step * np.arange(s_count + a_extra)
+    if not np.all(np.isfinite(coords)):
+        raise ConfigError("field 'domain.layout.step' gives non-finite grid coordinates")
     sample_ids = tuple(range(s_count))
     extras = tuple(range(s_count, s_count + a_extra))
     target_ids = (sample_ids + extras) if include_s else extras

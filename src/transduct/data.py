@@ -102,7 +102,8 @@ def _parse_binary(path: str, blob: bytes) -> tuple[list[int], np.ndarray]:
         raise ParseError(f"{path}: duplicate ids in binary file")
     if not np.all(np.isfinite(values)):
         raise ParseError(f"{path}: non-finite values in binary file")
-    return ids.tolist(), values.reshape(count, dim)
+    # an owned, aligned copy: matmul on the blob's unaligned view rounds differently
+    return ids.tolist(), values.reshape(count, dim).copy()
 
 
 def load_embeddings(path: str) -> tuple[list[int], np.ndarray]:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -117,10 +116,7 @@ class NoiseModel:
     def vector(self, ids: Sequence[int]) -> np.ndarray:
         if self.per_index is None:
             return np.full(len(ids), float(self.default))
-        values = list(map(self.per_index.get, ids, repeat(self.default)))
-        if self.default is None and None in values:
-            raise InputError(f"no noise variance configured for index {ids[values.index(None)]}")
-        return np.array(values, dtype=np.float64)
+        return np.array([self.variance_at(i) for i in ids], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -235,7 +231,7 @@ def _pairwise_sum(x: np.ndarray, term) -> np.ndarray:
 def _feature_matrix(ids: Sequence[int], features) -> np.ndarray:
     """``features`` as a float (N, d) matrix with one row per id, N, d >= 1, all finite."""
     try:
-        x = np.array(features, dtype=np.float64)
+        x = np.asarray(features, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise InputError(f"features must be a numeric (N, d) matrix: {exc}") from None
     if x.ndim != 2 or not x.size or len(x) != len(ids):

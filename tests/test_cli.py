@@ -687,11 +687,10 @@ class TestDomainBuilders:
         cfg["domain"]["layout"]["step"] = 1e308  # 1e308 * 2 is inf
         for command in ("run", "theory"):
             path = write_config(tmp_path / "c.json", cfg)
-            with np.errstate(over="ignore"):
-                code = main([command, "--config", path, "--out", str(tmp_path / command)])
-            assert code == 2
+            assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error: ") and "non-finite" in err and "Traceback" not in err
+            assert err.startswith("error: ") and "'domain.layout.step'" in err
+            assert "non-finite" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("field, value, named", [
         ("s", {"first": -3}, "domain.s.first"),
