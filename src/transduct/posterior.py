@@ -1,24 +1,38 @@
 """Joint Gaussian posterior over a finite domain, and its information metrics.
 
-The conditional covariance is kept in full. Every conditioning step is one
-noise-inflated rank-one downdate, ``bace_update`` (GPML Alg. 2.1): observing x
-with noise rho^2(x), which only the state's ``NoiseModel`` holds (an
-``Observation`` is an index and a value), appends the row
-w = (cov[:, x] - W^T W[:, x]) / s, with s = sqrt(Var[f_x] + rho^2), to a factor
-W over the columns of a ``_Blocks``. ``condition_all`` downdates blocks over
-the whole domain, moves the mean by w (y - mu_x) / s per observation, and
-subtracts W^T W in row blocks of about ``_BLOCK_ENTRIES`` entries, each formed
-by a GEMM on a transposed copy of W (numpy's SYRK is several times slower on
-threaded OpenBLAS) and checked while in cache. This matches batch conditioning
-from the prior in any order. Downdates with no value yet keep W over targets
-and candidates and leave the state alone: the batch gain downdates the target
-block at every point of the batch, and ``greedy`` is the pick stream of
-every rule that downdates (BaCE batches, the theory rollout, the kappa batch,
-greedy capacity and Markov boundaries): the argmax of ``_itl_scores`` or
-``_undirected_scores`` over the blocks, then the downdate at the pick. The
-same downdate also updates the running variances and cov[A, :] that the
-scorers read, so a rescore reads O(width) numbers and makes no pass over W;
-each downdate still forms W[:, x]^T W, so n picks cost O(n^2 width).
+The conditional covariance is kept in two pieces, cov = base - F^T F: a dense
+N x N ``base`` and a factor F with one row of N numbers per observation since
+the last fold. ``condition_all`` appends its batch's rows to F and folds them
+into the base once the p rows satisfy p^2 > N. The rule balances two costs
+per observation: a pending row adds O(N) to every later downdate, so each
+observation pays about O(p N) for the rows before it, while a fold writes N^2
+numbers for p rows, O(N^2 / p) each; the two meet at p = sqrt(N), so only one
+round in several writes an N x N array. A fold may write it in place:
+``condition_all(state, observations, out=state.base)`` overwrites the base
+that ``state`` and the states before it share, so a caller passes it only
+when it drops those states, as the round loop does. ``cov`` builds the dense
+matrix for the readers that want one.
+
+Every conditioning step is one noise-inflated rank-one downdate,
+``bace_update`` (GPML Alg. 2.1): observing x with noise rho^2(x), which only
+the state's ``NoiseModel`` holds (an ``Observation`` is an index and a value),
+appends the row w = (cov[:, x] - W^T W[:, x]) / s, with
+s = sqrt(Var[f_x] + rho^2), to a factor W over the columns of a ``_Blocks``,
+whose first rows are F at those columns. ``condition_all`` downdates blocks
+over the whole domain, moves the mean by w (y - mu_x) / s per observation,
+and folds by subtracting W^T W from the base in row blocks of about
+``_BLOCK_ENTRIES`` entries, each formed by a GEMM on a transposed copy of W
+(numpy's SYRK is several times slower on threaded OpenBLAS) and checked while
+in cache. This matches batch conditioning from the prior in any order.
+Downdates with no value yet keep W over targets and candidates and leave the
+state alone: the batch gain downdates the target block at every point of the
+batch, and ``greedy`` is the pick stream of every rule that downdates (BaCE
+batches, the theory rollout, the kappa batch, greedy capacity and Markov
+boundaries): the argmax of ``_itl_scores`` or ``_undirected_scores`` over the
+blocks, then the downdate at the pick. The same downdate also updates the
+running variances and cov[A, :] that the scorers read, so a rescore reads
+O(width) numbers and makes no pass over W; each downdate still forms
+W[:, x]^T W, so n picks cost O((p + n) n width).
 
 On top of the state the module computes the exact information gain
 I(f_A; y_x | D) in its backward form (``_itl_scores``, from the variances of
@@ -89,18 +103,31 @@ class Observation:
 
 @dataclass(frozen=True)
 class PosteriorState:
-    """Gaussian posterior over the domain after an observation history."""
+    """Gaussian posterior over the domain after an observation history. The
+    covariance is ``base`` minus the Gram of the ``factor`` rows not yet
+    folded into it (N columns each, none when ``factor`` is None)."""
 
     gram: KernelMatrix
     noise: NoiseModel
-    cov: np.ndarray
+    base: np.ndarray
     mean: np.ndarray
     history: tuple[Observation, ...] = ()
+    factor: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.factor is None:
+            object.__setattr__(self, "factor", np.empty((0, self.gram.size)))
 
     @classmethod
     def from_prior(cls, gram: KernelMatrix, noise: NoiseModel) -> "PosteriorState":
         """The zero-mean prior; the Gram's values are read-only, so it shares them."""
-        return cls(gram=gram, noise=noise, cov=gram.values, mean=np.zeros(gram.size))
+        return cls(gram=gram, noise=noise, base=gram.values, mean=np.zeros(gram.size))
+
+    @property
+    def cov(self) -> np.ndarray:
+        """The dense covariance: ``base`` itself, or a fresh N x N fold of the
+        pending rows into a copy of it."""
+        return _fold(self.base, self.factor) if len(self.factor) else self.base
 
     @property
     def round(self) -> int:
@@ -121,7 +148,8 @@ class PosteriorState:
 
     def variance_at(self, pos: np.ndarray) -> np.ndarray:
         """Variances at domain positions, clamped at zero."""
-        return np.maximum(self.cov[pos, pos], 0.0)
+        f = self.factor[:, pos]
+        return np.maximum(self.base[pos, pos] - np.einsum("ij,ij->j", f, f), 0.0)
 
 
 def condition(state: PosteriorState, obs: Observation) -> PosteriorState:
@@ -129,46 +157,60 @@ def condition(state: PosteriorState, obs: Observation) -> PosteriorState:
     return condition_all(state, [obs])
 
 
-def condition_all(state: PosteriorState, observations: Iterable[Observation]) -> PosteriorState:
-    """Condition the posterior on observations, in order, at ``state.noise``'s variances."""
+def condition_all(state: PosteriorState, observations: Iterable[Observation], *,
+                  out: np.ndarray | None = None) -> PosteriorState:
+    """Condition the posterior on observations, in order, at ``state.noise``'s
+    variances. A fold writes into ``out``, which may be ``state.base``, or
+    into a fresh array when it is None."""
     observations = tuple(observations)
     if not observations:
         return state
     blocks = _Domain(state, (), state.ids, len(observations))
     mean = state.mean.copy()
-    for k, obs in enumerate(observations):
+    for k, obs in enumerate(observations, blocks.width):
         j = state.position(obs.index)
         scale = bace_update(blocks, j)
         mean += blocks.w[k] * ((obs.value - mean[j]) / scale)
-    if not np.isfinite(mean).all():
+    if not np.isfinite(mean).all():  # a non-finite factor row moves it too (inf * 0 is NaN)
         raise NumericError("conditioning produced non-finite values")
     w = blocks.w[:blocks.width]
+    history = state.history + observations
+    if len(w) ** 2 <= state.gram.size:
+        return replace(state, mean=mean, history=history, factor=w)
+    return replace(state, base=_fold(state.base, w, out), mean=mean, history=history,
+                   factor=None)
+
+
+def _fold(base: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """base - w^T w into ``out`` (which may be ``base``) or a fresh array, in
+    row blocks, each clamped on the diagonal and checked while in cache."""
     wt = np.ascontiguousarray(w.T)  # GEMM, not SYRK (see above)
-    cov = np.empty_like(state.cov)
-    n = len(cov)
+    n = len(base)
+    cov = np.empty_like(base) if out is None else out
     rows = max(1, _BLOCK_ENTRIES // n)
+    product = np.empty((min(rows, n), n))  # apart from ``cov``, which may be ``base``
     for start in range(0, n, rows):
         block = cov[start:start + rows]
-        np.matmul(wt[start:start + rows], w, out=block)
-        np.subtract(state.cov[start:start + rows], block, out=block)
+        np.matmul(wt[start:start + rows], w, out=product[:len(block)])
+        np.subtract(base[start:start + rows], product[:len(block)], out=block)
         diag = block.reshape(-1)[start::n + 1]  # the block's part of the diagonal
         np.maximum(diag, 0.0, out=diag)
         if not np.isfinite(block).all():
             raise NumericError("conditioning produced non-finite values")
-    return replace(state, cov=cov, mean=mean, history=state.history + observations)
+    return cov
 
 
 class _Blocks:
     """The pieces of the conditional covariance that the scorers read.
 
-    Columns are the targets A followed by the candidates C. Each downdate
-    appends a row w to a factor W over these columns, so every block is the
-    state's block minus the matching product of W columns, e.g.
-    cov[A, C] = state.cov[A, C] - W_A^T W_C. The scorers read two running
-    pieces, the unclamped variances over A and C and cov[A, A and C]. Each is
-    formed on first read, from the state's block minus the rows so far, and
-    from then on each downdate subtracts w^2 and w_A w^T from it, so a read
-    makes no pass over W. ITL scoring adds a ``_twin``.
+    Columns are the targets A followed by the candidates C. W starts as the
+    state's pending factor rows at these columns, and each downdate appends a
+    row w to it, so every block is the state's base block minus the matching
+    product of W columns, e.g. cov[A, C] = state.base[A, C] - W_A^T W_C. The
+    scorers read two running pieces, the unclamped variances over A and C and
+    cov[A, A and C]. Each is formed on first read, from the base block minus
+    the rows so far, and from then on each downdate subtracts w^2 and w_A w^T
+    from it, so a read makes no pass over W. ITL scoring adds a ``_twin``.
     """
 
     def __init__(self, state: PosteriorState, targets: Sequence[int],
@@ -177,8 +219,10 @@ class _Blocks:
         self.targets = tuple(targets)
         self.candidates = candidates
         self.na = len(self.targets)
-        self.width = 0  # factor rows in use, out of len(w)
-        self.w = np.empty((capacity, self.na + len(candidates)))
+        pending = self._pending()
+        self.width = len(pending)  # factor rows in use, out of len(w)
+        self.w = np.empty((self.width + capacity, self.na + len(candidates)))
+        self.w[:self.width] = pending
         self.twin: _Blocks | None = None
         self._var: np.ndarray | None = None  # the running pieces, unformed
         self._cov_a: np.ndarray | None = None
@@ -197,7 +241,10 @@ class _Blocks:
 
     @cached_property
     def _k_a(self) -> np.ndarray:
-        return self.state.cov[self.rows[:self.na, None], self.rows]
+        return self.state.base[self.rows[:self.na, None], self.rows]
+
+    def _pending(self) -> np.ndarray:
+        return self.state.factor[:, self.rows]
 
     def cov_a(self) -> np.ndarray:
         """cov[A, A] in the first |A| columns, cov[A, C] after them; the running
@@ -211,20 +258,23 @@ class _Blocks:
         """Variances at A then C, clamped at zero."""
         if self._var is None:
             w = self.w[:self.width]
-            self._var = self.state.cov[self.rows, self.rows] - np.einsum("ij,ij->j", w, w)
+            self._var = self.state.base[self.rows, self.rows] - np.einsum("ij,ij->j", w, w)
         return np.maximum(self._var, 0.0)
 
     def column(self, i: int) -> np.ndarray:
-        """Column ``i`` of the state, read as a row: the state is symmetric."""
-        return self.state.cov[self.rows[i]][self.rows]
+        """Column ``i`` of the base, read as a row: the base is symmetric."""
+        return self.state.base[self.rows[i]][self.rows]
 
 
 class _Domain(_Blocks):
     """The whole domain in position order: no id lookups, rows read in place.
     Conditioning never reads the running pieces, so they are never formed."""
 
+    def _pending(self) -> np.ndarray:
+        return self.state.factor
+
     def column(self, i: int) -> np.ndarray:
-        return self.state.cov[i]
+        return self.state.base[i]
 
 
 def bace_update(blocks: _Blocks, pick: int) -> float:
@@ -340,8 +390,8 @@ def batch_information_gain(state: PosteriorState, targets: Sequence[int],
     position of B (a repeated index is its own measurement)."""
     if len(batch) == 0:
         return 0.0
+    before = chol_logdet(_Blocks(state, targets, ()).cov_a())
     blocks = _Blocks(state, targets, batch, len(batch))
-    before = chol_logdet(blocks._k_a[:, :blocks.na])
     for pick in range(len(batch)):
         bace_update(blocks, pick)
     return max(0.5 * (before - chol_logdet(blocks.cov_a()[:, :blocks.na])), 0.0)
@@ -506,7 +556,10 @@ def information_capacity(state: PosteriorState, candidates: Sequence[int],
     if math.comb(len(candidates) + budget - 1, budget) > BRUTE_FORCE_CAP:
         return _capacity_greedy(state, candidates, budget), False
     pos = state.positions(candidates)
-    cov = state.cov[np.ix_(pos, pos)]
+    cov = state.base[np.ix_(pos, pos)]
+    if len(state.factor):  # priors, which every theory caller passes, skip the product
+        f = state.factor[:, pos]
+        cov = cov - f.T @ f
     floor = -math.inf  # walks below budget 3 have no children to prune
     if budget >= 3:  # each greedy step reads every earlier factor row, so stop at |S| picks
         floor = _capacity_greedy(state, candidates, min(budget, len(candidates)))

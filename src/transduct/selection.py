@@ -293,6 +293,7 @@ def run_loop(state: PosteriorState, targets: Sequence[int],
             wall_time=elapsed if timings else 0.0)
 
     record.append(metrics(0, (), (), 0.0))
+    given = state.base  # the caller's covariance, which the run never writes
     pool = sorted(int(s) for s in sample_space)
     for round_no in range(1, rounds + 1):
         start = time.perf_counter()
@@ -314,7 +315,9 @@ def run_loop(state: PosteriorState, targets: Sequence[int],
             except Exception as exc:
                 raise DataError(f"oracle failed for index {index}: {exc}") from exc
             observations.append(Observation(index, value))
-        state = condition_all(state, observations)
+        # from its first fold on, the run owns its state's base and folds in place
+        state = condition_all(state, observations,
+                              out=None if state.base is given else state.base)
         retrieved.update(i for i in batch.indices if i in relevant)
         record.append(metrics(round_no, batch.indices, batch.objectives,
                               time.perf_counter() - start))

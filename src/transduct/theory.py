@@ -81,7 +81,9 @@ _exact_itl = partial(_itl_scores, stabilize=False)
 
 @dataclass(frozen=True)
 class TheoryConstants:
-    """Scale constants of the analysis, computed from the prior."""
+    """Scale constants of the analysis, computed from the prior. ``lambda_min``
+    is 0 when the sample Gram is singular up to round-off: at most |S| eps
+    lambda_max, numpy's ``matrix_rank`` tolerance."""
 
     sigma_sq: float
     sigma_tilde_sq: float
@@ -94,7 +96,8 @@ class TheoryConstants:
         noise = prior.noise.vector(prior.ids)
         pos = prior.positions(sample_space)
         block = prior.gram.values[np.ix_(pos, pos)]
-        lam = float(np.min(np.linalg.eigvalsh(block)))
+        eig = np.linalg.eigvalsh(block)
+        lam = float(eig[0]) if eig[0] > len(eig) * np.finfo(float).eps * eig[-1] else 0.0
         return cls(sigma_sq=float(diag.max()),
                    sigma_tilde_sq=float((diag + noise).max()),
                    lambda_min=lam)

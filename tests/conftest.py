@@ -297,9 +297,10 @@ def cdist_gram_reference(spec, x):
 
 def blocks_reference(blocks):
     """The clamped variances at A then C and cov[A, A then C] of a factor block,
-    recomputed from the state's covariance minus every factor row: the
-    reference for the running pieces that ``var`` and ``cov_a`` read."""
-    w = blocks.w[:blocks.width]
+    recomputed from the state's dense covariance minus every factor row the
+    block appended after the state's pending ones: the reference for the
+    running pieces that ``var`` and ``cov_a`` read."""
+    w = blocks.w[len(blocks.state.factor):blocks.width]
     rows, na = blocks.rows, blocks.na
     cov = blocks.state.cov
     var = np.maximum(cov[rows, rows] - np.sum(w * w, axis=0), 0.0)

@@ -398,7 +398,7 @@ class TestRunCommand:
             cov = domain.prior.cov.copy()
             pa = domain.prior.positions(domain.target_ids)
             cov[np.ix_(pa, pa)] = np.nan
-            return replace(domain, prior=replace(domain.prior, cov=cov))
+            return replace(domain, prior=replace(domain.prior, base=cov))
 
         monkeypatch.setattr(cli, "build_domain", poisoned_build)
         cfg = write_config(tmp_path / "c.json", base_run_config(policies=["itl"]))
@@ -459,6 +459,18 @@ class TestTheoryCommand:
         assert main([command[0], "--config", path, "--out", str(tmp_path / "o"),
                      *command[1:]]) == 4
         assert "size condition is vacuous" in capsys.readouterr().err
+
+    def test_sample_gram_singular_up_to_round_off_is_refused_as_singular(self, tmp_path,
+                                                                         capsys):
+        # 4 sample points in 3 dimensions under a linear kernel: the sample
+        # Gram has rank 3, though round-off leaves its lambda_min at 1e-16 > 0
+        emb = tmp_path / "emb.txt"
+        save_embeddings(range(6), np.random.default_rng(2).standard_normal((6, 3)), str(emb))
+        domain = {"source": "embeddings", "path": str(emb), "s": {"first": 4},
+                  "a": {"first": 6}, "kernel": {"family": "linear"}}
+        path = write_config(tmp_path / "t.json", grid_theory_config(domain=domain, epsilon=1.0))
+        assert main(["theory", "--config", path, "--out", str(tmp_path / "o")]) == 4
+        assert "the sample Gram is singular" in capsys.readouterr().err
 
     def test_sample_gram_spectrum_computed_once(self, tmp_path, monkeypatch):
         calls = []

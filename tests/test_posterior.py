@@ -25,6 +25,7 @@ from transduct import (
     gram,
     information_capacity,
     information_gain,
+    run_loop,
     select_batch,
 )
 from transduct import posterior
@@ -163,13 +164,15 @@ class TestConditioning:
         assert np.max(np.abs(state.mean - v.T @ y)) <= 1e-12
 
     def test_negative_diagonal_is_clamped_in_every_block(self, rng, monkeypatch):
-        # blocks of 3 rows over 10; every unobserved variance starts below 0
+        # blocks of 3 rows over 10; every unobserved variance starts below 0.
+        # Four rows pass sqrt(10), so they are folded into the base
         monkeypatch.setattr(posterior, "_BLOCK_ENTRIES", 30)
         state = random_state(rng, 10, noise_range=(0.1, 0.1))
         cov = state.cov.copy()
         np.fill_diagonal(cov[1:, 1:], -1e-9)
-        after = condition_all(replace(state, cov=cov), [Observation(0, 1.0)])
-        w = cov[0] / math.sqrt(cov[0, 0] + 0.1)
+        after = condition_all(replace(state, base=cov), [Observation(0, 1.0)] * 4)
+        assert len(after.factor) == 0
+        w = cov[0] / math.sqrt(cov[0, 0] + 0.1 / 4)  # four at rho^2 are one at rho^2 / 4
         expected = cov - np.outer(w, w)
         np.fill_diagonal(expected[1:, 1:], 0.0)
         np.testing.assert_allclose(after.cov, expected, rtol=0, atol=1e-12)
@@ -178,14 +181,15 @@ class TestConditioning:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_in_last_partial_block_is_numeric_error(self, rng,
                                                                       monkeypatch, bad):
-        # blocks of 3 rows over 10: the last block is row 9 alone
+        # blocks of 3 rows over 10: the last block is row 9 alone. Four rows
+        # pass sqrt(10), so they are folded into the base
         monkeypatch.setattr(posterior, "_BLOCK_ENTRIES", 30)
         state = random_state(rng, 10)
         cov = state.cov.copy()
-        cov[9, 5] = bad  # read by the subtraction only: the downdates read rows 0 and 3
-        state = replace(state, cov=cov)
+        cov[9, 5] = bad  # read by the fold only: the downdates read rows 0 and 3
+        state = replace(state, base=cov)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-            condition_all(state, [Observation(0, 1.0), Observation(3, -1.0)])
+            condition_all(state, [Observation(0, 1.0), Observation(3, -1.0)] * 2)
 
     def test_observation_is_an_index_and_a_value(self):
         with pytest.raises(TypeError):
@@ -215,7 +219,7 @@ class TestConditioning:
 
     def test_index_without_noise_is_input_error_and_state_unchanged(self, rng):
         state = random_state(rng, 6, hetero=True)
-        state = condition_all(state, [Observation(2, 0.4)])  # a writable covariance
+        state = condition_all(state, [Observation(2, 0.4)])  # one pending factor row
         table = dict(state.noise.per_index)
         del table[4]
         state = replace(state, noise=NoiseModel(per_index=table))
@@ -726,17 +730,19 @@ class TestRunningPieces:
         assert made[0]._var is None and made[0]._cov_a is None
 
     def test_conditioning_folds_only_the_rows_it_wrote(self, rng, monkeypatch):
-        # a factor with spare rows, filled with NaN, must leave the result alone
+        # a factor with spare rows, filled with NaN, must leave the result
+        # alone; four rows pass sqrt(10), so they are folded into the base
         class Spare(posterior._Domain):
             def __init__(self, state, targets, candidates, capacity):
                 super().__init__(state, targets, candidates, capacity + 3)
                 self.w.fill(np.nan)
 
         state = random_state(rng, 10, hetero=True)
-        observations = [Observation(i, 0.1 * i) for i in (2, 5, 2)]
+        observations = [Observation(i, 0.1 * i) for i in (2, 5, 2, 7)]
         want = condition_all(state, observations)
         monkeypatch.setattr(posterior, "_Domain", Spare)
         got = condition_all(state, observations)
+        assert len(got.factor) == 0
         assert got.cov.tobytes() == want.cov.tobytes()
         assert got.mean.tobytes() == want.mean.tobytes()
 
@@ -772,3 +778,120 @@ class TestRunningPieces:
         _, logdet = np.linalg.slogdet(np.eye(2) + state.cov * np.outer(root, root))
         assert math.fsum(gains) == pytest.approx(0.5 * logdet, rel=1e-11, abs=0.0)
         assert posterior._capacity_greedy(state, [0, 1], budget) == sum(gains, 0.0)
+
+
+class TestTwoPieceState:
+    """A state is a dense base minus the Gram of its pending factor rows; the
+    rows are folded into the base once their count p passes sqrt(N)."""
+
+    @staticmethod
+    def pending_and_folded(rng):
+        state = random_state(rng, 30, hetero=True)
+        observations = [Observation(int(i), float(rng.standard_normal()))
+                        for i in rng.integers(0, 30, size=4)]
+        pending = condition_all(state, observations)  # 4^2 <= 30: no fold
+        assert len(pending.factor) == 4
+        return pending, replace(pending, base=pending.cov, factor=None)
+
+    def test_pending_and_folded_states_agree(self, rng):
+        for _ in range(10):
+            pending, folded = self.pending_and_folded(rng)
+            assert len(folded.factor) == 0
+            mean_oracle, cov_oracle = batch_posterior_oracle(pending, pending.history)
+            np.testing.assert_allclose(pending.cov, cov_oracle, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(pending.mean, mean_oracle, rtol=0, atol=1e-10)
+            pos = rng.permutation(30)[:12]
+            np.testing.assert_allclose(pending.variance_at(pos), folded.variance_at(pos),
+                                       rtol=0, atol=1e-12)
+            targets, batch = (27, 28, 29), [int(i) for i in rng.integers(0, 27, size=5)]
+            assert batch_information_gain(pending, targets, batch) == pytest.approx(
+                batch_information_gain(folded, targets, batch), rel=0, abs=1e-12)
+            for budget in (1, 3):  # exact: a walk over the block, pruned below greedy
+                got, want = (information_capacity(s, range(8), budget) for s in (pending, folded))
+                assert got[1] and want[1]
+                assert got[0] == pytest.approx(want[0], rel=0, abs=1e-12)
+            blocks = [posterior._Blocks(state, targets, range(27), 2)
+                      for state in (pending, folded)]
+            for pick in (4, 11):  # reads before and after downdates
+                for got, want in zip((blocks[0].var(), blocks[0].cov_a()),
+                                     (blocks[1].var(), blocks[1].cov_a())):
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                for b in blocks:
+                    posterior.bace_update(b, pick)
+
+    @pytest.mark.parametrize("policy", [
+        Policy(rule="itl", batch_size=5), Policy(rule="itl", batch_size=5, stabilize=False),
+        Policy(rule="ctl", batch_size=5), Policy(rule="uncertainty", batch_size=5),
+        Policy(rule="undirected-itl", batch_size=5), Policy(rule="cosine", batch_size=5),
+        Policy(rule="itl", batch_size=5, batch_mode="topb")])
+    def test_scored_rules_pick_alike_from_either_piece(self, rng, policy):
+        for _ in range(5):
+            pending, folded = self.pending_and_folded(rng)
+            got = select_batch(pending, (26, 27, 28, 29), range(26), policy)
+            want = select_batch(folded, (26, 27, 28, 29), range(26), policy)
+            assert got.indices == want.indices
+            np.testing.assert_allclose(got.objectives, want.objectives, rtol=0, atol=1e-12)
+
+    def test_factor_stays_within_sqrt_n(self, rng):
+        state = random_state(rng, 50, hetero=True)
+        for size in rng.integers(1, 9, size=40):
+            before = len(state.factor)
+            state = condition_all(state, [Observation(int(i), 0.1)
+                                          for i in rng.integers(0, 50, size=size)])
+            p = len(state.factor)
+            assert p == (before + size if (before + size) ** 2 <= 50 else 0)
+            assert p ** 2 <= 50
+
+    def test_fold_in_place_gives_the_bits_of_a_fresh_fold(self, rng):
+        state = random_state(rng, 40, hetero=True)
+        observations = [Observation(int(i), float(rng.standard_normal()))
+                        for i in rng.integers(0, 40, size=19)]
+        state = condition_all(state, observations[:7])  # a fold: the base is the state's own
+        state = condition_all(state, observations[7:12])  # five pending rows
+        fresh = condition_all(state, observations[12:])
+        base = state.base
+        in_place = condition_all(state, observations[12:], out=base)
+        assert len(fresh.factor) == len(in_place.factor) == 0
+        assert in_place.base is base and fresh.base is not base
+        assert in_place.base.tobytes() == fresh.base.tobytes()
+        assert in_place.mean.tobytes() == fresh.mean.tobytes()
+
+    def test_round_without_a_fold_allocates_no_covariance(self, rng):
+        n = 600
+        state = random_state(rng, n, hetero=True)
+        state = condition_all(state, [Observation(i, 0.1) for i in range(25)])  # a fold
+        batch = [Observation(int(i), 0.1) for i in rng.integers(0, n, size=10)]
+        tracemalloc.start()
+        pending = condition_all(state, batch)
+        in_place = condition_all(pending, batch * 2, out=pending.base)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert len(pending.factor) == 10 and len(in_place.factor) == 0
+        assert peak < n * n * 8 / 2
+
+    def test_run_loop_folds_into_one_buffer(self, rng, monkeypatch):
+        folds = []
+        fold = posterior._fold
+
+        def spy(base, w, out=None):
+            folds.append(fold(base, w, out))
+            return folds[-1]
+
+        monkeypatch.setattr(posterior, "_fold", spy)
+        state = random_state(rng, 60, hetero=True)
+        run_loop(state, (57, 58, 59), range(57), Policy(rule="itl", batch_size=4),
+                 lambda index: 0.0, 12)
+        # p = 4, then 8 > sqrt(60): every second round folds, all into the first fold's array
+        assert len(folds) == 6 and all(cov is folds[0] for cov in folds)
+        assert state.base is state.gram.values  # the caller's state is untouched
+
+    def test_non_finite_row_or_mean_without_a_fold_is_numeric_error(self, rng):
+        state = random_state(rng, 10)
+        base = state.cov.copy()
+        base[0, 5] = np.nan  # read by the downdate at index 0
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            condition_all(replace(state, base=base), [Observation(0, 1.0)])
+        mean = state.mean.copy()
+        mean[3] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            condition_all(replace(state, mean=mean), [Observation(0, 1.0)])

@@ -8,6 +8,7 @@ from transduct import (
     DataError,
     InputError,
     KernelMatrix,
+    KernelSpec,
     NoiseModel,
     Observation,
     Policy,
@@ -16,6 +17,7 @@ from transduct import (
     brute_force_batch,
     condition,
     condition_all,
+    gram,
     information_gain,
     run_loop,
     select_batch,
@@ -222,7 +224,8 @@ def dense_bace(state, targets, candidates, policy):
     single = replace(policy, batch_size=1)
     picks, objectives = [], []
     for _ in range(policy.batch_size):
-        step = select_batch(replace(state, cov=cov), targets, remaining, single)
+        step = select_batch(replace(state, base=cov, factor=None), targets, remaining,
+                            single)
         pick = step.indices[0]
         picks.append(pick)
         objectives.append(step.objectives[0])
@@ -378,7 +381,7 @@ class TestKMeansPP:
             state = random_state(rng, n, unit_diag=bool(trial % 2))
             if trial % 4 == 3:
                 state = replace(state, gram=KernelMatrix(np.ones((n, n)), state.ids),
-                                cov=np.ones((n, n)))
+                                base=np.ones((n, n)))
             if trial % 3:
                 observed = rng.integers(0, n, size=int(rng.integers(1, 5)))
                 state = condition_all(state, [Observation(int(i), 0.0) for i in observed])
@@ -543,3 +546,29 @@ class TestRuleRelations:
                 singles = np.mean([
                     information_gain(state, (t,), x) for t in targets])
                 assert full >= singles - 1e-8
+
+    @pytest.mark.parametrize("batch_size", [1, 5])
+    @pytest.mark.parametrize("policy", [
+        Policy(rule="itl"), Policy(rule="itl", stabilize=False),
+        Policy(rule="undirected-itl"), Policy(rule="uncertainty")])
+    def test_picks_ignore_duplicated_sample_points(self, policy, batch_size):
+        # 60 sample and 6 target unit vectors in 16 dimensions; the second
+        # domain adds a copy of every sample point under a higher id. A copy
+        # adds no information, so both domains pick the same feature rows:
+        # ties go to the original's lower id, and in a BaCE batch the copy of
+        # a pick has lost the pick's gain
+        rng = np.random.default_rng(0)
+        features = rng.standard_normal((66, 16))
+        features /= np.linalg.norm(features, axis=1, keepdims=True)
+        rows = np.r_[np.arange(66), np.arange(60)]  # the feature row of each id
+        policy = replace(policy, batch_size=batch_size)
+        picks = []
+        for n in (66, 126):
+            prior = PosteriorState.from_prior(
+                gram(KernelSpec("embedding"), range(n), features[rows[:n]]),
+                NoiseModel.homoscedastic(0.25))
+            sample = [i for i in range(n) if not 60 <= i < 66]
+            record = run_loop(prior, range(60, 66), sample, policy,
+                              lambda index: float(features[rows[index]].sum()), 8)
+            picks.append([rows[list(entry.chosen)].tolist() for entry in record.rounds])
+        assert picks[0] == picks[1]
