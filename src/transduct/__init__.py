@@ -12,7 +12,6 @@ from .errors import (
 from .kernels import (
     KernelMatrix,
     KernelSpec,
-    NoiseModel,
     gram,
 )
 from .posterior import (

@@ -54,7 +54,7 @@ from numpy.random import Generator, SeedSequence, default_rng
 
 from .data import SyntheticTruth, labeled_oracle, load_embeddings, sample_gp_truth
 from .errors import ConfigError
-from .kernels import KernelSpec, NoiseModel, gram
+from .kernels import KernelSpec, gram
 from .posterior import PosteriorState
 from .selection import RULES, Policy
 
@@ -368,7 +368,6 @@ def _resolve_ids(section, available: Sequence[int], field: str) -> tuple[int, ..
 def build_prior(config: RunConfig, keys: np.ndarray
                 ) -> tuple[PosteriorState, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The prior state and the sample, target and relevant ids for a seed's ``seed_keys``."""
-    noise = NoiseModel.homoscedastic(float(config.hyper["rho"]) ** 2)
     source = config.domain["source"]
     if source == "synthetic":
         kernel = _kernel_from(config.domain["kernel"])
@@ -398,7 +397,8 @@ def build_prior(config: RunConfig, keys: np.ndarray
         outside = sorted(set(relevant) - set(sample_ids))
         if outside:
             raise ConfigError(f"field 'relevant' lists ids outside the sample space: {outside}")
-    return (PosteriorState.from_prior(gram(kernel, ids, features), noise),
+    return (PosteriorState.from_prior(gram(kernel, ids, features),
+                                      float(config.hyper["rho"]) ** 2),
             tuple(sample_ids), tuple(target_ids), tuple(relevant))
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import DataError, InputError, NumericError, ParseError
-from .kernels import KernelMatrix, NoiseModel, _feature_matrix, _positions, jittered
+from .kernels import KernelMatrix, _feature_matrix, _noise_vector, _positions, jittered
 from .kernels import gram  # noqa: F401  (public name here; tracing tools wrap it)
 
 RECORD_VERSION = "v1"
@@ -169,17 +169,18 @@ def sample_gp_truth(prior: KernelMatrix, seed: int) -> SyntheticTruth:
     return SyntheticTruth(ids=prior.ids, values=_covariance_factor(prior.values) @ draw)
 
 
-def labeled_oracle(truth: SyntheticTruth, noise: NoiseModel,
-                   seed: int) -> Callable[[int], float]:
-    """Label provider y = f*(x) + eps with fresh seeded noise per query."""
-    lookup = {i: float(v) for i, v in zip(truth.ids, truth.values)}
+def labeled_oracle(truth: SyntheticTruth, noise, seed: int) -> Callable[[int], float]:
+    """Label provider y = f*(x) + eps, eps ~ N(0, rho^2(x)), with fresh seeded
+    noise per query; ``noise`` is one variance, or one per id in ``truth.ids`` order."""
+    rho2 = _noise_vector(noise, len(truth.ids))
+    lookup = {i: (float(v), float(r)) for i, v, r in zip(truth.ids, truth.values, rho2)}
     rng = default_rng(seed)
 
     def oracle(index: int) -> float:
         if index not in lookup:
             raise DataError(f"oracle has no label for index {index}")
-        rho2 = noise.variance_at(index)
-        return lookup[index] + np.sqrt(rho2) * float(rng.standard_normal())
+        value, var = lookup[index]
+        return value + np.sqrt(var) * float(rng.standard_normal())
 
     return oracle
 

@@ -1,4 +1,4 @@
-"""Kernel families, noise models, and Gram construction on finite domains.
+"""Kernel families, observation noise, and Gram construction on finite domains.
 
 A domain is a list of distinct nonnegative ids and an (N, d) feature matrix
 whose row i belongs to id i; every family reads the same rows. Supported
@@ -17,6 +17,9 @@ Only half-integer Matern orders with closed forms are supported; general
 Bessel evaluation is out of scope.  The laplace family uses the L1 norm,
 so it coincides with matern(1/2) exactly on one-dimensional inputs.
 
+Observation noise is one variance rho^2(x) per point, a read-only float64
+vector in the domain's position order (``_noise_vector``).
+
 Grams of the distance families use numpy alone: squared or absolute
 coordinate differences are summed in place one coordinate at a time, in
 coordinate order, which gives the same bits as scipy's ``cdist``.
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -81,42 +84,6 @@ class KernelSpec:
                 raise InputError("latent_cov must be positive semi-definite")
             sigma.setflags(write=False)
             object.__setattr__(self, "latent_cov", sigma)
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Observation-noise variances rho^2(x), homoscedastic or per-index."""
-
-    default: float | None = None
-    per_index: Mapping[int, float] | None = None
-
-    def __post_init__(self):
-        if self.default is None and self.per_index is None:
-            raise InputError("noise model needs a default variance or a per-index table")
-        if self.default is not None and not self.default > 0:
-            raise InputError("noise variance must be positive")
-        if self.per_index is not None:
-            table = dict(self.per_index)
-            for idx, var in table.items():
-                if not var > 0:
-                    raise InputError(f"noise variance at index {idx} must be positive")
-            object.__setattr__(self, "per_index", table)
-
-    @classmethod
-    def homoscedastic(cls, variance: float) -> "NoiseModel":
-        return cls(default=float(variance))
-
-    def variance_at(self, index: int) -> float:
-        if self.per_index is not None and index in self.per_index:
-            return float(self.per_index[index])
-        if self.default is None:
-            raise InputError(f"no noise variance configured for index {index}")
-        return float(self.default)
-
-    def vector(self, ids: Sequence[int]) -> np.ndarray:
-        if self.per_index is None:
-            return np.full(len(ids), float(self.default))
-        return np.array([self.variance_at(i) for i in ids], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -240,6 +207,26 @@ def _feature_matrix(ids: Sequence[int], features) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise InputError("features contain non-finite values")
     return x
+
+
+def _noise_vector(noise, size: int) -> np.ndarray:
+    """``noise`` (one variance for every point, or one per point) as a
+    read-only float64 (size,) vector; InputError unless each variance is
+    positive and finite."""
+    try:
+        rho2 = np.array(noise, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"noise must be a variance or one variance per point: {exc}") from None
+    if rho2.ndim == 0:
+        rho2 = np.full(size, rho2)
+    elif rho2.shape != (size,):
+        raise InputError(f"noise needs one variance per point: got shape {rho2.shape} "
+                         f"for {size} points")
+    bad = rho2[~((rho2 > 0) & (rho2 < math.inf))]
+    if len(bad):
+        raise InputError(f"noise variances must be positive and finite, got {float(bad[0])!r}")
+    rho2.setflags(write=False)
+    return rho2
 
 
 def gram(spec: KernelSpec, ids: Sequence[int], features) -> KernelMatrix:

@@ -15,7 +15,7 @@ matrix for the readers that want one.
 
 Every conditioning step is one noise-inflated rank-one downdate,
 ``bace_update`` (GPML Alg. 2.1): observing x with noise rho^2(x), which only
-the state's ``NoiseModel`` holds (an ``Observation`` is an index and a value),
+the state's ``noise`` vector holds (an ``Observation`` is an index and a value),
 appends the row w = (cov[:, x] - W^T W[:, x]) / s, with
 s = sqrt(Var[f_x] + rho^2), to a factor W over the columns of a ``_Blocks``,
 whose first rows are F at those columns. ``condition_all`` downdates blocks
@@ -65,7 +65,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InputError, NumericError
-from .kernels import _BLOCK_ENTRIES, JITTER_SCALE, KernelMatrix, NoiseModel, jittered
+from .kernels import _BLOCK_ENTRIES, JITTER_SCALE, KernelMatrix, _noise_vector, jittered
 
 #: Most multisets that an exact capacity enumerates, counted as
 #: C(|S| + n - 1, n) for n observations of a sample space S; past it the
@@ -87,7 +87,7 @@ def chol_logdet(matrix: np.ndarray) -> float:
 @dataclass(frozen=True)
 class Observation:
     """One noisy measurement y = f(x) + eps, eps ~ N(0, rho^2(x)), at a domain
-    index. The noise variance rho^2(x) is the posterior's ``NoiseModel``'s.
+    index. The noise variance rho^2(x) is the posterior's ``noise`` at x.
 
     Repeated indices are allowed: each observation is an independent noisy
     measurement of the same latent value.
@@ -105,21 +105,24 @@ class Observation:
 class PosteriorState:
     """Gaussian posterior over the domain after an observation history. The
     covariance is ``base`` minus the Gram of the ``factor`` rows not yet
-    folded into it (N columns each, none when ``factor`` is None)."""
+    folded into it (N columns each, none when ``factor`` is None). ``noise``
+    holds rho^2 at every position, given as one variance or N of them;
+    InputError unless each is positive and finite."""
 
     gram: KernelMatrix
-    noise: NoiseModel
+    noise: np.ndarray
     base: np.ndarray
     mean: np.ndarray
     history: tuple[Observation, ...] = ()
     factor: np.ndarray | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "noise", _noise_vector(self.noise, self.gram.size))
         if self.factor is None:
             object.__setattr__(self, "factor", np.empty((0, self.gram.size)))
 
     @classmethod
-    def from_prior(cls, gram: KernelMatrix, noise: NoiseModel) -> "PosteriorState":
+    def from_prior(cls, gram: KernelMatrix, noise) -> "PosteriorState":
         """The zero-mean prior; the Gram's values are read-only, so it shares them."""
         return cls(gram=gram, noise=noise, base=gram.values, mean=np.zeros(gram.size))
 
@@ -233,7 +236,7 @@ class _Blocks:
 
     @cached_property
     def noise_c(self) -> np.ndarray:
-        return self.state.noise.vector(self.candidates)
+        return self.state.noise[self.rows[self.na:]]
 
     @cached_property
     def inside(self) -> np.ndarray:  # whether each candidate is also a target
@@ -269,6 +272,10 @@ class _Blocks:
 class _Domain(_Blocks):
     """The whole domain in position order: no id lookups, rows read in place.
     Conditioning never reads the running pieces, so they are never formed."""
+
+    @cached_property
+    def noise_c(self) -> np.ndarray:
+        return self.state.noise
 
     def _pending(self) -> np.ndarray:
         return self.state.factor
@@ -337,7 +344,7 @@ def _itl_scores(blocks: _Blocks, stabilize: bool) -> np.ndarray:
     noise = blocks.noise_c
     denom = blocks.var()[blocks.na:] + noise
     if blocks.twin is None:
-        noise_a = blocks.state.noise.vector(blocks.targets) if stabilize else np.zeros(blocks.na)
+        noise_a = blocks.state.noise[blocks.rows[:blocks.na]] if stabilize else np.zeros(blocks.na)
         blocks.twin = _twin(blocks, noise_a)
     resid = blocks.twin.var()[blocks.na:] + noise
     if not stabilize:
@@ -563,4 +570,4 @@ def information_capacity(state: PosteriorState, candidates: Sequence[int],
     floor = -math.inf  # walks below budget 3 have no children to prune
     if budget >= 3:  # each greedy step reads every earlier factor row, so stop at |S| picks
         floor = _capacity_greedy(state, candidates, min(budget, len(candidates)))
-    return _best_grouped_gain(cov, state.noise.vector(candidates), budget, floor), True
+    return _best_grouped_gain(cov, state.noise[pos], budget, floor), True

@@ -24,7 +24,7 @@ break toward the lowest index. Scorers read cov[A, A], cov[A, C] and the
 variances at targets A and candidates C from ``posterior``'s factor blocks;
 in-batch downdates are factor rows over A and C, and the round loop
 conditions once per batch on (index, label) observations. All of them read
-rho^2(x) from the state's ``NoiseModel``.
+rho^2(x) from the state's ``noise`` vector.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError, InputError
-from .kernels import KernelMatrix, NoiseModel
+from .kernels import KernelMatrix
 from .posterior import (
     Observation,
     PosteriorState,
@@ -93,13 +93,12 @@ class TheoryConstants:
     def from_state(cls, prior: PosteriorState,
                    sample_space: Sequence[int]) -> "TheoryConstants":
         diag = np.maximum(np.diag(prior.gram.values), 0.0)
-        noise = prior.noise.vector(prior.ids)
         pos = prior.positions(sample_space)
         block = prior.gram.values[np.ix_(pos, pos)]
         eig = np.linalg.eigvalsh(block)
         lam = float(eig[0]) if eig[0] > len(eig) * np.finfo(float).eps * eig[-1] else 0.0
         return cls(sigma_sq=float(diag.max()),
-                   sigma_tilde_sq=float((diag + noise).max()),
+                   sigma_tilde_sq=float((diag + prior.noise).max()),
                    lambda_min=lam)
 
 
@@ -182,7 +181,7 @@ def irreducible_uncertainty(prior_gram: KernelMatrix, sample_space: Sequence[int
                             points: Sequence[int]) -> np.ndarray:
     """Var[f_x | f_S] at every x of ``points`` (0 on S): noise-free downdates at S,
     at the jitter of K_SS, whose rows are its jittered Cholesky factor."""
-    prior = PosteriorState.from_prior(prior_gram, NoiseModel.homoscedastic(1.0))  # noise unread
+    prior = PosteriorState.from_prior(prior_gram, 1.0)  # noise unread
     blocks = _Blocks(prior, sample_space, points)
     eta2 = _twin(blocks, np.zeros(blocks.na)).var()[blocks.na:]
     return np.where(blocks.inside, 0.0, eta2)
@@ -281,7 +280,7 @@ def markov_size_bound(state: PosteriorState, sample_space: Sequence[int], epsilo
     pos = state.positions(space)
     prior_cov = state.gram.values[np.ix_(pos, pos)]
     variances = np.maximum(np.diag(prior_cov), 0.0)
-    noise = state.noise.vector(space)
+    noise = state.noise[pos]
 
     # exact phase: small budgets, each enumerating the multisets of its size
     k_exact = 0

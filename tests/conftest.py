@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from transduct import (BudgetError, KernelMatrix, NoiseModel, Observation, Policy,
+from transduct import (BudgetError, KernelMatrix, Observation, Policy,
                        PosteriorState, batch_information_gain, condition, information_gain,
                        select_batch)
 from transduct.kernels import JITTER_SCALE, _matern_of_distance
@@ -55,22 +55,20 @@ def random_state(rng, n, *, hetero=False, noise_range=(0.01, 1.0),
     """A prior posterior state over a random Gram with random noise."""
     gram = random_corr_gram(rng, n, floor=floor) if unit_diag else random_psd_gram(rng, n)
     if hetero:
-        table = {i: float(v) for i, v in
-                 enumerate(rng.uniform(noise_range[0], noise_range[1], size=n))}
-        noise = NoiseModel(per_index=table)
+        noise = rng.uniform(noise_range[0], noise_range[1], size=n)
     else:
-        noise = NoiseModel.homoscedastic(float(rng.uniform(*noise_range)))
+        noise = float(rng.uniform(*noise_range))
     return PosteriorState.from_prior(gram, noise)
 
 
 def batch_posterior_oracle(state, observations):
     """From-scratch batch conditioning of the prior, each observation at the
-    noise the state's model gives its index: the independent oracle for the
+    noise the state holds at its index: the independent oracle for the
     rank-one update path."""
     prior = state.gram.values
     pos = [state.position(obs.index) for obs in observations]
     y = np.array([obs.value for obs in observations])
-    noise = np.diag(state.noise.vector([obs.index for obs in observations]))
+    noise = np.diag(state.noise[pos])
     k_dx = prior[:, pos]
     k_xx = prior[np.ix_(pos, pos)] + noise
     solve = np.linalg.solve(k_xx, np.eye(len(pos)))
@@ -88,9 +86,9 @@ def batch_gain_reference(state, targets, batch, *, stabilize=False):
     pa = state.positions(targets)
     block = state.cov[np.ix_(pa, pa)]
     if stabilize:
-        block = block + np.diag(state.noise.vector(targets))
+        block = block + np.diag(state.noise[pa])
     pb = state.positions(batch)
-    c_bb = state.cov[np.ix_(pb, pb)] + np.diag(state.noise.vector(batch))
+    c_bb = state.cov[np.ix_(pb, pb)] + np.diag(state.noise[pb])
     c_ab = state.cov[np.ix_(pa, pb)]
     downdated = block - c_ab @ np.linalg.solve(c_bb, c_ab.T)
     gain = 0.5 * (chol_logdet(block) - chol_logdet(downdated))
@@ -116,7 +114,7 @@ def capacity_greedy_reference(state, candidates, budget):
     """Greedy multiset capacity on a dense copy of the candidate block,
     downdated by an explicit outer product after each undirected-ITL pick."""
     pos = state.positions(candidates)
-    noise = state.noise.vector(candidates)
+    noise = state.noise[pos]
     cov = state.cov[np.ix_(pos, pos)].copy()
     total = 0.0
     for _ in range(budget):
@@ -154,7 +152,7 @@ def capacity_multiset_reference(state, candidates, budget):
     """Exhaustive multiset capacity, one Cholesky log-determinant of
     K_XX + P_X per multiset X, a repeated point as repeated rows."""
     pos = state.positions(candidates)
-    noise = state.noise.vector(candidates)
+    noise = state.noise[pos]
     cov = state.cov[np.ix_(pos, pos)]
     best = 0.0
     for size in range(1, budget + 1):
@@ -172,7 +170,7 @@ def markov_boundary_reference(state, space, x, floor, epsilon, cap):
     conditioning the state on it."""
     pos = state.positions(space)
     px = state.position(x)
-    noise = state.noise.vector(space)
+    noise = state.noise[pos]
     sel_cov = state.gram.values[np.ix_(pos, pos)].copy()
     members = []
     achieved = max(float(state.cov[px, px]), 0.0)
@@ -316,7 +314,7 @@ def itl_scores_reference(blocks, stabilize):
     block, cross = cov_a[:, :blocks.na], cov_a[:, blocks.na:]
     pa = blocks.rows[:blocks.na]
     jitter = JITTER_SCALE * max(float(np.max(blocks.state.gram.values[pa, pa])), 0.0)
-    noise_a = blocks.state.noise.vector(blocks.targets) if stabilize else np.zeros(blocks.na)
+    noise_a = blocks.state.noise[pa] if stabilize else np.zeros(blocks.na)
     block = block + np.diag(jitter + noise_a)
     quad = np.sum(cross * np.linalg.solve(block, cross), axis=0)
     denom = var[blocks.na:] + blocks.noise_c

@@ -14,7 +14,6 @@ import numpy as np
 
 from transduct import (
     KernelMatrix,
-    NoiseModel,
     Observation,
     Policy,
     PosteriorState,
@@ -125,8 +124,7 @@ class TestCriterion4GreedyBatchGuarantee:
         for _ in range(50):
             gram_m = random_corr_gram(rng, 12, floor=0.1)
             rho2 = float(rng.uniform(0.2, 1.0))
-            state = PosteriorState.from_prior(gram_m,
-                                              NoiseModel.homoscedastic(rho2))
+            state = PosteriorState.from_prior(gram_m, rho2)
             targets = list(range(12))       # S = first 8 points, inside A
             candidates = list(range(8))
             bace = select_batch(state, targets, candidates,
@@ -157,8 +155,7 @@ class TestCriterion5TheoremAsTest:
         for _ in range(50):
             n = int(rng.integers(4, 8))
             prior = PosteriorState.from_prior(
-                random_corr_gram(rng, n, floor=0.1),
-                NoiseModel.homoscedastic(float(rng.uniform(0.2, 1.0))))
+                random_corr_gram(rng, n, floor=0.1), float(rng.uniform(0.2, 1.0)))
             traj = greedy_itl_trajectory(prior, range(n), range(n), 6)
             rep = check_gamma_bound(traj)
             all_pass &= rep.passed is True
@@ -173,7 +170,7 @@ class TestCriterion5TheoremAsTest:
             spacing = float(rng.uniform(0.3, 0.5))
             k = gram(KernelSpec("gaussian", lengthscale=0.5), range(12),
                      spacing * np.arange(12.0)[:, None])
-            prior = PosteriorState.from_prior(k, NoiseModel.homoscedastic(0.3))
+            prior = PosteriorState.from_prior(k, 0.3)
             traj = greedy_itl_trajectory(prior, range(12), range(12), 200)
             rep = check_within_S_bound(traj)
             all_pass &= rep.passed is True
@@ -185,7 +182,7 @@ class TestCriterion6ExplicitVarianceBound:
     def test_extrapolation_grid(self):
         k = gram(KernelSpec("gaussian", lengthscale=0.6), range(5),
                  [[0.0], [2.0], [4.0], [4.6], [5.2]])
-        prior = PosteriorState.from_prior(k, NoiseModel.homoscedastic(0.25))
+        prior = PosteriorState.from_prior(k, 0.25)
         traj = greedy_itl_trajectory(prior, range(5), range(3), 500)
         rep = check_variance_bound(traj, 0.05)
         ratio = rep.rows[-1]["max_gap"] / rep.rows[0]["max_gap"]
@@ -209,8 +206,7 @@ class TestCriterion7MarkovBoundaryValidity:
                 values[0, n] = values[n, 0] = link
             gram_m = KernelMatrix(values, tuple(range(size)))
             rho2 = float(rng.uniform(0.3, 1.0))
-            state = PosteriorState.from_prior(gram_m,
-                                              NoiseModel.homoscedastic(rho2))
+            state = PosteriorState.from_prior(gram_m, rho2)
             epsilon = float(rng.uniform(0.4, 0.8))
             x = int(rng.integers(0, n)) if extra == 0 else n
             boundary = markov_boundary(state, range(n), x, epsilon)
@@ -231,7 +227,7 @@ class TestCriterion8EquivalenceTriad:
             emb /= np.linalg.norm(emb, axis=1, keepdims=True)
             k = gram(KernelSpec("embedding"), range(21), emb)   # Sigma = I
             rho2 = float(rng.uniform(0.1, 1.0))
-            state = PosteriorState.from_prior(k, NoiseModel.homoscedastic(rho2))
+            state = PosteriorState.from_prior(k, rho2)
             target = [20]
             candidates = list(range(20))
             picks = {

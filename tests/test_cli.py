@@ -378,6 +378,32 @@ class TestRunCommand:
         assert record.config["policy"]["rho"] == record.config["hyper"]["rho"]
         assert len(record.rounds[1].chosen) == 2
 
+    def test_itl_batches_hold_no_point_and_its_copy(self, tmp_path):
+        # 60 sample and 6 target unit vectors, and every sample row again under
+        # ids 66-125: nearest-neighbour retrieval (cosine) takes a point and its
+        # copy into one batch, information-based selection does not
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((66, 16))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        emb = tmp_path / "emb.txt"
+        save_embeddings(range(126), np.vstack([x, x[:60]]), str(emb))
+        domain = {"source": "embeddings", "path": str(emb),
+                  "s": list(range(60)) + list(range(66, 126)), "a": list(range(60, 66))}
+        cfg = base_run_config(domain=domain, policies=["itl", "cosine", "ctl"], rounds=8,
+                              seeds=[0], hyper={"b": 5, "rho": 0.5})
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path / "c.json", cfg),
+                     "--out", str(out)]) == 0
+        pairs = {}
+        for tag in ("00-itl", "01-cosine", "02-ctl"):
+            record = load_run(str(out / "records" / f"{tag}_s0.jsonl"))
+            pairs[tag] = sum(len(e.chosen) - len({i - 66 if i >= 66 else i for i in e.chosen})
+                             for e in record.rounds[1:])
+        assert pairs["00-itl"] == 0
+        assert pairs["01-cosine"] > 0  # 16 pairs in 8 batches
+        # CTL is left unasserted (8 pairs here): it scores correlations, and a
+        # noisy observation of x lowers its copy's correlation only in part
+
     def test_header_keeps_v1_policy_fields(self, tmp_path):
         # Policy has no rho or beta; the header adds them as v1 records carry them
         cfg = base_run_config(policies=[{"rule": "itl", "name": "x", "m": None}],

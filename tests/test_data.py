@@ -5,7 +5,6 @@ from transduct import (
     DataError,
     InputError,
     KernelSpec,
-    NoiseModel,
     ParseError,
     RoundEntry,
     RunRecord,
@@ -178,7 +177,7 @@ class TestSyntheticTruth:
         grid = rng.uniform(0, 1, (4, 2))
         truth = sample_gp_truth(gram(spec, [3, 2, 1, 0], grid[::-1]), 3)
         assert truth.ids == (3, 2, 1, 0)
-        oracle = labeled_oracle(truth, NoiseModel.homoscedastic(1e-12), seed=0)
+        oracle = labeled_oracle(truth, 1e-12, seed=0)
         np.testing.assert_allclose([oracle(i) for i in truth.ids], truth.values, atol=1e-5)
 
 
@@ -186,32 +185,41 @@ class TestLabeledOracle:
     def test_tiny_noise_recovers_truth(self, rng):
         spec = KernelSpec("gaussian", 0.5)
         truth = draw_truth(spec, rng.uniform(0, 1, (3, 1)), 1)
-        oracle = labeled_oracle(truth, NoiseModel.homoscedastic(1e-12), seed=2)
+        oracle = labeled_oracle(truth, 1e-12, seed=2)
         np.testing.assert_allclose(oracle(0), truth.values[0], atol=1e-5)
 
     def test_noise_variance_matches_model(self):
         truth = draw_truth(KernelSpec("linear"), [[2.0]], 0)
-        oracle = labeled_oracle(truth, NoiseModel.homoscedastic(0.49), seed=5)
+        oracle = labeled_oracle(truth, 0.49, seed=5)
         draws = np.array([oracle(0) for _ in range(10_000)])
         assert abs(draws.var() - 0.49) < 0.03
 
     def test_noise_is_serially_uncorrelated(self):
         truth = draw_truth(KernelSpec("linear"), [[1.5]], 0)
-        oracle = labeled_oracle(truth, NoiseModel.homoscedastic(1.0), seed=7)
+        oracle = labeled_oracle(truth, 1.0, seed=7)
         n = 10_000
         draws = np.array([oracle(0) for _ in range(n)]) - truth.values[0]
         lag1 = np.corrcoef(draws[:-1], draws[1:])[0, 1]
         assert abs(lag1) < 3 / np.sqrt(n)
 
+    def test_noise_vector_is_read_in_truth_id_order(self, rng):
+        prior = gram(KernelSpec("gaussian", 0.5), [3, 2, 1, 0], rng.uniform(0, 1, (4, 2)))
+        truth = sample_gp_truth(prior, 3)
+        oracle = labeled_oracle(truth, [1e-12, 1e-12, 0.49, 1e-12], seed=5)
+        np.testing.assert_allclose([oracle(i) for i in (3, 2, 0)], truth.values[[0, 1, 3]],
+                                   atol=1e-5)
+        draws = np.array([oracle(1) for _ in range(10_000)])
+        assert abs(draws.var() - 0.49) < 0.03
+
     def test_seeded_determinism(self):
         truth = draw_truth(KernelSpec("linear"), [[1.0]], 0)
-        a = labeled_oracle(truth, NoiseModel.homoscedastic(0.3), seed=11)
-        b = labeled_oracle(truth, NoiseModel.homoscedastic(0.3), seed=11)
+        a = labeled_oracle(truth, 0.3, seed=11)
+        b = labeled_oracle(truth, 0.3, seed=11)
         assert [a(0) for _ in range(5)] == [b(0) for _ in range(5)]
 
     def test_unknown_index(self):
         truth = draw_truth(KernelSpec("linear"), [[1.0]], 0)
-        oracle = labeled_oracle(truth, NoiseModel.homoscedastic(0.3), seed=1)
+        oracle = labeled_oracle(truth, 0.3, seed=1)
         with pytest.raises(DataError):
             oracle(99)
 

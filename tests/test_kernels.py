@@ -7,7 +7,6 @@ from transduct import (
     InputError,
     KernelMatrix,
     KernelSpec,
-    NoiseModel,
     gram,
 )
 from transduct.kernels import jittered
@@ -199,33 +198,6 @@ class TestSpecsAndModels:
         with pytest.raises(InputError, match="nu only applies to the matern family"):
             KernelSpec(family, nu=2.5)
         assert KernelSpec("matern", nu=2.5).nu == 2.5
-
-    def test_noise_model(self):
-        with pytest.raises(InputError):
-            NoiseModel.homoscedastic(0.0)
-        with pytest.raises(InputError):
-            NoiseModel(per_index={0: 0.1, 1: -0.5})
-        model = NoiseModel(per_index={0: 0.1}, default=0.3)
-        assert model.variance_at(0) == 0.1
-        assert model.variance_at(5) == 0.3
-        np.testing.assert_allclose(model.vector([0, 5]), [0.1, 0.3])
-
-    @pytest.mark.parametrize("default", [None, 0.3])
-    def test_noise_vector_is_the_per_index_variances(self, rng, default):
-        table = {int(i): float(v) for i, v in zip(rng.permutation(40)[:25],
-                                                   rng.uniform(0.1, 2.0, 25))}
-        table[7] = 1  # an int variance reads as a float
-        model = NoiseModel(default=default, per_index=table)
-        ids = list(table)[::-1] if default is None else list(range(40))[::-1]
-        vector = model.vector(ids)
-        assert vector.dtype == np.float64
-        assert vector.tolist() == [model.variance_at(i) for i in ids]
-        padded = [*ids[:3], 99, *ids[3:]]  # 99 is in no table
-        if default is None:
-            with pytest.raises(InputError, match="no noise variance configured for index 99"):
-                model.vector(padded)
-        else:
-            assert model.vector(padded).tolist() == [model.variance_at(i) for i in padded]
 
     def test_kernel_matrix_validation(self):
         with pytest.raises(InputError):

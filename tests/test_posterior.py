@@ -14,17 +14,18 @@ from transduct import (
     InputError,
     KernelMatrix,
     KernelSpec,
-    NoiseModel,
     NumericError,
     Observation,
     Policy,
     PosteriorState,
+    SyntheticTruth,
     batch_information_gain,
     condition,
     condition_all,
     gram,
     information_capacity,
     information_gain,
+    labeled_oracle,
     run_loop,
     select_batch,
 )
@@ -47,7 +48,7 @@ TWO_POINT = np.array([[1.0, 0.5], [0.5, 1.0]])
 
 def two_point_state(rho2=0.1):
     gram = KernelMatrix(TWO_POINT, (0, 1))
-    return PosteriorState.from_prior(gram, NoiseModel.homoscedastic(rho2))
+    return PosteriorState.from_prior(gram, rho2)
 
 
 class TestConditioning:
@@ -60,7 +61,7 @@ class TestConditioning:
 
     def test_prior_shares_the_read_only_gram(self):
         gram = KernelMatrix(np.diag([1.0, 2.0]), (0, 1))
-        state = PosteriorState.from_prior(gram, NoiseModel.homoscedastic(0.1))
+        state = PosteriorState.from_prior(gram, 0.1)
         assert state.cov is gram.values and not state.cov.flags.writeable
         after = condition(state, Observation(0, 3.0))
         np.testing.assert_array_equal(gram.values, np.diag([1.0, 2.0]))
@@ -68,7 +69,7 @@ class TestConditioning:
 
     def test_uncorrelated_point_untouched(self):
         gram = KernelMatrix(np.diag([1.0, 2.0]), (0, 1))
-        state = PosteriorState.from_prior(gram, NoiseModel.homoscedastic(0.1))
+        state = PosteriorState.from_prior(gram, 0.1)
         after = condition(state, Observation(0, 3.0))
         assert after.variance_vector([1])[0] == 2.0
         assert after.mean[after.position(1)] == 0.0
@@ -133,7 +134,7 @@ class TestConditioning:
         rng = np.random.default_rng(7)
         state = PosteriorState.from_prior(gram(KernelSpec("gaussian", lengthscale=0.2), range(60),
                                                rng.uniform(size=(60, 2))),
-                                          NoiseModel.homoscedastic(1e-8))
+                                          1e-8)
         observations = [Observation(int(i), float(rng.standard_normal()))
                         for i in rng.integers(0, 60, size=400)]
         for start in range(0, 400, 10):
@@ -156,8 +157,7 @@ class TestConditioning:
         state = condition_all(condition_all(state, observations[:5]), observations[5:])
         prior = state.gram.values
         pos = [state.position(obs.index) for obs in observations]
-        chol = np.linalg.cholesky(prior[np.ix_(pos, pos)] + np.diag(
-            state.noise.vector([obs.index for obs in observations])))
+        chol = np.linalg.cholesky(prior[np.ix_(pos, pos)] + np.diag(state.noise[pos]))
         v = solve_triangular(chol, prior[pos, :], lower=True)
         y = solve_triangular(chol, [obs.value for obs in observations], lower=True)
         assert np.max(np.abs(state.cov - (prior - v.T @ v))) <= 1e-12
@@ -193,12 +193,12 @@ class TestConditioning:
 
     def test_observation_is_an_index_and_a_value(self):
         with pytest.raises(TypeError):
-            Observation(0, 1.0, 0.1)  # the noise belongs to the state's NoiseModel
+            Observation(0, 1.0, 0.1)  # the noise belongs to the state
         for bad in (np.nan, np.inf):
             with pytest.raises(InputError, match="finite"):
                 Observation(0, bad)
 
-    def test_hetero_batch_with_repeats_reads_noise_from_the_model(self, rng):
+    def test_hetero_batch_with_repeats_reads_noise_from_the_state(self, rng):
         for _ in range(10):
             state = random_state(rng, 8, hetero=True, noise_range=(0.05, 2.0))
             indices = rng.permutation(np.repeat(np.arange(4), [2, 3, 2, 3]))
@@ -209,27 +209,46 @@ class TestConditioning:
             np.testing.assert_allclose(got.cov, cov_oracle, rtol=0, atol=1e-10)
             # k observations of x at rho^2(x) are one at rho^2(x) / k of their mean value
             counts = np.bincount(indices, minlength=8)
-            pooled = NoiseModel(per_index={i: state.noise.variance_at(i) / max(counts[i], 1)
-                                           for i in state.ids})
+            pooled = state.noise / np.maximum(counts, 1)
             once = condition_all(replace(state, noise=pooled), [
                 Observation(i, float(np.mean([o.value for o in observations if o.index == i])))
                 for i in range(4)])
             np.testing.assert_allclose(got.cov, once.cov, rtol=0, atol=1e-10)
             np.testing.assert_allclose(got.mean, once.mean, rtol=0, atol=1e-10)
 
-    def test_index_without_noise_is_input_error_and_state_unchanged(self, rng):
+    def test_unknown_index_is_input_error_and_state_unchanged(self, rng):
         state = random_state(rng, 6, hetero=True)
         state = condition_all(state, [Observation(2, 0.4)])  # one pending factor row
-        table = dict(state.noise.per_index)
-        del table[4]
-        state = replace(state, noise=NoiseModel(per_index=table))
-        cov, mean = state.cov.copy(), state.mean.copy()
-        with pytest.raises(InputError, match="no noise variance configured for index 4"):
-            condition_all(state, [Observation(1, 0.5), Observation(4, -0.2)])
-        with pytest.raises(InputError, match="index 4"):
-            information_gain(state, (0, 1), 4)
-        assert np.array_equal(state.cov, cov) and np.array_equal(state.mean, mean)
+        base, factor, mean = state.base.copy(), state.factor.copy(), state.mean.copy()
+        with pytest.raises(InputError, match="index 9 is not in this Gram matrix"):
+            condition_all(state, [Observation(1, 0.5), Observation(9, -0.2)])
+        with pytest.raises(InputError, match="index 9"):
+            information_gain(state, (0, 1), 9)
+        assert np.array_equal(state.base, base) and np.array_equal(state.factor, factor)
+        assert np.array_equal(state.mean, mean)
         assert [obs.index for obs in state.history] == [2]
+
+    @pytest.mark.parametrize("noise", [0.0, -1.0, np.nan, np.inf, [0.5, 0.2, np.inf, 0.1],
+                                       [0.5, 0.2, 0.3]],
+                             ids=["zero", "negative", "nan", "inf", "inf-entry", "short"])
+    def test_noise_must_be_positive_and_finite_at_every_point(self, rng, noise):
+        # an infinite variance used to be accepted and made every ITL objective NaN
+        state = random_state(rng, 4)
+        with pytest.raises(InputError, match="noise"):
+            PosteriorState.from_prior(state.gram, noise)
+        with pytest.raises(InputError, match="noise"):
+            replace(state, noise=noise)
+        with pytest.raises(InputError, match="noise"):
+            labeled_oracle(SyntheticTruth(state.ids, np.zeros(4)), noise, 0)
+
+    def test_noise_is_a_read_only_float_vector_over_positions(self, rng):
+        gram_ = random_psd_gram(rng, 4)
+        state = PosteriorState.from_prior(gram_, [1, 0.5, 2, 0.25])  # an int reads as a float
+        assert state.noise.dtype == np.float64 and not state.noise.flags.writeable
+        assert state.noise.tolist() == [1.0, 0.5, 2.0, 0.25]
+        assert PosteriorState.from_prior(gram_, 0.3).noise.tolist() == [0.3] * 4
+        assert np.isfinite(select_batch(state, [2, 3], [0, 1], Policy("itl", batch_size=2))
+                           .objectives).all()
 
     def test_empty_batch_is_identity(self):
         state = two_point_state()
@@ -240,8 +259,7 @@ class TestConditioning:
         # one Cholesky recompute of all 500 observations from the prior
         rng = np.random.default_rng(11)
         state = PosteriorState.from_prior(gram(KernelSpec("gaussian", lengthscale=0.2), range(420),
-                                               rng.uniform(size=(420, 2))),
-                                          NoiseModel.homoscedastic(1.0))
+                                               rng.uniform(size=(420, 2))), 1.0)
         observations = [Observation(int(i), float(rng.standard_normal()))
                         for i in rng.integers(0, 420, size=500)]
         for start in range(0, 500, 10):
@@ -262,8 +280,7 @@ def coincident_state(rng, n, hetero):
     copy = np.r_[np.arange(n), n - 1]
     gram_ = KernelMatrix(base[np.ix_(copy, copy)], tuple(range(n + 1)))
     rho2 = rng.uniform(0.01, 1.0, size=n)[copy] if hetero else np.full(n + 1, 0.3)
-    noise = NoiseModel(per_index={i: float(v) for i, v in enumerate(rho2)})
-    return PosteriorState.from_prior(gram_, noise)
+    return PosteriorState.from_prior(gram_, rho2)
 
 
 class TestITLWhitening:
@@ -309,8 +326,7 @@ class TestITLWhitening:
     def test_zero_target_block_is_numeric_error(self):
         # no prior variance over A leaves the exact objective no regulariser: the
         # twin's zero pivots are a NumericError, not a division warning
-        state = PosteriorState.from_prior(KernelMatrix(np.diag([1.0, 0.0, 0.0]), (0, 1, 2)),
-                                          NoiseModel.homoscedastic(0.1))
+        state = PosteriorState.from_prior(KernelMatrix(np.diag([1.0, 0.0, 0.0]), (0, 1, 2)), 0.1)
         with pytest.raises(NumericError, match="non-finite"):
             information_gain(state, (1, 2), 0)
 
@@ -328,7 +344,7 @@ class TestInformationGain:
 
     def test_independent_candidate_gains_nothing(self):
         gram = KernelMatrix(np.diag([1.0, 1.0]), (0, 1))
-        state = PosteriorState.from_prior(gram, NoiseModel.homoscedastic(0.1))
+        state = PosteriorState.from_prior(gram, 0.1)
         assert information_gain(state, (1,), 0) <= 1e-12
 
     def test_candidate_inside_targets_reduces_to_uncertainty(self, rng):
@@ -360,7 +376,7 @@ class TestInformationGain:
         blocks[:3, :3] = random_state(rng, 3, unit_diag=True).gram.values
         blocks[3:, 3:] = random_state(rng, 3, unit_diag=True).gram.values
         gram = KernelMatrix(blocks, tuple(range(6)))
-        state = PosteriorState.from_prior(gram, NoiseModel.homoscedastic(0.3))
+        state = PosteriorState.from_prior(gram, 0.3)
         assert information_gain(state, (3, 4), 0) <= 1e-10
         assert information_gain(state, (3, 4), 5) > 1e-4
 
@@ -404,7 +420,7 @@ class TestInformationGain:
         # tells as much about f_2 as either point alone: 1/2 log(1 / (1 - 0.25))
         values = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
         state = PosteriorState.from_prior(KernelMatrix(values, (0, 1, 2)),
-                                          NoiseModel.homoscedastic(1e-300))
+                                          1e-300)
         np.testing.assert_allclose(batch_information_gain(state, [2], [0, 1]),
                                    0.5 * math.log(4.0 / 3.0), rtol=0, atol=1e-12)
 
@@ -416,7 +432,7 @@ class TestInformationGain:
 class TestInformationCapacity:
     def test_single_observation_takes_best_point(self, monkeypatch):
         gram = KernelMatrix(np.diag([1.0, 4.0]), (0, 1))
-        state = PosteriorState.from_prior(gram, NoiseModel.homoscedastic(1.0))
+        state = PosteriorState.from_prior(gram, 1.0)
         for exact in (True, False):  # a cap of 0 multisets leaves the greedy value
             if not exact:
                 monkeypatch.setattr(posterior, "BRUTE_FORCE_CAP", 0)
@@ -425,7 +441,7 @@ class TestInformationCapacity:
 
     def test_independent_points_add_up(self, monkeypatch):
         gram = KernelMatrix(np.eye(5), tuple(range(5)))
-        state = PosteriorState.from_prior(gram, NoiseModel.homoscedastic(1.0))
+        state = PosteriorState.from_prior(gram, 1.0)
         for exact in (True, False):
             if not exact:
                 monkeypatch.setattr(posterior, "BRUTE_FORCE_CAP", 0)
@@ -450,7 +466,7 @@ class TestInformationCapacity:
         # repeats one point, 1/2 log((1 + 2 * 2) (1 + 2)), past the whole pool's
         # 1/2 log(3 * 3)
         gram = KernelMatrix(np.eye(2), (0, 1))
-        state = PosteriorState.from_prior(gram, NoiseModel.homoscedastic(0.5))
+        state = PosteriorState.from_prior(gram, 0.5)
         multi, exact = information_capacity(state, [0, 1], 3)
         assert exact
         np.testing.assert_allclose(multi, 0.5 * math.log(15.0), rtol=1e-12)
@@ -481,7 +497,7 @@ class TestStackedCapacityEnumeration:
         default = posterior._BLOCK_ENTRIES
         for n in range(1, 9):
             state = random_state(rng, n, hetero=True)
-            noise = state.noise.vector(state.ids)
+            noise = state.noise
             for size in range(1, 7):  # |S| < size up to |S| = 5
                 expected = best_grouped_gain_reference(state.cov, noise, size)
                 for entries in (1, 300, default):
@@ -494,7 +510,7 @@ class TestStackedCapacityEnumeration:
         # one-point children score them all, where one determinant per
         # multiset took seconds
         state = random_state(rng, 2, hetero=True)
-        noise = state.noise.vector(state.ids)
+        noise = state.noise
         budget = 5000
         start = time.perf_counter()
         got = posterior._best_grouped_gain(state.cov, noise, budget)
@@ -509,7 +525,7 @@ class TestStackedCapacityEnumeration:
         # |S| = 300 at sizes 1 and 2: the walk scores every multiset from the
         # root's variances and one 300 x 300 downdate table, no per-multiset block
         state = random_state(rng, 300, hetero=True)
-        noise = state.noise.vector(state.ids)
+        noise = state.noise
         for size in (1, 2):
             tracemalloc.start()
             start = time.perf_counter()
@@ -529,7 +545,7 @@ class TestStackedCapacityEnumeration:
         # size 2 is scored at the root, size 3 below one of its children
         for size in (2, 3):
             with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-                posterior._best_grouped_gain(cov, state.noise.vector(state.ids), size)
+                posterior._best_grouped_gain(cov, state.noise, size)
 
 
 def grid8_prior():
@@ -575,10 +591,9 @@ class TestCapacityBranchAndBound:
             x = rng.uniform(0.0, 3.0, (n, 1))
             values = np.exp(-0.5 * (x - x.T) ** 2 / rng.uniform(0.2, 2.0) ** 2)
         ids = tuple(range(n))
-        noise = (NoiseModel(per_index=dict(zip(ids, rng.uniform(0.01, 1.0, n).tolist())))
-                 if hetero else NoiseModel.homoscedastic(float(rng.uniform(0.01, 1.0))))
+        noise = rng.uniform(0.01, 1.0, n) if hetero else float(rng.uniform(0.01, 1.0))
         state = PosteriorState.from_prior(KernelMatrix(values, ids), noise)
-        rho2 = noise.vector(ids)
+        rho2 = state.noise
         floor = posterior._capacity_greedy(state, ids, size)
         pruned = posterior._best_grouped_gain(state.cov, rho2, size, floor)
         assert pruned == posterior._best_grouped_gain(state.cov, rho2, size)
@@ -610,8 +625,7 @@ class TestCapacityBranchAndBound:
         capacity, exact = information_capacity(state, [0, 1], 20_000)
         assert time.perf_counter() - start < 0.5
         assert exact
-        assert capacity == posterior._best_grouped_gain(state.cov, state.noise.vector([0, 1]),
-                                                        20_000)
+        assert capacity == posterior._best_grouped_gain(state.cov, state.noise, 20_000)
 
     def test_non_finite_entry_in_a_pruned_subtree_is_numeric_error(self):
         # cov[7, 6] is read only by children that observe point 6 with two or
@@ -621,7 +635,7 @@ class TestCapacityBranchAndBound:
         cov[7, 6] = np.nan
         floor = posterior._capacity_greedy(prior, space, 8)
         with pytest.raises(NumericError):
-            posterior._best_grouped_gain(cov, prior.noise.vector(space), 8, floor)
+            posterior._best_grouped_gain(cov, prior.noise[prior.positions(space)], 8, floor)
 
 
 class TestFactorBlockCapacity:
@@ -662,7 +676,7 @@ class TestFactorBlockCapacity:
 
         monkeypatch.setattr(posterior, "_best_grouped_gain", counted)
         state = random_state(rng, 5, hetero=True)
-        noise = state.noise.vector(state.ids)
+        noise = state.noise
         got, _ = information_capacity(state, list(range(5)), 3)
         assert sizes == [3]
         smaller = [best_grouped_gain_reference(state.cov, noise, s) for s in (1, 2, 3)]
@@ -676,7 +690,7 @@ class TestFactorBlockCapacity:
         capacity, exact = information_capacity(state, [0, 1, 2], 3)
         assert exact is True
         assert capacity == pytest.approx(best_grouped_gain_reference(
-            state.cov, state.noise.vector(state.ids), 3), rel=1e-12)
+            state.cov, state.noise, 3), rel=1e-12)
         monkeypatch.setattr(posterior, "BRUTE_FORCE_CAP", 9)
         greedy, exact = information_capacity(state, [0, 1, 2], 3)
         assert exact is False
@@ -696,8 +710,8 @@ class TestFactorBlockCapacity:
             blocks = posterior._Blocks(prior, targets, cands, 1)
             posterior._itl_scores(blocks, stabilize)  # forms the variances, then the twin
             # the twin observes every target at the noise of its row there
-            table = {i: prior.noise.variance_at(i) for i in prior.ids}
-            table.update((t, table[t] * stabilize + jitter) for t in targets)
+            noise = prior.noise.copy()
+            noise[pa] = noise[pa] * stabilize + jitter
             at_targets = [Observation(t, 0.0) for t in targets]
             for step, pick in enumerate(picks, 1):
                 posterior.bace_update(blocks, pick)
@@ -708,7 +722,7 @@ class TestFactorBlockCapacity:
                 np.testing.assert_allclose(blocks.cov_a(), cov[np.ix_(pa, rows)],
                                            rtol=1e-12, atol=1e-12)
                 _, cov = batch_posterior_oracle(
-                    replace(prior, noise=NoiseModel(per_index=table)), observations + at_targets)
+                    replace(prior, noise=noise), observations + at_targets)
                 np.testing.assert_allclose(blocks.twin.var(), np.maximum(np.diag(cov)[rows], 0.0),
                                            rtol=1e-12, atol=1e-12)
             assert blocks.width == len(picks) and len(blocks.w) >= len(picks)
@@ -774,7 +788,7 @@ class TestRunningPieces:
         picks, gains = zip(*[(best, float(scores[best]))
                              for best, scores in islice(steps, budget)])
         counts = np.bincount(picks, minlength=2)
-        root = np.sqrt(counts / state.noise.vector([0, 1]))
+        root = np.sqrt(counts / state.noise)
         _, logdet = np.linalg.slogdet(np.eye(2) + state.cov * np.outer(root, root))
         assert math.fsum(gains) == pytest.approx(0.5 * logdet, rel=1e-11, abs=0.0)
         assert posterior._capacity_greedy(state, [0, 1], budget) == sum(gains, 0.0)

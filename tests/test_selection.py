@@ -9,7 +9,6 @@ from transduct import (
     InputError,
     KernelMatrix,
     KernelSpec,
-    NoiseModel,
     Observation,
     Policy,
     PosteriorState,
@@ -33,13 +32,13 @@ TWO_POINT = np.array([[1.0, 0.5], [0.5, 1.0]])
 
 def identity_state(n, rho2=1.0):
     gram = KernelMatrix(np.eye(n), tuple(range(n)))
-    return PosteriorState.from_prior(gram, NoiseModel.homoscedastic(rho2))
+    return PosteriorState.from_prior(gram, rho2)
 
 
 class TestScoreITL:
     def test_matches_information_gain_example(self):
         gram = KernelMatrix(TWO_POINT, (0, 1))
-        state = PosteriorState.from_prior(gram, NoiseModel.homoscedastic(0.1))
+        state = PosteriorState.from_prior(gram, 0.1)
         np.testing.assert_allclose(score_itl(state, [1], 0),
                                    0.5 * math.log(1.1 / 0.85), atol=1e-9)
 
@@ -63,7 +62,7 @@ class TestScoreCTL:
 
         emb = rng.standard_normal((6, 4))
         k = build_gram(KernelSpec("embedding"), range(6), emb)
-        state = PosteriorState.from_prior(k, NoiseModel.homoscedastic(0.5))
+        state = PosteriorState.from_prior(k, 0.5)
         anchor = emb[0]
         for x in range(1, 6):
             cosine = np.dot(emb[x], anchor) / (np.linalg.norm(emb[x]) * np.linalg.norm(anchor))
@@ -76,8 +75,7 @@ class TestScoreCTL:
     def test_disjoint_block_scores_zero(self):
         blocks = np.eye(4)
         blocks[0, 1] = blocks[1, 0] = 0.7
-        state = PosteriorState.from_prior(KernelMatrix(blocks, tuple(range(4))),
-                                          NoiseModel.homoscedastic(0.5))
+        state = PosteriorState.from_prior(KernelMatrix(blocks, tuple(range(4))), 0.5)
         assert score_ctl(state, [0, 1], 2) == 0.0
 
     def test_degenerate_variance_scores_zero(self):
@@ -92,9 +90,9 @@ class TestScoreCTL:
             if trial % 3:
                 observed = rng.choice(n, size=3, replace=False)
                 if trial % 3 == 2:  # near-exact observations leave degenerate variances
-                    table = {i: state.noise.variance_at(i) for i in state.ids}
-                    table.update((int(i), 1e-14) for i in observed)
-                    state = replace(state, noise=NoiseModel(per_index=table))
+                    noise = state.noise.copy()
+                    noise[observed] = 1e-14
+                    state = replace(state, noise=noise)
                 state = condition_all(state, [Observation(int(i), 0.3) for i in observed])
             targets = sorted(int(t) for t in rng.choice(n, int(rng.integers(1, 8)),
                                                         replace=False))
@@ -112,8 +110,7 @@ class TestScoreCTL:
         values = np.array([[1.0, -0.6, -0.5],
                            [-0.6, 1.0, 0.2],
                            [-0.5, 0.2, 1.0]])
-        state = PosteriorState.from_prior(KernelMatrix(values, (0, 1, 2)),
-                                          NoiseModel.homoscedastic(0.5))
+        state = PosteriorState.from_prior(KernelMatrix(values, (0, 1, 2)), 0.5)
         score = score_ctl(state, [1, 2], 0)
         np.testing.assert_allclose(score, -1.1, atol=1e-12)
 
@@ -196,8 +193,7 @@ class TestSelectBatch:
             [0.00, 0.00, 1.0, 0.55],
             [0.60, 0.60, 0.55, 1.0],
         ])
-        state = PosteriorState.from_prior(KernelMatrix(gram, (0, 1, 2, 3)),
-                                          NoiseModel.homoscedastic(0.1))
+        state = PosteriorState.from_prior(KernelMatrix(gram, (0, 1, 2, 3)), 0.1)
         policy = Policy(rule="itl", batch_size=2, stabilize=False)
         top = select_batch(state, [3], range(3),
                            Policy(rule="itl", batch_size=2, batch_mode="topb",
@@ -232,7 +228,7 @@ def dense_bace(state, targets, candidates, policy):
         remaining.remove(pick)
         j = state.position(pick)
         col = cov[:, j].copy()
-        cov = cov - np.outer(col, col) / (max(cov[j, j], 0.0) + state.noise.variance_at(pick))
+        cov = cov - np.outer(col, col) / (max(cov[j, j], 0.0) + state.noise[j])
         np.fill_diagonal(cov, np.maximum(np.diag(cov), 0.0))
     return tuple(picks), objectives
 
@@ -418,7 +414,7 @@ class TestBruteForceBatch:
         ratios = []
         for _ in range(10):
             gram = random_corr_gram(rng, 12, floor=0.15)
-            noise = NoiseModel.homoscedastic(0.25)
+            noise = 0.25
             state = PosteriorState.from_prior(gram, noise)
             targets = list(range(12))
             candidates = list(range(8))
@@ -565,10 +561,54 @@ class TestRuleRelations:
         picks = []
         for n in (66, 126):
             prior = PosteriorState.from_prior(
-                gram(KernelSpec("embedding"), range(n), features[rows[:n]]),
-                NoiseModel.homoscedastic(0.25))
+                gram(KernelSpec("embedding"), range(n), features[rows[:n]]), 0.25)
             sample = [i for i in range(n) if not 60 <= i < 66]
             record = run_loop(prior, range(60, 66), sample, policy,
                               lambda index: float(features[rows[index]].sum()), 8)
             picks.append([rows[list(entry.chosen)].tolist() for entry in record.rounds])
         assert picks[0] == picks[1]
+
+    @staticmethod
+    def uncorrelated_candidate_changes(policy):
+        """On how many of 50 instances adding a candidate uncorrelated with every
+        other point changes a pick made while the best other candidate scores
+        above zero. Each instance has 24 sample and 6 target unit vectors in 8
+        dimensions, conditioned on 2 observations; the new candidate's feature
+        is a ninth dimension, so its covariances are exactly 0, and it comes
+        last, so it loses ties."""
+        changed = 0
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            features = np.zeros((31, 9))
+            features[:30, :8] = rng.standard_normal((30, 8))
+            features[:30] /= np.linalg.norm(features[:30], axis=1, keepdims=True)
+            features[30, 8] = 1.0
+            observed = [Observation(int(i), float(rng.standard_normal()))
+                        for i in rng.choice(24, 2)]
+            without, with_ = (
+                select_batch(condition_all(PosteriorState.from_prior(
+                    gram(KernelSpec("embedding"), range(n), features[:n]), 0.25), observed),
+                    range(24, 30), [*range(24), *range(30, n)], policy)
+                for n in (30, 31))
+            for a, b, score in zip(without.indices, with_.indices, without.objectives):
+                if not score > 0:
+                    break
+                if a != b:
+                    changed += 1
+                    break
+        return changed
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    @pytest.mark.parametrize("policy", [
+        Policy(rule="itl"), Policy(rule="itl", stabilize=False), Policy(rule="ctl")])
+    def test_uncorrelated_candidate_changes_no_pick(self, policy, batch_size):
+        policy = replace(policy, batch_size=batch_size)
+        assert self.uncorrelated_candidate_changes(policy) == 0
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_undirected_itl_breaks_the_uncorrelated_relation(self, batch_size):
+        # ITL without the target twin scores the new candidate by its own
+        # variance, the prior's 1, so the relation catches it: it applies only
+        # to rules directed at the targets
+        policy = Policy(rule="undirected-itl", batch_size=batch_size)
+        assert self.uncorrelated_candidate_changes(policy) > 0

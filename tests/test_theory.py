@@ -12,7 +12,6 @@ from transduct import (
     BudgetError,
     InputError,
     KernelMatrix,
-    NoiseModel,
     Observation,
     Policy,
     PosteriorState,
@@ -53,8 +52,7 @@ TWO_POINT = np.array([[1.0, 0.5], [0.5, 1.0]])
 
 
 def small_state(floor, n, rng, rho2=0.5):
-    return PosteriorState.from_prior(random_corr_gram(rng, n, floor=floor),
-                                     NoiseModel.homoscedastic(rho2))
+    return PosteriorState.from_prior(random_corr_gram(rng, n, floor=floor), rho2)
 
 
 class TestIrreducibleUncertainty:
@@ -84,14 +82,13 @@ class TestIrreducibleUncertainty:
 
 class TestStepUncertainty:
     def test_identity_prior(self):
-        state = PosteriorState.from_prior(KernelMatrix(np.eye(4), tuple(range(4))),
-                                          NoiseModel.homoscedastic(1.0))
+        state = PosteriorState.from_prior(KernelMatrix(np.eye(4), tuple(range(4))), 1.0)
         np.testing.assert_allclose(step_uncertainty(state, range(4), range(4)),
                                    0.5 * math.log(2.0), atol=1e-12)
 
     def test_vanishes_once_sample_space_is_pinned(self, rng):
         gram_m = random_corr_gram(rng, 4, floor=0.3)
-        state = PosteriorState.from_prior(gram_m, NoiseModel.homoscedastic(0.5))
+        state = PosteriorState.from_prior(gram_m, 0.5)
         for sweep in range(150):
             state = condition(state, Observation(sweep % 4, 0.0))
         # every posterior variance is ~ rho^2/37, so the best gain is ~1/74
@@ -160,8 +157,7 @@ class TestRollout:
         assert compared >= 8
 
     def test_memory_is_one_factor_block(self, rng):
-        prior = PosteriorState.from_prior(random_corr_gram(rng, 300),
-                                          NoiseModel.homoscedastic(0.1))
+        prior = PosteriorState.from_prior(random_corr_gram(rng, 300), 0.1)
         tracemalloc.start()
         try:
             traj = greedy_itl_trajectory(prior, range(300), range(300), 100)
@@ -188,12 +184,12 @@ def permuted_pair(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(8, 16))
     values = random_psd_gram(rng, n).values
-    noise = NoiseModel(per_index={i: float(v) for i, v in enumerate(rng.uniform(0.05, 1, n))})
+    noise = rng.uniform(0.05, 1, n)  # by id
     observed = [Observation(int(i), float(rng.standard_normal()))
                 for i in rng.integers(0, n, size=int(rng.integers(0, 5)))]
     order = rng.permutation(n)
     states = [condition_all(PosteriorState.from_prior(KernelMatrix(values[np.ix_(p, p)], p),
-                                                      noise), observed)
+                                                      noise[p]), observed)
               for p in (np.arange(n), order)]
     ids = [int(i) for i in rng.permutation(n)]
     cut = int(rng.integers(2, n - 2))
@@ -245,7 +241,7 @@ def scaled_prior(values, rho2, scale):
     """The prior over ids 0..n-1 with Gram ``scale * values`` and noise ``scale * rho2``."""
     return PosteriorState.from_prior(
         KernelMatrix(scale * values, tuple(range(len(values)))),
-        NoiseModel(per_index={i: scale * float(v) for i, v in enumerate(rho2)}))
+        scale * rho2)
 
 
 def scaled_pair(seed, c):
@@ -336,8 +332,7 @@ class TestScaleInvariance:
 
 class TestGammaBound:
     def test_identity_gram_equality_regime(self):
-        prior = PosteriorState.from_prior(KernelMatrix(np.eye(6), tuple(range(6))),
-                                          NoiseModel.homoscedastic(1.0))
+        prior = PosteriorState.from_prior(KernelMatrix(np.eye(6), tuple(range(6))), 1.0)
         traj = greedy_itl_trajectory(prior, range(6), range(6), 5)
         report = check_gamma_bound(traj)
         assert report.passed is True
@@ -365,7 +360,7 @@ class TestWithinSampleBound:
     def test_gaussian_grid_200_rounds(self, rng):
         k = gram(KernelSpec("gaussian", lengthscale=0.5), range(12),
                  0.35 * np.arange(12.0)[:, None])
-        prior = PosteriorState.from_prior(k, NoiseModel.homoscedastic(0.3))
+        prior = PosteriorState.from_prior(k, 0.3)
         traj = greedy_itl_trajectory(prior, range(12), range(12), 200)
         report = check_within_S_bound(traj)
         assert report.passed is True
@@ -380,7 +375,7 @@ class TestWithinSampleBound:
 class TestMarkovBoundary:
     def test_inside_sample_space_tight_epsilon(self):
         k = KernelMatrix(np.array([[1.0]]), (0,))
-        state = PosteriorState.from_prior(k, NoiseModel.homoscedastic(0.1))
+        state = PosteriorState.from_prior(k, 0.1)
         boundary = markov_boundary(state, [0], 0, 0.01)
         assert boundary.irreducible == 0.0
         assert boundary.achieved_variance <= 0.01
@@ -392,8 +387,7 @@ class TestMarkovBoundary:
     def test_independent_point_needs_nothing(self, rng):
         values = np.eye(3)
         values[:2, :2] = random_corr_gram(rng, 2, floor=0.6).values
-        state = PosteriorState.from_prior(KernelMatrix(values, tuple(range(3))),
-                                          NoiseModel.homoscedastic(0.5))
+        state = PosteriorState.from_prior(KernelMatrix(values, tuple(range(3))), 0.5)
         boundary = markov_boundary(state, [0, 1], 2, 0.5)
         assert boundary.members == ()
         np.testing.assert_allclose(boundary.irreducible, 1.0)
@@ -405,7 +399,7 @@ class TestMarkovBoundary:
 
     def test_hand_instance_repeated_observations(self):
         k = KernelMatrix(TWO_POINT, (0, 1))
-        state = PosteriorState.from_prior(k, NoiseModel.homoscedastic(0.01))
+        state = PosteriorState.from_prior(k, 0.01)
         boundary = markov_boundary(state, [0], 1, 0.1)
         assert set(boundary.members) == {0}
         assert boundary.achieved_variance <= 0.85
@@ -435,8 +429,7 @@ class TestMarkovBoundary:
             n = int(rng.integers(2, 5))
             scale = rng.uniform(0.7, 1.3, size=n + 1)
             values = random_corr_gram(rng, n + 1, floor=0.6).values * np.outer(scale, scale)
-            noise = (NoiseModel(per_index=dict(enumerate(rng.uniform(0.3, 1.0, n + 1))))
-                     if trial % 2 else NoiseModel.homoscedastic(float(rng.uniform(0.3, 1.0))))
+            noise = rng.uniform(0.3, 1.0, n + 1) if trial % 2 else float(rng.uniform(0.3, 1.0))
             state = PosteriorState.from_prior(KernelMatrix(values, tuple(range(n + 1))), noise)
             if trial % 4 >= 2:
                 state = condition(state, Observation(0, 0.7))
@@ -459,7 +452,7 @@ class TestSizeBound:
             n = int(rng.integers(2, 5))
             state = small_state(0.3, n, rng, rho2=float(rng.uniform(0.2, 1.0)))
             variances = np.diag(state.gram.values)
-            noise = state.noise.vector(state.ids)
+            noise = state.noise
             for budget in (1, 2, 3, 4):
                 exact, is_exact = information_capacity(state, state.ids, budget)
                 assert is_exact
@@ -491,13 +484,13 @@ class TestSizeBound:
         capacity, exact = theory.information_capacity(state, [0, 1, 2], 3)
         assert exact is True
         assert capacity == pytest.approx(best_grouped_gain_reference(
-            state.cov, state.noise.vector(state.ids), 3), rel=1e-12)
+            state.cov, state.noise, 3), rel=1e-12)
         monkeypatch.setattr(posterior, "BRUTE_FORCE_CAP", 9)
         assert theory.information_capacity(state, [0, 1, 2], 3)[1] is False
 
     def test_exact_small_epsilon_path(self, rng):
         k = KernelMatrix(np.eye(2), (0, 1))
-        state = PosteriorState.from_prior(k, NoiseModel.homoscedastic(1.0))
+        state = PosteriorState.from_prior(k, 1.0)
         size, exact = markov_size_bound(state, [0, 1], 5.0)
         assert exact is True and size >= 1
 
@@ -511,7 +504,7 @@ class TestSizeBound:
             scale = (constants.lambda_min ** 2
                      / (2.0 * n ** 2 * constants.sigma_sq ** 2 * constants.sigma_tilde_sq))
             cov = state.cov
-            noise = state.noise.vector(space)
+            noise = state.noise
             for epsilon in (1.0, 5.0, 20.0, 100.0, 500.0):
                 threshold = epsilon * scale
                 try:
@@ -535,8 +528,7 @@ class TestSizeBound:
             markov_size_bound(state, range(3), 0.0)
 
     def test_zero_prior_is_vacuous_not_a_division_error(self):
-        state = PosteriorState.from_prior(KernelMatrix(np.zeros((2, 2)), (0, 1)),
-                                          NoiseModel.homoscedastic(0.25))
+        state = PosteriorState.from_prior(KernelMatrix(np.zeros((2, 2)), (0, 1)), 0.25)
         with pytest.raises(BudgetError, match="vacuous"):
             markov_size_bound(state, [0, 1], 1.0)
 
@@ -577,7 +569,7 @@ class TestSizeBound:
         for trial in range(40):
             n = int(rng.integers(2, 7))
             state = random_state(rng, n, hetero=bool(trial % 2), noise_range=(0.05, 1.0))
-            noise = state.noise.vector(state.ids)
+            noise = state.noise
             previous = math.inf
             for k in range(1, 7):
                 gamma = posterior._best_grouped_gain(state.cov, noise, k)
@@ -597,7 +589,7 @@ class TestVarianceBound:
     def test_extrapolation_grid_gap_shrinks(self):
         k = gram(KernelSpec("gaussian", lengthscale=0.6), range(5),
                  [[0.0], [2.0], [4.0], [4.6], [5.4]])
-        prior = PosteriorState.from_prior(k, NoiseModel.homoscedastic(0.25))
+        prior = PosteriorState.from_prior(k, 0.25)
         traj = greedy_itl_trajectory(prior, range(5), range(3), 60)
         report = check_variance_bound(traj, 0.05)
         assert report.passed is True
@@ -651,9 +643,7 @@ class TestConstants:
     def test_from_state(self):
         values = np.array([[1.0, 0.2], [0.2, 0.5]])
         k = KernelMatrix(values, (0, 1))
-        noise = NoiseModel(per_index={0: 0.1, 1: 1.0})
-        constants = TheoryConstants.from_state(
-            PosteriorState.from_prior(k, noise), [0, 1])
+        constants = TheoryConstants.from_state(PosteriorState.from_prior(k, [0.1, 1.0]), [0, 1])
         assert constants.sigma_sq == 1.0
         assert constants.sigma_tilde_sq == 1.5
         np.testing.assert_allclose(constants.lambda_min,
