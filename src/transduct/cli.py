@@ -32,7 +32,6 @@ from .data import _atomic_write, persist_run, save_table
 from .errors import BudgetError, ConfigError, InputError, NumericError, TransductError
 from .selection import run_loop
 from .theory import (
-    TheoryConstants,
     check_gamma_bound,
     check_variance_bound,
     check_within_S_bound,
@@ -164,6 +163,8 @@ def _theory_instance(config: RunConfig):
     epsilon = config.epsilon
     if epsilon is None:
         epsilon = 0.05 * float(np.max(np.diag(prior.gram.values)))
+        if not epsilon > 0:  # a zero prior, whose sample Gram is singular too
+            raise BudgetError("size condition is vacuous: the sample Gram is singular")
     return prior, sample_ids, target_ids, epsilon
 
 
@@ -174,10 +175,8 @@ def cmd_theory(args) -> int:
         raise InputError("theory checks require the sample space inside the target space")
     # the size condition behind b_eps is the only check that refuses an
     # epsilon, so it runs before the rollout and every capacity enumeration
-    constants = TheoryConstants.from_state(prior, sample_ids)
-    size_bound = markov_size_bound(prior, sample_ids, epsilon, constants=constants)
-    trajectory = greedy_itl_trajectory(prior, target_ids, sample_ids,
-                                       config.rounds, constants=constants)
+    size_bound = markov_size_bound(prior, sample_ids, epsilon)
+    trajectory = greedy_itl_trajectory(prior, target_ids, sample_ids, config.rounds)
     variance = check_variance_bound(trajectory, epsilon, size_bound)
     checks = [check_gamma_bound(trajectory), check_within_S_bound(trajectory), variance]
     rows = [[c.name, c.status, c.detail] for c in checks]

@@ -12,11 +12,11 @@ A run config is a JSON object with the sections
               from position i on, "from" defaulting to 0; every n, i >= 0)
     policies  list of rule names or {"rule": ..., overrides...}
     rounds    number of selection rounds
-    seeds     list of integer seeds
+    seeds     list of distinct nonnegative integer seeds
     hyper     {"k": ..., "m": ..., "M": ..., "b": ..., "rho": ...}
     relevant  optional id list inside the sample space (layouts derive a default)
     epsilon   tolerance for theory checks (default 0.05 of max prior variance)
-    grid      parameter grid for the ablate command: a list of values for
+    grid      parameter grid for the ablate command: a nonempty list of values for
               any of rho, k, m, M (hyper fields) and batch_mode (every policy)
 
 A policy entry names one of ``selection.RULES``; an override may set b, m,
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -252,6 +253,7 @@ def parse_config(raw: dict, *, preset: str | None = None,
         raise ConfigError("field 'seeds' must be nonempty")
     if min(seed_list) < 0:
         raise ConfigError(f"field 'seeds' must be nonnegative, got {min(seed_list)}")
+    _refuse_repeats(seed_list, "seeds", "seeds")
     rounds = _number(int, raw.get("rounds", 0), "rounds")
     if rounds < 0:
         raise ConfigError("field 'rounds' must be nonnegative")
@@ -269,6 +271,9 @@ def parse_config(raw: dict, *, preset: str | None = None,
     _known_keys(grid, _GRID_AXES, "grid")
     grid = {axis: list(_typed(grid[axis], list, f"grid.{axis}"))
             for axis in _GRID_AXES if axis in grid}
+    for axis, values in grid.items():
+        if not values:
+            raise ConfigError(f"field 'grid.{axis}' must be nonempty")
     return RunConfig(domain=domain, policies=tuple(policies), rounds=rounds,
                      seeds=seed_list, hyper=hyper, relevant=relevant, epsilon=epsilon,
                      grid=grid, raw=raw)
@@ -344,9 +349,13 @@ def _check_selector(section, field: str) -> None:
         numbers = [_number(int, value, name) for value in entries]
         if min(numbers, default=0) < 0:
             raise ConfigError(f"field {name!r} must be nonnegative")
-        if len(set(numbers)) < len(numbers):
-            repeated = sorted({i for i in numbers if numbers.count(i) > 1})
-            raise ConfigError(f"field {name!r} repeats ids {repeated}")
+        _refuse_repeats(numbers, name, "ids")
+
+
+def _refuse_repeats(numbers: Sequence[int], field: str, what: str) -> None:
+    repeated = sorted(i for i, count in Counter(numbers).items() if count > 1)
+    if repeated:
+        raise ConfigError(f"field {field!r} repeats {what} {repeated}")
 
 
 def _resolve_ids(section, available: Sequence[int], field: str) -> tuple[int, ...]:

@@ -33,6 +33,8 @@ exact phase is skipped when one greedy capacity proves it futile: the
 information gain of a multiset is monotone submodular (Nemhauser, Wolsey &
 Fisher 1978), so gamma_k / k never rises with k, and a greedy value above the
 threshold at the largest exact budget puts every smaller budget above it too.
+Only the size condition reads lambda_min(K_SS): ``markov_size_bound`` makes
+the one eigendecomposition, while sigma^2 and sigma~^2 are O(N) maxima.
 
 Every greedy pick here comes from ``posterior.greedy`` on one factor block,
 and eta_S^2 at every target from one set of noise-free downdates at S.
@@ -81,25 +83,17 @@ _exact_itl = partial(_itl_scores, stabilize=False)
 
 @dataclass(frozen=True)
 class TheoryConstants:
-    """Scale constants of the analysis, computed from the prior. ``lambda_min``
-    is 0 when the sample Gram is singular up to round-off: at most |S| eps
-    lambda_max, numpy's ``matrix_rank`` tolerance."""
+    """sigma^2 and sigma~^2: the prior's largest variance, and largest variance
+    plus noise, over the domain; lambda_min is ``markov_size_bound``'s own."""
 
     sigma_sq: float
     sigma_tilde_sq: float
-    lambda_min: float
 
     @classmethod
-    def from_state(cls, prior: PosteriorState,
-                   sample_space: Sequence[int]) -> "TheoryConstants":
+    def from_state(cls, prior: PosteriorState) -> "TheoryConstants":
         diag = np.maximum(np.diag(prior.gram.values), 0.0)
-        pos = prior.positions(sample_space)
-        block = prior.gram.values[np.ix_(pos, pos)]
-        eig = np.linalg.eigvalsh(block)
-        lam = float(eig[0]) if eig[0] > len(eig) * np.finfo(float).eps * eig[-1] else 0.0
         return cls(sigma_sq=float(diag.max()),
-                   sigma_tilde_sq=float((diag + prior.noise).max()),
-                   lambda_min=lam)
+                   sigma_tilde_sq=float((diag + prior.noise).max()))
 
 
 @dataclass(frozen=True)
@@ -120,6 +114,7 @@ class Trajectory:
 
     ``picks[n]`` is the (n+1)-th pick, ``gains[n]`` is Gamma_n and
     ``variances[n]`` holds the clamped target variances, both after n picks.
+    The checkers take the scale constants from ``prior``.
     """
 
     prior: PosteriorState
@@ -128,7 +123,6 @@ class Trajectory:
     picks: tuple[int, ...]
     gains: tuple[float, ...]
     variances: np.ndarray
-    constants: TheoryConstants  # the prior's, over the sample space
 
     @property
     def rounds(self) -> int:
@@ -152,11 +146,9 @@ class BoundCheck:
 
 
 def greedy_itl_trajectory(prior: PosteriorState, targets: Sequence[int],
-                          sample_space: Sequence[int], rounds: int, *,
-                          constants: TheoryConstants | None = None) -> Trajectory:
+                          sample_space: Sequence[int], rounds: int) -> Trajectory:
     """Roll out the exact greedy rule; observed values are irrelevant to
-    every variance-based quantity, so none are drawn. ``constants`` are the
-    prior's over the sample space, when the caller has them. More than
+    every variance-based quantity, so none are drawn. More than
     ``SIZE_BOUND_CAP`` rounds are refused before the factor rows are allocated."""
     targets = tuple(int(t) for t in targets)
     space = tuple(sorted(int(s) for s in sample_space))
@@ -164,8 +156,6 @@ def greedy_itl_trajectory(prior: PosteriorState, targets: Sequence[int],
         raise InputError("the rollout needs a nonempty sample space and rounds >= 0")
     if rounds > SIZE_BOUND_CAP:
         raise BudgetError(f"the rollout's {rounds} rounds exceed the {SIZE_BOUND_CAP}-round cap")
-    if constants is None:
-        constants = TheoryConstants.from_state(prior, space)
     blocks = _Blocks(prior, targets, space, rounds)
     picks, gains, variances = [], [], []
     # step n yields the (n+1)-th pick and Gamma_n; its variances are read before the downdate
@@ -174,7 +164,7 @@ def greedy_itl_trajectory(prior: PosteriorState, targets: Sequence[int],
         gains.append(float(scores[best]))
         variances.append(blocks.var()[:blocks.na])
     return Trajectory(prior=prior, targets=targets, sample_space=space, picks=tuple(picks[:-1]),
-                      gains=tuple(gains), variances=np.array(variances), constants=constants)
+                      gains=tuple(gains), variances=np.array(variances))
 
 
 def irreducible_uncertainty(prior_gram: KernelMatrix, sample_space: Sequence[int],
@@ -214,11 +204,12 @@ def check_within_S_bound(trajectory: Trajectory) -> BoundCheck:
     if not overlap.any():
         return BoundCheck(name="within-sample-bound", passed=None,
                           detail="targets and sample space are disjoint", rows=())
+    sigma_tilde_sq = TheoryConstants.from_state(trajectory.prior).sigma_tilde_sq
     rows = []
     ok_all = True
     for n, gamma_step in enumerate(trajectory.gains):
         worst = float(np.max(trajectory.variances[n][overlap]))
-        bound = 2.0 * trajectory.constants.sigma_tilde_sq * gamma_step
+        bound = 2.0 * sigma_tilde_sq * gamma_step
         ok = worst <= bound + _TOL
         ok_all &= ok
         rows.append({"n": n, "max_variance": worst, "bound": bound, "holds": ok})
@@ -248,37 +239,37 @@ def capacity_upper_bound(variances: np.ndarray, noise: np.ndarray, budget: float
     return 0.5 * float(np.sum(np.log(levels[active - 1] * rates[:active])))
 
 
-def markov_size_bound(state: PosteriorState, sample_space: Sequence[int], epsilon: float, *,
-                      constants: TheoryConstants | None = None) -> tuple[int, bool]:
+def markov_size_bound(state: PosteriorState, sample_space: Sequence[int],
+                      epsilon: float) -> tuple[int, bool]:
     """Smallest k <= ``SIZE_BOUND_CAP`` with gamma_k / k below the
-    size-condition threshold.
+    size-condition threshold eps lambda_min^2 / (2 |S|^2 sigma^4 sigma~^2).
 
-    The capacity is always computed from the prior, regardless of the
-    state's history. Small budgets k <= k_exact are checked exactly by
-    enumeration, unless the greedy capacity of k_exact observations, over
-    k_exact, already exceeds threshold + ``_TOL``. Greedy is a lower bound on
-    gamma_{k_exact}, and gamma_s / s >= gamma_{k_exact} / k_exact for every
-    s <= k_exact, because the gain is monotone submodular over multisets (an
-    optimal multiset of size k + 1 has a point whose removal loses at most
-    gamma_{k+1} / (k + 1)); so then no exact budget passes. Beyond k_exact
-    the certified water-filling upper bound stands in, which can only
-    enlarge the reported k (never produce an unsound one). ``constants`` are
-    the prior's over the sample space, when the caller has them. Returns
-    (k, exact).
+    The capacity and lambda_min(K_SS) are always computed from the prior,
+    regardless of the state's history; lambda_min is 0, and the condition
+    vacuous, when K_SS is singular up to round-off: at most |S| eps_mach
+    lambda_max, numpy's ``matrix_rank`` tolerance. Small budgets k <= k_exact
+    are checked exactly by enumeration, unless the greedy capacity of k_exact
+    observations, over k_exact, already exceeds threshold + ``_TOL``. Greedy
+    is a lower bound on gamma_{k_exact}, and gamma_s / s >= gamma_{k_exact} /
+    k_exact for every s <= k_exact, because the gain is monotone submodular
+    over multisets (an optimal multiset of size k + 1 has a point whose
+    removal loses at most gamma_{k+1} / (k + 1)); so then no exact budget
+    passes. Beyond k_exact the certified water-filling upper bound stands in,
+    which can only enlarge the reported k (never produce an unsound one).
+    Returns (k, exact).
     """
     if not epsilon > 0:
         raise InputError("epsilon must be positive")
     space = tuple(sorted(int(s) for s in sample_space))
-    if constants is None:
-        constants = TheoryConstants.from_state(state, space)
-    lam = max(constants.lambda_min, 0.0)
+    pos = state.positions(space)
+    prior_cov = state.gram.values[np.ix_(pos, pos)]
+    eig = np.linalg.eigvalsh(prior_cov)
+    lam = float(eig[0]) if eig[0] > len(eig) * np.finfo(float).eps * eig[-1] else 0.0
+    constants = TheoryConstants.from_state(state)
     scale = 2.0 * len(space) ** 2 * constants.sigma_sq ** 2 * constants.sigma_tilde_sq
     threshold = epsilon * lam ** 2 / scale if scale > 0 else 0.0  # scale is 0 on a zero prior
     if threshold <= 0:
         raise BudgetError("size condition is vacuous: the sample Gram is singular")
-
-    pos = state.positions(space)
-    prior_cov = state.gram.values[np.ix_(pos, pos)]
     variances = np.maximum(np.diag(prior_cov), 0.0)
     noise = state.noise[pos]
 
@@ -369,14 +360,14 @@ def check_variance_bound(trajectory: Trajectory, epsilon: float,
     Rows also carry the reducible gap max_x(sigma_n^2 - eta^2) for
     convergence reporting.
     """
-    prior, constants = trajectory.prior, trajectory.constants
-    b_eps, exact = size_bound or markov_size_bound(prior, trajectory.sample_space, epsilon,
-                                                   constants=constants)
+    prior = trajectory.prior
+    b_eps, exact = size_bound or markov_size_bound(prior, trajectory.sample_space, epsilon)
     eta = irreducible_uncertainty(prior.gram, trajectory.sample_space, trajectory.targets)
+    sigma_sq = TheoryConstants.from_state(prior).sigma_sq
     rows = []
     ok_all = True
     for n, (gamma_step, var) in enumerate(zip(trajectory.gains, trajectory.variances)):
-        reducible = 2.0 * constants.sigma_sq * b_eps * gamma_step
+        reducible = 2.0 * sigma_sq * b_eps * gamma_step
         slack = reducible + eta + epsilon - var
         ok = bool(np.min(slack) >= -_TOL)
         ok_all &= ok

@@ -205,6 +205,8 @@ class TestConfigValidation:
         ("run", "policies", [{"rule": "itl", "b": True}], "policies[0].b"),
         ("run", "hyper.m", True, "hyper.m"),
         ("ablate", "grid.rho", [True], "hyper.rho"),
+        ("run", "seeds", [0, 0], "seeds"),  # each record would count twice in the aggregates
+        ("ablate", "grid.rho", [], "grid.rho"),  # an empty axis has no cell to run
     ])
     def test_bad_section_is_config_error(self, tmp_path, capsys, monkeypatch, command, path,
                                          value, named):
@@ -475,10 +477,14 @@ class TestTheoryCommand:
         cfg = write_config(tmp_path / "t.json", grid_theory_config(epsilon=1e-9))
         assert main(["theory", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
+    @pytest.mark.parametrize("epsilon", [1.0, None])
     @pytest.mark.parametrize("command", [["theory"], ["markov", "--x", "0"]])
-    def test_zero_prior_is_a_budget_error(self, tmp_path, capsys, command):
-        # a linear kernel on the single grid point 0 has an all-zero Gram
-        cfg = grid_theory_config(epsilon=1.0)
+    def test_zero_prior_is_a_budget_error(self, tmp_path, capsys, command, epsilon):
+        # a linear kernel on the single grid point 0 has an all-zero Gram; an
+        # unset epsilon defaults to 0.05 of its largest variance, which is 0
+        cfg = grid_theory_config(epsilon=epsilon)
+        if epsilon is None:
+            del cfg["epsilon"]
         cfg["domain"]["kernel"] = {"family": "linear"}
         cfg["domain"]["layout"].update(s_count=1, a_extra=0)
         path = write_config(tmp_path / "t.json", cfg)
@@ -498,7 +504,8 @@ class TestTheoryCommand:
         assert main(["theory", "--config", path, "--out", str(tmp_path / "o")]) == 4
         assert "the sample Gram is singular" in capsys.readouterr().err
 
-    def test_sample_gram_spectrum_computed_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", [["theory"], ["markov", "--x", "3"]])
+    def test_sample_gram_spectrum_computed_once(self, tmp_path, monkeypatch, command):
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -508,7 +515,8 @@ class TestTheoryCommand:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         cfg = write_config(tmp_path / "t.json", grid_theory_config())
-        assert main(["theory", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert main([command[0], "--config", cfg, "--out", str(tmp_path / "o"),
+                     *command[1:]]) == 0
         assert calls == [(3, 3)]
 
     def test_requires_sample_inside_targets(self, tmp_path):

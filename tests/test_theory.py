@@ -200,7 +200,6 @@ class TestOneDowndatePrimitive:
     def test_itl_and_floors_make_no_factorization(self, rng, monkeypatch):
         # every variance they read comes from downdates of one factor and its twin
         prior, targets, space = rollout_instance(rng, "disjoint", hetero=True)
-        constants = TheoryConstants.from_state(prior, space)
 
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg was called")
@@ -210,7 +209,7 @@ class TestOneDowndatePrimitive:
         for stabilize in (False, True):
             policy = Policy(rule="itl", batch_size=3, stabilize=stabilize)
             assert len(select_batch(prior, targets, space, policy).indices) == 3
-        traj = greedy_itl_trajectory(prior, targets, space, 6, constants=constants)
+        traj = greedy_itl_trajectory(prior, targets, space, 6)
         assert traj.rounds == 6
         floors = irreducible_uncertainty(prior.gram, space, targets + space[:1])
         assert floors.shape == (len(targets) + 1,) and floors[-1] == 0.0
@@ -353,7 +352,7 @@ class TestGammaBound:
 class TestWithinSampleBound:
     def test_round_zero_direct(self, rng):
         prior = small_state(0.2, 6, rng)
-        constants = TheoryConstants.from_state(prior, range(6))
+        constants = TheoryConstants.from_state(prior)
         gamma0 = step_uncertainty(prior, range(6), range(6))
         assert 1.0 <= 2 * constants.sigma_tilde_sq * gamma0 + 1e-9
 
@@ -500,10 +499,11 @@ class TestSizeBound:
             state = random_state(rng, n, hetero=True, unit_diag=True, floor=0.5,
                                  noise_range=(0.2, 1.0))
             space = list(range(n))
-            constants = TheoryConstants.from_state(state, space)
-            scale = (constants.lambda_min ** 2
-                     / (2.0 * n ** 2 * constants.sigma_sq ** 2 * constants.sigma_tilde_sq))
+            constants = TheoryConstants.from_state(state)
             cov = state.cov
+            lambda_min = np.linalg.eigvalsh(cov).min()  # the prior's K_SS: S is every point
+            scale = (lambda_min ** 2
+                     / (2.0 * n ** 2 * constants.sigma_sq ** 2 * constants.sigma_tilde_sq))
             noise = state.noise
             for epsilon in (1.0, 5.0, 20.0, 100.0, 500.0):
                 threshold = epsilon * scale
@@ -641,18 +641,7 @@ class TestSubmodularityRatio:
 
 class TestConstants:
     def test_from_state(self):
-        values = np.array([[1.0, 0.2], [0.2, 0.5]])
-        k = KernelMatrix(values, (0, 1))
-        constants = TheoryConstants.from_state(PosteriorState.from_prior(k, [0.1, 1.0]), [0, 1])
+        k = KernelMatrix(np.array([[1.0, 0.2], [0.2, 0.5]]), (0, 1))
+        constants = TheoryConstants.from_state(PosteriorState.from_prior(k, [0.1, 1.0]))
         assert constants.sigma_sq == 1.0
         assert constants.sigma_tilde_sq == 1.5
-        np.testing.assert_allclose(constants.lambda_min,
-                                   np.linalg.eigvalsh(values).min())
-
-    def test_trajectory_computes_constants_once(self, rng):
-        state = small_state(0.1, 6, rng)
-        trajectory = greedy_itl_trajectory(state, range(6), [4, 1, 3], 3)
-        assert trajectory.constants is trajectory.constants
-        assert trajectory.constants == TheoryConstants.from_state(state, [1, 3, 4])
-        assert (markov_size_bound(state, [4, 1, 3], 0.5, constants=trajectory.constants)
-                == markov_size_bound(state, [4, 1, 3], 0.5))
