@@ -159,6 +159,9 @@ def cmd_run(args) -> int:
 
 
 def _theory_instance(config: RunConfig):
+    if len(config.seeds) > 1:  # theory and markov check one instance
+        raise ConfigError(f"field 'seeds' must hold one seed for theory and markov, "
+                          f"got {len(config.seeds)}")
     prior, sample_ids, target_ids, _ = build_prior(config, seed_keys(config.seeds[0]))
     epsilon = config.epsilon
     if epsilon is None:

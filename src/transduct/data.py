@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -202,17 +202,7 @@ class RoundEntry:
     wall_time: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "round": self.round,
-            "chosen": list(self.chosen),
-            "objectives": list(self.objectives),
-            "mean_variance": self.mean_variance,
-            "max_variance": self.max_variance,
-            "relevant_picks": self.relevant_picks,
-            "distinct_relevant": self.distinct_relevant,
-            "rmse": self.rmse,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, payload: dict) -> "RoundEntry":

@@ -7,11 +7,13 @@ into the base once the p rows satisfy p^2 > N. The rule balances two costs
 per observation: a pending row adds O(N) to every later downdate, so each
 observation pays about O(p N) for the rows before it, while a fold writes N^2
 numbers for p rows, O(N^2 / p) each; the two meet at p = sqrt(N), so only one
-round in several writes an N x N array. A fold may write it in place:
-``condition_all(state, observations, out=state.base)`` overwrites the base
-that ``state`` and the states before it share, so a caller passes it only
-when it drops those states, as the round loop does. ``cov`` builds the dense
-matrix for the readers that want one.
+round in several writes an N x N array. A fold writes into ``out`` when
+given: the round loop passes one N x N buffer of its own every round, so
+from its first fold on it folds in place. ``out`` may be ``state.base``
+only when the caller drops ``state`` and the states before it, which share
+that base. Outside this module nothing reads the two pieces: every reader
+of the covariance takes its blocks from a ``_Blocks``, and ``cov``, the
+dense matrix, is an entry point for checks from outside the package.
 
 Every conditioning step is one noise-inflated rank-one downdate,
 ``bace_update`` (GPML Alg. 2.1): observing x with noise rho^2(x), which only
@@ -136,24 +138,6 @@ class PosteriorState:
     def round(self) -> int:
         return len(self.history)
 
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return self.gram.ids
-
-    def position(self, index: int) -> int:
-        return self.gram.position(index)
-
-    def positions(self, indices: Iterable[int]) -> np.ndarray:
-        return self.gram.positions(indices)
-
-    def variance_vector(self, indices: Sequence[int]) -> np.ndarray:
-        return self.variance_at(self.positions(indices))
-
-    def variance_at(self, pos: np.ndarray) -> np.ndarray:
-        """Variances at domain positions, clamped at zero."""
-        f = self.factor[:, pos]
-        return np.maximum(self.base[pos, pos] - np.einsum("ij,ij->j", f, f), 0.0)
-
 
 def condition(state: PosteriorState, obs: Observation) -> PosteriorState:
     """Condition the posterior on one observation (rank-one update)."""
@@ -168,10 +152,10 @@ def condition_all(state: PosteriorState, observations: Iterable[Observation], *,
     observations = tuple(observations)
     if not observations:
         return state
-    blocks = _Domain(state, (), state.ids, len(observations))
+    blocks = _Domain(state, (), state.gram.ids, len(observations))
     mean = state.mean.copy()
     for k, obs in enumerate(observations, blocks.width):
-        j = state.position(obs.index)
+        j = state.gram.position(obs.index)
         scale = bace_update(blocks, j)
         mean += blocks.w[k] * ((obs.value - mean[j]) / scale)
     if not np.isfinite(mean).all():  # a non-finite factor row moves it too (inf * 0 is NaN)
@@ -204,7 +188,8 @@ def _fold(base: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.
 
 
 class _Blocks:
-    """The pieces of the conditional covariance that the scorers read.
+    """The pieces of the conditional covariance that its readers take: the
+    scorers, the round loop's metrics, the capacity and the Markov check.
 
     Columns are the targets A followed by the candidates C. W starts as the
     state's pending factor rows at these columns, and each downdate appends a
@@ -232,7 +217,7 @@ class _Blocks:
 
     @cached_property
     def rows(self) -> np.ndarray:
-        return self.state.positions(self.targets + tuple(self.candidates))
+        return self.state.gram.positions(self.targets + tuple(self.candidates))
 
     @cached_property
     def noise_c(self) -> np.ndarray:
@@ -562,12 +547,8 @@ def information_capacity(state: PosteriorState, candidates: Sequence[int],
         return 0.0, True
     if math.comb(len(candidates) + budget - 1, budget) > BRUTE_FORCE_CAP:
         return _capacity_greedy(state, candidates, budget), False
-    pos = state.positions(candidates)
-    cov = state.base[np.ix_(pos, pos)]
-    if len(state.factor):  # priors, which every theory caller passes, skip the product
-        f = state.factor[:, pos]
-        cov = cov - f.T @ f
+    blocks = _Blocks(state, candidates, ())  # cov[S, S] is its target block
     floor = -math.inf  # walks below budget 3 have no children to prune
     if budget >= 3:  # each greedy step reads every earlier factor row, so stop at |S| picks
         floor = _capacity_greedy(state, candidates, min(budget, len(candidates)))
-    return _best_grouped_gain(cov, state.noise[pos], budget, floor), True
+    return _best_grouped_gain(blocks.cov_a(), state.noise[blocks.rows], budget, floor), True

@@ -21,10 +21,12 @@ cosine's BaCE batch, since its scores ignore the picks; random streams one
 sorted draw. Max-dist and kmeans++ read only the picks: their streams make
 no downdates and keep the nearest distances, which each pick lowers. Ties
 break toward the lowest index. Scorers read cov[A, A], cov[A, C] and the
-variances at targets A and candidates C from ``posterior``'s factor blocks;
-in-batch downdates are factor rows over A and C, and the round loop
-conditions once per batch on (index, label) observations. All of them read
-rho^2(x) from the state's ``noise`` vector.
+variances at targets A and candidates C from a ``posterior._Blocks``, the
+one reader of the state's covariance, and so do the round loop's metrics;
+in-batch downdates are factor rows over A and C. The round loop conditions
+once per batch on (index, label) observations, folding into one N x N
+buffer of its own. All of them read rho^2(x) from the state's ``noise``
+vector.
 """
 
 from __future__ import annotations
@@ -275,15 +277,15 @@ def run_loop(state: PosteriorState, targets: Sequence[int],
     rng = default_rng(policy.seed)
     record = RunRecord(config=dict(config or {}))
     retrieved: set[int] = set()
-    at_targets = state.positions(targets)
     truth_a = None if truth is None else np.array([truth[t] for t in targets])
 
     def metrics(round_no: int, batch: tuple[int, ...], objectives: tuple[float, ...],
                 elapsed: float) -> RoundEntry:
-        var = state.variance_at(at_targets)
+        blocks = _Blocks(state, targets, ())
+        var = blocks.var()
         rmse = None
         if truth_a is not None:
-            residual = state.mean[at_targets] - truth_a
+            residual = state.mean[blocks.rows] - truth_a
             rmse = float(np.sqrt(np.mean(residual ** 2)))
         return RoundEntry(
             round=round_no, chosen=batch, objectives=objectives,
@@ -293,7 +295,7 @@ def run_loop(state: PosteriorState, targets: Sequence[int],
             wall_time=elapsed if timings else 0.0)
 
     record.append(metrics(0, (), (), 0.0))
-    given = state.base  # the caller's covariance, which the run never writes
+    buffer = np.empty_like(state.gram.values)  # every fold of the run writes here
     pool = sorted(int(s) for s in sample_space)
     for round_no in range(1, rounds + 1):
         start = time.perf_counter()
@@ -315,9 +317,7 @@ def run_loop(state: PosteriorState, targets: Sequence[int],
             except Exception as exc:
                 raise DataError(f"oracle failed for index {index}: {exc}") from exc
             observations.append(Observation(index, value))
-        # from its first fold on, the run owns its state's base and folds in place
-        state = condition_all(state, observations,
-                              out=None if state.base is given else state.base)
+        state = condition_all(state, observations, out=buffer)
         retrieved.update(i for i in batch.indices if i in relevant)
         record.append(metrics(round_no, batch.indices, batch.objectives,
                               time.perf_counter() - start))

@@ -261,7 +261,7 @@ def markov_size_bound(state: PosteriorState, sample_space: Sequence[int],
     if not epsilon > 0:
         raise InputError("epsilon must be positive")
     space = tuple(sorted(int(s) for s in sample_space))
-    pos = state.positions(space)
+    pos = state.gram.positions(space)
     prior_cov = state.gram.values[np.ix_(pos, pos)]
     eig = np.linalg.eigvalsh(prior_cov)
     lam = float(eig[0]) if eig[0] > len(eig) * np.finfo(float).eps * eig[-1] else 0.0
@@ -345,7 +345,7 @@ def verify_markov_boundary(state: PosteriorState, boundary: MarkovBoundary,
                            x: int) -> bool:
     """Re-condition from scratch and confirm the defining inequality."""
     check = condition_all(state, [Observation(index, 0.0) for index in boundary.members])
-    achieved = float(check.variance_vector([int(x)])[0])
+    achieved = float(_Blocks(check, (int(x),), ()).var()[0])
     return achieved <= boundary.irreducible + boundary.epsilon + _TOL
 
 

@@ -61,12 +61,18 @@ def random_state(rng, n, *, hetero=False, noise_range=(0.01, 1.0),
     return PosteriorState.from_prior(gram, noise)
 
 
+def target_variances(state, indices):
+    """Variances at ``indices``, clamped at zero, read off the dense
+    covariance's diagonal rather than through ``_Blocks``."""
+    return np.maximum(np.diag(state.cov)[state.gram.positions(indices)], 0.0)
+
+
 def batch_posterior_oracle(state, observations):
     """From-scratch batch conditioning of the prior, each observation at the
     noise the state holds at its index: the independent oracle for the
     rank-one update path."""
     prior = state.gram.values
-    pos = [state.position(obs.index) for obs in observations]
+    pos = [state.gram.position(obs.index) for obs in observations]
     y = np.array([obs.value for obs in observations])
     noise = np.diag(state.noise[pos])
     k_dx = prior[:, pos]
@@ -83,11 +89,11 @@ def batch_gain_reference(state, targets, batch, *, stabilize=False):
     block one position of B at a time."""
     if len(batch) == 0:
         return 0.0
-    pa = state.positions(targets)
+    pa = state.gram.positions(targets)
     block = state.cov[np.ix_(pa, pa)]
     if stabilize:
         block = block + np.diag(state.noise[pa])
-    pb = state.positions(batch)
+    pb = state.gram.positions(batch)
     c_bb = state.cov[np.ix_(pb, pb)] + np.diag(state.noise[pb])
     c_ab = state.cov[np.ix_(pa, pb)]
     downdated = block - c_ab @ np.linalg.solve(c_bb, c_ab.T)
@@ -113,7 +119,7 @@ def best_grouped_gain_reference(cov, noise, size):
 def capacity_greedy_reference(state, candidates, budget):
     """Greedy multiset capacity on a dense copy of the candidate block,
     downdated by an explicit outer product after each undirected-ITL pick."""
-    pos = state.positions(candidates)
+    pos = state.gram.positions(candidates)
     noise = state.noise[pos]
     cov = state.cov[np.ix_(pos, pos)].copy()
     total = 0.0
@@ -151,7 +157,7 @@ def capacity_upper_bound_reference(variances, noise, budget):
 def capacity_multiset_reference(state, candidates, budget):
     """Exhaustive multiset capacity, one Cholesky log-determinant of
     K_XX + P_X per multiset X, a repeated point as repeated rows."""
-    pos = state.positions(candidates)
+    pos = state.gram.positions(candidates)
     noise = state.noise[pos]
     cov = state.cov[np.ix_(pos, pos)]
     best = 0.0
@@ -168,8 +174,8 @@ def markov_boundary_reference(state, space, x, floor, epsilon, cap):
     """Markov-boundary members and achieved variance: undirected greedy
     picks on a dense copy of the prior block, each pick certified by
     conditioning the state on it."""
-    pos = state.positions(space)
-    px = state.position(x)
+    pos = state.gram.positions(space)
+    px = state.gram.position(x)
     noise = state.noise[pos]
     sel_cov = state.gram.values[np.ix_(pos, pos)].copy()
     members = []
@@ -208,7 +214,7 @@ def itl_trajectory_reference(prior, targets, space, rounds):
         picks.append(pick)
         states.append(condition(state, Observation(pick, 0.0)))
     gains = [step_uncertainty(state, targets, space) for state in states]
-    variances = np.array([state.variance_vector(targets) for state in states])
+    variances = np.array([target_variances(state, targets) for state in states])
     return tuple(picks), gains, variances
 
 

@@ -229,7 +229,7 @@ class TestConfigValidation:
     ])
     @pytest.mark.parametrize("command", ["run", "theory"])
     def test_empty_space_is_config_error(self, tmp_path, capsys, command, layout):
-        cfg = base_run_config()
+        cfg = base_run_config(seeds=[0])  # theory refuses more than one seed
         cfg["domain"]["layout"] = layout
         path = write_config(tmp_path / "c.json", cfg)
         assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
@@ -246,6 +246,24 @@ class TestConfigValidation:
                      "--seeds", seeds]) == 2
         err = capsys.readouterr().err
         assert "'seeds'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("route", ["config", "--seeds"])
+    @pytest.mark.parametrize("command", [["theory"], ["markov", "--x", "3"]])
+    def test_theory_commands_refuse_more_than_one_seed(self, tmp_path, capsys, monkeypatch,
+                                                       command, route):
+        # each checks one instance, so a second seed would be silently dropped
+        def build(*args):
+            raise AssertionError("a domain was built before the seeds were checked")
+
+        monkeypatch.setattr(cli, "build_prior", build)
+        cfg = grid_theory_config(seeds=[0, 1] if route == "config" else [0])
+        path = write_config(tmp_path / "t.json", cfg)
+        flag = ["--seeds", "0,1"] if route == "--seeds" else []
+        out = tmp_path / "o"
+        assert main([command[0], "--config", path, "--out", str(out), *command[1:],
+                     *flag]) == 2
+        assert capsys.readouterr().err.startswith("error: field 'seeds'")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, path, value, code, named", [
         ("run", "seeds", [-1], 2, "'seeds'"),
@@ -424,7 +442,7 @@ class TestRunCommand:
         def poisoned_build(config, seed):
             domain = build_domain(config, seed)
             cov = domain.prior.cov.copy()
-            pa = domain.prior.positions(domain.target_ids)
+            pa = domain.prior.gram.positions(domain.target_ids)
             cov[np.ix_(pa, pa)] = np.nan
             return replace(domain, prior=replace(domain.prior, base=cov))
 
@@ -719,7 +737,7 @@ class TestDomainBuilders:
         domain = {"source": "embeddings", "path": str(emb), "s": {"first": 4},
                   "a": {"first": 6}, "kernel": kernel}  # theory needs S inside A
         prior = build_domain(parse_config(base_run_config(domain=domain)), seed=0).prior
-        assert prior.ids == tuple(ids)
+        assert prior.gram.ids == tuple(ids)
         assert np.array_equal(prior.gram.values, gram(KernelSpec(**kernel), ids, features).values)
         runs = [("run", base_run_config(domain=domain, rounds=2))]
         if kernel["family"] != "linear":  # 4 sample points in 3 dimensions: theory exits 4

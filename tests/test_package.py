@@ -107,6 +107,17 @@ class TestNoDeadLibraryCode:
         assert set(ENTRY_POINTS) <= unread
 
 
+class TestOneCovarianceReader:
+    def test_only_posterior_reads_the_covariance_pieces(self):
+        # the covariance is stored as base - factor^T factor; every other
+        # module reads its blocks through posterior._Blocks
+        readers = [f"{path.stem}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+                   if path.stem != "posterior"
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.Attribute) and node.attr in ("base", "factor")]
+        assert readers == []
+
+
 class TestReadmeTour:
     def test_tour_runs(self):
         labels = []

@@ -41,6 +41,7 @@ from conftest import (
     itl_scores_reference,
     random_psd_gram,
     random_state,
+    target_variances,
 )
 
 TWO_POINT = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -54,10 +55,10 @@ def two_point_state(rho2=0.1):
 class TestConditioning:
     def test_hand_computed_update(self):
         state = condition(two_point_state(), Observation(0, 1.0))
-        np.testing.assert_allclose(state.variance_vector([1])[0], 1 - 0.25 / 1.1,
+        np.testing.assert_allclose(target_variances(state, [1])[0], 1 - 0.25 / 1.1,
                                    rtol=1e-12)
         # conditional mean at index 1: k10 / (k00 + rho^2) * y
-        np.testing.assert_allclose(state.mean[state.positions([1])], [0.5 / 1.1], rtol=1e-12)
+        np.testing.assert_allclose(state.mean[state.gram.positions([1])], [0.5 / 1.1], rtol=1e-12)
 
     def test_prior_shares_the_read_only_gram(self):
         gram = KernelMatrix(np.diag([1.0, 2.0]), (0, 1))
@@ -65,24 +66,24 @@ class TestConditioning:
         assert state.cov is gram.values and not state.cov.flags.writeable
         after = condition(state, Observation(0, 3.0))
         np.testing.assert_array_equal(gram.values, np.diag([1.0, 2.0]))
-        assert after.variance_vector([0])[0] < 1.0
+        assert target_variances(after, [0])[0] < 1.0
 
     def test_uncorrelated_point_untouched(self):
         gram = KernelMatrix(np.diag([1.0, 2.0]), (0, 1))
         state = PosteriorState.from_prior(gram, 0.1)
         after = condition(state, Observation(0, 3.0))
-        assert after.variance_vector([1])[0] == 2.0
-        assert after.mean[after.position(1)] == 0.0
+        assert target_variances(after, [1])[0] == 2.0
+        assert after.mean[after.gram.position(1)] == 0.0
 
     def test_repeated_observation_tightens(self):
         once = condition(two_point_state(), Observation(0, 1.0))
         twice = condition(once, Observation(0, 1.0))
-        assert twice.variance_vector([0])[0] < once.variance_vector([0])[0]
-        assert twice.variance_vector([1])[0] < once.variance_vector([1])[0]
+        assert target_variances(twice, [0])[0] < target_variances(once, [0])[0]
+        assert target_variances(twice, [1])[0] < target_variances(once, [1])[0]
 
     def test_near_exact_observation_zeroes_variance(self):
         state = condition(two_point_state(1e-8), Observation(0, 1.0))
-        assert state.variance_vector([0])[0] < 1e-7
+        assert target_variances(state, [0])[0] < 1e-7
 
     def test_matches_batch_oracle_in_any_order(self, rng):
         for _ in range(20):
@@ -108,7 +109,7 @@ class TestConditioning:
 
     def test_prior_variance_is_kernel_diagonal(self):
         state = two_point_state()
-        assert state.variance_vector([0])[0] == 1.0
+        assert target_variances(state, [0])[0] == 1.0
 
     def test_round_counter(self):
         state = two_point_state()
@@ -140,7 +141,7 @@ class TestConditioning:
         for start in range(0, 400, 10):
             state = condition_all(state, observations[start:start + 10])
         prior = state.gram.values
-        pos = [state.position(obs.index) for obs in observations]
+        pos = [state.gram.position(obs.index) for obs in observations]
         chol = np.linalg.cholesky(prior[np.ix_(pos, pos)] + 1e-8 * np.eye(400))
         v = solve_triangular(chol, prior[pos, :], lower=True)
         assert np.max(np.abs(state.cov - (prior - v.T @ v))) <= 1e-12
@@ -156,7 +157,7 @@ class TestConditioning:
                         for i in [2, 7, 2, 10, 7, 2, 0, 10]]
         state = condition_all(condition_all(state, observations[:5]), observations[5:])
         prior = state.gram.values
-        pos = [state.position(obs.index) for obs in observations]
+        pos = [state.gram.position(obs.index) for obs in observations]
         chol = np.linalg.cholesky(prior[np.ix_(pos, pos)] + np.diag(state.noise[pos]))
         v = solve_triangular(chol, prior[pos, :], lower=True)
         y = solve_triangular(chol, [obs.value for obs in observations], lower=True)
@@ -239,7 +240,7 @@ class TestConditioning:
         with pytest.raises(InputError, match="noise"):
             replace(state, noise=noise)
         with pytest.raises(InputError, match="noise"):
-            labeled_oracle(SyntheticTruth(state.ids, np.zeros(4)), noise, 0)
+            labeled_oracle(SyntheticTruth(state.gram.ids, np.zeros(4)), noise, 0)
 
     def test_noise_is_a_read_only_float_vector_over_positions(self, rng):
         gram_ = random_psd_gram(rng, 4)
@@ -265,7 +266,7 @@ class TestConditioning:
         for start in range(0, 500, 10):
             state = condition_all(state, observations[start:start + 10])
         prior = state.gram.values
-        pos = [state.position(obs.index) for obs in observations]
+        pos = [state.gram.position(obs.index) for obs in observations]
         chol = np.linalg.cholesky(prior[np.ix_(pos, pos)] + np.eye(500))
         v = solve_triangular(chol, prior[pos, :], lower=True)
         y = solve_triangular(chol, [obs.value for obs in observations], lower=True)
@@ -299,7 +300,7 @@ class TestITLWhitening:
                 state = random_state(rng, n, hetero=trial % 2 == 0)
                 targets = sorted(int(t) for t in rng.choice(n, int(rng.integers(1, 8)),
                                                             replace=False))
-            ids = list(state.ids)
+            ids = list(state.gram.ids)
             if rng.integers(0, 2):
                 observed = rng.choice(ids, size=4)
                 state = condition_all(state, [Observation(int(i), 0.3) for i in observed])
@@ -353,7 +354,7 @@ class TestInformationGain:
             targets = tuple(range(8))
             for x in range(8):
                 gain = information_gain(state, targets, x)
-                expected = 0.5 * math.log1p(state.variance_vector([x])[0] / 0.2)
+                expected = 0.5 * math.log1p(target_variances(state, [x])[0] / 0.2)
                 np.testing.assert_allclose(gain, expected, atol=1e-7)
 
     def test_forward_backward_agree(self, rng):
@@ -557,7 +558,7 @@ def grid8_prior():
                               "include_s_in_a": True}},
         "rounds": 8, "seeds": [0], "epsilon": 1.0, "hyper": {"rho": 0.5}})
     domain = build_domain(config, 0)
-    pos = domain.prior.positions(domain.sample_ids)
+    pos = domain.prior.gram.positions(domain.sample_ids)
     return domain.prior, domain.sample_ids, domain.prior.cov[np.ix_(pos, pos)]
 
 
@@ -635,7 +636,7 @@ class TestCapacityBranchAndBound:
         cov[7, 6] = np.nan
         floor = posterior._capacity_greedy(prior, space, 8)
         with pytest.raises(NumericError):
-            posterior._best_grouped_gain(cov, prior.noise[prior.positions(space)], 8, floor)
+            posterior._best_grouped_gain(cov, prior.noise[prior.gram.positions(space)], 8, floor)
 
 
 class TestFactorBlockCapacity:
@@ -702,7 +703,7 @@ class TestFactorBlockCapacity:
         # oracle after every pick, across the factor's growth
         prior = random_state(rng, 12, hetero=True)
         targets, cands = (9, 10, 11), list(range(9))
-        rows = prior.positions(targets + tuple(cands))
+        rows = prior.gram.positions(targets + tuple(cands))
         pa = rows[:len(targets)]
         jitter = JITTER_SCALE * float(np.max(prior.gram.values[pa, pa]))
         picks = [3, 0, 3, 7, 5, 1]
@@ -814,8 +815,9 @@ class TestTwoPieceState:
             mean_oracle, cov_oracle = batch_posterior_oracle(pending, pending.history)
             np.testing.assert_allclose(pending.cov, cov_oracle, rtol=0, atol=1e-10)
             np.testing.assert_allclose(pending.mean, mean_oracle, rtol=0, atol=1e-10)
-            pos = rng.permutation(30)[:12]
-            np.testing.assert_allclose(pending.variance_at(pos), folded.variance_at(pos),
+            ids = rng.permutation(30)[:12].tolist()
+            np.testing.assert_allclose(posterior._Blocks(pending, ids, ()).var(),
+                                       posterior._Blocks(folded, ids, ()).var(),
                                        rtol=0, atol=1e-12)
             targets, batch = (27, 28, 29), [int(i) for i in rng.integers(0, 27, size=5)]
             assert batch_information_gain(pending, targets, batch) == pytest.approx(

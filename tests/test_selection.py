@@ -25,7 +25,7 @@ from transduct import (
 from transduct import posterior, selection
 from conftest import (ctl_scores_reference, kmeanspp_reference, max_dist_scores_reference,
                       random_corr_gram, random_state, rescoring_bace_reference,
-                      score_baseline, score_ctl, score_itl)
+                      score_baseline, score_ctl, score_itl, target_variances)
 
 TWO_POINT = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -47,7 +47,7 @@ class TestScoreITL:
             state = random_state(rng, 9, noise_range=(0.3, 0.3))
             targets = list(range(9))
             scores = [score_itl(state, targets, x) for x in range(9)]
-            variances = state.variance_vector(range(9))
+            variances = target_variances(state, range(9))
             assert int(np.argmax(scores)) == int(np.argmax(variances))
 
     def test_independent_candidate_scores_zero(self):
@@ -226,7 +226,7 @@ def dense_bace(state, targets, candidates, policy):
         picks.append(pick)
         objectives.append(step.objectives[0])
         remaining.remove(pick)
-        j = state.position(pick)
+        j = state.gram.position(pick)
         col = cov[:, j].copy()
         cov = cov - np.outer(col, col) / (max(cov[j, j], 0.0) + state.noise[j])
         np.fill_diagonal(cov, np.maximum(np.diag(cov), 0.0))
@@ -376,7 +376,7 @@ class TestKMeansPP:
             n = int(rng.integers(6, 25))
             state = random_state(rng, n, unit_diag=bool(trial % 2))
             if trial % 4 == 3:
-                state = replace(state, gram=KernelMatrix(np.ones((n, n)), state.ids),
+                state = replace(state, gram=KernelMatrix(np.ones((n, n)), state.gram.ids),
                                 base=np.ones((n, n)))
             if trial % 3:
                 observed = rng.integers(0, n, size=int(rng.integers(1, 5)))

@@ -46,6 +46,7 @@ from conftest import (
     random_state,
     step_uncertainty,
     submodularity_ratio_reference,
+    target_variances,
 )
 
 TWO_POINT = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -77,7 +78,7 @@ class TestIrreducibleUncertainty:
             idx = int(rng.integers(0, 5))
             state = condition(state, Observation(idx, 0.0))
             for x in range(8):
-                assert state.variance_vector([x])[0] >= floors[x] - 1e-9
+                assert target_variances(state, [x])[0] >= floors[x] - 1e-9
 
 
 class TestStepUncertainty:
@@ -453,7 +454,7 @@ class TestSizeBound:
             variances = np.diag(state.gram.values)
             noise = state.noise
             for budget in (1, 2, 3, 4):
-                exact, is_exact = information_capacity(state, state.ids, budget)
+                exact, is_exact = information_capacity(state, state.gram.ids, budget)
                 assert is_exact
                 bound = capacity_upper_bound(variances, noise, budget)
                 assert bound >= exact - 1e-9
@@ -548,7 +549,7 @@ class TestSizeBound:
             results = []
             for state, epsilon in cases:
                 try:
-                    results.append(markov_size_bound(state, state.ids, epsilon))
+                    results.append(markov_size_bound(state, state.gram.ids, epsilon))
                 except BudgetError as exc:
                     results.append(str(exc))
             return results
@@ -574,7 +575,7 @@ class TestSizeBound:
             for k in range(1, 7):
                 gamma = posterior._best_grouped_gain(state.cov, noise, k)
                 assert gamma / k <= previous * (1 + 1e-12)
-                assert posterior._capacity_greedy(state, state.ids, k) <= gamma * (1 + 1e-12)
+                assert posterior._capacity_greedy(state, state.gram.ids, k) <= gamma * (1 + 1e-12)
                 previous = gamma / k
 
 
