@@ -34,7 +34,6 @@ from .selection import (
 from .data import (
     RoundEntry,
     RunRecord,
-    SyntheticTruth,
     labeled_oracle,
     load_embeddings,
     load_run,

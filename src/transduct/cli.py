@@ -93,7 +93,7 @@ def _runs(config: RunConfig, jobs: int, timings: bool) -> dict:
                 domain.prior, domain.target_ids, domain.sample_ids, policy,
                 domain.oracle, config.rounds,
                 candidate_size=config.hyper["k"], relevant=domain.relevant,
-                truth=domain.truth_map, config=snapshot, timings=timings)
+                truth=domain.truth, config=snapshot, timings=timings)
         return records
 
     if jobs > 1:

@@ -53,7 +53,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.random import Generator, SeedSequence, default_rng
 
-from .data import SyntheticTruth, labeled_oracle, load_embeddings, sample_gp_truth
+from .data import labeled_oracle, load_embeddings, sample_gp_truth
 from .errors import ConfigError
 from .kernels import KernelSpec, gram
 from .posterior import PosteriorState
@@ -92,23 +92,19 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class DomainInstance:
-    """A realized domain: prior state, spaces, labels."""
+    """A realized domain: prior state, spaces, labels; ``truth`` is laid out as ``prior.noise``."""
 
     prior: PosteriorState
     sample_ids: tuple[int, ...]
     target_ids: tuple[int, ...]
     relevant: tuple[int, ...]
-    truth: SyntheticTruth
+    truth: np.ndarray
     oracle_seed: int
 
     @property
     def oracle(self) -> Callable[[int], float]:
         """A fresh label oracle: every run on this domain draws the same noise."""
-        return labeled_oracle(self.truth, self.prior.noise, self.oracle_seed)
-
-    @property
-    def truth_map(self) -> dict[int, float]:
-        return {i: float(v) for i, v in zip(self.truth.ids, self.truth.values)}
+        return labeled_oracle(self.prior, self.truth, self.oracle_seed)
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -191,9 +187,9 @@ def parse_config(raw: dict, *, preset: str | None = None,
     if not (rho > 0 and 0 < rho * rho < math.inf):  # rho^2 is the noise variance
         raise ConfigError(f"field 'hyper.rho' must be positive with a positive, finite "
                           f"square, got {hyper['rho']!r}")
-    for key in ("b", "m"):
-        if hyper[key] is not None and hyper[key] < 1:
-            raise ConfigError(f"field 'hyper.{key}' must be at least 1")
+    for key, low in (("b", 1), ("m", 1), ("M", 0)):
+        if hyper[key] is not None and hyper[key] < low:
+            raise ConfigError(f"field 'hyper.{key}' must be at least {low}")
 
     domain = _typed(_require(raw, "domain", "config"), dict, "domain")
     source = domain.get("source")

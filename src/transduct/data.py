@@ -1,5 +1,5 @@
-"""Ingestion of embeddings and labels; synthetic ground truths; run-record
-persistence.
+"""Ingestion of embeddings and labels; synthetic ground truths, each one vector
+in the prior Gram's position order, as the noise is; run-record persistence.
 
 File formats
 ------------
@@ -30,8 +30,9 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import DataError, InputError, NumericError, ParseError
-from .kernels import KernelMatrix, _feature_matrix, _noise_vector, _positions, jittered
+from .kernels import KernelMatrix, _feature_matrix, _positions, jittered
 from .kernels import gram  # noqa: F401  (public name here; tracing tools wrap it)
+from .posterior import PosteriorState
 
 RECORD_VERSION = "v1"
 _BINARY_MAGIC = b"TDEMB1\n"
@@ -143,14 +144,6 @@ def save_embeddings_binary(ids: Sequence[int], features, path: str) -> None:
 # synthetic ground truth
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SyntheticTruth:
-    """A function sampled from the zero-mean prior: its value at each id."""
-
-    ids: tuple[int, ...]
-    values: np.ndarray
-
-
 def _covariance_factor(matrix: np.ndarray) -> np.ndarray:
     if float(np.max(np.diag(matrix))) == 0.0:
         return np.zeros_like(matrix)
@@ -163,24 +156,34 @@ def _covariance_factor(matrix: np.ndarray) -> np.ndarray:
         return eigvecs * np.sqrt(np.maximum(eigvals, 0.0))
 
 
-def sample_gp_truth(prior: KernelMatrix, seed: int) -> SyntheticTruth:
-    """Draw f* ~ N(0, K) over the prior Gram K's ids via a seeded Cholesky transform."""
-    draw = default_rng(seed).standard_normal(prior.size)
-    return SyntheticTruth(ids=prior.ids, values=_covariance_factor(prior.values) @ draw)
+def sample_gp_truth(prior: KernelMatrix, seed: int) -> np.ndarray:
+    """Draw f* ~ N(0, K) via a seeded Cholesky transform of the prior Gram K:
+    a read-only float64 (N,) vector in K's position order."""
+    truth = _covariance_factor(prior.values) @ default_rng(seed).standard_normal(prior.size)
+    truth.setflags(write=False)
+    return truth
 
 
-def labeled_oracle(truth: SyntheticTruth, noise, seed: int) -> Callable[[int], float]:
-    """Label provider y = f*(x) + eps, eps ~ N(0, rho^2(x)), with fresh seeded
-    noise per query; ``noise`` is one variance, or one per id in ``truth.ids`` order."""
-    rho2 = _noise_vector(noise, len(truth.ids))
-    lookup = {i: (float(v), float(r)) for i, v, r in zip(truth.ids, truth.values, rho2)}
+def _truth_vector(truth, size: int) -> np.ndarray:
+    """``truth`` as a float64 vector; InputError unless it holds ``size`` finite numbers."""
+    values = np.asarray(truth)
+    if values.shape != (size,) or values.dtype.kind not in "iuf" or not np.isfinite(values).all():
+        raise InputError(f"truth needs {size} finite values, got {values.dtype} {values.shape}")
+    return values.astype(np.float64, copy=False)
+
+
+def labeled_oracle(prior: PosteriorState, truth: np.ndarray, seed: int) -> Callable[[int], float]:
+    """Label provider y = f*(x) + eps, eps ~ N(0, rho^2(x)), with fresh seeded noise
+    per query; ``truth`` and ``prior.noise`` are read at x's position in ``prior``."""
+    truth = _truth_vector(truth, prior.gram.size)
     rng = default_rng(seed)
 
     def oracle(index: int) -> float:
-        if index not in lookup:
-            raise DataError(f"oracle has no label for index {index}")
-        value, var = lookup[index]
-        return value + np.sqrt(var) * float(rng.standard_normal())
+        try:
+            j = prior.gram.position(index)
+        except InputError:
+            raise DataError(f"oracle has no label for index {index}") from None
+        return truth[j] + np.sqrt(prior.noise[j]) * float(rng.standard_normal())
 
     return oracle
 

@@ -119,7 +119,7 @@ class KernelMatrix:
         return len(self.ids)
 
     def position(self, index: int) -> int:
-        return int(self.positions((index,))[0])
+        return self._pos[index] if index in self._pos else int(self.positions((index,))[0])
 
     def positions(self, indices: Iterable[int]) -> np.ndarray:
         try:

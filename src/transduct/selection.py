@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 from numpy.random import Generator, default_rng
 
-from .data import RoundEntry, RunRecord
+from .data import RoundEntry, RunRecord, _truth_vector
 from .errors import DataError, InputError
 from .posterior import (
     Observation,
@@ -263,30 +263,30 @@ def run_loop(state: PosteriorState, targets: Sequence[int],
              sample_space: Sequence[int],
              policy: Policy, oracle: Callable[[int], float], rounds: int, *,
              candidate_size: int | None = None, relevant: Iterable[int] = (),
-             truth: dict[int, float] | None = None,
+             truth: np.ndarray | None = None,
              config: dict | None = None, timings: bool = False) -> RunRecord:
     """Run ``rounds`` of candidate sampling, batch selection and conditioning.
 
     Per round: draw a candidate set from the sample space, subsample the
     targets when the policy asks for it, select a batch, obtain labels from
     the oracle, and condition the posterior. Only sample-space indices are
-    ever queried; the targets stay unlabeled.
+    ever queried; the targets stay unlabeled. ``truth`` is f* at each position.
     """
     targets = tuple(int(t) for t in targets)
+    if not targets:
+        raise InputError("target set must be nonempty")
+    truth = None if truth is None else _truth_vector(truth, state.gram.size)
     relevant = frozenset(int(r) for r in relevant)
     rng = default_rng(policy.seed)
     record = RunRecord(config=dict(config or {}))
     retrieved: set[int] = set()
-    truth_a = None if truth is None else np.array([truth[t] for t in targets])
 
     def metrics(round_no: int, batch: tuple[int, ...], objectives: tuple[float, ...],
                 elapsed: float) -> RoundEntry:
         blocks = _Blocks(state, targets, ())
-        var = blocks.var()
-        rmse = None
-        if truth_a is not None:
-            residual = state.mean[blocks.rows] - truth_a
-            rmse = float(np.sqrt(np.mean(residual ** 2)))
+        var, rows = blocks.var(), blocks.rows
+        rmse = (None if truth is None
+                else float(np.sqrt(np.mean((state.mean[rows] - truth[rows]) ** 2))))
         return RoundEntry(
             round=round_no, chosen=batch, objectives=objectives,
             mean_variance=float(var.mean()), max_variance=float(var.max()),

@@ -199,6 +199,8 @@ class TestConfigValidation:
         ("run", "policies", ["itl", {"rule": "random", "m": 0}], "policies[1].m"),
         ("run", "policies", ["itl", {"rule": "ctl", "b": 0}], "policies[1].b"),
         ("run", "hyper.m", 0, "hyper.m"),
+        ("run", "hyper.M", -1, "hyper.M"),  # unused, as the layout sets a_count
+        ("ablate", "grid.M", [5, -1], "hyper.M"),
         ("run", "hyper.k", 1, "hyper.k"),  # below b = 2
         ("run", "policies", ["itl", {"rule": "ctl", "b": 21}], "hyper.k"),  # k = 20
         ("ablate", "grid.k", [20, 1], "hyper.k"),
@@ -220,6 +222,20 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert repr(named) in err and "Traceback" not in err
         assert not builds  # refused while parsing, before any domain is built
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("run", {"hyper": {"M": -1}}),
+        ("ablate", {"grid": {"M": [5, -1]}}),
+    ])
+    def test_negative_M_is_named_as_written(self, tmp_path, capsys, command, overrides):
+        # M sizes a uniform layout without a_count; its sign was reported as a_count's
+        cfg = base_run_config(seeds=[0], **overrides)
+        del cfg["domain"]["layout"]["a_count"]
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "field 'hyper.M' must be at least 0" in err and "a_count" not in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("layout", [
         {"kind": "uniform", "s_count": 4, "a_count": 0},

@@ -6,6 +6,7 @@ from transduct import (
     InputError,
     KernelSpec,
     ParseError,
+    PosteriorState,
     RoundEntry,
     RunRecord,
     labeled_oracle,
@@ -136,30 +137,37 @@ def draw_truth(spec, features, seed):
     return sample_gp_truth(gram(spec, range(len(features)), features), seed)
 
 
+def prior_of(spec, features, noise, ids=None):
+    """The prior state over ``features`` (ids 0..N-1 unless given) and its truth at seed 0."""
+    ids = range(len(features)) if ids is None else ids
+    state = PosteriorState.from_prior(gram(spec, ids, features), noise)
+    return state, sample_gp_truth(state.gram, 0)
+
+
 class TestSyntheticTruth:
     def test_single_point_moments(self):
         prior = gram(KernelSpec("linear"), [0], [[1.0]])  # built once
-        draws = np.array([sample_gp_truth(prior, seed).values[0] for seed in range(100_000)])
+        draws = np.array([sample_gp_truth(prior, seed)[0] for seed in range(100_000)])
         assert abs(draws.var() - 1.0) < 0.02
 
     def test_degenerate_kernel_gives_zero(self):
         spec = KernelSpec("linear")
         truth = draw_truth(spec, [[0.0]], 3)
-        assert truth.values[0] == 0.0
+        assert truth[0] == 0.0
 
     def test_seeded_reproducibility(self, rng):
         spec = KernelSpec("gaussian", 0.5)
         grid = rng.uniform(0, 1, (6, 2))
         a = draw_truth(spec, grid, 42)
         b = draw_truth(spec, grid, 42)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_covariance_moment_check(self, rng):
         spec = KernelSpec("gaussian", 0.7)
         prior = gram(spec, range(5), rng.uniform(0, 1, (5, 1)))  # built once
         k = prior.values
         n = 10_000
-        draws = np.stack([sample_gp_truth(prior, seed).values for seed in range(n)])
+        draws = np.stack([sample_gp_truth(prior, seed) for seed in range(n)])
         empirical = draws.T @ draws / n
         stderr = np.sqrt((np.outer(np.diag(k), np.diag(k)) + k ** 2) / n)
         assert np.all(np.abs(empirical - k) <= 5 * stderr)
@@ -170,58 +178,79 @@ class TestSyntheticTruth:
         expected = (np.linalg.cholesky(jittered(prior.values))
                     @ np.random.default_rng(7).standard_normal(30))
         truth = sample_gp_truth(prior, 7)
-        assert truth.values.tobytes() == expected.tobytes()
+        assert truth.tobytes() == expected.tobytes()
 
-    def test_truth_is_keyed_by_the_prior_ids(self, rng):
-        spec = KernelSpec("gaussian", 0.5)
+    def test_truth_is_a_read_only_vector_over_positions(self, rng):
+        truth = draw_truth(KernelSpec("gaussian", 0.5), rng.uniform(0, 1, (4, 2)), 3)
+        assert truth.shape == (4,) and truth.dtype == np.float64
+        assert not truth.flags.writeable
+
+    def test_truth_is_read_at_each_id_position(self, rng):
         grid = rng.uniform(0, 1, (4, 2))
-        truth = sample_gp_truth(gram(spec, [3, 2, 1, 0], grid[::-1]), 3)
-        assert truth.ids == (3, 2, 1, 0)
-        oracle = labeled_oracle(truth, 1e-12, seed=0)
-        np.testing.assert_allclose([oracle(i) for i in truth.ids], truth.values, atol=1e-5)
+        state, truth = prior_of(KernelSpec("gaussian", 0.5), grid[::-1], 1e-12, [3, 2, 1, 0])
+        oracle = labeled_oracle(state, truth, seed=0)
+        np.testing.assert_allclose([oracle(i) for i in (3, 2, 1, 0)], truth, atol=1e-5)
 
 
 class TestLabeledOracle:
     def test_tiny_noise_recovers_truth(self, rng):
-        spec = KernelSpec("gaussian", 0.5)
-        truth = draw_truth(spec, rng.uniform(0, 1, (3, 1)), 1)
-        oracle = labeled_oracle(truth, 1e-12, seed=2)
-        np.testing.assert_allclose(oracle(0), truth.values[0], atol=1e-5)
+        state, truth = prior_of(KernelSpec("gaussian", 0.5), rng.uniform(0, 1, (3, 1)), 1e-12)
+        oracle = labeled_oracle(state, truth, seed=2)
+        np.testing.assert_allclose(oracle(0), truth[0], atol=1e-5)
 
     def test_noise_variance_matches_model(self):
-        truth = draw_truth(KernelSpec("linear"), [[2.0]], 0)
-        oracle = labeled_oracle(truth, 0.49, seed=5)
+        state, truth = prior_of(KernelSpec("linear"), [[2.0]], 0.49)
+        oracle = labeled_oracle(state, truth, seed=5)
         draws = np.array([oracle(0) for _ in range(10_000)])
         assert abs(draws.var() - 0.49) < 0.03
 
     def test_noise_is_serially_uncorrelated(self):
-        truth = draw_truth(KernelSpec("linear"), [[1.5]], 0)
-        oracle = labeled_oracle(truth, 1.0, seed=7)
+        state, truth = prior_of(KernelSpec("linear"), [[1.5]], 1.0)
+        oracle = labeled_oracle(state, truth, seed=7)
         n = 10_000
-        draws = np.array([oracle(0) for _ in range(n)]) - truth.values[0]
+        draws = np.array([oracle(0) for _ in range(n)]) - truth[0]
         lag1 = np.corrcoef(draws[:-1], draws[1:])[0, 1]
         assert abs(lag1) < 3 / np.sqrt(n)
 
-    def test_noise_vector_is_read_in_truth_id_order(self, rng):
-        prior = gram(KernelSpec("gaussian", 0.5), [3, 2, 1, 0], rng.uniform(0, 1, (4, 2)))
-        truth = sample_gp_truth(prior, 3)
-        oracle = labeled_oracle(truth, [1e-12, 1e-12, 0.49, 1e-12], seed=5)
-        np.testing.assert_allclose([oracle(i) for i in (3, 2, 0)], truth.values[[0, 1, 3]],
+    def test_noise_vector_is_read_in_position_order(self, rng):
+        state, truth = prior_of(KernelSpec("gaussian", 0.5), rng.uniform(0, 1, (4, 2)),
+                                [1e-12, 1e-12, 0.49, 1e-12], [3, 2, 1, 0])
+        oracle = labeled_oracle(state, truth, seed=5)
+        np.testing.assert_allclose([oracle(i) for i in (3, 2, 0)], truth[[0, 1, 3]],
                                    atol=1e-5)
         draws = np.array([oracle(1) for _ in range(10_000)])
         assert abs(draws.var() - 0.49) < 0.03
 
     def test_seeded_determinism(self):
-        truth = draw_truth(KernelSpec("linear"), [[1.0]], 0)
-        a = labeled_oracle(truth, 0.3, seed=11)
-        b = labeled_oracle(truth, 0.3, seed=11)
+        state, truth = prior_of(KernelSpec("linear"), [[1.0]], 0.3)
+        a = labeled_oracle(state, truth, seed=11)
+        b = labeled_oracle(state, truth, seed=11)
         assert [a(0) for _ in range(5)] == [b(0) for _ in range(5)]
 
     def test_unknown_index(self):
-        truth = draw_truth(KernelSpec("linear"), [[1.0]], 0)
-        oracle = labeled_oracle(truth, 0.3, seed=1)
+        state, truth = prior_of(KernelSpec("linear"), [[1.0]], 0.3)
+        oracle = labeled_oracle(state, truth, seed=1)
         with pytest.raises(DataError):
             oracle(99)
+
+    def test_labels_are_the_id_keyed_truth_plus_noise_bit_for_bit(self, rng):
+        # ids that are not their positions: each label must read its own id's truth and noise
+        ids, noise = [30, 10, 20, 0], [0.1, 0.2, 0.3, 0.4]
+        state, truth = prior_of(KernelSpec("gaussian", 0.5), rng.uniform(0, 1, (4, 2)),
+                                noise, ids)
+        by_id = {i: (float(truth[p]), noise[p]) for p, i in enumerate(ids)}
+        oracle, draws = labeled_oracle(state, truth, seed=4), np.random.default_rng(4)
+        for index in (0, 20, 30, 10, 0):
+            value, var = by_id[index]
+            assert oracle(index) == value + np.sqrt(var) * float(draws.standard_normal())
+
+    @pytest.mark.parametrize("truth", [np.zeros(3), np.zeros(5), np.zeros((4, 1)),
+                                       {0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0}, [0.0, np.nan, 0.0, 0.0]],
+                             ids=["short", "long", "column", "dict", "nan"])
+    def test_truth_must_be_one_finite_value_per_position(self, rng, truth):
+        state, _ = prior_of(KernelSpec("gaussian", 0.5), rng.uniform(0, 1, (4, 2)), 0.1)
+        with pytest.raises(InputError, match="truth needs 4 finite values"):
+            labeled_oracle(state, truth, seed=0)
 
 
 def make_record(rounds, rng):

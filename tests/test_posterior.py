@@ -18,14 +18,12 @@ from transduct import (
     Observation,
     Policy,
     PosteriorState,
-    SyntheticTruth,
     batch_information_gain,
     condition,
     condition_all,
     gram,
     information_capacity,
     information_gain,
-    labeled_oracle,
     run_loop,
     select_batch,
 )
@@ -239,8 +237,6 @@ class TestConditioning:
             PosteriorState.from_prior(state.gram, noise)
         with pytest.raises(InputError, match="noise"):
             replace(state, noise=noise)
-        with pytest.raises(InputError, match="noise"):
-            labeled_oracle(SyntheticTruth(state.gram.ids, np.zeros(4)), noise, 0)
 
     def test_noise_is_a_read_only_float_vector_over_positions(self, rng):
         gram_ = random_psd_gram(rng, 4)

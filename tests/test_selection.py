@@ -18,14 +18,17 @@ from transduct import (
     condition_all,
     gram,
     information_gain,
+    labeled_oracle,
     run_loop,
+    sample_gp_truth,
     select_batch,
     subsample_targets,
 )
 from transduct import posterior, selection
-from conftest import (ctl_scores_reference, kmeanspp_reference, max_dist_scores_reference,
-                      random_corr_gram, random_state, rescoring_bace_reference,
-                      score_baseline, score_ctl, score_itl, target_variances)
+from conftest import (batch_posterior_oracle, ctl_scores_reference, kmeanspp_reference,
+                      max_dist_scores_reference, random_corr_gram, random_state,
+                      rescoring_bace_reference, score_baseline, score_ctl, score_itl,
+                      target_variances)
 
 TWO_POINT = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -451,7 +454,7 @@ class TestSubsampleTargets:
 class TestRunLoop:
     def _setup(self, rng, n=10):
         state = random_state(rng, n, unit_diag=True, noise_range=(0.5, 0.5))
-        truth = {i: float(v) for i, v in enumerate(rng.standard_normal(n))}
+        truth = rng.standard_normal(n)  # ids are positions here
         noise_rng = np.random.default_rng(1)
 
         def oracle(index):
@@ -513,6 +516,41 @@ class TestRunLoop:
         policy = Policy(rule="itl", batch_size=1, seed=0, target_subsample=2)
         record = run_loop(state, [6, 7, 8, 9], range(6), policy, oracle, 2)
         assert len(record.rounds) == 3
+
+    @pytest.mark.parametrize("rule", ["itl", "uncertainty"])
+    def test_empty_target_set_is_refused(self, rng, rule):
+        # the round-0 metrics used to take the max of an empty variance vector
+        state, truth, oracle = self._setup(rng)
+        with pytest.raises(InputError, match="target set must be nonempty"):
+            run_loop(state, [], range(10), Policy(rule), oracle, 2)
+
+    @pytest.mark.parametrize("rule", ["itl", "random"])
+    def test_rmse_reads_the_truth_at_each_target_position(self, rng, rule):
+        # ids that are not their positions: an id-keyed reference must give the same rmse
+        ids = [30, 10, 20, 0, 50, 40, 70, 60]
+        state = PosteriorState.from_prior(
+            gram(KernelSpec("gaussian", 0.5), ids, rng.uniform(0, 1, (8, 2))),
+            rng.uniform(0.05, 0.5, 8))
+        truth = sample_gp_truth(state.gram, 1)
+        by_id = dict(zip(ids, truth.tolist()))
+        targets, pool = [70, 0, 30], [10, 20, 50, 40, 60]
+        record = run_loop(state, targets, pool, Policy(rule, batch_size=2, seed=5),
+                          labeled_oracle(state, truth, 9), 3, truth=truth)
+        oracle, observations = labeled_oracle(state, truth, 9), []
+        for entry in record.rounds:
+            observations += [Observation(i, oracle(i)) for i in entry.chosen]
+            mean = (batch_posterior_oracle(state, observations)[0] if observations
+                    else np.zeros(8))
+            residual = [mean[ids.index(t)] - by_id[t] for t in targets]
+            assert entry.rmse == pytest.approx(np.sqrt(np.mean(np.square(residual))),
+                                               rel=1e-9)
+
+    @pytest.mark.parametrize("truth", [np.zeros(9), np.zeros(11), {i: 0.0 for i in range(10)}],
+                             ids=["short", "long", "dict"])
+    def test_truth_must_be_one_value_per_position(self, rng, truth):
+        state, _, oracle = self._setup(rng)
+        with pytest.raises(InputError, match="truth needs 10 finite values"):
+            run_loop(state, [9], range(8), Policy("uncertainty"), oracle, 1, truth=truth)
 
 
 class TestRuleRelations:
