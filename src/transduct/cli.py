@@ -67,7 +67,7 @@ def _stable_tag(name: str) -> int:
 
 def _load(args) -> RunConfig:
     """The config named by ``--config``, with ``--seeds`` (validated there) applied."""
-    seeds = args.seeds.split(",") if args.seeds else None
+    seeds = args.seeds.split(",") if args.seeds is not None else None
     return load_config(args.config, preset=args.preset, seeds=seeds)
 
 

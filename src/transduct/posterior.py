@@ -515,17 +515,13 @@ def _count_walk(block: np.ndarray, noise: np.ndarray, last: np.ndarray, left: np
     return best
 
 
-def _greedy_gains(state: PosteriorState, candidates: Sequence[int], budget: int) -> list[float]:
-    """Gains of the first ``budget`` greedy multiset picks by undirected ITL, up
-    to the first that gains nothing; the sum of the first n is the greedy
-    capacity of n observations."""
+def _capacity_greedy(state: PosteriorState, candidates: Sequence[int], budget: int) -> float:
+    """Greedy capacity of ``budget`` observations: the summed gains of the first
+    ``budget`` greedy multiset picks by undirected ITL, up to the first that
+    gains nothing."""
     steps = greedy(_Blocks(state, (), candidates, budget), _undirected_scores, multiset=True)
     gains = (float(scores[best]) for best, scores in islice(steps, budget))
-    return list(takewhile(lambda gain: gain > 0.0, gains))
-
-
-def _capacity_greedy(state: PosteriorState, candidates: Sequence[int], budget: int) -> float:
-    return sum(_greedy_gains(state, candidates, budget), 0.0)
+    return sum(takewhile(lambda gain: gain > 0.0, gains), 0.0)
 
 
 def information_capacity(state: PosteriorState, candidates: Sequence[int],

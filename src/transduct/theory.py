@@ -17,22 +17,22 @@ which is exact (exhaustive) whenever the enumeration is feasible and says so;
 otherwise it returns the greedy value, and the affected rows are demoted from
 failures to warnings, since greedy underestimates the capacity and could flag
 spurious violations. Exhaustive capacities, in the checkers and in the exact
-phase of the size condition, walk the observation counts of the multisets of
-size exactly n (``posterior._best_grouped_gain``), pruned below the greedy
-multiset's gain; the exact phase reads that floor for every size from the
-prefix sums of the one greedy run behind its futility certificate.
+phase of the size condition alike, come from that one function: it walks the
+observation counts of the multisets of size exactly n, pruned below the
+greedy multiset's gain.
 The one exception to the greedy fallback is the size condition behind b_eps,
 where an underestimate would be unsound; there a certified closed-form upper
 bound (grouped-Hadamard water filling, see ``capacity_upper_bound``) stands in.
 
 The size condition is the only check that can refuse an epsilon, so it runs
-first: ``transduct theory`` sizes b_eps before the rollout, and
-``markov_boundary`` before eta_S^2(x) or any pick. An infeasible epsilon then
-costs no rollout, no eta_S^2 and no capacity enumeration. The condition's
-exact phase is skipped when one greedy capacity proves it futile: the
-information gain of a multiset is monotone submodular (Nemhauser, Wolsey &
-Fisher 1978), so gamma_k / k never rises with k, and a greedy value above the
-threshold at the largest exact budget puts every smaller budget above it too.
+first, once: ``transduct theory`` sizes b_eps before the rollout and hands it
+to ``check_variance_bound``, and ``markov_boundary`` sizes it before
+eta_S^2(x) or any pick. An infeasible epsilon then costs no rollout, no
+eta_S^2 and no capacity enumeration. The condition's exact phase is skipped
+when one greedy capacity proves it futile: the information gain of a multiset
+is monotone submodular (Nemhauser, Wolsey & Fisher 1978), so gamma_k / k
+never rises with k, and a greedy value above the threshold at the largest
+exact budget puts every smaller budget above it too.
 Only the size condition reads lambda_min(K_SS): ``markov_size_bound`` makes
 the one eigendecomposition, while sigma^2 and sigma~^2 are O(N) maxima.
 
@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, combinations, islice
+from itertools import combinations, islice
 from typing import Sequence
 
 import numpy as np
@@ -59,9 +59,8 @@ from .kernels import KernelMatrix
 from .posterior import (
     Observation,
     PosteriorState,
-    _best_grouped_gain,
     _Blocks,
-    _greedy_gains,
+    _capacity_greedy,
     _itl_scores,
     _undirected_scores,
     bace_update,
@@ -152,8 +151,8 @@ def greedy_itl_trajectory(prior: PosteriorState, targets: Sequence[int],
     ``SIZE_BOUND_CAP`` rounds are refused before the factor rows are allocated."""
     targets = tuple(int(t) for t in targets)
     space = tuple(sorted(int(s) for s in sample_space))
-    if not space or rounds < 0:
-        raise InputError("the rollout needs a nonempty sample space and rounds >= 0")
+    if not targets or not space or rounds < 0:
+        raise InputError("the rollout needs nonempty targets and sample space and rounds >= 0")
     if rounds > SIZE_BOUND_CAP:
         raise BudgetError(f"the rollout's {rounds} rounds exceed the {SIZE_BOUND_CAP}-round cap")
     blocks = _Blocks(prior, targets, space, rounds)
@@ -247,20 +246,25 @@ def markov_size_bound(state: PosteriorState, sample_space: Sequence[int],
     The capacity and lambda_min(K_SS) are always computed from the prior,
     regardless of the state's history; lambda_min is 0, and the condition
     vacuous, when K_SS is singular up to round-off: at most |S| eps_mach
-    lambda_max, numpy's ``matrix_rank`` tolerance. Small budgets k <= k_exact
-    are checked exactly by enumeration, unless the greedy capacity of k_exact
-    observations, over k_exact, already exceeds threshold + ``_TOL``. Greedy
-    is a lower bound on gamma_{k_exact}, and gamma_s / s >= gamma_{k_exact} /
-    k_exact for every s <= k_exact, because the gain is monotone submodular
-    over multisets (an optimal multiset of size k + 1 has a point whose
-    removal loses at most gamma_{k+1} / (k + 1)); so then no exact budget
-    passes. Beyond k_exact the certified water-filling upper bound stands in,
-    which can only enlarge the reported k (never produce an unsound one).
+    lambda_max, numpy's ``matrix_rank`` tolerance. Small budgets k <= k_exact,
+    whose multisets number C(|S| + k_exact, k_exact) - 1 <= 2000 in all (far
+    below ``posterior.BRUTE_FORCE_CAP``, so every value is exact), are checked
+    with one ``information_capacity`` call per size, unless the greedy
+    capacity of k_exact observations, over k_exact, already exceeds
+    threshold + ``_TOL``. Greedy is a lower bound on gamma_{k_exact}, and
+    gamma_s / s >= gamma_{k_exact} / k_exact for every s <= k_exact, because
+    the gain is monotone submodular over multisets (an optimal multiset of
+    size k + 1 has a point whose removal loses at most gamma_{k+1} / (k + 1));
+    so then no exact budget passes. Beyond k_exact the certified water-filling
+    upper bound stands in, which can only enlarge the reported k (never
+    produce an unsound one).
     Returns (k, exact).
     """
     if not epsilon > 0:
         raise InputError("epsilon must be positive")
     space = tuple(sorted(int(s) for s in sample_space))
+    if not space:
+        raise InputError("the size condition needs a nonempty sample space")
     pos = state.gram.positions(space)
     prior_cov = state.gram.values[np.ix_(pos, pos)]
     eig = np.linalg.eigvalsh(prior_cov)
@@ -273,23 +277,15 @@ def markov_size_bound(state: PosteriorState, sample_space: Sequence[int],
     variances = np.maximum(np.diag(prior_cov), 0.0)
     noise = state.noise[pos]
 
-    # exact phase: small budgets, each enumerating the multisets of its size
+    # exact phase: sizes 1..k_exact hold C(|S| + k_exact, k_exact) - 1 multisets
     k_exact = 0
-    total = 0
-    while k_exact < min(SIZE_BOUND_CAP, 64):
-        extra = math.comb(len(space) + k_exact, k_exact + 1)
-        if total + extra > 2_000:
-            break
-        total += extra
+    while (k_exact < min(SIZE_BOUND_CAP, 64)
+           and math.comb(len(space) + k_exact + 1, k_exact + 1) <= 2_001):
         k_exact += 1
     prior = PosteriorState.from_prior(state.gram, state.noise)  # shares the Gram
-    # one greedy run: its total is the certificate, its prefix sums the walks' incumbents
-    gains = _greedy_gains(prior, space, k_exact)
-    futile = k_exact > 0 and sum(gains, 0.0) / k_exact > threshold + _TOL
-    floors = list(accumulate(gains, initial=0.0))
+    futile = k_exact > 0 and _capacity_greedy(prior, space, k_exact) / k_exact > threshold + _TOL
     for size in range(1, 0 if futile else k_exact + 1):
-        floor = floors[min(size, len(floors) - 1)]
-        if _best_grouped_gain(prior_cov, noise, size, floor) / size <= threshold:
+        if information_capacity(prior, space, size)[0] / size <= threshold:
             return size, True
 
     def admissible(budget: int) -> bool:
@@ -316,13 +312,12 @@ def markov_boundary(state: PosteriorState, sample_space: Sequence[int], x: int,
     Points are added by undirected greedy selection over S (computed from
     the prior, so the boundary is valid for any observation history) until
     the current state, downdated at the picks, has Var(f_x | D_n, y_B) <= eta_S^2(x) + eps.
-    The size condition runs first, so an infeasible epsilon is refused
-    before eta_S^2(x) factors K_SS.
+    An x outside the Gram is refused first, then the size condition runs, so
+    an infeasible epsilon is refused before eta_S^2(x) factors K_SS.
     """
-    if not epsilon > 0:
-        raise InputError("epsilon must be positive")
     space = tuple(sorted(int(s) for s in sample_space))
     x = int(x)
+    state.gram.position(x)  # InputError for an x outside the Gram
     size_bound, exact = markov_size_bound(state, space, epsilon)
     eta2 = float(irreducible_uncertainty(state.gram, space, [x])[0])
 
@@ -350,18 +345,19 @@ def verify_markov_boundary(state: PosteriorState, boundary: MarkovBoundary,
 
 
 def check_variance_bound(trajectory: Trajectory, epsilon: float,
-                         size_bound: tuple[int, bool] | None = None) -> BoundCheck:
+                         size_bound: tuple[int, bool]) -> BoundCheck:
     """Check the explicit form of the marginal-variance bound.
 
     For every round n and target x:
         sigma_n^2(x) <= 2 sigma^2 b_eps Gamma_n + eta_S^2(x) + eps,
-    with (b_eps, exact) from the size condition, ``size_bound`` when the
-    caller has sized it already, and Gamma_n measured on the trajectory.
+    with ``size_bound`` = (b_eps, exact), which the caller sizes with
+    ``markov_size_bound`` before the rollout, and Gamma_n measured on the
+    trajectory.
     Rows also carry the reducible gap max_x(sigma_n^2 - eta^2) for
     convergence reporting.
     """
     prior = trajectory.prior
-    b_eps, exact = size_bound or markov_size_bound(prior, trajectory.sample_space, epsilon)
+    b_eps, exact = size_bound
     eta = irreducible_uncertainty(prior.gram, trajectory.sample_space, trajectory.targets)
     sigma_sq = TheoryConstants.from_state(prior).sigma_sq
     rows = []

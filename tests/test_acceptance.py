@@ -26,6 +26,7 @@ from transduct import (
     greedy_itl_trajectory,
     information_gain,
     markov_boundary,
+    markov_size_bound,
     select_batch,
     subsample_targets,
     verify_markov_boundary,
@@ -184,7 +185,7 @@ class TestCriterion6ExplicitVarianceBound:
                  [[0.0], [2.0], [4.0], [4.6], [5.2]])
         prior = PosteriorState.from_prior(k, 0.25)
         traj = greedy_itl_trajectory(prior, range(5), range(3), 500)
-        rep = check_variance_bound(traj, 0.05)
+        rep = check_variance_bound(traj, 0.05, markov_size_bound(prior, range(3), 0.05))
         ratio = rep.rows[-1]["max_gap"] / rep.rows[0]["max_gap"]
         report("criterion-6 explicit variance bound",
                rep.passed is True and ratio <= 0.25,

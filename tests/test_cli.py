@@ -252,8 +252,10 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "empty sample or target space" in err and "Traceback" not in err
 
+    # an empty list names no seed: it is refused, not read as no override
     @pytest.mark.parametrize("command, seeds", [("run", "a"), ("ablate", "1,b"),
-                                                ("theory", "0,x"), ("run", "-1")])
+                                                ("theory", "0,x"), ("run", "-1"),
+                                                ("run", ""), ("theory", "")])
     def test_bad_seed_override_is_config_error(self, tmp_path, capsys, command, seeds):
         cfg = (grid_theory_config() if command == "theory"
                else base_run_config(grid={"rho": [1.0]}))
@@ -583,6 +585,22 @@ class TestMarkovCommand:
         cfg = write_config(tmp_path / "t.json", grid_theory_config())
         assert main(["markov", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--x", "3", "--epsilon", "1e-9"]) == 4
+
+    @pytest.mark.parametrize("epsilon", [[], ["--epsilon", "1e-9"]])
+    def test_unknown_x_is_refused_before_the_size_condition(self, tmp_path, capsys,
+                                                            monkeypatch, epsilon):
+        # at the config's epsilon b_eps would be sized first, and at 1e-9 the
+        # size condition's refusal (exit 4) would hide the bad index
+        def size_bound(*args):
+            raise AssertionError("b_eps was sized before x was resolved")
+
+        monkeypatch.setattr(theory, "markov_size_bound", size_bound)
+        cfg = write_config(tmp_path / "t.json", grid_theory_config())
+        out = tmp_path / "o"
+        assert main(["markov", "--config", cfg, "--out", str(out), "--x", "999",
+                     *epsilon]) == 2
+        assert capsys.readouterr().err == "error: index 999 is not in this Gram matrix\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
     def test_bad_epsilon_flag_is_config_error(self, tmp_path, capsys, value):

@@ -173,6 +173,8 @@ class TestRollout:
         prior = small_state(0.2, 4, rng)
         with pytest.raises(InputError):
             greedy_itl_trajectory(prior, range(4), [], 3)
+        with pytest.raises(InputError, match="nonempty targets"):
+            greedy_itl_trajectory(prior, [], range(4), 2)
         with pytest.raises(InputError):
             greedy_itl_trajectory(prior, range(4), range(4), -1)
 
@@ -410,6 +412,17 @@ class TestMarkovBoundary:
         with pytest.raises(BudgetError):
             markov_boundary(state, range(6), 0, 1e-6)
 
+    def test_unknown_x_is_refused_before_the_size_condition(self, rng):
+        # 1e-6 is refused by the size condition (above); the index is read first
+        state = small_state(0.5, 6, rng)
+        with pytest.raises(InputError, match="index 99 is not in this Gram"):
+            markov_boundary(state, range(6), 99, 1e-6)
+
+    def test_empty_sample_space_is_an_input_error(self, rng):
+        state = small_state(0.5, 3, rng)
+        with pytest.raises(InputError, match="nonempty sample space"):
+            markov_boundary(state, [], 0, 1.0)
+
     def test_validity_after_history(self, rng):
         state = small_state(0.5, 3, rng)
         state = condition(state, Observation(0, 0.4))
@@ -528,6 +541,11 @@ class TestSizeBound:
         with pytest.raises(InputError):
             markov_size_bound(state, range(3), 0.0)
 
+    def test_rejects_empty_sample_space(self, rng):
+        state = small_state(0.4, 3, rng)
+        with pytest.raises(InputError, match="nonempty sample space"):
+            markov_size_bound(state, [], 1.0)
+
     def test_zero_prior_is_vacuous_not_a_division_error(self):
         state = PosteriorState.from_prior(KernelMatrix(np.zeros((2, 2)), (0, 1)), 0.25)
         with pytest.raises(BudgetError, match="vacuous"):
@@ -535,8 +553,8 @@ class TestSizeBound:
 
     def test_greedy_certificate_keeps_every_result(self, rng, monkeypatch):
         walks = []
-        walk = theory._best_grouped_gain
-        monkeypatch.setattr(theory, "_best_grouped_gain",
+        walk = posterior._best_grouped_gain
+        monkeypatch.setattr(posterior, "_best_grouped_gain",
                             lambda *args: walks.append(args[2]) or walk(*args))
         cases = []
         for hetero in (False, True):
@@ -557,12 +575,38 @@ class TestSizeBound:
         certified = outcomes()
         certified_walks = len(walks)
         # without the certificate the exact phase always scans
-        monkeypatch.setattr(theory, "_greedy_gains", lambda *args: [])
+        monkeypatch.setattr(theory, "_capacity_greedy", lambda *args: 0.0)
         walks.clear()
         assert outcomes() == certified
         assert certified_walks < len(walks)
         kinds = {r[1] if isinstance(r, tuple) else "refused" for r in certified}
         assert kinds == {True, False, "refused"}
+
+    def test_exact_phase_sizes_match_the_running_total(self, monkeypatch):
+        # sizes 1..k_exact together hold at most 2000 multisets; k_exact was a
+        # running total of C(|S| + k, k + 1) over k, kept here as the reference
+        def k_exact_reference(n):
+            k_exact = total = 0
+            while k_exact < min(theory.SIZE_BOUND_CAP, 64):
+                extra = math.comb(n + k_exact, k_exact + 1)
+                if total + extra > 2_000:
+                    break
+                total += extra
+                k_exact += 1
+            return k_exact
+
+        sizes = []
+        monkeypatch.setattr(theory, "information_capacity",
+                            lambda state, space, size: (sizes.append(size), (math.inf, True))[1])
+        monkeypatch.setattr(theory, "_capacity_greedy", lambda *args: 0.0)
+        for n in (*range(1, 61), 2000, 2001):  # k_exact is 1 at |S| = 2000 and 0 past it
+            sizes.clear()
+            state = PosteriorState.from_prior(KernelMatrix(np.eye(n), tuple(range(n))), 1.0)
+            try:
+                markov_size_bound(state, range(n), 1.0)
+            except BudgetError:
+                pass
+            assert sizes == list(range(1, k_exact_reference(n) + 1)), n
 
     def test_capacity_ratio_never_rises_and_greedy_stays_below(self, rng):
         # gamma_k / k is nonincreasing (monotone submodular gain) and greedy is
@@ -584,7 +628,7 @@ class TestVarianceBound:
         for _ in range(5):
             prior = small_state(0.6, 3, rng, rho2=0.5)
             traj = greedy_itl_trajectory(prior, range(3), range(3), 6)
-            report = check_variance_bound(traj, 0.4)
+            report = check_variance_bound(traj, 0.4, markov_size_bound(prior, range(3), 0.4))
             assert report.passed is True
 
     def test_extrapolation_grid_gap_shrinks(self):
@@ -592,7 +636,7 @@ class TestVarianceBound:
                  [[0.0], [2.0], [4.0], [4.6], [5.4]])
         prior = PosteriorState.from_prior(k, 0.25)
         traj = greedy_itl_trajectory(prior, range(5), range(3), 60)
-        report = check_variance_bound(traj, 0.05)
+        report = check_variance_bound(traj, 0.05, markov_size_bound(prior, range(3), 0.05))
         assert report.passed is True
         assert report.rows[-1]["max_gap"] < 0.25 * report.rows[0]["max_gap"]
 
