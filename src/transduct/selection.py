@@ -18,9 +18,13 @@ remaining candidates are re-scored under the rank-one downdate at the pick
 x, inflated by the state's noise rho^2(x)) streams ``posterior.greedy``. A
 top-b batch ("topb") streams one pass's scores in descending order, as does
 cosine's BaCE batch, since its scores ignore the picks; random streams one
-sorted draw. Max-dist and kmeans++ read only the picks: their streams make
-no downdates and keep the nearest distances, which each pick lowers. Ties
-break toward the lowest index. Scorers read cov[A, A], cov[A, C] and the
+sorted draw. Max-dist and kmeans++ share one stream, which makes no
+downdates and keeps each candidate's squared distance to its nearest
+observed point. The two differ only in how they choose a pick (the farthest
+open candidate, or a draw proportional to the squared distance) and in
+whether a top-b batch lowers the distances at each pick (kmeans++ does,
+max-dist does not). Ties break toward the lowest index. Every rule refuses
+a candidate outside the Gram. Scorers read cov[A, A], cov[A, C] and the
 variances at targets A and candidates C from a ``posterior._Blocks``, the
 one reader of the state's covariance, and so do the round loop's metrics;
 in-batch downdates are factor rows over A and C. The round loop conditions
@@ -34,7 +38,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, islice, repeat
+from numbers import Integral
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -85,12 +91,17 @@ class Policy:
     def __post_init__(self):
         if self.rule not in RULES:
             raise InputError(f"unknown rule {self.rule!r}; choose from {RULES}")
-        if self.batch_size < 1:
-            raise InputError("batch size must be at least 1")
+        _require_count(self.batch_size, "batch size")
         if self.batch_mode not in ("bace", "topb"):
             raise InputError("batch_mode must be 'bace' or 'topb'")
-        if self.target_subsample is not None and self.target_subsample < 1:
-            raise InputError("target subsample size must be at least 1")
+        if self.target_subsample is not None:
+            _require_count(self.target_subsample, "target subsample size")
+
+
+def _require_count(value, what: str) -> None:
+    """InputError unless ``value`` is an integer (numpy's too, a bool not) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise InputError(f"{what} must be an integer of at least 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -131,21 +142,13 @@ def _min_sq_distances(state: PosteriorState, candidates: Sequence[int],
     return np.maximum(d2, 0.0).min(axis=1)
 
 
-def _score_candidates(blocks: _Blocks, policy: Policy) -> np.ndarray:
-    rule = policy.rule
-    if rule in TARGET_RULES and not blocks.targets:
-        raise InputError(f"rule {rule!r} needs a nonempty target set")
-    if rule == ITL:
-        return _itl_scores(blocks, policy.stabilize)
-    if rule == CTL:
-        return _ctl_scores(blocks)
-    if rule == UNCERTAINTY:
-        return blocks.var()[blocks.na:]
-    if rule == UNDIRECTED_ITL:
-        return _undirected_scores(blocks)
-    if rule == COSINE:
-        return _prior_cosine_scores(blocks)
-    raise InputError(f"rule {rule!r} is not a scored rule")
+def _scorer(policy: Policy) -> Callable[[_Blocks], np.ndarray]:
+    """The scored rule's vectorized scorer, looked up in the module's current names."""
+    return {ITL: partial(_itl_scores, stabilize=policy.stabilize),
+            CTL: _ctl_scores,
+            UNCERTAINTY: lambda blocks: blocks.var()[blocks.na:],
+            UNDIRECTED_ITL: _undirected_scores,
+            COSINE: _prior_cosine_scores}[policy.rule]
 
 
 def select_batch(state: PosteriorState, targets: Sequence[int],
@@ -162,38 +165,52 @@ def select_batch(state: PosteriorState, targets: Sequence[int],
     if rng is None:
         rng = default_rng(policy.seed)
     targets = tuple(map(int, targets))
+    if policy.rule in TARGET_RULES and not targets:
+        raise InputError(f"rule {policy.rule!r} needs a nonempty target set")
 
+    if policy.rule in (RANDOM, MAX_DIST, KMEANS_PP):
+        state.gram.positions(cand)  # a scored rule's _Blocks checks its own candidates
     if policy.rule == RANDOM:
         draw = sorted(rng.choice(len(cand), size=b, replace=False).tolist())
         steps = zip(draw, repeat(np.zeros(len(cand))))
-    elif policy.rule == KMEANS_PP:
-        steps = _kmeanspp_picks(state, cand, rng)
-    elif policy.rule == MAX_DIST:
-        steps = _max_dist_picks(state, cand, policy.batch_mode == "bace")
+    elif policy.rule in (MAX_DIST, KMEANS_PP):
+        kmeans = policy.rule == KMEANS_PP
+        steps = _distance_picks(state, cand, rng if kmeans else None,
+                                kmeans or policy.batch_mode == "bace")
     else:
         # uncertainty rules never read the target blocks, so no rows are kept for them
         blocks = _Blocks(state, targets if policy.rule in TARGET_RULES else (), cand, b - 1)
+        score = _scorer(policy)
         if policy.batch_mode == "topb" or policy.rule == COSINE:
             # cosine's scores ignore the picks, so its BaCE batch is its top-b batch
-            scores = _score_candidates(blocks, policy)
+            scores = score(blocks)
             steps = zip(np.lexsort((np.array(cand), -scores)), repeat(scores))
         else:
-            steps = greedy(blocks, lambda blocks: _score_candidates(blocks, policy))
+            steps = greedy(blocks, score)
     indices, objectives = zip(*[(cand[i], float(scores[i])) for i, scores in islice(steps, b)])
     return BatchResult(indices=indices, objectives=objectives)
 
 
-def _max_dist_picks(state: PosteriorState, cand: list[int],
+def _distance_picks(state: PosteriorState, cand: list[int], draw: Generator | None,
                     lower: bool) -> Iterator[tuple[int, np.ndarray]]:
-    """Max-dist picks: the farthest open candidate from the nearest observed
-    point; with ``lower`` (a greedy batch) each pick counts as observed for
-    the picks after it."""
+    """Picks by d2, the squared prior kernel distance to the nearest observed
+    point: max-dist (``draw`` None) takes the farthest open candidate, kmeans++
+    draws with probability proportional to d2, uniformly while there is no d2
+    or it is all 0. With ``lower`` each pick counts as observed for the picks
+    after it, so d2 is exactly 0 at a pick."""
     selected = [obs.index for obs in state.history]
     d2 = _min_sq_distances(state, cand, selected) if selected else None
     taken = np.zeros(len(cand), dtype=bool)
     while True:
-        scores = np.zeros(len(cand)) if d2 is None else np.sqrt(d2)
-        best = int(np.argmax(np.where(taken, -np.inf, scores)))
+        if draw is None:
+            scores = np.zeros(len(cand)) if d2 is None else np.sqrt(d2)
+            best = int(np.argmax(np.where(taken, -np.inf, scores)))
+        elif d2 is None:
+            best, scores = int(draw.choice(len(cand))), np.zeros(len(cand))
+        else:
+            total = float(d2.sum())
+            probs = d2 / total if total > 0 else ~taken / float(np.sum(~taken))
+            best, scores = int(draw.choice(len(cand), p=probs)), d2
         yield best, scores
         taken[best] = True
         if lower:
@@ -201,31 +218,12 @@ def _max_dist_picks(state: PosteriorState, cand: list[int],
             d2 = near if d2 is None else np.minimum(d2, near)
 
 
-def _kmeanspp_picks(state: PosteriorState, cand: list[int],
-                    rng: Generator) -> Iterator[tuple[int, np.ndarray]]:
-    """kmeans++ picks, each drawn with probability proportional to the
-    squared distance to the nearest observed point or earlier pick, which is
-    exactly 0 at a pick."""
-    selected = [obs.index for obs in state.history]
-    d2 = _min_sq_distances(state, cand, selected) if selected else None
-    taken = np.zeros(len(cand), dtype=bool)
-    while True:
-        if d2 is None:
-            choice, scores = int(rng.choice(len(cand))), np.zeros(len(cand))
-        else:
-            total = float(d2.sum())
-            probs = d2 / total if total > 0 else ~taken / float(np.sum(~taken))
-            choice, scores = int(rng.choice(len(cand), p=probs)), d2
-        yield choice, scores
-        taken[choice] = True
-        near = _min_sq_distances(state, cand, [cand[choice]])
-        d2 = near if d2 is None else np.minimum(d2, near)
-
-
 def brute_force_batch(state: PosteriorState, targets: Sequence[int],
                       candidates: Sequence[int], batch_size: int) -> BatchResult:
     """Exact argmax of I(f_A; y_B | D) over all size-b candidate subsets."""
     cand = sorted(int(c) for c in candidates)
+    if len(set(cand)) != len(cand):
+        raise InputError("candidate list contains duplicates")
     if batch_size < 1 or batch_size > len(cand):
         raise InputError("batch size must lie in [1, |candidates|]")
     count = math.comb(len(cand), batch_size)
@@ -247,8 +245,7 @@ def subsample_targets(targets: Sequence[int], m: int,
                       rng: Generator) -> tuple[int, ...]:
     """Draw m target indices uniformly without replacement."""
     targets = list(targets)
-    if m < 1:
-        raise InputError("target subsample size must be at least 1")
+    _require_count(m, "target subsample size")
     if m > len(targets):
         raise InputError(f"cannot draw {m} targets from {len(targets)}")
     picks = rng.choice(len(targets), size=m, replace=False)

@@ -15,8 +15,7 @@ from transduct import (BudgetError, KernelMatrix, Observation, Policy,
 from transduct.kernels import JITTER_SCALE, _matern_of_distance
 from transduct.posterior import _Blocks, _itl_scores, bace_update, chol_logdet
 from transduct.selection import (_DEGENERATE_VAR, CTL, ITL, MAX_DIST, UNCERTAINTY,
-                                 UNDIRECTED_ITL, _ctl_scores, _min_sq_distances,
-                                 _score_candidates)
+                                 UNDIRECTED_ITL, _ctl_scores, _min_sq_distances, _scorer)
 
 #: rules whose scores change when the conditional covariance is downdated
 _POSTERIOR_RULES = frozenset((ITL, CTL, UNCERTAINTY, UNDIRECTED_ITL))
@@ -374,7 +373,7 @@ def score_baseline(rule, candidate, *, state, targets=(), selected=()):
         history = tuple(Observation(s, 0.0) for s in selected)
         return select_batch(replace(state, history=history), targets, [candidate],
                             Policy(rule=rule)).objectives[0]
-    scores = _score_candidates(_Blocks(state, targets, [candidate]), Policy(rule=rule))
+    scores = _scorer(Policy(rule=rule))(_Blocks(state, targets, [candidate]))
     return float(scores[0])
 
 
@@ -418,7 +417,7 @@ def rescoring_bace_reference(state, targets, candidates, policy):
         if policy.rule == MAX_DIST:
             scores = max_dist_scores_reference(state, cand, history + picks)
         else:
-            scores = _score_candidates(blocks, policy)
+            scores = _scorer(policy)(blocks)
         scores = np.where(mask, -np.inf, scores)
         best = int(np.argmax(scores))
         picks.append(cand[best])

@@ -139,7 +139,38 @@ class TestScoreBaselines:
                 Policy(rule=rule)
 
 
+class TestPolicy:
+    @pytest.mark.parametrize("field", ["batch_size", "target_subsample"])
+    @pytest.mark.parametrize("value", [2.5, 1.5, "2", True, False])
+    def test_sizes_must_be_integers(self, field, value):
+        with pytest.raises(InputError, match="must be an integer"):
+            Policy("itl", **{field: value})
+
+    def test_numpy_integer_sizes_are_accepted(self, rng):
+        policy = Policy("itl", batch_size=np.int64(2), target_subsample=np.int32(3))
+        state = random_state(rng, 8)
+        assert len(select_batch(state, [5, 6, 7], range(5), policy).indices) == 2
+
+
 class TestSelectBatch:
+    @pytest.mark.parametrize("policy", [
+        Policy("random", 2), Policy("max-dist", 1), Policy("max-dist", 2, batch_mode="topb"),
+        Policy("kmeans++", 1)])
+    def test_candidate_outside_the_gram_is_refused(self, policy):
+        with pytest.raises(InputError, match="index 999 is not in this Gram matrix"):
+            select_batch(identity_state(10), [], [0, 999], policy)
+
+    @pytest.mark.parametrize("rule", ["itl", "ctl", "cosine"])
+    @pytest.mark.parametrize("batch_mode", ["bace", "topb"])
+    def test_no_targets_refused_before_any_blocks(self, rng, monkeypatch, rule, batch_mode):
+        def refuse(*args, **kwargs):
+            raise AssertionError("_Blocks built for a batch that needs targets and has none")
+
+        monkeypatch.setattr(selection, "_Blocks", refuse)
+        with pytest.raises(InputError, match=f"rule '{rule}' needs a nonempty target set"):
+            select_batch(random_state(rng, 6), [], range(6),
+                         Policy(rule, 2, batch_mode=batch_mode))
+
     def test_batch_size_one_modes_agree(self, rng):
         state = random_state(rng, 8, unit_diag=True)
         targets = [5, 6, 7]
@@ -364,6 +395,8 @@ class TestPickStreams:
             # one call from the history, then one per pick that another pick follows
             for policy, expected in [(Policy(rule="max-dist", batch_size=b), b),
                                      (Policy(rule="kmeans++", batch_size=b, seed=b), b),
+                                     (Policy(rule="kmeans++", batch_size=b, seed=b,
+                                             batch_mode="topb"), b),
                                      (Policy(rule="max-dist", batch_size=b,
                                              batch_mode="topb"), 1)]:
                 calls.clear()
@@ -406,6 +439,13 @@ class TestBruteForceBatch:
         state = random_state(rng, 5, unit_diag=True)
         result = brute_force_batch(state, [3, 4], range(3), 3)
         assert result.indices == (0, 1, 2)
+
+    def test_repeated_candidate_is_refused(self):
+        points = np.array([[0.0], [0.05], [3.0], [0.1]])
+        state = PosteriorState.from_prior(gram(KernelSpec("gaussian", 0.5), range(4), points),
+                                          0.01)
+        with pytest.raises(InputError, match="candidate list contains duplicates"):
+            brute_force_batch(state, [3], [0, 0, 2], 2)
 
     def test_combinatorial_limit(self):
         state = identity_state(60)
